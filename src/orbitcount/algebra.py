@@ -121,14 +121,6 @@ def algebra_spec(table, unity, kind, involution=None):
     return AlgebraSpec(dim=len(tab), table=tab, unity=vec(unity), kind=kind, involution=inv)
 
 
-def alg_add(a, b):
-    return AlgebraElement(tuple(scalar(x + y) for x, y in zip(a.coords, b.coords)))
-
-
-def alg_sub(a, b):
-    return AlgebraElement(tuple(scalar(x - y) for x, y in zip(a.coords, b.coords)))
-
-
 def alg_scale(c, a):
     return AlgebraElement(tuple(scalar(c * x) for x in a.coords))
 
@@ -190,15 +182,6 @@ def alg_inverse(a, spec):
     if x is None:
         raise ZeroDivisionError("element is not invertible (norm 0)")
     return AlgebraElement(x)
-
-
-def alg_pow(a, k, spec):
-    if k < 0:
-        return alg_pow(alg_inverse(a, spec), -k, spec)
-    out = spec.one()
-    for _ in range(k):
-        out = alg_mul(out, a, spec)
-    return out
 
 
 def minimal_polynomial(a, spec):

@@ -14,16 +14,15 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .algebra import AlgebraSpec
 from .counting import (
-    FAMILY_ALGEBRA,
     FAMILY_NORMFORM,
     FAMILY_QUADRIC,
     CountSeries,
     ScenarioSpec,
+    box_absolute_norm,
     box_level_counts,
     run_scenario,
 )
@@ -178,35 +177,6 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _series_with_jobs(scenario, jobs):
-    if (
-        jobs > 1
-        and scenario.family == FAMILY_NORMFORM
-        and scenario.mode[0] == "box"
-    ):
-        # the one driver that is a plain per-level map; everything else runs
-        # single-pass algorithms where extra workers change nothing
-        levels = list(range(1, scenario.k_max + 1))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(
-                pool.map(_box_level_task, [(scenario, k) for k in levels], chunksize=16)
-            )
-        return CountSeries(
-            family=scenario.family, levels=levels,
-            n_prim=[p for p, _ in pairs], n_all=[a for _, a in pairs],
-            weighted=[Fraction(a) for _, a in pairs], scale_e=1,
-            exact=[False] * len(levels), meta={"mode": f"box:{scenario.mode[1]}"},
-        )
-    return run_scenario(scenario)
-
-
-def _box_level_task(payload):
-    scenario, k = payload
-    return box_level_counts(
-        scenario.payload, k, scenario.mode[1], scenario.use_absolute_norm
-    )
-
-
 def cmd_count(args):
     doc = load_config(args.config, _overrides(args))
     scenario = scenario_from_config(doc)
@@ -221,7 +191,7 @@ def cmd_count(args):
             print("box saturation not reached (counts changed when the box doubled); "
                   "pass --allow-heuristic to emit anyway", file=sys.stderr)
             return EXIT_SATURATION
-    series = _series_with_jobs(scenario, int(doc["jobs"]))
+    series = run_scenario(scenario, int(doc["jobs"]))
     chash = config_hash(doc)
     out_path = _out_path(args, doc, "counts.csv")
     with open(out_path, "w") as fh:
@@ -233,11 +203,10 @@ def cmd_count(args):
 def _saturation_check(scenario):
     """Box-mode orbit counts on probe levels must be stable when the box doubles."""
     b = scenario.mode[1]
+    absolute = box_absolute_norm(scenario)
     for k in range(1, min(scenario.k_max, 20) + 1):
-        c1 = box_level_counts(scenario.payload, k, b, scenario.use_absolute_norm
-                              or scenario.family == FAMILY_ALGEBRA)
-        c2 = box_level_counts(scenario.payload, k, 2 * b, scenario.use_absolute_norm
-                              or scenario.family == FAMILY_ALGEBRA)
+        c1 = box_level_counts(scenario.payload, k, b, absolute)
+        c2 = box_level_counts(scenario.payload, k, 2 * b, absolute)
         if c1 != c2:
             return False
     return True
@@ -328,19 +297,22 @@ def cmd_oracle_compare(args):
 
 
 def _oracle_columns(scenario, series, r):
-    label = scenario.label
-    if label == "gauss":
-        return series.n_all, ideal_count_series(-4, r), "per-level orbit counts vs ideal counts (D=-4)"
-    if label == "zsqrt2":
-        return series.n_all, ideal_count_series(8, r), "per-level orbit counts vs ideal counts (D=8)"
-    if label == "model-quadric":
+    """Pipeline and oracle columns for the oracle the scenario declares in
+    invariants["oracle"]: ideal-count:D, two-squares-primitive, jacobi-r4 or
+    hurwitz-shell."""
+    kind = scenario.invariants.get("oracle", "")
+    if kind.startswith("ideal-count:"):
+        disc = int(kind.split(":", 1)[1])
+        return (series.n_all, ideal_count_series(disc, r),
+                f"per-level orbit counts vs ideal counts (D={disc})")
+    if kind == "two-squares-primitive":
         pts = [len(cone_section_points(scenario.payload, k)) for k in range(1, r + 1)]
         oracle = [two_squares_primitive(k) for k in range(1, r + 1)]
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
-    if label == "lipschitz":
+    if kind == "jacobi-r4":
         eight_s = [8 * c for c in series.n_all]
         return eight_s, r4_series(r), "8 * orbit counts vs Jacobi r4"
-    if label == "hurwitz":
+    if kind == "hurwitz-shell":
         tw = [24 * c for c in series.n_all]
         oracle = [hurwitz_shell_count(m) for m in range(1, r + 1)]
         return tw, oracle, "24 * orbit counts vs direct half-integer shell enumeration"

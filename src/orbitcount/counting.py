@@ -7,6 +7,7 @@ counting path is exact integer/rational arithmetic throughout.
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .orders import (
     is_unit,
     norm_gram,
     real_quadratic_d,
+    reduce_orbits,
 )
 from .sections import QuadricSectionSpec
 from .shells import ball_points, definite_shell, theta_series
@@ -183,22 +185,21 @@ def _torsion_matrices(order, units):
     return [tuple(tuple(row) for row in left_mul_matrix(u, order.algebra)) for u in units.torsion]
 
 
-def _torsion_best(cands):
-    best = None
-    for c in cands:
-        lead = next((v for v in c if v != 0), None)
-        if lead is None or lead < 0:
-            continue
-        if best is None or c < best:
-            best = c
-    if best is None:
-        best = min(cands)
-    return best
-
-
-def _canonical_definite(coords, unit_mats):
-    cands = [tuple(sum(m[i][j] * coords[j] for j in range(len(coords))) for i in range(len(coords))) for m in unit_mats]
-    return _torsion_best(cands)
+def _orbit_classes(lvls, reps, stab, group_order):
+    """Index of one member of each (level, rep) class.  Asserts that every class
+    is a whole orbit: its member count times the stabilizer order is |G|."""
+    key = np.column_stack([lvls.astype(reps.dtype), reps])
+    if key.dtype == object:
+        members = {}
+        for i, row in enumerate(map(tuple, key.tolist())):
+            members.setdefault(row, []).append(i)
+        first = np.array([m[0] for m in members.values()], dtype=np.int64)
+        counts = np.array([len(m) for m in members.values()], dtype=np.int64)
+    else:
+        _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    if np.any(counts * stab[first] != group_order):
+        raise AssertionError("orbit-stabilizer identity violated: an orbit is incomplete")
+    return first
 
 
 def count_normform_level(order, k, mode=("exact",)):
@@ -215,11 +216,11 @@ def count_normform_level(order, k, mode=("exact",)):
         kf = Fraction(k)
         if kf <= 0 or kf.denominator != 1:
             return 0
-        units = finite_units(order)
-        mats = _torsion_matrices(order, units)
         shell = definite_shell(norm_gram(order), kf)
-        reps = {_canonical_definite(tuple(x), mats) for x in shell}
-        return len(reps)
+        if not shell:
+            return 0
+        reps, _ = reduce_orbits(shell, _torsion_matrices(order, finite_units(order)))
+        return len(set(map(tuple, reps.tolist())))
     if order.unit_rank == 1:
         kf = Fraction(k)
         if kf.denominator != 1:
@@ -228,23 +229,13 @@ def count_normform_level(order, k, mode=("exact",)):
     raise ValueError("unit rank >= 2: exact mode unsupported, use box mode")
 
 
-def normform_series(order, r_max, mode=("exact",), use_absolute_norm=False, units=None):
+def normform_series(order, r_max, use_absolute_norm=False, units=None):
     """Per-level orbit counts for levels 1..r_max (norm = k, or |norm| = k when
-    use_absolute_norm).  Exact mode only; box mode goes through the per-level op.
+    use_absolute_norm).  Exact mode only; box mode is box_series.
 
     units may carry externally supplied (user-asserted) unit data for rank-1
     orders; it is verified before use."""
     r_max = int(r_max)
-    levels = list(range(1, r_max + 1))
-    if mode[0] == "box":
-        pairs = [box_level_counts(order, k, mode[1], use_absolute_norm) for k in levels]
-        prim = [p for p, _ in pairs]
-        alln = [a for _, a in pairs]
-        return CountSeries(
-            family=FAMILY_NORMFORM, levels=levels, n_prim=prim, n_all=alln,
-            weighted=[Fraction(c) for c in alln], scale_e=1,
-            exact=[False] * len(levels), meta={"mode": f"box:{mode[1]}"},
-        )
     if order.unit_rank == 0:
         return _definite_normform_series(order, r_max)
     if order.unit_rank == 1:
@@ -283,6 +274,35 @@ def user_asserted_units(order, coords):
     )
 
 
+def box_series(scenario, jobs=1):
+    """Box-mode (heuristic) per-level orbit counts for levels 1..k_max, with
+    levels spread over `jobs` worker processes; the result does not depend on
+    jobs."""
+    levels = list(range(1, scenario.k_max + 1))
+    tasks = [(scenario, k) for k in levels]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            pairs = list(pool.map(_box_level_task, tasks, chunksize=16))
+    else:
+        pairs = [_box_level_task(t) for t in tasks]
+    return CountSeries(
+        family=scenario.family, levels=levels,
+        n_prim=[p for p, _ in pairs], n_all=[a for _, a in pairs],
+        weighted=[Fraction(a) for _, a in pairs], scale_e=1,
+        exact=[False] * len(levels), meta={"mode": f"box:{scenario.mode[1]}"},
+    )
+
+
+def box_absolute_norm(scenario):
+    """Whether box mode matches |norm| = k: quaternion shells always do."""
+    return scenario.use_absolute_norm or scenario.family == FAMILY_ALGEBRA
+
+
+def _box_level_task(task):
+    scenario, k = task
+    return box_level_counts(scenario.payload, k, scenario.mode[1], box_absolute_norm(scenario))
+
+
 def _box_level_orbits(order, k, bound, use_absolute_norm):
     sols = box_scan(order, k, bound)
     if not use_absolute_norm:
@@ -305,23 +325,17 @@ def box_level_counts(order, k, bound, use_absolute_norm=False):
 
 def _definite_normform_series(order, r_max):
     units = finite_units(order)
-    mats = _torsion_matrices(order, units)
-    gram = norm_gram(order)
-    pts, vals2, s = ball_points(gram, r_max)
+    pts, vals2, s = ball_points(norm_gram(order), r_max)
     if len(vals2) and np.any(vals2 % (2 * s)):
         raise AssertionError("norm values not integral on the order lattice")
-    levels_of = vals2 // (2 * s)
-    reps_all = [set() for _ in range(r_max + 1)]
-    reps_prim = [set() for _ in range(r_max + 1)]
-    gcds = np.gcd.reduce(np.abs(pts), axis=1)
-    for row, lv, g in zip(pts.tolist(), levels_of.tolist(), gcds.tolist()):
-        rep = _canonical_definite(tuple(row), mats)
-        reps_all[lv].add(rep)
-        if g == 1:
-            reps_prim[lv].add(rep)
+    lvls = vals2 // (2 * s)
+    reps, stab = reduce_orbits(pts, _torsion_matrices(order, units))
+    first = _orbit_classes(lvls, reps, stab, len(units.torsion))
+    # primitivity is a unit invariant: one member per orbit decides it
+    prim = np.gcd.reduce(np.abs(pts[first]), axis=1) == 1
+    n_all = np.bincount(lvls[first], minlength=r_max + 1)[1:].tolist()
+    n_prim = np.bincount(lvls[first][prim], minlength=r_max + 1)[1:].tolist()
     levels = list(range(1, r_max + 1))
-    n_all = [len(reps_all[k]) for k in levels]
-    n_prim = [len(reps_prim[k]) for k in levels]
     return CountSeries(
         family=FAMILY_NORMFORM, levels=levels, n_prim=n_prim, n_all=n_all,
         weighted=[Fraction(c) for c in n_all], scale_e=1,
@@ -417,29 +431,14 @@ def quadric_series(section, r_max, group=None):
     if section.dim != 3:
         return _quadric_series_per_level(section, r_scaled, group)
     pts, lvls = conic_points_up_to(section, r_scaled)
-    gmats = [np.array(g, dtype=np.int64) for g in group.elements]
-    n = section.dim
-    if len(pts):
-        best = pts.copy()
-        stab = np.zeros(len(pts), dtype=np.int64)
-        for gm in gmats:
-            img = pts @ gm.T
-            stab += np.all(img == pts, axis=1)
-            less = _lex_less(img, best)
-            best[less] = img[less]
-    else:
-        best = pts
-        stab = np.zeros(0, dtype=np.int64)
+    reps, stab = reduce_orbits(pts, group.elements)
+    first = _orbit_classes(lvls, reps, stab, group.order)
     levels = list(range(1, r_scaled + 1))
     n_prim = [0] * (r_scaled + 1)
     weighted = [Fraction(0)] * (r_scaled + 1)
-    if len(pts):
-        key = np.concatenate([lvls.reshape(-1, 1), best], axis=1)
-        uniq, first = np.unique(key, axis=0, return_index=True)
-        for row, idx in zip(uniq.tolist(), first.tolist()):
-            lv = row[0]
-            n_prim[lv] += 1
-            weighted[lv] += Fraction(1, int(stab[idx]))
+    for lv, st in zip(lvls[first].tolist(), stab[first].tolist()):
+        n_prim[lv] += 1
+        weighted[lv] += Fraction(1, st)
     _, n_all = aggregate_levels(levels, n_prim[1:], 1, r_scaled)
     return CountSeries(
         family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim[1:], n_all=n_all,
@@ -465,15 +464,6 @@ def _quadric_series_per_level(section, r_scaled, group):
         meta={"mode": "exact", "group_order": group.order, "route": "per-level",
               "weight_normalisation": "relative (one undetermined global constant)"},
     )
-
-
-def _lex_less(a, b):
-    less = np.zeros(len(a), dtype=bool)
-    tie = np.ones(len(a), dtype=bool)
-    for c in range(a.shape[1]):
-        less |= tie & (a[:, c] < b[:, c])
-        tie &= a[:, c] == b[:, c]
-    return less
 
 
 def quadric_all_points_level(section, k, group=None):
@@ -609,8 +599,11 @@ def primitive_algebra_shell_direct(order, m):
 # entry point used by the CLI
 
 
-def run_scenario(scenario):
-    """Compute the CountSeries for a validated scenario."""
+def run_scenario(scenario, jobs=1):
+    """Compute the CountSeries for a validated scenario; `jobs` worker
+    processes share the levels in box mode."""
+    if scenario.mode[0] == "box":
+        return box_series(scenario, jobs)
     fam = scenario.family
     if fam == FAMILY_NORMFORM:
         units = None
@@ -620,19 +613,11 @@ def run_scenario(scenario):
 
             units = user_asserted_units(scenario.payload, [frac(c) for c in asserted])
         return normform_series(
-            scenario.payload, scenario.k_max, mode=scenario.mode,
+            scenario.payload, scenario.k_max,
             use_absolute_norm=scenario.use_absolute_norm, units=units,
         )
     if fam == FAMILY_QUADRIC:
         return quadric_series(scenario.payload, scenario.k_max)
     if fam == FAMILY_ALGEBRA:
-        if scenario.mode[0] == "box":
-            levels = list(range(1, scenario.k_max + 1))
-            counts = [count_algebra_shell(scenario.payload, m, scenario.mode) for m in levels]
-            return CountSeries(
-                family=FAMILY_ALGEBRA, levels=levels, n_prim=counts, n_all=counts,
-                weighted=[Fraction(c) for c in counts], scale_e=1,
-                exact=[False] * len(levels), meta={"mode": f"box:{scenario.mode[1]}"},
-            )
         return algebra_series(scenario.payload, scenario.k_max)
     raise ValueError(f"unknown family {fam!r}")

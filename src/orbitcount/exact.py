@@ -59,10 +59,6 @@ def vec_mat(v, a):
     return tuple(scalar(sum(v[i] * a[i][j] for i in range(len(v)))) for j in range(len(a[0])))
 
 
-def dot(u, v):
-    return scalar(sum(x * y for x, y in zip(u, v)))
-
-
 def transpose(a):
     return tuple(zip(*a))
 

@@ -10,8 +10,6 @@ import numpy as np
 from .numtheory import factor_counts, kronecker
 from .orders import associated
 
-FUNDAMENTAL_CACHE = {}
-
 
 def is_fundamental_discriminant(d):
     if d == 0 or d == 1:

@@ -1,5 +1,6 @@
 """Orders and their unit groups: unit predicates, the orbit-equivalence test,
-and canonical representatives under the norm-one unit action.
+canonical representatives under the norm-one unit action, and the one
+vectorised orbit reducer for finite integer matrix groups.
 
 The orbit group throughout is the group of units of norm +1 (torsion
 included): multiplication by a unit u acts on the coordinate lattice with
@@ -10,6 +11,8 @@ the level sets norm = k and norm = -k and are excluded from the orbit group.
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .algebra import (
     AlgebraElement,
@@ -224,15 +227,6 @@ def fundamental_unit(order):
     )
 
 
-def units_for(order):
-    """finite_units for rank 0, fundamental_unit for rank 1."""
-    if order.unit_rank == 0:
-        return finite_units(order)
-    if order.unit_rank == 1:
-        return fundamental_unit(order)
-    raise ValueError("unit rank >= 2 is unsupported for exact counting; use box mode")
-
-
 def _max_embedding_key(x, d):
     # max of the two squared real embeddings of a + b sqrt(d), as an exact
     # pair (p, q) meaning p + q sqrt(d)
@@ -245,18 +239,48 @@ def _key_less(k1, k2, d):
     return s < 0
 
 
-def _torsion_normalise(candidates):
-    best = None
-    for c in candidates:
-        coords = c.coords
-        lead = next((v for v in coords if v != 0), None)
-        if lead is None or lead < 0:
+def rep_key(v):
+    """Sort key of the representative rule: vectors whose first nonzero
+    coordinate is positive come first, then lexicographic order."""
+    lead = next((c for c in v if c != 0), 0)
+    return (lead <= 0, tuple(v))
+
+
+def reduce_orbits(points, mats):
+    """Orbit representatives and stabilizer orders of the integer rows of
+    `points` (an array or a nonempty list of tuples) under the finite integer
+    matrix group `mats` acting by x -> g x.
+
+    Returns (reps, stab): reps[i] is min(g x_i over g, key=rep_key), computed
+    as a leading 0/1 column followed by a lexicographic compare, and stab[i]
+    counts the g fixing x_i.  Runs in int64 when
+    max_g max_row sum|g_ij| * max|x| < 2^63 bounds every intermediate, and in
+    Python ints (object arrays) otherwise, so it is exact for any input.
+    """
+    gms = [np.array(g, dtype=object) for g in mats]
+    # numpy would turn Python ints of 2^63 and above into floats
+    pts = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    width = max(int(np.abs(g).sum(axis=1).max()) for g in gms)
+    xmax = max(abs(int(pts.min())), abs(int(pts.max()))) if pts.size else 0
+    dtype = np.int64 if width * xmax < 2 ** 63 else object
+    pts = pts.astype(dtype)
+    best = stab = None
+    for g in gms:
+        img = pts @ g.astype(dtype).T
+        lead = img[np.arange(len(img)), (img != 0).argmax(axis=1)]
+        key = np.column_stack([(lead <= 0).astype(dtype), img])
+        hit = np.all(img == pts, axis=1)
+        if best is None:
+            best, stab = key, hit.astype(np.int64)
             continue
-        if best is None or coords < best:
-            best = coords
-    if best is None:
-        best = min(c.coords for c in candidates)
-    return AlgebraElement(best)
+        stab += hit
+        less = np.zeros(len(key), dtype=bool)
+        tie = np.ones(len(key), dtype=bool)
+        for c in range(key.shape[1]):
+            less |= tie & (key[:, c] < best[:, c])
+            tie &= key[:, c] == best[:, c]
+        best[less] = key[less]
+    return best[:, 1:], stab
 
 
 def canonical_rep(x, units, order):
@@ -264,9 +288,8 @@ def canonical_rep(x, units, order):
 
     Rank 1: slide along powers of the norm-one fundamental unit to minimise
     the larger |real embedding| (exact quadratic-irrational comparisons), then
-    sweep torsion.  Rank 0: sweep the finite unit list.  The torsion rule picks
-    the lexicographically smallest coordinate vector whose first nonzero
-    coordinate is positive.  Idempotent by construction.
+    sweep torsion.  Rank 0: sweep the finite unit list.  Among the candidates
+    the minimum under rep_key is taken.  Idempotent by construction.
     """
     if x.is_zero():
         raise ValueError("canonical_rep: zero element")
@@ -274,7 +297,7 @@ def canonical_rep(x, units, order):
         raise ValueError("canonical_rep needs a complete unit description")
     if order.unit_rank == 0:
         cands = [alg_mul(u, x, order.algebra) for u in units.torsion]
-        return _torsion_normalise(cands)
+        return min(cands, key=lambda c: rep_key(c.coords))
     if order.unit_rank != 1:
         raise ValueError("unit rank >= 2 is unsupported (box mode only)")
     d = real_quadratic_d(order)
@@ -299,4 +322,4 @@ def canonical_rep(x, units, order):
         if _max_embedding_key(nxt, d) == key:
             cands.append(nxt)
     cands.extend([alg_scale(-1, c) for c in list(cands)])
-    return _torsion_normalise(cands)
+    return min(cands, key=lambda c: rep_key(c.coords))

@@ -47,13 +47,15 @@ def preset_scenario(name, k_max, mode=("exact",), count_primitive_only=False,
         return ScenarioSpec(
             family=FAMILY_NORMFORM, payload=order_zsqrt2(), k_max=k_max, mode=mode,
             count_primitive_only=count_primitive_only, use_absolute_norm=use_absolute_norm,
-            label="zsqrt2", invariants={"class_number": 1, "minpoly": [-2, 0, 1]},
+            label="zsqrt2", invariants={"class_number": 1, "minpoly": [-2, 0, 1],
+                                      "oracle": "ideal-count:8"},
         )
     if name == "gauss":
         return ScenarioSpec(
             family=FAMILY_NORMFORM, payload=order_gauss(), k_max=k_max, mode=mode,
             count_primitive_only=count_primitive_only, use_absolute_norm=use_absolute_norm,
-            label="gauss", invariants={"class_number": 1, "minpoly": [1, 0, 1]},
+            label="gauss", invariants={"class_number": 1, "minpoly": [1, 0, 1],
+                                     "oracle": "ideal-count:-4"},
         )
     if name == "model-quadric":
         return ScenarioSpec(

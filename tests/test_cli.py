@@ -183,3 +183,49 @@ def test_user_asserted_unit_must_be_fundamental(tmp_path):
     cfg.write_text(json.dumps({"preset": "zsqrt2", "r_max": 10,
                                "fundamental_unit": ["7", "5"]}))
     assert run(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_algebra_box_mode_primitive_column(tmp_path):
+    # box mode used to copy n_all into n_prim for quaternion shells
+    from orbitcount.counting import algebra_series
+    from orbitcount.presets import order_lipschitz
+
+    cfg = tmp_path / "lip.json"
+    cfg.write_text(json.dumps({"preset": "lipschitz", "r_max": 8, "mode": "box:3"}))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(["count", "--config", str(cfg), "--allow-heuristic", "--out", str(out1)]) == EXIT_OK
+    assert run(["count", "--config", str(cfg), "--allow-heuristic", "--out", str(out2),
+                "--jobs", "2"]) == EXIT_OK
+    assert read(out1 / "lipschitz-counts.csv") == read(out2 / "lipschitz-counts.csv")
+    series = series_from_csv(str(out1 / "lipschitz-counts.csv"))
+    assert series.n_prim == algebra_series(order_lipschitz(), 8).n_prim == [1, 3, 4, 2, 6, 12, 8, 0]
+
+
+def _quadratic_config(path, d, label, invariants=None):
+    from orbitcount.algebra import quadratic_field_order
+
+    doc = {
+        "family": "normform",
+        "algebra": json.loads(quadratic_field_order(d).to_json()),
+        "norm_degree": 2,
+        "unit_rank": 0,
+        "r_max": 500,
+        "label": label,
+    }
+    if invariants is not None:
+        doc["invariants"] = invariants
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_oracle_chosen_by_declared_invariant_not_label(tmp_path, capsys):
+    # Z[sqrt(-2)] labelled "gauss" declares no oracle: none applies
+    cfg = _quadratic_config(tmp_path / "a.json", -2, "gauss")
+    assert run(["oracle-compare", "--config", cfg]) == EXIT_VALIDATION
+    assert "no oracle applicable" in capsys.readouterr().err
+    cfg = _quadratic_config(tmp_path / "b.json", -2, "gauss", {"oracle": "ideal-count:-8"})
+    assert run(["oracle-compare", "--config", cfg]) == EXIT_OK
+    # Z[i] under a label no oracle was ever keyed on
+    cfg = _quadratic_config(tmp_path / "c.json", -1, "gaussian-ints", {"oracle": "ideal-count:-4"})
+    assert run(["oracle-compare", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out.count("zero diffs over 500 levels") == 2

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcount.algebra import alg_mul, alg_norm, element
 from orbitcount.oracles import pairwise_orbits
@@ -11,8 +14,9 @@ from orbitcount.orders import (
     fundamental_unit,
     is_unit,
     norm_gram,
+    reduce_orbits,
+    rep_key,
     trace_form_discriminant,
-    units_for,
 )
 from orbitcount.presets import order_gauss, order_hurwitz, order_lipschitz, order_zsqrt2
 from orbitcount.shells import definite_shell
@@ -102,7 +106,7 @@ def test_canonical_rep_examples():
 
 @pytest.mark.parametrize("order", [order_zsqrt2(), order_gauss()])
 def test_canonical_rep_unit_invariance(order):
-    units = units_for(order)
+    units = finite_units(order) if order.unit_rank == 0 else fundamental_unit(order)
     rng = random.Random(4)
     norm_one_units = [u for u in units.torsion if alg_norm(u, order.algebra) == 1]
     if units.norm_one_fundamental is not None:
@@ -185,3 +189,105 @@ def test_order_and_units_serialization_round_trip():
     assert UnitGroupData.from_json(fu.to_json()) == fu
     ug = finite_units(order_gauss())
     assert UnitGroupData.from_json(ug.to_json()) == ug
+
+
+# ---------------------------------------------------------------------------
+# the finite-group orbit kernel
+
+
+def _torsion_group(order):
+    from orbitcount.counting import _torsion_matrices
+    from orbitcount.symmetry import SymmetryGroup
+
+    mats = tuple(_torsion_matrices(order, finite_units(order)))
+    return SymmetryGroup(elements=mats, order=len(mats))
+
+
+def _kernel_groups():
+    from orbitcount.presets import model_quadric_section
+    from orbitcount.symmetry import integral_symmetries
+
+    return {
+        "gauss": _torsion_group(order_gauss()),
+        "lipschitz": _torsion_group(order_lipschitz()),
+        "hurwitz": _torsion_group(order_hurwitz()),
+        "model-quadric": integral_symmetries(model_quadric_section()),
+    }
+
+
+KERNEL_GROUPS = _kernel_groups()
+
+
+def _closure(seeds, group):
+    from orbitcount.symmetry import apply_matrix
+
+    return sorted({apply_matrix(g, p) for p in seeds for g in group.elements})
+
+
+@st.composite
+def closed_point_sets(draw):
+    name = draw(st.sampled_from(sorted(KERNEL_GROUPS)))
+    group = KERNEL_GROUPS[name]
+    n = len(group.elements[0])
+    coords = st.integers(min_value=-6, max_value=6)
+    seeds = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=12))
+    return group, _closure(seeds, group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_point_sets())
+def test_reduce_orbits_matches_orbit_partition(case):
+    from orbitcount.symmetry import apply_matrix, orbit_partition
+
+    group, pts = case
+    reps, stab = reduce_orbits(np.array(pts, dtype=np.int64), group.elements)
+    kernel = {}
+    for p, r in zip(pts, map(tuple, reps.tolist())):
+        kernel.setdefault(r, set()).add(p)
+    report = orbit_partition(pts, group)
+    reference = {
+        frozenset(apply_matrix(g, o.representative) for g in group.elements): o.stabilizer_order
+        for o in report.orbits
+    }
+    assert {frozenset(m) for m in kernel.values()} == set(reference)
+    stab_of = {p: s for members, s in reference.items() for p in members}
+    assert stab.tolist() == [stab_of[p] for p in pts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_point_sets())
+def test_reduce_orbits_rep_rule_and_idempotence(case):
+    from orbitcount.symmetry import apply_matrix
+
+    group, pts = case
+    reps, _ = reduce_orbits(np.array(pts, dtype=np.int64), group.elements)
+    for p, r in zip(pts, map(tuple, reps.tolist())):
+        assert r == min((apply_matrix(g, p) for g in group.elements), key=rep_key)
+    again, _ = reduce_orbits(reps, group.elements)
+    assert again.tolist() == reps.tolist()
+
+
+def test_reduce_orbits_python_int_path_is_exact():
+    from orbitcount.symmetry import apply_matrix
+
+    group = KERNEL_GROUPS["hurwitz"]  # row sums up to 5: 5 * 2^62 overflows int64
+    pts = [(2 ** 62, -3, 1, 7), (-(2 ** 62) - 9, 2 ** 62 + 1, 0, -5)]
+    reps, stab = reduce_orbits(pts, group.elements)
+    assert reps.dtype == object
+    for p, r in zip(pts, map(tuple, reps.tolist())):
+        assert r == min((apply_matrix(g, p) for g in group.elements), key=rep_key)
+    assert stab.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 62])
+def test_dropping_an_orbit_member_trips_completeness_check(scale):
+    from orbitcount.counting import _orbit_classes
+
+    group = KERNEL_GROUPS["hurwitz"]
+    pts = _closure([(scale, 2 * scale, 0, 0), (3 * scale, 0, 0, 0)], group)
+    levels = np.zeros(len(pts), dtype=np.int64)
+    reps, stab = reduce_orbits(pts, group.elements)
+    assert len(_orbit_classes(levels, reps, stab, group.order)) == 2
+    reps, stab = reduce_orbits(pts[1:], group.elements)
+    with pytest.raises(AssertionError):
+        _orbit_classes(levels[1:], reps, stab, group.order)
