@@ -121,10 +121,6 @@ def algebra_spec(table, unity, kind, involution=None):
     return AlgebraSpec(dim=len(tab), table=tab, unity=vec(unity), kind=kind, involution=inv)
 
 
-def alg_scale(c, a):
-    return AlgebraElement(tuple(scalar(c * x) for x in a.coords))
-
-
 def alg_mul(a, b, spec):
     """Bilinear product via structure constants, exact."""
     n = spec.dim

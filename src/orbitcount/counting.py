@@ -6,7 +6,6 @@ Levels are integers after scaling by the family's denominator lcm; the
 counting path is exact integer/rational arithmetic throughout.
 """
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,13 +24,13 @@ from .lattice import (
 from .oracles import pairwise_orbits
 from .orders import (
     OrderSpec,
-    canonical_rep,
     finite_units,
     fundamental_unit,
     is_unit,
     norm_gram,
     real_quadratic_d,
     reduce_orbits,
+    unit_domain_points,
 )
 from .sections import QuadricSectionSpec
 from .shells import ball_points, definite_shell, theta_series
@@ -94,32 +93,42 @@ class CountSeries:
         k = len(self.levels)
         if not (len(self.n_prim) == len(self.n_all) == len(self.weighted) == len(self.exact) == k):
             raise ValueError("ragged series")
+        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels not strictly increasing")
         if any(a < 0 or b < 0 for a, b in zip(self.n_prim, self.n_all)):
             raise ValueError("negative count")
         if any(a > b for a, b in zip(self.n_prim, self.n_all)):
             raise ValueError("n_prim exceeds n_all")
 
-    def cumulative_prim(self, r_scaled):
-        return sum(c for l, c in zip(self.levels, self.n_prim) if l <= r_scaled)
 
-    def cumulative_all(self, r_scaled):
-        return sum(c for l, c in zip(self.levels, self.n_all) if l <= r_scaled)
-
-    def cumulative_weighted(self, r_scaled):
-        return scalar(sum((c for l, c in zip(self.levels, self.weighted) if l <= r_scaled), Fraction(0)))
+def cumulative_at(series, radii, which="all"):
+    """[S(r) for r in radii], r in original (unscaled) units and ascending, from
+    one pass over the chosen column ("all", "prim" or "weighted"); errors
+    beyond the computed range."""
+    column = {"prim": series.n_prim, "weighted": series.weighted}.get(which, series.n_all)
+    top = max(series.levels, default=0)
+    # running numerator sums by denominator: exact, without normalising a
+    # Fraction per term (weights have few distinct denominators)
+    sums = {}
+    out, i, prev = [], 0, None
+    for r in radii:
+        r_scaled = Fraction(r) * series.scale_e
+        if r_scaled > top:
+            raise ValueError(f"r = {r} beyond computed range")
+        if prev is not None and r_scaled < prev:
+            raise ValueError("radii must be ascending")
+        prev = r_scaled
+        while i < len(series.levels) and series.levels[i] <= r_scaled:
+            c = column[i]
+            sums[c.denominator] = sums.get(c.denominator, 0) + c.numerator
+            i += 1
+        out.append(scalar(sum((Fraction(n, q) for q, n in sums.items()), Fraction(0))))
+    return out
 
 
 def cumulative(series, r, which="all"):
     """S(r) for r in original (unscaled) units; errors beyond the computed range."""
-    r_scaled = Fraction(r) * series.scale_e
-    if r_scaled > max(series.levels, default=0):
-        raise ValueError(f"r = {r} beyond computed range")
-    rs = math.floor(r_scaled)
-    if which == "prim":
-        return series.cumulative_prim(rs)
-    if which == "weighted":
-        return series.cumulative_weighted(rs)
-    return series.cumulative_all(rs)
+    return cumulative_at(series, [r], which)[0]
 
 
 def aggregate_levels(prim_levels, prim_counts, d, k_max):
@@ -144,37 +153,19 @@ def aggregate_levels(prim_levels, prim_counts, d, k_max):
 def imprimitive_from_primitive(series, d):
     """CountSeries with the imprimitive column rebuilt from the primitive one:
     the x -> p x identity aggregates counts and weights alike, since scaling is
-    an orbit bijection that preserves stabilizers."""
+    an orbit bijection that preserves stabilizers.  The primitive weight is the
+    stored weighted column for the quadric family and n_prim otherwise (trivial
+    stabilizers)."""
     k_max = max(series.levels, default=0)
     _, n_all = aggregate_levels(series.levels, series.n_prim, d, k_max)
-    wmap = dict(zip(series.levels, series.weighted))
-    weighted = [Fraction(0)] * (k_max + 1)
-    p = 1
-    while p ** d <= k_max:
-        q = p ** d
-        for j in range(1, k_max // q + 1):
-            w = _prim_weight(series, wmap, j)
-            if w:
-                weighted[j * q] += w
-        p += 1
-    weighted = [scalar(w) for w in weighted[1:]]
+    prim_weights = series.weighted if series.family == FAMILY_QUADRIC else series.n_prim
+    _, weighted = aggregate_levels(series.levels, prim_weights, d, k_max)
     return CountSeries(
         family=series.family, levels=list(range(1, k_max + 1)),
-        n_prim=list(series.n_prim), n_all=n_all, weighted=weighted,
+        n_prim=list(series.n_prim), n_all=n_all, weighted=[scalar(w) for w in weighted],
         scale_e=series.scale_e, exact=list(series.exact),
         meta=dict(series.meta, aggregated=f"d={d}"),
     )
-
-
-def _prim_weight(series, wmap, level):
-    # for the quadric family the stored weighted column is the primitive weight;
-    # the other families have trivial stabilizers, so the primitive weight is n_prim
-    if series.family == FAMILY_QUADRIC:
-        return wmap.get(level, Fraction(0))
-    idx = level - 1
-    if 0 <= idx < len(series.n_prim):
-        return Fraction(series.n_prim[idx])
-    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,48 +343,16 @@ def _real_quadratic_series(order, r_max, use_absolute_norm, units=None):
         units_provenance = "user-asserted"
     x0, y0 = units.fundamental[0].coords
     pell_sign = x0 * x0 - d * y0 * y0
-    e1, e2 = x0 * x0 + d * y0 * y0, 2 * x0 * y0  # eps0^2 = e1 + e2 sqrt(d)
-
-    reps_all = [set() for _ in range(r_max + 1)]
-    reps_prim = [set() for _ in range(r_max + 1)]
-    neg_all = [set() for _ in range(r_max + 1)]
-    neg_prim = [set() for _ in range(r_max + 1)]
-    want_neg = use_absolute_norm and pell_sign == 1
-
-    amax = _sqrt_upper(e1 * r_max, e2 * r_max, d)
-    for a in range(0, amax + 1):
-        bmax = math.isqrt((a * a + r_max) // d) + 1
-        bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        if a == 0:
-            bs = bs[bs > 0]
-        norms = a * a - d * bs * bs
-        keep = (np.abs(norms) >= 1) & (np.abs(norms) <= r_max)
-        bs, norms = bs[keep], norms[keep]
-        if len(bs) == 0:
-            continue
-        absn = np.abs(norms)
-        # balanced window: a^2 + d b^2 + 2|ab| sqrt(d) <= |k| (e1 + e2 sqrt(d))
-        ss = absn * e1 - (a * a + d * bs * bs)
-        tt = absn * e2 - 2 * np.abs(a * bs)
-        ok = ((ss >= 0) & (tt >= 0)) | ((ss >= 0) & (tt < 0) & (ss * ss >= d * tt * tt)) | (
-            (ss < 0) & (tt >= 0) & (d * tt * tt > ss * ss)
-        )
-        bs, norms = bs[ok], norms[ok]
-        for b, nv in zip(bs.tolist(), norms.tolist()):
-            if nv < 0 and not want_neg:
-                # negative levels are out of range; in absolute-norm mode with a
-                # norm -1 fundamental unit every orbit has a positive-norm member
-                continue
-            rep = canonical_rep(element((a, b)), units, order).coords
-            target = reps_all if nv > 0 else neg_all
-            target_p = reps_prim if nv > 0 else neg_prim
-            lv = abs(nv)
-            target[lv].add(rep)
-            if math.gcd(a, abs(int(b))) == 1:
-                target_p[lv].add(rep)
+    # one domain point per orbit; negative norms count only for absolute norms
+    # without a norm -1 unit, which would map each such orbit to a positive one
+    pts, norms = unit_domain_points(order, units, r_max)
+    if not (use_absolute_norm and pell_sign == 1):
+        pts, norms = pts[norms > 0], norms[norms > 0]
+    lvls = np.abs(norms)
+    prim = np.gcd(pts[:, 0], pts[:, 1]) == 1
+    n_all = np.bincount(lvls, minlength=r_max + 1)[1:].tolist()
+    n_prim = np.bincount(lvls[prim], minlength=r_max + 1)[1:].tolist()
     levels = list(range(1, r_max + 1))
-    n_all = [len(reps_all[k]) + len(neg_all[k]) for k in levels]
-    n_prim = [len(reps_prim[k]) + len(neg_prim[k]) for k in levels]
     return CountSeries(
         family=FAMILY_NORMFORM, levels=levels, n_prim=n_prim, n_all=n_all,
         weighted=[Fraction(c) for c in n_all], scale_e=1,
@@ -401,11 +360,6 @@ def _real_quadratic_series(order, r_max, use_absolute_norm, units=None):
         meta={"mode": "exact", "pell_sign": pell_sign, "absolute_norm": use_absolute_norm,
               "units": units_provenance},
     )
-
-
-def _sqrt_upper(p, q, d):
-    # integer bound v with v^2 >= p + q sqrt(d), from q sqrt(d) <= isqrt(q^2 d) + 1
-    return math.isqrt(p + math.isqrt(q * q * d) + 2) + 2
 
 
 # ---------------------------------------------------------------------------

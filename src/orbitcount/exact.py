@@ -168,23 +168,6 @@ def isqrt_frac_floor(f):
     return g
 
 
-def sqrt_sign(p, q, d):
-    """Exact sign of p + q*sqrt(d) for rationals p, q and a nonsquare d >= 2."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return (q > 0) - (q < 0)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    # opposite signs: compare p^2 with d q^2 and keep the winner's sign
-    lhs, rhs = p * p, d * q * q
-    if lhs == rhs:
-        return 0
-    return (1 if p > 0 else -1) if lhs > rhs else (1 if q > 0 else -1)
-
-
 def gcd_vector(v):
     g = 0
     for x in v:

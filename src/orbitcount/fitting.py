@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, FAMILY_QUADRIC, cumulative
+from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, FAMILY_QUADRIC, cumulative_at
 from .exact import frac_str
 from .numtheory import zeta_midpoint
 
@@ -80,7 +80,7 @@ def fit_power(series, window=None, fixed_lambda=None, samples=16, which="all"):
     if window is None:
         window = (r_top / 10, r_top)
     radii = geometric_radii(window[0], window[1], samples)
-    values = [float(cumulative(series, r, which=which)) for r in radii]
+    values = [float(v) for v in cumulative_at(series, radii, which=which)]
     pairs = [(r, v) for r, v in zip(radii, values) if v > 0]
     if len(pairs) < 8:
         raise ValueError("fewer than 8 positive sample radii in window (series too sparse or zero)")
@@ -124,11 +124,8 @@ def fit_rlogr(series, window, samples=16, which="all"):
     if window[0] <= 1:
         raise ValueError("window must start above r = 1 (log r vanishes)")
     radii = geometric_radii(window[0], window[1], samples)
-    ratios = []
-    for r in radii:
-        s = float(cumulative(series, r, which=which))
-        ratios.append(s / (r * math.log(r)))
-    ratios = np.array(ratios)
+    sums = cumulative_at(series, radii, which=which)
+    ratios = np.array([float(s) / (r * math.log(r)) for s, r in zip(sums, radii)])
     mean = float(np.mean(ratios))
     spread = float((ratios.max() - ratios.min()) / mean) if mean else float("inf")
     return {"c_hat": mean, "spread": spread, "ratios": [float(x) for x in ratios], "radii": radii}

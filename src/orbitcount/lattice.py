@@ -1,5 +1,5 @@
 """Integral points on affine fibers and cone sections, box scans, and the
-orbit-complete shell enumeration for real quadratic orders.
+per-level orbit representatives of real quadratic orders.
 
 cone_section_points realises the level-set geometry directly: build the
 affine lattice fiber ell = k, restrict the cone equation to it, and solve the
@@ -23,11 +23,10 @@ from .exact import (
     gcd_vector,
     primitive_integer_row,
     scalar,
-    sqrt_sign,
     unimodular_completion,
     vec,
 )
-from .orders import canonical_rep, fundamental_unit, real_quadratic_d
+from .orders import fundamental_unit, unit_domain_points
 from .shells import definite_shell, shifted_shell_2d
 
 
@@ -284,50 +283,11 @@ def box_scan(order, k, bound):
     return sorted(out, key=lambda e: e.coords)
 
 
-def indefinite_quadratic_shell(order, k, bound_scale=1):
-    """Orbit-complete representatives of {x in Z[sqrt(d)] : norm(x) = k}, k != 0.
-
-    Every norm-one-unit orbit contains a balanced element with
-    max(|s1(x)|, |s2(x)|)^2 <= |k| * eps0^2 (slide by unit powers);  the box
-    containing all balanced elements is scanned exactly and deduplicated by
-    canonical_rep.  bound_scale > 1 widens the window (a saturation check:
-    the representative set must not grow).
-    """
+def indefinite_quadratic_shell(order, k):
+    """Orbit representatives of {x in Z[sqrt(d)] : norm(x) = k}, k != 0: the
+    points of norm k in the fundamental domain of the norm-one units
+    (orders.unit_domain_points), sorted."""
     if k == 0:
         raise ValueError("k = 0 is not a torsor level")
-    d = real_quadratic_d(order)
-    if d is None:
-        raise ValueError("indefinite_quadratic_shell needs a real quadratic order")
-    units = fundamental_unit(order)
-    x0, y0 = units.fundamental[0].coords
-    # eps0^2 = e1 + e2 sqrt(d)
-    e1, e2 = x0 * x0 + d * y0 * y0, 2 * x0 * y0
-    e1, e2 = e1 * bound_scale * bound_scale, e2 * bound_scale * bound_scale
-    ak = abs(k)
-    # bounds: (2a)^2 <= 4 M^2 and 4 d b^2 <= 4 M^2 with M^2 = ak * eps0^2
-    amax = _quad_bound(ak * e1, ak * e2, d, 1)
-    bmax = _quad_bound(ak * e1, ak * e2, d, d)
-    reps = set()
-    out = []
-    for a in range(-amax, amax + 1):
-        for b in range(-bmax, bmax + 1):
-            if a * a - d * b * b != k:
-                continue
-            big = (a * a + d * b * b, 2 * abs(a * b))
-            # balanced window: max embedding^2 <= ak * eps0^2
-            if sqrt_sign(ak * e1 - big[0], ak * e2 - big[1], d) < 0:
-                continue
-            r = canonical_rep(element((a, b)), units, order)
-            if r.coords not in reps:
-                reps.add(r.coords)
-                out.append(r)
-    return sorted(out, key=lambda e: e.coords)
-
-
-def _quad_bound(p, q, d, coeff):
-    # largest integer v with coeff * v^2 <= p + q sqrt(d)
-    approx = int(math.isqrt(max(0, (p + math.isqrt(q * q * d) + 1) // coeff))) + 2
-    v = approx
-    while v >= 0 and sqrt_sign(p - coeff * v * v, q, d) < 0:
-        v -= 1
-    return v
+    pts, norms = unit_domain_points(order, fundamental_unit(order), abs(k))
+    return [element(p) for p in sorted(map(tuple, pts[norms == k].tolist()))]

@@ -1,6 +1,7 @@
 """Orders and their unit groups: unit predicates, the orbit-equivalence test,
-canonical representatives under the norm-one unit action, and the one
-vectorised orbit reducer for finite integer matrix groups.
+canonical representatives under the norm-one unit action, the one
+vectorised orbit reducer for finite integer matrix groups, and the one
+enumerator of the rank-1 fundamental domain.
 
 The orbit group throughout is the group of units of norm +1 (torsion
 included): multiplication by a unit u acts on the coordinate lattice with
@@ -9,6 +10,7 @@ norm-one units.  Units of norm -1 (real quadratic orders may have them) swap
 the level sets norm = k and norm = -k and are excluded from the orbit group.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,13 +22,12 @@ from .algebra import (
     alg_inverse,
     alg_mul,
     alg_norm,
-    alg_scale,
     element,
     left_mul_matrix,
 )
-from .exact import det, scalar, sqrt_sign
+from .exact import det, scalar
 from .numtheory import pell
-from .shells import definite_shell, gram_form
+from .shells import definite_shell, gram_form, vec_isqrt_exact
 
 
 @dataclass(frozen=True)
@@ -227,18 +228,6 @@ def fundamental_unit(order):
     )
 
 
-def _max_embedding_key(x, d):
-    # max of the two squared real embeddings of a + b sqrt(d), as an exact
-    # pair (p, q) meaning p + q sqrt(d)
-    a, b = x.coords
-    return (a * a + d * b * b, 2 * abs(a * b))
-
-
-def _key_less(k1, k2, d):
-    s = sqrt_sign(k1[0] - k2[0], k1[1] - k2[1], d)
-    return s < 0
-
-
 def rep_key(v):
     """Sort key of the representative rule: vectors whose first nonzero
     coordinate is positive come first, then lexicographic order."""
@@ -283,13 +272,20 @@ def reduce_orbits(points, mats):
     return best[:, 1:], stab
 
 
+def _norm_one_generator(units):
+    # (x1, y1) with x1, y1 > 0: eps1 = x1 + y1 sqrt(d) > 1 generates the
+    # norm-one units together with -1, whichever of +-eps1^+-1 was supplied
+    x1, y1 = (abs(int(c)) for c in units.norm_one_fundamental.coords)
+    return x1, y1
+
+
 def canonical_rep(x, units, order):
     """Canonical representative of the norm-one-unit orbit of x.
 
-    Rank 1: slide along powers of the norm-one fundamental unit to minimise
-    the larger |real embedding| (exact quadratic-irrational comparisons), then
-    sweep torsion.  Rank 0: sweep the finite unit list.  Among the candidates
-    the minimum under rep_key is taken.  Idempotent by construction.
+    Rank 1: the unique orbit member in the fundamental domain of
+    unit_domain_points, reached by multiplying by eps1 or its conjugate and
+    then fixing the sign; every step is an integer sign test.  Rank 0: the
+    minimum under rep_key over the finite unit list.  Idempotent.
     """
     if x.is_zero():
         raise ValueError("canonical_rep: zero element")
@@ -301,25 +297,69 @@ def canonical_rep(x, units, order):
     if order.unit_rank != 1:
         raise ValueError("unit rank >= 2 is unsupported (box mode only)")
     d = real_quadratic_d(order)
-    spec = order.algebra
-    eps1 = units.norm_one_fundamental
-    eps1_inv = alg_inverse(eps1, spec)
-    cur = x
-    key = _max_embedding_key(cur, d)
-    # walk in the decreasing direction until the max embedding stops shrinking
-    for step in (eps1, eps1_inv):
-        while True:
-            nxt = alg_mul(cur, step, spec)
-            nkey = _max_embedding_key(nxt, d)
-            if _key_less(nkey, key, d):
-                cur, key = nxt, nkey
-            else:
-                break
-    # collect the argmin window (ties between adjacent powers possible)
-    cands = [cur]
-    for step in (eps1, eps1_inv):
-        nxt = alg_mul(cur, step, spec)
-        if _max_embedding_key(nxt, d) == key:
-            cands.append(nxt)
-    cands.extend([alg_scale(-1, c) for c in list(cands)])
-    return min(cands, key=lambda c: rep_key(c.coords))
+    x1, y1 = _norm_one_generator(units)
+    a, b = x.coords
+    # a b >= 0 iff |s1(x)| >= |s2(x)|; each factor eps1 multiplies |s1/s2| by eps1^2
+    while a * b < 0:
+        a, b = a * x1 + d * b * y1, a * y1 + b * x1
+    while True:
+        na, nb = a * x1 - d * b * y1, b * x1 - a * y1  # x times conj(eps1) = eps1^-1
+        if na * nb < 0:
+            break
+        a, b = na, nb
+    if a < 0 or b < 0:
+        a, b = -a, -b
+    return element((a, b))
+
+
+# b-values per vectorised block of unit_domain_points: bounds peak memory
+# independently of the fundamental unit
+DOMAIN_BLOCK = 1 << 16
+
+
+def unit_domain_points(order, units, r_max):
+    """Every x = a + b sqrt(d) of Z[sqrt(d)] with 1 <= |norm(x)| <= r_max in the
+    fundamental domain of the norm-one units {+-eps1^j}.
+
+    With eps1 = x1 + y1 sqrt(d), x1, y1 > 0, the domain is a, b >= 0 (that is
+    |s1(x)| >= |s2(x)|, which also fixes the sign) with a x1 - d b y1 and
+    b x1 - a y1 nonzero and of opposite signs (x eps1^-1 has |s1| < |s2|):
+    1 <= |s1(x) / s2(x)| < eps1^2, met by every orbit exactly once.  Returns
+    (points (N, 2) int64 ordered by (b, a), norms (N,) int64).  The scan runs
+    over b <= sqrt(2 r_max (x1^2 + d y1^2) / d) in blocks of DOMAIN_BLOCK, so
+    its cost is linear in eps1; ValueError when an int64 intermediate could
+    reach 2^63.
+    """
+    d = real_quadratic_d(order)
+    if d is None:
+        raise ValueError("unit_domain_points needs a real quadratic order Z[sqrt(d)]")
+    x1, y1 = _norm_one_generator(units)
+    bmax = math.isqrt(2 * r_max * (x1 * x1 + d * y1 * y1) // d)
+    amax = math.isqrt(d * bmax * bmax + r_max)
+    peak = max((amax + 2) ** 2, d * bmax * y1 + amax * x1, amax * y1 + bmax * x1)
+    if peak >= 2 ** 63:
+        raise ValueError(
+            f"Z[sqrt({d})] at r_max = {r_max}: the fundamental-domain scan over about "
+            f"{bmax + 1} values of b has intermediates up to {peak} >= 2^63; refused"
+        )
+    pts, norms = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    # r_max = 0 scans nothing (x1 alone may exceed int64 there)
+    for b0 in range(0, bmax + 1 if r_max >= 1 else 0, DOMAIN_BLOCK):
+        bs = np.arange(b0, min(b0 + DOMAIN_BLOCK, bmax + 1), dtype=np.int64)
+        db2 = d * bs * bs
+        # a in [ceil sqrt(d b^2 - r_max), floor sqrt(d b^2 + r_max)]
+        low = np.maximum(db2 - r_max, 0)
+        lo = vec_isqrt_exact(low)
+        lo += lo * lo < low
+        width = np.maximum(vec_isqrt_exact(db2 + r_max) - lo + 1, 0)
+        total = int(width.sum())
+        starts = np.cumsum(width) - width
+        b = np.repeat(bs, width)
+        a = np.arange(total, dtype=np.int64) - np.repeat(starts - lo, width)
+        u = a * x1 - d * b * y1
+        v = b * x1 - a * y1
+        n = a * a - d * b * b
+        keep = (n != 0) & (((u > 0) & (v < 0)) | ((u < 0) & (v > 0)))
+        pts.append(np.column_stack([a[keep], b[keep]]))
+        norms.append(n[keep])
+    return np.concatenate(pts), np.concatenate(norms)

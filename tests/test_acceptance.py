@@ -15,6 +15,7 @@ from orbitcount.algebra import alg_norm, element
 from orbitcount.counting import (
     aggregate_levels,
     algebra_series,
+    cumulative,
     imprimitive_from_primitive,
     normform_series,
     quadric_all_points_level,
@@ -173,7 +174,7 @@ def test_criterion_6_zeta_aggregation(lipschitz_small, quadric_big):
     full = imprimitive_from_primitive(qseries, 1)
     ratios = []
     for r in (10 ** 3, 10 ** 4, 10 ** 5):
-        s = float(full.cumulative_weighted(r))
+        s = float(cumulative(full, r, "weighted"))
         ratios.append(s / (r * math.log(r)))
     spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
     assert spread < 0.15

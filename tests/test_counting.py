@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from orbitcount.exact import gcd_vector
 from orbitcount.lattice import cone_section_points
 from orbitcount.sections import quadric_section
 
-from orbitcount.algebra import AlgebraSpec
+from orbitcount.algebra import AlgebraSpec, quadratic_field_order
 from orbitcount.counting import (
     ScenarioSpec,
     aggregate_levels,
@@ -17,6 +18,7 @@ from orbitcount.counting import (
     count_normform_level,
     count_quadric_level,
     cumulative,
+    cumulative_at,
     imprimitive_from_primitive,
     normform_series,
     primitive_algebra_shell_direct,
@@ -144,6 +146,21 @@ def test_cumulative():
     assert empty.levels == []
 
 
+def test_cumulative_at_matches_per_radius_sums():
+    series = imprimitive_from_primitive(quadric_series(model_quadric_section(), 300), 1)
+    radii = [1, 2, 5, 30, 31, 100, 299, 300]
+    for which in ("all", "prim", "weighted"):
+        column = {"all": series.n_all, "prim": series.n_prim, "weighted": series.weighted}[which]
+        expected = [sum((c for lv, c in zip(series.levels, column) if lv <= r), Fraction(0))
+                    for r in radii]
+        assert cumulative_at(series, radii, which) == expected
+        assert [cumulative(series, r, which) for r in radii] == expected
+    with pytest.raises(ValueError):
+        cumulative_at(series, [5, 2])
+    with pytest.raises(ValueError):
+        cumulative_at(series, [5, 301])
+
+
 def test_aggregate_synthetic_examples():
     # constant-one primitive series, d = 2: sum over p of floor(100 / p^2) = 153
     _, alln = aggregate_levels(list(range(1, 101)), [1] * 100, 2, 100)
@@ -268,3 +285,31 @@ def test_hurwitz_series_vs_jacobi_identity_at_scale():
     series = algebra_series(order_hurwitz(), r)
     r4s = r4_series(2 * r)
     assert [24 * c for c in series.n_all] == [r4s[2 * m - 1] for m in range(1, r + 1)]
+
+
+def real_quadratic(d):
+    return OrderSpec(quadratic_field_order(d), norm_degree=2, unit_rank=1)
+
+
+# Z[sqrt(d)] is the maximal order of class number one for these d = 2, 3 (mod 4)
+CLASS_NUMBER_ONE = (2, 3, 6, 7, 11, 14, 19, 22, 23, 31, 38, 43, 46, 47, 59, 62, 67, 71, 83, 86, 94)
+
+
+@pytest.mark.parametrize("d", CLASS_NUMBER_ONE)
+def test_real_quadratic_absolute_norm_orbits_are_ideal_counts(d):
+    series = normform_series(real_quadratic(d), 300, use_absolute_norm=True)
+    assert series.n_all == ideal_count_series(4 * d, 300)
+
+
+def test_real_quadratic_large_regulator_to_r2000():
+    # eps = 2143295 + 221064 sqrt(94): the domain scan covers about 2e7 values of b
+    series = normform_series(real_quadratic(94), 2000, use_absolute_norm=True)
+    assert series.n_all == ideal_count_series(376, 2000)
+
+
+@pytest.mark.parametrize("d", [151, 211])
+def test_real_quadratic_int64_overflow_refused_up_front(d):
+    t0 = time.time()
+    with pytest.raises(ValueError, match="values of b"):
+        normform_series(real_quadratic(d), 10, use_absolute_norm=True)
+    assert time.time() - t0 < 1

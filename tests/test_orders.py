@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcount.algebra import alg_mul, alg_norm, element
+from orbitcount.algebra import alg_mul, alg_norm, element, quadratic_field_order
 from orbitcount.oracles import pairwise_orbits
 from orbitcount.orders import (
+    OrderSpec,
     associated,
     canonical_rep,
     finite_units,
@@ -17,6 +18,7 @@ from orbitcount.orders import (
     reduce_orbits,
     rep_key,
     trace_form_discriminant,
+    unit_domain_points,
 )
 from orbitcount.presets import order_gauss, order_hurwitz, order_lipschitz, order_zsqrt2
 from orbitcount.shells import definite_shell
@@ -104,7 +106,14 @@ def test_canonical_rep_examples():
     assert canonical_rep(element((-1, -2)), ug, gauss).coords == (1, 2)
 
 
-@pytest.mark.parametrize("order", [order_zsqrt2(), order_gauss()])
+def real_quadratic(d):
+    return OrderSpec(quadratic_field_order(d), norm_degree=2, unit_rank=1)
+
+
+# Z[sqrt(3)] and Z[sqrt(31)] have fundamental units of norm +1
+@pytest.mark.parametrize(
+    "order", [order_zsqrt2(), order_gauss(), real_quadratic(3), real_quadratic(31)]
+)
 def test_canonical_rep_unit_invariance(order):
     units = finite_units(order) if order.unit_rank == 0 else fundamental_unit(order)
     rng = random.Random(4)
@@ -118,6 +127,49 @@ def test_canonical_rep_unit_invariance(order):
         r = canonical_rep(x, units, order)
         for u in norm_one_units:
             assert canonical_rep(alg_mul(u, x, order.algebra), units, order) == r
+
+
+@pytest.mark.parametrize("d, r", [(2, 400), (3, 300), (7, 200), (31, 60), (46, 8)])
+def test_canonical_rep_fixes_every_domain_point(d, r):
+    order = real_quadratic(d)
+    units = fundamental_unit(order)
+    pts, norms = unit_domain_points(order, units, r)
+    assert len(pts) and np.all((np.abs(norms) >= 1) & (np.abs(norms) <= r))
+    for p, n in zip(pts.tolist(), norms.tolist()):
+        x = element(tuple(p))
+        assert alg_norm(x, order.algebra) == n
+        assert canonical_rep(x, units, order) == x
+    # one point per orbit: no two domain points of one norm are associated
+    for n in set(norms.tolist()):
+        same = [element(tuple(p)) for p in pts[norms == n].tolist()]
+        assert len(pairwise_orbits(same, order)) == len(same), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 7, 31]),
+    a=st.integers(-40, 40),
+    b=st.integers(-40, 40),
+    power=st.integers(-3, 3),
+    sign=st.sampled_from([1, -1]),
+)
+def test_canonical_rep_lands_on_the_enumerated_domain_point(d, a, b, power, sign):
+    order = real_quadratic(d)
+    units = fundamental_unit(order)
+    x = element((a, b))
+    n = alg_norm(x, order.algebra)
+    if n == 0:
+        return
+    eps = units.norm_one_fundamental
+    step = eps if power >= 0 else element((eps.coords[0], -eps.coords[1]))
+    y = element((sign * a, sign * b))
+    for _ in range(abs(power)):
+        y = alg_mul(step, y, order.algebra)
+    pts, norms = unit_domain_points(order, units, abs(n))
+    domain = {tuple(p) for p in pts[norms == n].tolist()}
+    rep = canonical_rep(y, units, order)
+    assert rep == canonical_rep(x, units, order)
+    assert rep.coords in domain
 
 
 def level_shell(order, k, bound=None):
