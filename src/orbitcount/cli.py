@@ -26,7 +26,7 @@ from .counting import (
     box_level_counts,
     run_scenario,
 )
-from .exact import frac, frac_str
+from .exact import frac
 from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_correction
 from .lattice import cone_section_points
 from .numtheory import pell
@@ -122,10 +122,11 @@ def series_to_csv(series, fh, chash):
     fh.write(f"# family={series.family} scale_e={series.scale_e} "
              f"mode={series.meta.get('mode', 'exact')}{extra}\n")
     fh.write("level,n_prim,n_all,weighted_num,weighted_den,exact\n")
+    e = series.scale_e
     for lv, np_, na, w, ex in zip(series.levels, series.n_prim, series.n_all, series.weighted, series.exact):
-        wf = Fraction(w)
-        level_txt = frac_str(Fraction(lv, series.scale_e))
-        fh.write(f"{level_txt},{np_},{na},{wf.numerator},{wf.denominator},{1 if ex else 0}\n")
+        g = math.gcd(lv, e)
+        level_txt = str(lv // g) if g == e else f"{lv // g}/{e // g}"
+        fh.write(f"{level_txt},{np_},{na},{w.numerator},{w.denominator},{1 if ex else 0}\n")
 
 
 def series_from_csv(path):
@@ -152,10 +153,15 @@ def series_from_csv(path):
             parts = line.split(",")
             if len(parts) != 6:
                 raise ValueError(f"malformed series row: {line!r}")
-            levels.append(int(Fraction(frac(parts[0]) * scale_e)))
+            num, _, den = parts[0].partition("/")
+            num, den = int(num) * scale_e, int(den or 1)
+            if den <= 0 or num % den:
+                raise ValueError(f"level {parts[0]} times scale_e={scale_e} is not an integer: {line!r}")
+            levels.append(num // den)
             n_prim.append(int(parts[1]))
             n_all.append(int(parts[2]))
-            weighted.append(Fraction(int(parts[3]), int(parts[4])))
+            w_num, w_den = int(parts[3]), int(parts[4])
+            weighted.append(w_num if w_den == 1 else Fraction(w_num, w_den))
             exact.append(parts[5] == "1")
     return CountSeries(
         family=family, levels=levels, n_prim=n_prim, n_all=n_all,

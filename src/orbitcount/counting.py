@@ -509,17 +509,16 @@ def algebra_series(order, r_max, check_freeness=True):
 
 
 def _primitive_shell_sizes(all_sizes, d):
-    # all(m) = sum over f with f^d | m of prim(m / f^d); invert by subtraction
+    # all(m) = sum over f with f^d | m of prim(m / f^d); invert by an ascending
+    # subtraction sieve, the mirror of aggregate_levels (O(r) for d >= 2)
     r = len(all_sizes)
-    prim = [0] * (r + 1)
+    prim = [0] + list(all_sizes)
     for m in range(1, r + 1):
-        total = all_sizes[m - 1]
+        c = prim[m]
         f = 2
-        while f ** d <= m:
-            if m % (f ** d) == 0:
-                total -= prim[m // f ** d]
+        while c and f ** d * m <= r:
+            prim[f ** d * m] -= c
             f += 1
-        prim[m] = total
     return prim[1:]
 
 

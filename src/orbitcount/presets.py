@@ -38,7 +38,7 @@ def order_hurwitz():
 
 def model_quadric_section():
     h = Fraction(1, 2)
-    return quadric_section([[0, 0, h], [0, -1, 0], [h, 0, 0]], (1, 0, 1))
+    return quadric_section([[0, 0, h], [0, -1, 0], [h, 0, 0]], (1, 0, 1), base_point=(0, 0, 1))
 
 
 def preset_scenario(name, k_max, mode=("exact",), count_primitive_only=False,

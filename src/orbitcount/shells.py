@@ -28,20 +28,10 @@ class GramForm:
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram matrix is not symmetric")
 
-    def value(self, x):
-        g = self.gram
-        n = self.dim
-        return scalar(sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)))
-
 
 def gram_form(rows):
     g = mat(rows)
     return GramForm(gram=g, dim=len(g))
-
-
-def form_value(gram, x):
-    n = len(gram)
-    return scalar(sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n)))
 
 
 def _check_positive_definite(gram):
@@ -51,14 +41,7 @@ def _check_positive_definite(gram):
 
 def is_integer_valued(gram):
     """True when x^t G x is an integer for every integer x."""
-    n = len(gram)
-    for i in range(n):
-        if not isinstance(scalar(Fraction(gram[i][i])), int):
-            return False
-        for j in range(i + 1, n):
-            if not isinstance(scalar(2 * Fraction(gram[i][j])), int):
-                return False
-    return True
+    return _scaled_integer_gram(gram)[0] == 1
 
 
 def definite_shell(form, m, shift=None):
@@ -118,24 +101,41 @@ def _coordinate_bounds(gram, r):
 
 
 def _scaled_integer_gram(gram):
-    """(s, sG as int numpy matrix) with s minimal so that s*Q is integer-valued."""
-    s = 1
+    """(s, 2sG as rows of Python ints) with s minimal so that s*Q is integer-valued."""
     n = len(gram)
-    for i in range(n):
-        f = Fraction(gram[i][i])
-        s = s * f.denominator // math.gcd(s, f.denominator)
-        for j in range(i + 1, n):
-            f = 2 * Fraction(gram[i][j])
-            s = s * f.denominator // math.gcd(s, f.denominator)
-    gi = np.array([[int(Fraction(gram[i][j]) * 2 * s) for j in range(n)] for i in range(n)], dtype=np.int64)
-    return s, gi  # x^t gi x = 2 s Q(x)
+    dens = (Fraction(gram[i][j] * (1 if i == j else 2)).denominator for i in range(n) for j in range(i, n))
+    s = math.lcm(*dens)
+    return s, [[int(2 * s * Fraction(e)) for e in row] for row in gram]  # x^t gi x = 2 s Q(x)
+
+
+def _box(bounds):
+    """All x in Z^k with |x_i| <= bounds[i] as a lexicographically sorted (#, k)
+    int64 array; one empty row when k = 0."""
+    pts = np.zeros((1, 0), dtype=np.int64)
+    for b in bounds:
+        col = np.arange(-b, b + 1, dtype=np.int64)
+        pts = np.column_stack([np.repeat(pts, len(col), axis=0), np.tile(col, len(pts))])
+    return pts
+
+
+def _bilinear_bound(m, bx, by=None):
+    """Python-int bound on |x^t m y| (and every partial sum of it) over
+    |x_i| <= bx[i], |y_j| <= by[j]; by defaults to bx."""
+    by = bx if by is None else by
+    return sum(abs(m[i][j]) * bx[i] * by[j] for i in range(len(bx)) for j in range(len(by)))
+
+
+def _check_int64(*bounds):
+    big = max(bounds)
+    if big >= 2 ** 63:
+        raise ValueError(f"an int64 intermediate could reach {big} >= 2^63; form too large")
 
 
 def ball_points(gram, r):
     """All x in Z^n with 0 < Q(x) <= r, as (points array, 2s*values array, scale s).
 
     Vectorised over the last coordinate slabs; exact because all arithmetic is
-    int64 on scaled integer data.  dim <= 4.
+    int64 on scaled integer data, with the headroom checked first.  dim <= 4.
     """
     gram = mat(gram)
     _check_positive_definite(gram)
@@ -145,14 +145,9 @@ def ball_points(gram, r):
     s, gi = _scaled_integer_gram(gram)
     bounds = _coordinate_bounds(gram, r)
     target = 2 * s * r
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds[:-1]]
-    if n == 1:
-        xs = np.arange(-bounds[0], bounds[0] + 1, dtype=np.int64).reshape(-1, 1)
-        vals = gi[0, 0] * xs[:, 0] ** 2
-        keep = (vals > 0) & (vals <= target)
-        return xs[keep], vals[keep], s
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)  # (#, n-1)
+    _check_int64(_bilinear_bound(gi, bounds), target, max(abs(e) for row in gi for e in row))
+    gi = np.array(gi, dtype=np.int64)
+    flat = _box(bounds[:-1])  # (#, n-1)
     pts_out, vals_out = [], []
     sub = gi[: n - 1, : n - 1]
     part = np.einsum("ki,ij,kj->k", flat, sub, flat)
@@ -246,127 +241,70 @@ def shifted_shell_2d(a11, a12, a22, b1, b2, c):
 def theta_series(gram, r):
     """Exact representation counts T[m] = #{x in Z^n : Q(x) = m} for 0 <= m <= r.
 
-    Q must be integer-valued and positive definite, dim in {2, 3, 4}.  Uses a
-    split-and-convolve histogram method (int64 throughout, hence exact).
+    Q must be integer-valued and positive definite, dim in {2, 3, 4}.  With u the
+    first two coordinates and w the rest, 2Q = u^t A u + 2 u^t X w + w^t C w in
+    the integer blocks of 2G.  Complete the square with D = det A: split
+    adj(A) X w = D q + c with 0 <= c < D, so that b_c = A c / D is integral and
+
+        2Q(u, w) = inner_c(u + q) + outer(w),
+        inner_c(v) = v^t A v + 2 v^t b_c,  outer(w) = w^t C w - q^t A q - 2 q^t b_c.
+
+    T is the sum over the classes c of the convolution of the inner histogram
+    (a v-box, shifted by its minimum) with the outer histogram of the w in
+    class c.  Every value is an int64 computed after a Python-int headroom
+    bound; dim 2 is the case where w is empty.
     """
     gram = mat(gram)
     _check_positive_definite(gram)
     if not is_integer_valued(gram):
         raise ValueError("theta_series requires an integer-valued form")
     n = len(gram)
-    r = int(r)
-    if n == 2:
-        _, vals2, s = ball_points(gram, r)
-        counts = np.zeros(r + 1, dtype=np.int64)
-        np.add.at(counts, (vals2 // (2 * s)).astype(np.int64), 1)
-        counts[0] = 1
-        return counts
-    if n not in (3, 4):
+    if n not in (2, 3, 4):
         raise ValueError("theta_series supports dim 2..4")
-    ni = 2
-    a = [[Fraction(gram[i][j]) for j in range(ni)] for i in range(ni)]
-    xblk = [[Fraction(gram[i][j]) for j in range(ni, n)] for i in range(ni)]
-    cblk = [[Fraction(gram[i][j]) for j in range(ni, n)] for i in range(ni, n)]
-    ainv = inverse(a)
-    mshift = [[scalar(sum(ainv[i][k] * xblk[k][j] for k in range(ni))) for j in range(n - ni)] for i in range(ni)]
-    # Schur complement: value of Q on the outer block after completing the square
-    schur = [
-        [
-            scalar(cblk[i][j] - sum(xblk[k][i] * mshift[k][j] for k in range(ni)))
-            for j in range(n - ni)
-        ]
-        for i in range(n - ni)
+    r = int(r)
+    _, g2 = _scaled_integer_gram(gram)  # x^t g2 x = 2 Q(x)
+    a = [row[:2] for row in g2[:2]]
+    xb = [row[2:] for row in g2[:2]]
+    cb = [row[2:] for row in g2[2:]]
+    det_a = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    adj_x = [
+        [a[1][1] * xb[0][j] - a[0][1] * xb[1][j] for j in range(n - 2)],
+        [a[0][0] * xb[1][j] - a[1][0] * xb[0][j] for j in range(n - 2)],
     ]
-    if definiteness(schur) != 1:
-        raise AssertionError("Schur complement not positive definite")
-    delta = 1
-    for row in mshift:
-        for v in row:
-            delta = delta * Fraction(v).denominator // math.gcd(delta, Fraction(v).denominator)
+    # w ranges over the coordinate box of the Q-ball; inner_c(v) <= 2r puts
+    # y = v + c/D in the ball Q(y, 0) <= r + Q(c/D, 0) <= r + sum |G_ij| (i, j < 2),
+    # whose integer box widened by one holds v = y - c/D
+    ga = [row[:2] for row in gram[:2]]
+    bw = _coordinate_bounds(gram, r)[2:]
+    bv = [b + 1 for b in _coordinate_bounds(ga, r + sum(abs(e) for row in ga for e in row))]
+    pw = [_bilinear_bound([row], [1], bw) for row in adj_x]
+    bq = [t // det_a + 1 for t in pw]
+    bb = [abs(row[0]) + abs(row[1]) for row in a]  # |(A c / D)_i| < sum_j |A_ij|
+    inner_max = _bilinear_bound(a, bv) + 2 * _bilinear_bound([bb], [1], bv)
+    outer_max = _bilinear_bound(cb, bw) + _bilinear_bound(a, bq) + 2 * _bilinear_bound([bb], [1], bq)
+    _check_int64(2 * inner_max, 2 * outer_max, max(pw), det_a * max(bb), det_a ** 2,
+                 max(abs(e) for row in g2 + adj_x for e in row))
 
-    # value-grid scale: lcm of denominators of shell values over all shift classes
-    sgrid = 1
-    classes = {}
-    for c0 in range(delta):
-        for c1 in range(delta) if n - ni == 2 else [0]:
-            w = (c0, c1)[: n - ni]
-            sh = tuple(scalar(-sum(mshift[i][j] * w[j] for j in range(n - ni))) for i in range(ni))
-            key = tuple(Fraction(x) % 1 for x in sh)
-            classes.setdefault(key, key)
-    for key in classes:
-        probe = form_value(a, [Fraction(k) for k in key])
-        sgrid = sgrid * Fraction(probe).denominator // math.gcd(sgrid, Fraction(probe).denominator)
-        for i in range(ni):
-            lin = scalar(2 * sum(a[i][j] * key[j] for j in range(ni)))
-            sgrid = sgrid * Fraction(lin).denominator // math.gcd(sgrid, Fraction(lin).denominator)
-    for i in range(n - ni):
-        for j in range(n - ni):
-            f = Fraction(schur[i][j]) * (2 if i != j else 1)
-            sgrid = sgrid * f.denominator // math.gcd(sgrid, f.denominator)
-    glen = sgrid * r + 1
-
-    # outer histograms per shift class
-    hist_out = {}
-    bounds = _coordinate_bounds(schur, r)
-    schur_s = [[int(Fraction(schur[i][j]) * sgrid) if i == j else Fraction(schur[i][j]) * sgrid for j in range(n - ni)] for i in range(n - ni)]
-    if n - ni == 1:
-        ws = np.arange(-bounds[0], bounds[0] + 1, dtype=np.int64)
-        wlist = ws.reshape(-1, 1)
-    else:
-        g0 = np.arange(-bounds[0], bounds[0] + 1, dtype=np.int64)
-        g1 = np.arange(-bounds[1], bounds[1] + 1, dtype=np.int64)
-        a0, a1 = np.meshgrid(g0, g1, indexing="ij")
-        wlist = np.stack([a0.ravel(), a1.ravel()], axis=1)
-    # exact scaled outer values: sgrid * schur(w); schur entries * sgrid need not be
-    # integral individually, so evaluate with doubled scale then halve exactly
-    s2 = [[int(Fraction(schur[i][j]) * 2 * sgrid) for j in range(n - ni)] for i in range(n - ni)]
-    s2m = np.array(s2, dtype=np.int64)
-    twice_vals = np.einsum("ki,ij,kj->k", wlist, s2m, wlist)
-    assert not np.any(twice_vals % 2)
-    wvals = twice_vals // 2
-    keep = (wvals >= 0) & (wvals <= sgrid * r)
-    wlist, wvals = wlist[keep], wvals[keep]
-    wmod = [tuple(Fraction(-sum(mshift[i][j] * int(w[j]) for j in range(n - ni))) % 1 for i in range(ni)) for w in wlist]
-    for cls, v in zip(wmod, wvals.tolist()):
-        h = hist_out.setdefault(cls, np.zeros(glen, dtype=np.int64))
-        h[v] += 1
-
-    total = np.zeros(2 * glen, dtype=np.int64)
-    abounds_cache = {}
-    for cls, hout in hist_out.items():
-        # inner histogram: u in Z^2, value = A(u + sigma) with sigma == -cls rep
-        sigma = [Fraction(k) for k in cls]
-        binner = [scalar(2 * sum(a[i][j] * sigma[j] for j in range(ni))) for i in range(ni)]
-        cinner = form_value(a, sigma)
-        key = cls
-        if key not in abounds_cache:
-            abounds_cache[key] = _inner_hist(a, binner, cinner, r, sgrid, glen)
-        hin = abounds_cache[key]
-        total[: 2 * glen - 1] += np.convolve(hin, hout)
-    counts = total[:: sgrid][: r + 1].copy()
-    stray = total.copy()
-    stray[:: sgrid] = 0
-    assert not stray.any(), "mass off the integer grid"
+    am = np.array(a, dtype=np.int64)
+    vs = _box(bv)
+    vav = np.einsum("ki,ij,kj->k", vs, am, vs)
+    ws = _box(bw)
+    wcw = np.einsum("ki,ij,kj->k", ws, np.array(cb, dtype=np.int64).reshape(n - 2, n - 2), ws)
+    q, cls = np.divmod(ws @ np.array(adj_x, dtype=np.int64).reshape(2, n - 2).T, det_a)
+    key = cls[:, 0] * det_a + cls[:, 1]
+    counts = np.zeros(r + 1, dtype=np.int64)
+    for k in np.unique(key).tolist():
+        ac = am @ np.array(divmod(k, det_a), dtype=np.int64)
+        assert not np.any(ac % det_a), "A c not divisible by det A"
+        b = ac // det_a
+        inner = vav + 2 * (vs @ b)
+        lo = int(inner.min())
+        qk = q[key == k]
+        outer = wcw[key == k] - np.einsum("ki,ij,kj->k", qk, am, qk) - 2 * (qk @ b) + lo
+        assert np.all(outer >= 0), "shifted outer value negative"
+        inner -= lo
+        assert not (np.any(inner % 2) or np.any(outer % 2)), "mass off the integer grid"
+        hin = np.bincount(inner[inner <= 2 * r] // 2, minlength=r + 1)
+        hout = np.bincount(outer[outer <= 2 * r] // 2, minlength=r + 1)
+        counts += np.convolve(hin, hout)[: r + 1]
     return counts
-
-
-def _inner_hist(a, blin, cconst, r, sgrid, glen):
-    # histogram of sgrid * (u^t A u + blin . u + cconst) over u in Z^2, value <= sgrid*r
-    # bound: A(u + sigma) <= r  =>  u in shifted ellipse; pad the coordinate box by 2
-    ainv = inverse(a)
-    b0 = isqrt_frac_floor(Fraction(r) * Fraction(ainv[0][0])) + 2
-    b1 = isqrt_frac_floor(Fraction(r) * Fraction(ainv[1][1])) + 2
-    u0 = np.arange(-b0, b0 + 1, dtype=np.int64)
-    u1 = np.arange(-b1, b1 + 1, dtype=np.int64)
-    g0, g1 = np.meshgrid(u0, u1, indexing="ij")
-    us = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    am = np.array([[int(Fraction(a[i][j]) * 2 * sgrid) for j in range(2)] for i in range(2)], dtype=np.int64)
-    bm = np.array([int(Fraction(blin[i]) * 2 * sgrid) for i in range(2)], dtype=np.int64)
-    c2 = int(Fraction(cconst) * 2 * sgrid)
-    twice = np.einsum("ki,ij,kj->k", us, am, us) + us @ bm + c2
-    assert not np.any(twice % 2)
-    vals = twice // 2
-    keep = (vals >= 0) & (vals <= sgrid * r)
-    h = np.zeros(glen, dtype=np.int64)
-    np.add.at(h, vals[keep], 1)
-    return h

@@ -1,4 +1,7 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 from orbitcount.cli import (
     EXIT_OK,
@@ -7,7 +10,9 @@ from orbitcount.cli import (
     EXIT_VALIDATION,
     main,
     series_from_csv,
+    series_to_csv,
 )
+from orbitcount.counting import CountSeries
 
 
 def run(args):
@@ -111,6 +116,21 @@ def test_fit_malformed_series(tmp_path, capsys):
     assert run(["fit", "--config", "gauss", "--series", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
+def test_series_non_integral_scaled_level_rejected(tmp_path, capsys):
+    rows = ["# config_hash=x", "# family=normform scale_e=1 mode=exact",
+            "level,n_prim,n_all,weighted_num,weighted_den,exact",
+            "1,4,4,4,1,1", "5/2,4,4,4,1,1", "3,0,0,0,1,1"]
+    bad = tmp_path / "half.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="5/2"):
+        series_from_csv(str(bad))
+    assert run(["fit", "--config", "gauss", "--series", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "5/2" in capsys.readouterr().err
+    # the same level is integral once scaled by scale_e = 2
+    bad.write_text("\n".join(rows).replace("scale_e=1", "scale_e=2") + "\n")
+    assert series_from_csv(str(bad)).levels == [2, 5, 6]
+
+
 def test_oracle_compare_zero_diffs(capsys):
     assert run(["oracle-compare", "--config", "gauss", "--rmax", "300"]) == EXIT_OK
     assert run(["oracle-compare", "--config", "model-quadric", "--rmax", "200"]) == EXIT_OK
@@ -148,6 +168,21 @@ def test_series_round_trip(tmp_path):
     assert series.family == "quadric"
     assert series.levels == list(range(1, 41))
     assert series.n_prim[4] == 2  # level 5
+
+
+def test_series_csv_scaled_levels_round_trip(tmp_path):
+    series = CountSeries(
+        family="quadric", levels=[1, 2, 3, 6], n_prim=[1, 0, 2, 1], n_all=[1, 1, 2, 2],
+        weighted=[Fraction(1, 2), 1, Fraction(3, 4), Fraction(2)], scale_e=2, exact=[True] * 4,
+    )
+    path = tmp_path / "s.csv"
+    with open(path, "w") as fh:
+        series_to_csv(series, fh, "x")
+    assert path.read_text().splitlines()[3:] == [
+        "1/2,1,1,1,2,1", "1,0,1,1,1,1", "3/2,2,2,3,4,1", "3,1,2,2,1,1",
+    ]
+    back = series_from_csv(str(path))
+    assert (back.levels, back.weighted, back.scale_e) == (series.levels, series.weighted, 2)
 
 
 def test_user_asserted_fundamental_unit(tmp_path, capsys):

@@ -18,6 +18,12 @@ H = Fraction(1, 2)
 SEC = model_quadric_section()
 
 
+def test_model_quadric_base_point_is_the_searched_one():
+    searched = quadric_section([[0, 0, H], [0, -1, 0], [H, 0, 0]], (1, 0, 1), base_point=None)
+    assert SEC == searched
+    assert SEC.base_point == (0, 0, 1)
+
+
 def test_affine_fiber_exactness():
     fib = affine_fiber((1, 0, 1), 5)
     n = 3

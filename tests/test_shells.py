@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from orbitcount.exact import definiteness
 from orbitcount.oracles import r4_series
 from orbitcount.orders import norm_gram
 from orbitcount.presets import order_hurwitz, order_lipschitz
@@ -98,6 +101,15 @@ def test_ball_points_agrees_with_recursion_dim4():
         assert by_level.get(m, set()) == set(definite_shell(hur, m)), m
 
 
+def test_ball_points_dim1():
+    pts, vals2, s = ball_points([[3]], 30)
+    assert s == 1
+    assert pts.tolist() == [[-3], [-2], [-1], [1], [2], [3]]
+    assert vals2.tolist() == [54, 24, 6, 6, 24, 54]
+    pts, vals2, s = ball_points([[Fraction(1, 2)]], 2)
+    assert (pts.tolist(), vals2.tolist(), s) == ([[-2], [-1], [1], [2]], [8, 2, 2, 8], 2)
+
+
 def test_theta_lipschitz_matches_jacobi():
     lip = norm_gram(order_lipschitz())
     assert is_integer_valued(lip)
@@ -160,3 +172,52 @@ def test_theta_half_integer_offdiag():
     t = theta_series(g, 25)
     for m in range(1, 26):
         assert t[m] == len(definite_shell(g, m)), m
+
+
+@pytest.mark.parametrize("g, r", [
+    # the classes c of adj(A) X w mod det A = 255 are all distinct here
+    ([[10, Fraction(5, 2), -2], [Fraction(5, 2), 7, -5], [-2, -5, 6]], 60),
+    # at r = 40, level 39 needs the v-box widened by one beyond the y-box
+    ([[4, 2, 2], [2, 8, -1], [2, -1, 3]], 40),
+])
+def test_theta_coupled_ternary_matches_recursion(g, r):
+    t = theta_series(g, r)
+    assert t[0] == 1
+    for m in range(1, r + 1):
+        assert t[m] == len(definite_shell(g, m)), m
+
+
+@st.composite
+def integer_valued_forms(draw):
+    n = draw(st.integers(2, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.integers(1, 6))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = Fraction(draw(st.integers(-5, 5)), 2)
+    assume(definiteness(g) == 1)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_valued_forms(), st.integers(0, 40))
+def test_theta_matches_shells_on_random_forms(g, r):
+    t = theta_series(g, r)
+    assert len(t) == r + 1 and t[0] == 1
+    for m in range(1, r + 1):
+        assert t[m] == len(definite_shell(g, m)), (g, m)
+
+
+@pytest.mark.parametrize("g", [
+    [[2 ** 62, 0], [0, 1]],
+    [[2 ** 61, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, Fraction(1, 2)], [0, 0, 1, 0], [0, Fraction(1, 2), 0, 2 ** 62]],
+])
+def test_theta_refuses_int64_overflow(g):
+    with pytest.raises(ValueError, match="2\\^63"):
+        theta_series(g, 4)
+
+
+def test_ball_points_refuses_int64_overflow():
+    with pytest.raises(ValueError, match="2\\^63"):
+        ball_points([[2 ** 62, 0], [0, 1]], 4)
