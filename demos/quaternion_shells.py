@@ -11,7 +11,7 @@ import math
 
 from orbitcount.counting import algebra_series, count_algebra_shell
 from orbitcount.fitting import fit_power, zeta_correction
-from orbitcount.oracles import hurwitz_shell_count, r4_series
+from orbitcount.oracles import hurwitz_shell_series, r4_series
 from orbitcount.orders import finite_units
 from orbitcount.presets import order_hurwitz, order_lipschitz
 
@@ -39,8 +39,7 @@ assert [8 * c for c in series.n_all] == jac
 print("  8 * (lipschitz orbit counts) == Jacobi r4, level by level, exactly")
 
 hs = algebra_series(hur, 300)
-direct = [hurwitz_shell_count(m) for m in range(1, 301)]
-assert [24 * c for c in hs.n_all] == direct
+assert [24 * c for c in hs.n_all] == hurwitz_shell_series(300)
 print("  24 * (hurwitz orbit counts) == direct half-integer shell counts (r <= 300)")
 
 rep = fit_power(series, window=(500, R), fixed_lambda=2)

@@ -31,7 +31,7 @@ from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_
 from .lattice import cone_section_points
 from .numtheory import pell
 from .embeddings import embeddings
-from .oracles import hurwitz_shell_count, ideal_count_series, r4_series, two_squares_primitive
+from .oracles import hurwitz_shell_series, ideal_count_series, r4_series, two_squares_primitive
 from .orders import OrderSpec, finite_units, real_quadratic_d, trace_form_discriminant
 from .presets import PRESET_NAMES, preset_scenario
 from .sections import quadric_section
@@ -320,8 +320,7 @@ def _oracle_columns(scenario, series, r):
         return eight_s, r4_series(r), "8 * orbit counts vs Jacobi r4"
     if kind == "hurwitz-shell":
         tw = [24 * c for c in series.n_all]
-        oracle = [hurwitz_shell_count(m) for m in range(1, r + 1)]
-        return tw, oracle, "24 * orbit counts vs direct half-integer shell enumeration"
+        return tw, hurwitz_shell_series(r), "24 * orbit counts vs direct half-integer shell enumeration"
     return None, None, ""
 
 

@@ -84,7 +84,7 @@ class CountSeries:
     levels: list               # sorted integer levels (after scaling)
     n_prim: list
     n_all: list
-    weighted: list             # Fractions; equals n_all when all stabilizers are trivial
+    weighted: list             # int or Fraction; equals n_all when all stabilizers are trivial
     scale_e: int
     exact: list                # per-level exactness flags
     meta: dict = field(default_factory=dict)
@@ -279,7 +279,7 @@ def box_series(scenario, jobs=1):
     return CountSeries(
         family=scenario.family, levels=levels,
         n_prim=[p for p, _ in pairs], n_all=[a for _, a in pairs],
-        weighted=[Fraction(a) for _, a in pairs], scale_e=1,
+        weighted=[a for _, a in pairs], scale_e=1,
         exact=[False] * len(levels), meta={"mode": f"box:{scenario.mode[1]}"},
     )
 
@@ -329,7 +329,7 @@ def _definite_normform_series(order, r_max):
     levels = list(range(1, r_max + 1))
     return CountSeries(
         family=FAMILY_NORMFORM, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=[Fraction(c) for c in n_all], scale_e=1,
+        weighted=list(n_all), scale_e=1,
         exact=[True] * len(levels), meta={"mode": "exact", "units": len(units.torsion)},
     )
 
@@ -355,7 +355,7 @@ def _real_quadratic_series(order, r_max, use_absolute_norm, units=None):
     levels = list(range(1, r_max + 1))
     return CountSeries(
         family=FAMILY_NORMFORM, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=[Fraction(c) for c in n_all], scale_e=1,
+        weighted=list(n_all), scale_e=1,
         exact=[True] * len(levels),
         meta={"mode": "exact", "pell_sign": pell_sign, "absolute_norm": use_absolute_norm,
               "units": units_provenance},
@@ -502,7 +502,7 @@ def algebra_series(order, r_max, check_freeness=True):
         family=FAMILY_ALGEBRA, levels=levels,
         n_prim=[c // nu for c in prim_shell],
         n_all=[c // nu for c in alln],
-        weighted=[Fraction(c // nu) for c in alln],
+        weighted=[c // nu for c in alln],
         scale_e=1, exact=[True] * r_max,
         meta={"mode": "exact", "units": nu},
     )

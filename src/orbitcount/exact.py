@@ -211,6 +211,8 @@ def unimodular_completion(row):
         ci = [-q * ucols[0][r] + p * ucols[i][r] for r in range(n)]
         ucols[0], ucols[i] = c0, ci
         a[0], a[i] = g, 0
+    if a[0] < 0:  # a = (-g, 0, ..., 0) never reaches _xgcd
+        ucols[0] = [-v for v in ucols[0]]
     return tuple(tuple(ucols[j][i] for j in range(n)) for i in range(n))
 
 

@@ -52,52 +52,34 @@ def affine_fiber(ell, k):
     return AffineLatticeFiber(offset=vec(offset), basis=basis)
 
 
-def _fiber_quadric_data(section, fiber, qtarget):
-    """Restrict q(x) = qtarget to x = offset + B t: returns integer (A, b, c)
-    with solutions  t^t A t + 2 b^t t + c = 0  (after clearing denominators)."""
-    n = section.dim
-    nb = n - 1
-    bcols = list(zip(*fiber.basis))
-    a = [[section.bilinear(bcols[i], bcols[j]) for j in range(nb)] for i in range(nb)]
-    b = [section.bilinear(bcols[i], fiber.offset) for i in range(nb)]
-    c = section.q_value(fiber.offset) - qtarget
-    flat = [x for row in a for x in row] + list(b) + [c]
-    ints, _ = clear_denominators(flat)
-    k = 0
-    a_i = [[0] * nb for _ in range(nb)]
-    for i in range(nb):
-        for j in range(nb):
-            a_i[i][j] = ints[k]
-            k += 1
-    b_i = ints[k : k + nb]
-    c_i = ints[k + nb]
-    return a_i, b_i, c_i
-
-
 def fiber_section_points(section, k, qtarget=0, primitive=True):
     """Complete list of x in Z^n with ell(x) = k and q(x) = qtarget.
 
     k and qtarget are rationals; requires q|ker(ell) definite.  Points are
-    lexicographically sorted; primitive filters gcd = 1.
+    lexicographically sorted; primitive filters gcd = 1.  On the fiber
+    x = t u0 + B y of section.fiber_frame, q(x) = qtarget reads
+    y^t gram y + 2 t cross . y + t^2 q0 - qtarget = 0.
     """
-    fiber = affine_fiber(section.ell, k)
-    if fiber is None:
+    fr = section.fiber_frame
+    t = Fraction(k) * fr.scale
+    if t.denominator != 1:
         return []
-    a, b, c = _fiber_quadric_data(section, fiber, qtarget)
+    t = t.numerator
     nb = section.dim - 1
+    flat = [x for row in fr.gram for x in row] + [t * x for x in fr.cross]
+    ints, _ = clear_denominators(flat + [t * t * fr.q0 - Fraction(qtarget)])
     # q|W definite: normalise to positive definite
-    if a[0][0] < 0:
-        a = [[-x for x in row] for row in a]
-        b = [-x for x in b]
-        c = -c
+    if ints[0] < 0:
+        ints = [-x for x in ints]
+    a = [ints[i * nb : (i + 1) * nb] for i in range(nb)]
+    b, c = ints[nb * nb : -1], ints[-1]
     if nb == 2:
         sols = shifted_shell_2d(a[0][0], a[0][1], a[1][1], b[0], b[1], c)
     else:
         sols = _shifted_shell_generic(a, b, c)
     out = []
-    for t in sols:
-        x = tuple(fiber.offset[i] + sum(fiber.basis[i][j] * t[j] for j in range(nb)) for i in range(section.dim))
-        x = tuple(int(v) for v in x)
+    for y in sols:
+        x = tuple(t * u + sum(bj * yj for bj, yj in zip(row, y)) for u, row in zip(fr.u0, fr.basis))
         if primitive and gcd_vector(x) != 1:
             continue
         out.append(x)

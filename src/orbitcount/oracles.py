@@ -103,49 +103,42 @@ def r4_series(r):
 def jacobi_r4_cumulative(r, lattice="lipschitz"):
     """Cumulative count of lattice quaternions with reduced norm <= r.
 
-    lipschitz: Jacobi's closed form.  hurwitz: direct shell enumeration over
-    the half-integer lattice (integer quadruples plus all-odd quadruples of
-    squared length 4m) -- quadratic-time, meant for moderate r.
+    lipschitz: Jacobi's closed form.  hurwitz: the direct half-integer shell
+    series (hurwitz_shell_series).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if lattice == "lipschitz":
         return sum(r4_series(r))
     if lattice == "hurwitz":
-        return sum(hurwitz_shell_count(m) for m in range(1, r + 1))
+        return sum(hurwitz_shell_series(r))
     raise ValueError(f"unknown lattice {lattice!r}")
 
 
+def hurwitz_shell_series(r):
+    """[#{x in Hurwitz order : nrd(x) = m} for m = 1..r] by direct enumeration
+    of the half-integer lattice in standard coordinates: integer quadruples of
+    squared length m plus all-odd quadruples of squared length 4m.
+
+    Each part is the truncated self-convolution of a histogram of a^2 + b^2 over
+    coordinate pairs.  For odd a, b, a^2 + b^2 = 8i + 2, so the odd part keeps
+    that class alone, indexed by i: two odd pairs sum to 4m with m = 2(i + i') + 1.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    a = np.arange(-math.isqrt(4 * r), math.isqrt(4 * r) + 1, dtype=np.int64)
+    sq = a[:, None] ** 2 + a[None, :] ** 2
+    two = np.bincount(sq[sq <= r], minlength=r + 1)
+    out = np.convolve(two, two)[: r + 1]
+    odd = sq[np.ix_(a % 2 == 1, a % 2 == 1)]
+    two_odd = np.bincount((odd[odd <= 4 * r - 2] - 2) // 8, minlength=(r + 1) // 2)
+    out[1::2] += np.convolve(two_odd, two_odd)[: (r + 1) // 2]
+    return out[1:].tolist()
+
+
 def hurwitz_shell_count(m):
-    """#{x in Hurwitz order : nrd(x) = m} by direct enumeration of the
-    half-integer lattice: integer quadruples of squared length m plus all-odd
-    quadruples of squared length 4m.  O(m^1.5); meant for moderate m."""
-    return _sum_four_squares_count(m, odd_only=False) + _sum_four_squares_count(4 * m, odd_only=True)
-
-
-def _sum_four_squares_count(n, odd_only):
-    total = 0
-    start, step = (1, 2) if odd_only else (0, 1)
-    a = start
-    while a * a <= n:
-        ra = n - a * a
-        b = start
-        while b * b <= ra:
-            rb = ra - b * b
-            c = start
-            while c * c <= rb:
-                rc = rb - c * c
-                d = math.isqrt(rc)
-                if d * d == rc and (not odd_only or d % 2):
-                    mult = 1
-                    for v in (a, b, c, d):
-                        if v:
-                            mult *= 2
-                    total += mult
-                c += step
-            b += step
-        a += step
-    return total
+    """#{x in Hurwitz order : nrd(x) = m}: the last entry of hurwitz_shell_series(m)."""
+    return hurwitz_shell_series(m)[-1]
 
 
 def pairwise_orbits(elements, order):

@@ -9,6 +9,7 @@ lie in (1/e)Z with e read off the denominators of ell.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import (
     definiteness,
@@ -20,6 +21,20 @@ from .exact import (
     unimodular_completion,
     vec,
 )
+
+
+@dataclass(frozen=True)
+class FiberFrame:
+    """The level-independent data of the fibers ell(x) = k.  With s * ell
+    primitive integral and U = unimodular_completion(s * ell) with columns
+    u0, B_1..B_{n-1}, the fiber is t u0 + B Z^{n-1} for t = s k integral, and
+    q(t u0 + B y) = y^t gram y + 2 t cross . y + t^2 q0."""
+    scale: Fraction    # s
+    u0: tuple          # integer column with (s * ell) . u0 = 1
+    basis: tuple       # integer columns B_j spanning ker(ell) cap Z^n, as rows
+    gram: tuple        # B(B_i, B_j): q restricted to ker(ell)
+    cross: tuple       # B(B_i, u0)
+    q0: object         # q(u0)
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,21 @@ class QuadricSectionSpec:
         n = self.dim
         return scalar(sum(g[i][j] * x[i] * y[j] for i in range(n) for j in range(n)))
 
+    @cached_property
+    def fiber_frame(self):
+        """FiberFrame of this section, built once."""
+        ell_int, s = primitive_integer_row(self.ell)
+        u = unimodular_completion(ell_int)
+        n = self.dim
+        u0 = tuple(u[i][0] for i in range(n))
+        cols = [tuple(u[i][j] for i in range(n)) for j in range(1, n)]
+        return FiberFrame(
+            scale=s, u0=u0, basis=tuple(zip(*cols)),
+            gram=tuple(tuple(self.bilinear(ci, cj) for cj in cols) for ci in cols),
+            cross=tuple(self.bilinear(ci, u0) for ci in cols),
+            q0=self.q_value(u0),
+        )
+
 
 def quadric_section(gram_rows, ell_row, base_point=None, search_bound=6):
     """Build and validate a QuadricSectionSpec.
@@ -74,7 +104,6 @@ def quadric_section(gram_rows, ell_row, base_point=None, search_bound=6):
     g = mat(gram_rows)
     ell = vec(ell_row)
     n = len(g)
-    ell_int, _ = primitive_integer_row(ell)
     e = 1
     for c in ell:
         f = Fraction(c)
@@ -111,25 +140,12 @@ def _search_base_point(g, ell, n, bound):
 
 def kernel_basis(section):
     """Integer basis of the rank n-1 lattice ker(ell) cap Z^n, as columns."""
-    ell_int, _ = primitive_integer_row(section.ell)
-    u = unimodular_completion(ell_int)
-    n = section.dim
-    # ell_int . U = (g, 0, ..., 0) with g = 1 for a primitive row
-    return tuple(tuple(u[i][j] for j in range(1, n)) for i in range(n))
+    return section.fiber_frame.basis
 
 
 def restricted_gram(section):
     """Gram matrix of q restricted to ker(ell), on the integral kernel basis."""
-    b = kernel_basis(section)
-    n = section.dim
-    cols = list(zip(*[[b[i][j] for j in range(n - 1)] for i in range(n)]))
-    out = []
-    for i in range(n - 1):
-        row = []
-        for j in range(n - 1):
-            row.append(section.bilinear(cols[i], cols[j]))
-        out.append(tuple(row))
-    return tuple(out)
+    return section.fiber_frame.gram
 
 
 def restricted_definiteness(section):

@@ -207,6 +207,7 @@ def shifted_shell_2d(a11, a12, a22, b1, b2, c):
 
     Reduction: with P = a11 t1 + a12 t2 + b1, R = D t2 + beta,
     D = det A, beta = a11 b2 - a12 b1, solutions satisfy R^2 + D P^2 = C.
+    Raises ValueError when an int64 intermediate could reach 2^63.
     """
     dd = a11 * a22 - a12 * a12
     if a11 <= 0 or dd <= 0:
@@ -218,6 +219,11 @@ def shifted_shell_2d(a11, a12, a22, b1, b2, c):
     pmax = math.isqrt(cc // dd)
     while dd * (pmax + 1) * (pmax + 1) <= cc:
         pmax += 1
+    # |R| <= isqrt(C), and vec_isqrt_exact squares at most isqrt(C) + 2
+    rmax = math.isqrt(cc)
+    t2max = (rmax + abs(beta)) // dd + 1
+    _check_int64(cc, abs(beta), dd, a11, abs(a12), abs(b1), dd * pmax * pmax, (rmax + 2) ** 2,
+                 rmax + abs(beta), pmax + abs(a12) * t2max + abs(b1))
     p = np.arange(-pmax, pmax + 1, dtype=np.int64)
     rem = cc - dd * p * p
     ok = rem >= 0

@@ -140,6 +140,12 @@ def test_oracle_compare_zero_diffs(capsys):
     assert out.count("zero diffs") == 4
 
 
+def test_oracle_compare_hurwitz_at_4000(capsys):
+    # the Hurwitz oracle is one series, so a long range stays cheap
+    assert run(["oracle-compare", "--config", "hurwitz", "--rmax", "4000"]) == EXIT_OK
+    assert "zero diffs over 4000 levels" in capsys.readouterr().out
+
+
 def test_oracle_compare_detects_corruption(tmp_path, capsys):
     assert run(["count", "--config", "gauss", "--rmax", "50", "--out", str(tmp_path)]) == EXIT_OK
     path = tmp_path / "gauss-counts.csv"

@@ -1,7 +1,12 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitcount.exact import clear_denominators
 from orbitcount.lattice import (
     affine_fiber,
     box_scan,
@@ -63,6 +68,47 @@ def test_cone_section_rational_scaled_levels():
     sec = quadric_section([[0, 0, H], [0, -1, 0], [H, 0, 0]], (H, 0, H))
     assert sec.scale_e == 2
     assert fiber_section_points(sec, Fraction(5, 2)) == cone_section_points(SEC, 5)
+
+
+# s = 2 for ell = (0, 0, 1/2): levels in (1/2) Z, fibers only where 2k is integral
+HYP = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, H))
+# ell = (-1, 0, 0): unimodular_completion must still give ell(u0) = +1
+NEG = quadric_section([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], (-1, 0, 0))
+
+
+def _box_section_points(section, k, qtarget, primitive, bound):
+    """Every x with |x_i| <= bound, ell(x) = k and q(x) = qtarget, by a numpy scan
+    of the box in integers (q and ell scaled by their common denominator)."""
+    ints, _ = clear_denominators([g for row in section.gram for g in row] + list(section.ell)
+                                 + [Fraction(k), Fraction(qtarget)])
+    g = np.array(ints[:9], dtype=np.int64).reshape(3, 3)
+    ax = np.arange(-bound, bound + 1, dtype=np.int64)
+    x = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    hit = (x @ np.array(ints[9:12]) == ints[12]) & (np.einsum("ki,ij,kj->k", x, g, x) == ints[13])
+    if primitive:
+        hit &= np.gcd.reduce(np.abs(x), axis=1) == 1
+    return sorted(map(tuple, x[hit].tolist()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([SEC, HYP, NEG]), st.integers(-8, 8), st.sampled_from([1, 2, 3]),
+       st.integers(-12, 12), st.booleans())
+def test_fiber_section_points_match_box_scan(section, kn, kd, qtarget, primitive):
+    # on these sections every solution has |x_i| <= 2|k| + sqrt|qtarget|: for the
+    # model quadric x(k - x) - y^2 = qtarget with z = k - x, for HYP z = 2k and
+    # x^2 + y^2 = qtarget + z^2, for NEG x = -k and y^2 + z^2 = qtarget + x^2
+    k = Fraction(kn, kd)
+    bound = 2 * abs(kn) + math.isqrt(abs(qtarget)) + 1
+    got = fiber_section_points(section, k, qtarget=qtarget, primitive=primitive)
+    assert got == _box_section_points(section, k, qtarget, primitive, bound)
+
+
+def test_fiber_of_negative_first_coordinate_form():
+    fib = affine_fiber((-1, 0, 0), 2)
+    assert fib.offset == (-2, 0, 0)
+    for k in range(1, 30):
+        assert all(NEG.ell_value(p) == k for p in cone_section_points(NEG, k)), k
+    assert cone_section_points(NEG, 5)[0] == (-5, -4, -3)
 
 
 def test_conic_matches_fiber_route():

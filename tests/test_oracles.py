@@ -5,6 +5,7 @@ import pytest
 from orbitcount.algebra import element
 from orbitcount.oracles import (
     hurwitz_shell_count,
+    hurwitz_shell_series,
     ideal_a,
     ideal_count_quadratic,
     jacobi_r4_cumulative,
@@ -107,3 +108,21 @@ def test_ideal_count_tail_density_matches_gauss_circle():
     s = 10 ** 5
     total = sum(ideal_a(-4, m) for m in range(1, s + 1))
     assert abs(total / s - math.pi / 4) / (math.pi / 4) < 0.01
+
+
+def test_hurwitz_shell_series_is_24_sigma_odd():
+    # Jacobi for the Hurwitz order: 24 times the sum of the odd divisors of m
+    r = 2000
+    want = [0] * (r + 1)
+    for d in range(1, r + 1, 2):
+        for m in range(d, r + 1, d):
+            want[m] += 24 * d
+    assert hurwitz_shell_series(r) == want[1:]
+
+
+def test_hurwitz_shell_count_is_last_series_entry():
+    assert [hurwitz_shell_count(m) for m in (1, 2, 3)] == [24, 24, 96]
+    series = hurwitz_shell_series(300)
+    assert [hurwitz_shell_count(m) for m in (1, 7, 64, 299, 300)] == [series[m - 1] for m in (1, 7, 64, 299, 300)]
+    for r in (1, 2, 5, 300):
+        assert jacobi_r4_cumulative(r, "hurwitz") == sum(series[:r])

@@ -221,3 +221,28 @@ def test_theta_refuses_int64_overflow(g):
 def test_ball_points_refuses_int64_overflow():
     with pytest.raises(ValueError, match="2\\^63"):
         ball_points([[2 ** 62, 0], [0, 1]], 4)
+
+
+def test_shifted_shell_2d_refuses_past_int64():
+    # C = 4 * 2^63: the int64 path would overflow, so the call is refused
+    with pytest.raises(ValueError, match="2\\^63"):
+        shifted_shell_2d(4, 0, 2 ** 61, 0, 0, -1)
+
+
+def test_shifted_shell_2d_just_under_int64_matches_python_scan():
+    # t1^2 + D t2^2 + 2 b1 t1 + 2 b2 t2 + c = 0 through (33000, 1), with
+    # C = b2^2 - D (c - b1^2) just under 2^63
+    d, b1, b2 = 2 ** 31 - 1, 12345, -6789
+    c = -(33000 ** 2 + d + 2 * b1 * 33000 + 2 * b2)
+    cc = b2 * b2 - d * (c - b1 * b1)
+    assert 2 ** 62 < cc < 2 ** 63
+    want = set()
+    t2 = 0
+    while d * t2 * t2 - 2 * abs(b2 * t2) <= b1 * b1 - c:  # every t2 with a real t1
+        for y in {t2, -t2}:
+            rhs = b1 * b1 - c - d * y * y - 2 * b2 * y  # (t1 + b1)^2
+            root = math.isqrt(max(rhs, 0))
+            if rhs >= 0 and root * root == rhs:
+                want |= {(-b1 + root, y), (-b1 - root, y)}
+        t2 += 1
+    assert shifted_shell_2d(1, 0, d, b1, b2, c) == sorted(want) == [(-57690, 1), (33000, 1)]

@@ -6,6 +6,7 @@ import pytest
 from orbitcount.exact import random_unimodular
 from orbitcount.lattice import cone_section_points
 from orbitcount.presets import model_quadric_section
+from orbitcount.sections import quadric_section
 from orbitcount.symmetry import (
     Orbit,
     OrbitReport,
@@ -24,6 +25,16 @@ def test_group_is_expected_order_two():
     ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     flip = ((0, 0, 1), (0, -1, 0), (1, 0, 0))  # (x, y, z) -> (z, -y, x)
     assert set(GROUP.elements) == {ident, flip}
+
+
+def test_group_orders_of_other_sections():
+    # x^2 + y^2 - z^2 at z/2 = k: the rotations of the square fixing z
+    hyp = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, Fraction(1, 2)))
+    assert integral_symmetries(hyp).order == 4
+    assert integral_symmetries(model_quadric_section()).order == 2
+    # ell = (-1, 0, 0): e_0 lies on the fiber ell = -1, so the identity is found
+    neg = quadric_section([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], (-1, 0, 0))
+    assert integral_symmetries(neg).order == 4
 
 
 def test_group_excludes_minus_identity():
