@@ -28,13 +28,13 @@ from .counting import (
 )
 from .exact import frac
 from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_correction
-from .lattice import cone_section_points
 from .numtheory import pell
 from .embeddings import embeddings
 from .oracles import hurwitz_shell_series, ideal_count_series, r4_series, two_squares_primitive
 from .orders import OrderSpec, finite_units, real_quadratic_d, trace_form_discriminant
 from .presets import PRESET_NAMES, preset_scenario
 from .sections import quadric_section
+from .symmetry import integral_symmetries
 from .validation import validate_scenario
 
 EXIT_OK = 0
@@ -172,7 +172,10 @@ def series_from_csv(path):
 
 def cmd_validate(args):
     doc = load_config(args.config, _overrides(args))
-    scenario = scenario_from_config(doc)
+    return _print_validation(scenario_from_config(doc))
+
+
+def _print_validation(scenario):
     report = validate_scenario(scenario)
     for line in report.lines():
         print(line)
@@ -191,6 +194,10 @@ def cmd_count(args):
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
+    return _count_validated(args, doc, scenario)
+
+
+def _count_validated(args, doc, scenario):
     if scenario.mode[0] == "box" and not args.allow_heuristic:
         sat = _saturation_check(scenario)
         if not sat:
@@ -312,7 +319,10 @@ def _oracle_columns(scenario, series, r):
         return (series.n_all, ideal_count_series(disc, r),
                 f"per-level orbit counts vs ideal counts (D={disc})")
     if kind == "two-squares-primitive":
-        pts = [len(cone_section_points(scenario.payload, k)) for k in range(1, r + 1)]
+        # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
+        group_order = integral_symmetries(scenario.payload).order
+        e = series.scale_e
+        pts = [group_order * w for w in series.weighted[e - 1 :: e]]
         oracle = [two_squares_primitive(k) for k in range(1, r + 1)]
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
     if kind == "jacobi-r4":
@@ -325,13 +335,14 @@ def _oracle_columns(scenario, series, r):
 
 
 def cmd_report(args):
-    rc = cmd_validate(args)
-    if rc != EXIT_OK:
-        return rc
-    rc = cmd_count(args)
-    if rc != EXIT_OK:
-        return rc
     doc = load_config(args.config, _overrides(args))
+    scenario = scenario_from_config(doc)
+    rc = _print_validation(scenario)
+    if rc != EXIT_OK:
+        return rc
+    rc = _count_validated(args, doc, scenario)
+    if rc != EXIT_OK:
+        return rc
     args.series = _out_path(args, doc, "counts.csv")
     rc = cmd_fit(args)
     if rc != EXIT_OK:

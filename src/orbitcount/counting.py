@@ -6,7 +6,6 @@ Levels are integers after scaling by the family's denominator lcm; the
 counting path is exact integer/rational arithmetic throughout.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -272,6 +271,8 @@ def box_series(scenario, jobs=1):
     levels = list(range(1, scenario.k_max + 1))
     tasks = [(scenario, k) for k in levels]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pairs = list(pool.map(_box_level_task, tasks, chunksize=16))
     else:

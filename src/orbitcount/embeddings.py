@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .exact import scalar
 
 
@@ -169,6 +167,8 @@ def embeddings(minpoly, precision=1e-10):
     ]
 
     if r2 > 0:
+        import mpmath
+
         mpmath.mp.dps = 60
         approx = mpmath.polyroots([mpmath.mpf(int(c)) if isinstance(c, int) else mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)], maxsteps=200, extraprec=120)
         complex_roots = [z for z in approx if abs(mpmath.im(z)) > mpmath.mpf(10) ** (-30)]

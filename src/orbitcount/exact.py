@@ -154,6 +154,51 @@ def definiteness(gram):
     return 0
 
 
+def invariant_factors(m):
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix, i.e.
+    the diagonal of its Smith normal form; their count is the rank.
+
+    Unimodular row and column operations: move the smallest nonzero entry of
+    the trailing block to the pivot, reduce its row and column by it (a
+    remainder becomes the next, smaller pivot), and once both are clear fold
+    any row the pivot does not divide into the pivot row.
+    """
+    a = [list(row) for row in m]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    out = []
+    t = 0
+    while t < min(nrows, ncols):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        clear = True
+        for i in range(t + 1, nrows):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            clear = clear and a[i][t] == 0
+        for j in range(t + 1, ncols):
+            q = a[t][j] // p
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+            clear = clear and a[t][j] == 0
+        if not clear:
+            continue
+        bad = next((i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1 :])), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            continue
+        out.append(abs(p))
+        t += 1
+    return out
+
+
 def isqrt_frac_floor(f):
     """floor(sqrt(f)) for a nonnegative rational, exact."""
     f = Fraction(f)

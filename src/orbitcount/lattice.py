@@ -11,23 +11,23 @@ used by the bulk series driver and cross-checked against the fiber route.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
 
 from .algebra import AlgebraElement, element
 from .exact import (
     clear_denominators,
+    det,
     gcd_vector,
+    invariant_factors,
     primitive_integer_row,
     scalar,
     unimodular_completion,
     vec,
 )
 from .orders import fundamental_unit, unit_domain_points
-from .shells import definite_shell, shifted_shell_2d
+from .shells import _check_int64, definite_shell, shifted_shell_2d
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,7 @@ def conic_parametrization(section):
     std = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     pick = []
     for w in std:
-        trial = [v0] + pick + [w]
-        m = sympy.Matrix(trial)
-        if m.rank() == len(trial):
+        if _independent([v0] + pick + [w]):
             pick.append(w)
         if len(pick) == 2:
             break
@@ -162,6 +160,14 @@ def conic_parametrization(section):
     return phi, psi, n_bound
 
 
+def _independent(rows):
+    # full row rank: some maximal minor is nonzero
+    return any(
+        det([[row[j] for j in cols] for row in rows]) != 0
+        for cols in combinations(range(len(rows[0])), len(rows))
+    )
+
+
 def _binary_form_sign(f):
     a, b, c = f
     disc = b * b - 4 * a * c
@@ -183,12 +189,10 @@ def _content_bound(phi):
             for j in range(3):
                 col[j + shift] += f[j]
             cols.append(col)
-    m = sympy.Matrix(cols).T  # 5 x 9
-    if m.rank() < 5:
+    divisors = invariant_factors(list(zip(*cols)))  # of the 5 x 9 matrix
+    if len(divisors) < 5:
         raise AssertionError("parametrisation forms share a root; conic degenerate")
-    snf = smith_normal_form(m)
-    divisors = [abs(snf[i, i]) for i in range(5)]
-    return int(divisors[-1])
+    return divisors[-1]
 
 
 def conic_points_up_to(section, r_scaled):
@@ -203,6 +207,13 @@ def conic_points_up_to(section, r_scaled):
     # enumerate (s, t), s >= 0 (one representative of +-): psi(s,t) <= bound
     disc = 4 * a * c - b * b
     smax = math.isqrt(4 * c * bound // disc) + 2
+    # the widest t window below, then every int64 intermediate, in Python ints
+    tmax = (abs(b) * smax + math.isqrt(b * b * smax * smax + 4 * c * bound)) // (2 * c) + 3
+    _check_int64(
+        bound,
+        a * smax * smax + abs(b) * smax * tmax + c * tmax * tmax,
+        *(abs(f0) * smax * smax + abs(f1) * smax * tmax + abs(f2) * tmax * tmax for f0, f1, f2 in phi),
+    )
     pts, lvls = [], []
     phi_m = np.array(phi, dtype=np.int64)
     for s in range(0, smax + 1):

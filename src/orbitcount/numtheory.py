@@ -139,6 +139,82 @@ def kronecker(a, n):
     return result if n == 1 else 0
 
 
+def irreducible_mod_p(coeffs, p):
+    """Whether the rational polynomial sum c_k x^k (coeffs low to high) keeps
+    its degree n mod the prime p and is irreducible over F_p.
+
+    Rabin's test: f is irreducible iff f | x^(p^n) - x and
+    gcd(f, x^(p^(n/q)) - x) = 1 for every prime q | n.  A p in a coefficient's
+    denominator or in the leading coefficient gives False.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    if any(c.denominator % p == 0 for c in coeffs) or coeffs[-1].numerator % p == 0:
+        return False
+    f = [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
+    n = len(f) - 1
+    x = _rem_mod_p([0, 1], f, p)
+    frobenius = [x]  # x^(p^j) mod f for j = 0..n
+    for _ in range(n):
+        frobenius.append(_pow_mod_p(frobenius[-1], p, f, p))
+    if frobenius[n] != x:
+        return False
+    return all(
+        len(_gcd_mod_p(f, _sub_mod_p(frobenius[n // q], x, p), p)) == 1
+        for q in set(factor(n))
+    )
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _sub_mod_p(a, b, p):
+    m = max(len(a), len(b))
+    a, b = a + [0] * (m - len(a)), b + [0] * (m - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _rem_mod_p(a, b, p):
+    """a mod b over F_p (coefficients low to high; b with a nonzero lead)."""
+    a = [x % p for x in a]
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    while len(a) > db:
+        c = a[-1] * inv % p
+        off = len(a) - 1 - db
+        for i, bi in enumerate(b):
+            a[off + i] = (a[off + i] - c * bi) % p
+        a.pop()
+    return _trim(a)
+
+
+def _pow_mod_p(g, e, f, p):
+    result = [1]
+    while e:
+        if e & 1:
+            result = _mul_mod_p(result, g, f, p)
+        e >>= 1
+        if e:
+            g = _mul_mod_p(g, g, f, p)
+    return result
+
+
+def _mul_mod_p(a, b, f, p):
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _rem_mod_p(prod, f, p)
+
+
+def _gcd_mod_p(a, b, p):
+    while b:
+        a, b = b, _rem_mod_p(a, b, p)
+    return a
+
+
 def sqrt_cf_period(d):
     """Continued fraction of sqrt(d) = [a0; a1, ..., al] (one full period)."""
     a0 = math.isqrt(d)

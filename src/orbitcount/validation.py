@@ -7,13 +7,12 @@ mod-p irreducibility with pass/undetermined/fail outcomes).
 
 import random
 from dataclasses import dataclass
-
-import sympy
+from fractions import Fraction
 
 from .algebra import element, minimal_polynomial
 from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, assert_division_order
 from .exact import det
-from .numtheory import small_primes
+from .numtheory import irreducible_mod_p, small_primes
 from .orders import norm_gram, real_quadratic_d
 from .sections import restricted_definiteness
 
@@ -91,21 +90,17 @@ def _generator_minpoly(order):
 
 def _check_irreducible_norm_form(order):
     """The norm form of an order is irreducible iff the algebra is a field;
-    probe: a generator's minimal polynomial must have full degree, be
-    irreducible over Q (exact), and reduce irreducibly mod some small prime
-    not dividing its discriminant (pass) -- no witness leaves undetermined."""
+    probe: a generator's minimal polynomial must have full degree and reduce
+    irreducibly mod some small prime not dividing its discriminant (pass).
+    With no such prime, an exact factorisation over Q decides between fail
+    and undetermined."""
     name = "norm form irreducible over Q"
     spec = order.algebra
     mp = _generator_minpoly(order)
     if len(mp) != spec.dim + 1:
         return Check(name, FAIL, "no basis generator has a full-degree minimal polynomial")
-    x = sympy.symbols("x")
-    poly = sympy.Poly(sum(sympy.Rational(c) * x ** k for k, c in enumerate(mp)), x)
-    factors = poly.factor_list()[1]
-    if len(factors) > 1 or any(m > 1 for _, m in factors):
-        return Check(name, FAIL, f"minimal polynomial factors over Q: {poly.as_expr()}")
-    disc = sympy.Rational(sympy.discriminant(poly.as_expr(), x))
-    disc_num = abs(int(disc.p * disc.q))
+    disc = _discriminant(mp)
+    disc_num = abs(disc.numerator * disc.denominator)
     tested = 0
     for p in small_primes():
         if tested >= 25:
@@ -113,9 +108,30 @@ def _check_irreducible_norm_form(order):
         if disc_num % p == 0:
             continue
         tested += 1
-        if sympy.Poly(poly.as_expr(), x, modulus=p).is_irreducible:
+        if irreducible_mod_p(mp, p):
             return Check(name, PASS, f"irreducible mod {p}")
+    # a reducible polynomial never certifies, so only this branch can fail
+    import sympy
+
+    x = sympy.symbols("x")
+    poly = sympy.Poly(sum(sympy.Rational(c) * x ** k for k, c in enumerate(mp)), x)
+    factors = poly.factor_list()[1]
+    if len(factors) > 1 or any(m > 1 for _, m in factors):
+        return Check(name, FAIL, f"minimal polynomial factors over Q: {poly.as_expr()}")
     return Check(name, UNDETERMINED, "no irreducible reduction among first 25 eligible primes")
+
+
+def _discriminant(coeffs):
+    """Exact discriminant (-1)^(n(n-1)/2) Res(f, f') / lc(f) of the polynomial
+    sum c_k x^k, the resultant as the Sylvester determinant."""
+    f = [Fraction(c) for c in reversed(coeffs)]  # high to low
+    g = [k * c for k, c in zip(range(len(f) - 1, 0, -1), f)]
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = [[0] * i + f + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + g + [0] * (size - n - 1 - i) for i in range(m)]
+    sign = -1 if m * (m - 1) // 2 % 2 else 1
+    return Fraction(sign * det(rows)) / f[0]
 
 
 def _check_unit_rank_support(order, scenario):

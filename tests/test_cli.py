@@ -1,18 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbitcount
 from orbitcount.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_SATURATION,
     EXIT_VALIDATION,
+    _oracle_columns,
     main,
     series_from_csv,
     series_to_csv,
 )
-from orbitcount.counting import CountSeries
+from orbitcount.counting import FAMILY_QUADRIC, CountSeries, ScenarioSpec, run_scenario
+from orbitcount.lattice import cone_section_points
+from orbitcount.sections import quadric_section
 
 
 def run(args):
@@ -48,6 +55,45 @@ def test_validate_rejects_split_norm_form(tmp_path, capsys):
     assert run(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def _order_config(path, table, unit_rank):
+    """A normform config for the order with basis 1, a, ..., and a^i a^j = table[i + j]."""
+    n = len(table[0])
+    path.write_text(json.dumps({
+        "family": "normform",
+        "algebra": {
+            "dim": n,
+            "kind": "number-field",
+            "structure_constants": [[[str(c) for c in table[i + j]] for j in range(n)] for i in range(n)],
+            "unity": ["1"] + ["0"] * (n - 1),
+        },
+        "norm_degree": n,
+        "unit_rank": unit_rank,
+    }))
+    return str(path)
+
+
+def test_validate_irreducibility_without_a_certifying_prime(tmp_path, capsys):
+    # x^4 + 1 is irreducible over Q but splits mod every prime: the exact
+    # factorisation leaves it undetermined; x^2 - 1 factors and fails
+    zeta8 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+             [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]]
+    assert run(["validate", "--config", _order_config(tmp_path / "z8.json", zeta8, 1)]) == EXIT_VALIDATION
+    assert ("UNDETERMINED norm form irreducible over Q -- "
+            "no irreducible reduction among first 25 eligible primes") in capsys.readouterr().out
+    split = [[1, 0], [0, 1], [1, 0]]
+    assert run(["validate", "--config", _order_config(tmp_path / "split.json", split, 0)]) == EXIT_VALIDATION
+    assert ("FAIL         norm form irreducible over Q -- minimal polynomial factors over Q: x**2 - 1"
+            in capsys.readouterr().out)
+
+
+def test_import_loads_neither_sympy_nor_mpmath():
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    code = "import sys, orbitcount.cli; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_count_deterministic_across_runs_and_jobs(tmp_path):
@@ -270,3 +316,34 @@ def test_oracle_chosen_by_declared_invariant_not_label(tmp_path, capsys):
     cfg = _quadratic_config(tmp_path / "c.json", -1, "gaussian-ints", {"oracle": "ideal-count:-4"})
     assert run(["oracle-compare", "--config", cfg]) == EXIT_OK
     assert capsys.readouterr().out.count("zero diffs over 500 levels") == 2
+
+
+def test_oracle_compare_reads_the_quadric_series(tmp_path, capsys):
+    # the cone oracle compares |G| * weighted from --series, not a recount
+    assert run(["count", "--config", "model-quadric", "--rmax", "30", "--out", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "model-quadric-counts.csv"
+    assert run(["oracle-compare", "--config", "model-quadric", "--rmax", "30",
+                "--series", str(path)]) == EXIT_OK
+    rows = path.read_text().splitlines()
+    fields = rows[4].split(",")
+    assert fields[0] == "2"
+    fields[3] = "999"
+    rows[4] = ",".join(fields)
+    corrupted = tmp_path / "corrupt.csv"
+    corrupted.write_text("\n".join(rows) + "\n")
+    assert run(["oracle-compare", "--config", "model-quadric", "--rmax", "30",
+                "--series", str(corrupted)]) == EXIT_ORACLE
+    assert "first divergence at level 2" in capsys.readouterr().out
+
+
+def test_cone_oracle_column_counts_the_level_points():
+    # |G| * weighted at level k is the number of primitive points of level k,
+    # here with |G| = 4 and levels in (1/5) Z: x^2 + y^2 = z^2 with z = 5k
+    sec = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, Fraction(1, 5)))
+    scenario = ScenarioSpec(family=FAMILY_QUADRIC, payload=sec, k_max=30,
+                            invariants={"oracle": "two-squares-primitive"})
+    series = run_scenario(scenario)
+    assert series.scale_e == 5 and series.meta["group_order"] == 4
+    pipeline, _, _ = _oracle_columns(scenario, series, 30)
+    points = [len(cone_section_points(sec, k)) for k in range(1, 31)]
+    assert pipeline == points and points[:5] == [8, 0, 0, 0, 8]

@@ -1,16 +1,31 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
-from orbitcount.exact import clear_denominators
+from orbitcount import lattice
+from orbitcount.exact import (
+    clear_denominators,
+    inverse,
+    invariant_factors,
+    mat_mul,
+    mat_vec,
+    random_unimodular,
+    transpose,
+    vec_mat,
+)
 from orbitcount.lattice import (
+    _content_bound,
     affine_fiber,
     box_scan,
     cone_section_points,
+    conic_parametrization,
     conic_points_up_to,
     fiber_section_points,
     indefinite_quadratic_shell,
@@ -116,6 +131,83 @@ def test_conic_matches_fiber_route():
     for k in range(1, 151):
         batch = sorted(tuple(int(c) for c in p) for p in pts[lvls == k])
         assert batch == cone_section_points(SEC, k), k
+
+
+@st.composite
+def conic_sections(draw):
+    """c (a x^2 + b y^2 - (a + b) z^2), zero (1, 1, 1), or c (a x z - b y^2),
+    zero (0, 0, 1), each definite on the kernel of its ell, then moved by a
+    random unimodular change of variables x = U y."""
+    a, b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    c = draw(st.sampled_from([Fraction(1, 2), 1, 3, -1]))
+    level = draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+    if draw(st.booleans()):
+        g0, ell0, v0 = ((a, 0, 0), (0, b, 0), (0, 0, -a - b)), (0, 0, level), (1, 1, 1)
+    else:
+        h = Fraction(a, 2)
+        g0, ell0, v0 = ((0, 0, h), (0, -b, 0), (h, 0, 0)), (level, 0, level), (0, 0, 1)
+    u = random_unimodular(3, draw(st.randoms(use_true_random=False)), steps=draw(st.integers(0, 12)))
+    gram = mat_mul(transpose(u), mat_mul([[c * x for x in row] for row in g0], u))
+    return quadric_section(gram, vec_mat(ell0, u), base_point=mat_vec(inverse(u), v0))
+
+
+def _content_matrix(phi):
+    # the 5 x 9 matrix _content_bound reduces: column (i, shift) holds phi_i
+    # times s^2, s t or t^2 as coefficients of s^4, ..., t^4
+    return [[phi[i][r - sh] if 0 <= r - sh <= 2 else 0 for i in range(3) for sh in range(3)]
+            for r in range(5)]
+
+
+def _sympy_independent(rows):
+    return sympy.Matrix(rows).rank() == len(rows)
+
+
+def _sympy_invariant_factors(m):
+    snf = smith_normal_form(sympy.Matrix(m))
+    return [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=9, max_size=9))
+def test_invariant_factors_match_sympy_smith_form(flat):
+    phi = (tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:]))
+    m = _content_matrix(phi)
+    factors = invariant_factors(m)
+    assert factors == _sympy_invariant_factors(m)
+    assert len(factors) == sympy.Matrix(m).rank()
+    if len(factors) < 5:
+        with pytest.raises(AssertionError, match="share a root"):
+            _content_bound(phi)
+    else:
+        assert _content_bound(phi) == factors[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(conic_sections())
+def test_conic_parametrization_matches_sympy_route(sec):
+    # the same output with the basis completion and the content bound taken
+    # from sympy's rank and Smith normal form
+    phi, psi, n_bound = got = conic_parametrization(sec)
+    assert invariant_factors(_content_matrix(phi)) == _sympy_invariant_factors(_content_matrix(phi))
+    with mock.patch.object(lattice, "_independent", _sympy_independent), \
+            mock.patch.object(lattice, "invariant_factors", _sympy_invariant_factors):
+        assert conic_parametrization(sec) == got
+    for s, t in ((1, 0), (0, 1), (1, 1), (2, -1)):
+        assert sec.q_value([f[0] * s * s + f[1] * s * t + f[2] * t * t for f in phi]) == 0
+    assert psi[0] > 0 and psi[1] ** 2 < 4 * psi[0] * psi[2] and n_bound > 0
+
+
+def test_conic_points_refuse_int64_overflow():
+    # q = G (xz - y^2) has the model quadric's points, with phi = G * identity
+    def scaled(g):
+        h = Fraction(g, 2)
+        return quadric_section([[0, 0, h], [0, -g, 0], [h, 0, 0]], (1, 0, 1), base_point=(0, 0, 1))
+
+    pts, lvls = conic_points_up_to(SEC, 50)
+    big_pts, big_lvls = conic_points_up_to(scaled(2 ** 52), 50)
+    assert np.array_equal(big_pts, pts) and np.array_equal(big_lvls, lvls)
+    with pytest.raises(ValueError, match="2\\^63"):
+        conic_points_up_to(scaled(2 ** 58), 50)
 
 
 def test_box_scan_example():

@@ -2,8 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitcount.numtheory import factor, is_prime, kronecker, pell, zeta_value
+from orbitcount.numtheory import (
+    factor,
+    irreducible_mod_p,
+    is_prime,
+    kronecker,
+    pell,
+    small_primes,
+    zeta_value,
+)
 
 
 def brute_pell_minimal(d, y_limit):
@@ -94,3 +105,28 @@ def test_kronecker_multiplicative_in_bottom():
         for a in range(1, 40):
             for b in range(1, 40):
                 assert kronecker(disc, a * b) == kronecker(disc, a) * kronecker(disc, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=7),
+    st.sampled_from(small_primes()[:30]),
+)
+def test_rabin_certificate_matches_sympy(low, p):
+    # monic f = x^n + sum low[k] x^k, n = 1..7
+    x = sympy.symbols("x")
+    coeffs = low + [1]
+    expected = sympy.Poly(sum(c * x ** k for k, c in enumerate(coeffs)), x, modulus=p).is_irreducible
+    assert irreducible_mod_p(coeffs, p) == expected
+
+
+def test_rabin_certificate_edge_cases():
+    assert irreducible_mod_p([1, 0, 1], 3)                        # x^2 + 1, -1 a non-residue mod 3
+    assert not irreducible_mod_p([1, 0, 1], 5)                    # x^2 + 1 = (x - 2)(x + 2) mod 5
+    assert not irreducible_mod_p([1, 0, 0, 0, 1], 3)              # x^4 + 1 is reducible mod every p
+    assert irreducible_mod_p([1, 1, 0, 1], 2)                     # x^3 + x + 1 mod 2
+    assert not irreducible_mod_p([1, 1, 0, 0, 0, 1], 2)           # x^5 + x + 1 has the factor x^2 + x + 1
+    assert not irreducible_mod_p([1, 0, 1, 0, 1], 2)              # (x^2 + x + 1)^2 mod 2
+    assert irreducible_mod_p([Fraction(1, 3), 0, 1], 5)           # x^2 + 2 mod 5
+    assert not irreducible_mod_p([Fraction(1, 5), 0, 1], 5)       # p in a denominator never certifies
+    assert not irreducible_mod_p([1, 0, 5], 5)                    # nor a p in the leading coefficient
