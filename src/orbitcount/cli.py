@@ -16,6 +16,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import AlgebraSpec
 from .counting import (
     FAMILY_NORMFORM,
@@ -122,51 +124,46 @@ def series_to_csv(series, fh, chash):
     fh.write(f"# family={series.family} scale_e={series.scale_e} "
              f"mode={series.meta.get('mode', 'exact')}{extra}\n")
     fh.write("level,n_prim,n_all,weighted_num,weighted_den,exact\n")
-    e = series.scale_e
-    for lv, np_, na, w, ex in zip(series.levels, series.n_prim, series.n_all, series.weighted, series.exact):
-        g = math.gcd(lv, e)
-        level_txt = str(lv // g) if g == e else f"{lv // g}/{e // g}"
-        fh.write(f"{level_txt},{np_},{na},{w.numerator},{w.denominator},{1 if ex else 0}\n")
+    levels, e, w = series.levels, series.scale_e, series.weighted
+    if e != 1:
+        gs = [math.gcd(lv, e) for lv in levels]
+        levels = [f"{lv // g}/{e // g}" if g < e else lv // e for lv, g in zip(levels, gs)]
+    fh.writelines(map("{},{},{},{},{},{}\n".format, levels, series.n_prim, series.n_all,
+                      (c.numerator for c in w), (c.denominator for c in w),
+                      (1 if ex else 0 for ex in series.exact)))
 
 
 def series_from_csv(path):
-    levels, n_prim, n_all, weighted, exact = [], [], [], [], []
-    family, scale_e, mode, units = "unknown", 1, "exact", "computed"
+    """Read a counts CSV with numpy's C parser: six columns, all int64 when
+    scale_e is 1 (else the level is text, checked by hand); a cell past int64 raises."""
+    meta = {"family": "unknown", "scale_e": "1", "mode": "exact", "units": "computed"}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("family="):
-                        family = tok.split("=", 1)[1]
-                    elif tok.startswith("scale_e="):
-                        scale_e = int(tok.split("=", 1)[1])
-                    elif tok.startswith("mode="):
-                        mode = tok.split("=", 1)[1]
-                    elif tok.startswith("units="):
-                        units = tok.split("=", 1)[1]
-                continue
-            if line.startswith("level,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"malformed series row: {line!r}")
-            num, _, den = parts[0].partition("/")
-            num, den = int(num) * scale_e, int(den or 1)
-            if den <= 0 or num % den:
-                raise ValueError(f"level {parts[0]} times scale_e={scale_e} is not an integer: {line!r}")
-            levels.append(num // den)
-            n_prim.append(int(parts[1]))
-            n_all.append(int(parts[2]))
-            w_num, w_den = int(parts[3]), int(parts[4])
-            weighted.append(w_num if w_den == 1 else Fraction(w_num, w_den))
-            exact.append(parts[5] == "1")
+        lines = fh.read().splitlines()
+    body = next((i for i, line in enumerate(lines)
+                 if line.strip() and not line.lstrip().startswith(("#", "level,"))), len(lines))
+    tokens = (tok.partition("=") for line in lines[:body] if line.lstrip().startswith("#")
+              for tok in line.lstrip()[1:].split())
+    meta.update((key, value) for key, _, value in tokens if key in meta)
+    scale_e = int(meta["scale_e"])
+    dtype = np.dtype([("level", np.int64 if scale_e == 1 else object), ("cols", np.int64, (5,))])
+    rows = np.loadtxt(lines[body:], delimiter=",", dtype=dtype, ndmin=1) if body < len(lines) else np.zeros(0, dtype)
+    levels = rows["level"].tolist()
+    for i, cell in enumerate(levels if scale_e != 1 else ()):
+        num, _, den = cell.partition("/")
+        num, den = int(num) * scale_e, int(den or 1)
+        if den <= 0 or num % den:
+            raise ValueError(f"level {cell.strip()} times scale_e={scale_e} is not an integer")
+        levels[i] = num // den
+    n_prim, n_all, w_num, w_den, exact = rows["cols"].T
+    if not w_den.all():
+        raise ValueError("a weighted_den of 0 in the series")
+    weighted = w_num.tolist()
+    for i in np.flatnonzero(w_den != 1).tolist():
+        weighted[i] = Fraction(weighted[i], int(w_den[i]))
     return CountSeries(
-        family=family, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=weighted, scale_e=scale_e, exact=exact,
-        meta={"mode": mode, "units": units},
+        family=meta["family"], levels=levels, n_prim=n_prim.tolist(), n_all=n_all.tolist(),
+        weighted=weighted, scale_e=scale_e, exact=(exact == 1).tolist(),
+        meta={"mode": meta["mode"], "units": meta["units"]},
     )
 
 
@@ -225,10 +222,10 @@ def _saturation_check(scenario):
     return True
 
 
-def cmd_fit(args):
+def cmd_fit(args, series=None):
     doc = load_config(args.config, _overrides(args))
     scenario = scenario_from_config(doc)
-    series = series_from_csv(args.series)
+    series = series_from_csv(args.series) if series is None else series
     r_top = max(series.levels) / series.scale_e
     window = (r_top / 10, r_top)
     lam_expected = expected_lambda(scenario)
@@ -286,15 +283,13 @@ def _attach_predictions(report, scenario, args):
             report.zeta_factor = zeta_correction(d)
 
 
-def cmd_oracle_compare(args):
+def cmd_oracle_compare(args, series=None):
     doc = load_config(args.config, _overrides(args))
     scenario = scenario_from_config(doc)
     label = scenario.label
     r = scenario.k_max
-    if args.series:
-        series = series_from_csv(args.series)
-    else:
-        series = run_scenario(scenario)
+    if series is None:
+        series = series_from_csv(args.series) if args.series else run_scenario(scenario)
     pipeline, oracle, what = _oracle_columns(scenario, series, r)
     if pipeline is None:
         print(f"no oracle applicable to scenario {label!r}", file=sys.stderr)
@@ -310,28 +305,33 @@ def cmd_oracle_compare(args):
 
 
 def _oracle_columns(scenario, series, r):
-    """Pipeline and oracle columns for the oracle the scenario declares in
-    invariants["oracle"]: ideal-count:D, two-squares-primitive, jacobi-r4 or
-    hurwitz-shell."""
+    """Pipeline and oracle columns at levels 1..r for the oracle the scenario
+    declares in invariants["oracle"]: ideal-count:D, two-squares-primitive,
+    jacobi-r4 or hurwitz-shell.  Series rows are paired by level, and a level
+    without a row reads "absent"."""
     kind = scenario.invariants.get("oracle", "")
     if kind.startswith("ideal-count:"):
         disc = int(kind.split(":", 1)[1])
-        return (series.n_all, ideal_count_series(disc, r),
+        return (_at_levels(series, series.n_all, r), ideal_count_series(disc, r),
                 f"per-level orbit counts vs ideal counts (D={disc})")
     if kind == "two-squares-primitive":
         # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
         group_order = integral_symmetries(scenario.payload).order
-        e = series.scale_e
-        pts = [group_order * w for w in series.weighted[e - 1 :: e]]
+        pts = _at_levels(series, [group_order * w for w in series.weighted], r)
         oracle = [two_squares_primitive(k) for k in range(1, r + 1)]
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
     if kind == "jacobi-r4":
-        eight_s = [8 * c for c in series.n_all]
+        eight_s = _at_levels(series, [8 * c for c in series.n_all], r)
         return eight_s, r4_series(r), "8 * orbit counts vs Jacobi r4"
     if kind == "hurwitz-shell":
-        tw = [24 * c for c in series.n_all]
+        tw = _at_levels(series, [24 * c for c in series.n_all], r)
         return tw, hurwitz_shell_series(r), "24 * orbit counts vs direct half-integer shell enumeration"
     return None, None, ""
+
+
+def _at_levels(series, column, r):
+    by_level = dict(zip(series.levels, column))
+    return [by_level.get(k * series.scale_e, "absent") for k in range(1, r + 1)]
 
 
 def cmd_report(args):
@@ -343,11 +343,11 @@ def cmd_report(args):
     rc = _count_validated(args, doc, scenario)
     if rc != EXIT_OK:
         return rc
-    args.series = _out_path(args, doc, "counts.csv")
-    rc = cmd_fit(args)
+    series = series_from_csv(_out_path(args, doc, "counts.csv"))
+    rc = cmd_fit(args, series)
     if rc != EXIT_OK:
         return rc
-    return cmd_oracle_compare(args)
+    return cmd_oracle_compare(args, series)
 
 
 def _out_path(args, doc, name):

@@ -6,6 +6,8 @@ Levels are integers after scaling by the family's denominator lcm; the
 counting path is exact integer/rational arithmetic throughout.
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -92,24 +94,44 @@ class CountSeries:
         k = len(self.levels)
         if not (len(self.n_prim) == len(self.n_all) == len(self.weighted) == len(self.exact) == k):
             raise ValueError("ragged series")
-        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+        try:
+            levels, prim, alln = np.array([self.levels, self.n_prim, self.n_all], dtype=np.int64)
+        except OverflowError:  # Python ints past int64
+            levels, prim, alln = np.array([self.levels, self.n_prim, self.n_all], dtype=object)
+        if np.any(levels[1:] <= levels[:-1]):
             raise ValueError("levels not strictly increasing")
-        if any(a < 0 or b < 0 for a, b in zip(self.n_prim, self.n_all)):
+        if np.any(prim < 0) or np.any(alln < 0):
             raise ValueError("negative count")
-        if any(a > b for a, b in zip(self.n_prim, self.n_all)):
+        if np.any(prim > alln):
             raise ValueError("n_prim exceeds n_all")
+
+
+def _numerators(column):
+    """(numerators, L) of an int/Fraction column over the lcm L of its
+    denominators, as int64 when L and sum |numerator| are below 2^63."""
+    den = math.lcm(*{c.denominator for c in column})
+    nums = column if den == 1 else [c.numerator * (den // c.denominator) for c in column]
+    big = max(den, sum(map(abs, nums))) >= 2 ** 63
+    return np.array(nums, dtype=object if big else np.int64), den
+
+
+def _over(nums, den):
+    """nums / den as a list of ints, with a Fraction only where not integral."""
+    out = (nums // den).tolist()
+    for i in np.flatnonzero(nums % den).tolist():
+        out[i] = Fraction(int(nums[i]), den)
+    return out
 
 
 def cumulative_at(series, radii, which="all"):
     """[S(r) for r in radii], r in original (unscaled) units and ascending, from
-    one pass over the chosen column ("all", "prim" or "weighted"); errors
-    beyond the computed range."""
+    prefix sums of the chosen column ("all", "prim" or "weighted") over its
+    common denominator; errors beyond the computed range."""
     column = {"prim": series.n_prim, "weighted": series.weighted}.get(which, series.n_all)
     top = max(series.levels, default=0)
-    # running numerator sums by denominator: exact, without normalising a
-    # Fraction per term (weights have few distinct denominators)
-    sums = {}
-    out, i, prev = [], 0, None
+    nums, den = _numerators(column)
+    sums = np.cumsum(nums).tolist()
+    out, prev = [], None
     for r in radii:
         r_scaled = Fraction(r) * series.scale_e
         if r_scaled > top:
@@ -117,11 +139,8 @@ def cumulative_at(series, radii, which="all"):
         if prev is not None and r_scaled < prev:
             raise ValueError("radii must be ascending")
         prev = r_scaled
-        while i < len(series.levels) and series.levels[i] <= r_scaled:
-            c = column[i]
-            sums[c.denominator] = sums.get(c.denominator, 0) + c.numerator
-            i += 1
-        out.append(scalar(sum((Fraction(n, q) for q, n in sums.items()), Fraction(0))))
+        i = bisect_right(series.levels, math.floor(r_scaled))
+        out.append(scalar(Fraction(sums[i - 1] if i else 0, den)))
     return out
 
 
@@ -132,21 +151,25 @@ def cumulative(series, r, which="all"):
 
 def aggregate_levels(prim_levels, prim_counts, d, k_max):
     """Aggregate a primitive per-level series: N_all(k) = sum over p >= 1 with
-    p^d | k of N_prim(k / p^d).  Exact; levels are dense integers 1..k_max.
-    Sieve order: O(k_max log k_max) for d = 1, O(k_max) for d >= 2."""
+    p^d | k of N_prim(k / p^d); levels are dense integers 1..k_max.  An exact
+    int64 sieve (object arrays past 2^63) of one slice per p^d; for d = 1 only
+    p <= sqrt(k_max), with one slice per cofactor j for the larger p."""
     if d < 1:
         raise ValueError("scaling degree must be >= 1")
-    cmap = dict(zip(prim_levels, prim_counts))
-    out = [0] * (k_max + 1)
+    nums, den = _numerators(prim_counts)
+    lv = np.array(prim_levels, dtype=np.int64)
+    keep = (lv >= 1) & (lv <= k_max)
+    src = np.zeros(k_max + 1, dtype=nums.dtype)
+    src[lv[keep]] = nums[keep]
+    out = np.zeros_like(src)
     p = 1
-    while p ** d <= k_max:
+    while p ** max(d, 2) <= k_max:
         q = p ** d
-        for j in range(1, k_max // q + 1):
-            c = cmap.get(j, 0)
-            if c:
-                out[j * q] += c
+        out[q::q] += src[1 : k_max // q + 1]
         p += 1
-    return list(range(1, k_max + 1)), out[1:]
+    for j in range(1, k_max // p + 1 if d == 1 else 1):
+        out[j * p :: j] += src[j]
+    return list(range(1, k_max + 1)), _over(out[1:], den)
 
 
 def imprimitive_from_primitive(series, d):
@@ -161,7 +184,7 @@ def imprimitive_from_primitive(series, d):
     _, weighted = aggregate_levels(series.levels, prim_weights, d, k_max)
     return CountSeries(
         family=series.family, levels=list(range(1, k_max + 1)),
-        n_prim=list(series.n_prim), n_all=n_all, weighted=[scalar(w) for w in weighted],
+        n_prim=list(series.n_prim), n_all=n_all, weighted=weighted,
         scale_e=series.scale_e, exact=list(series.exact),
         meta=dict(series.meta, aggregated=f"d={d}"),
     )
@@ -389,15 +412,15 @@ def quadric_series(section, r_max, group=None):
     reps, stab = reduce_orbits(pts, group.elements)
     first = _orbit_classes(lvls, reps, stab, group.order)
     levels = list(range(1, r_scaled + 1))
-    n_prim = [0] * (r_scaled + 1)
-    weighted = [Fraction(0)] * (r_scaled + 1)
-    for lv, st in zip(lvls[first].tolist(), stab[first].tolist()):
-        n_prim[lv] += 1
-        weighted[lv] += Fraction(1, st)
-    _, n_all = aggregate_levels(levels, n_prim[1:], 1, r_scaled)
+    lv, st = lvls[first], stab[first]
+    n_prim = np.bincount(lv, minlength=r_scaled + 1)[1:].tolist()
+    # the weight of a level is its orbit sizes |G| / |stab| summed, over |G|
+    sizes = sum((group.order // s * np.bincount(lv[st == s], minlength=r_scaled + 1)
+                 for s in np.unique(st).tolist()), np.zeros(r_scaled + 1, dtype=np.int64))
+    _, n_all = aggregate_levels(levels, n_prim, 1, r_scaled)
     return CountSeries(
-        family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim[1:], n_all=n_all,
-        weighted=weighted[1:], scale_e=section.scale_e,
+        family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim, n_all=n_all,
+        weighted=_over(sizes[1:], group.order), scale_e=section.scale_e,
         exact=[True] * r_scaled,
         meta={"mode": "exact", "group_order": group.order,
               "weight_normalisation": "relative (one undetermined global constant)"},
@@ -443,13 +466,10 @@ def assert_division_order(order, rng=None, trials=200, shell_bound=6):
     rng = rng or random.Random(0x5EED)
     spec = order.algebra
     n = spec.dim
-    for _ in range(trials):
-        a = element([rng.randint(-9, 9) for _ in range(n)])
-        b = element([rng.randint(-9, 9) for _ in range(n)])
-        if a.is_zero() or b.is_zero():
-            continue
-        if alg_mul(a, b, spec).is_zero():
-            raise ValueError("zero divisors detected: payload is not a division algebra")
+    # each trial draws a, then b; all trials are multiplied in one batch
+    a, b = np.array([rng.randint(-9, 9) for _ in range(2 * n * trials)]).reshape(trials, 2, n).transpose(1, 0, 2)
+    if np.any(a.any(axis=1) & b.any(axis=1) & ~_scaled_products(spec, a, b).any(axis=1)):
+        raise ValueError("zero divisors detected: payload is not a division algebra")
     if order.norm_degree == 2:
         g = norm_gram(order)
         from .exact import definiteness
@@ -461,6 +481,16 @@ def assert_division_order(order, rng=None, trials=200, shell_bound=6):
     for coords in iproduct(range(-shell_bound, shell_bound + 1), repeat=n):
         if any(coords) and order.norm(AlgebraElement(coords)) == 0:
             raise ValueError("nonzero element of norm 0: payload is not a division algebra")
+
+
+def _scaled_products(spec, a, b):
+    """Row-wise products of the integer arrays a and b in one einsum, times the
+    lcm L of the structure constants' denominators; exact past int64."""
+    n = spec.dim
+    table, _ = _numerators([c for row in spec.table for cell in row for c in cell])
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * sum(map(abs, table.tolist()))
+    table, a, b = (x.astype(np.int64 if bound < 2 ** 63 else object) for x in (table, a, b))
+    return np.einsum("ti,tj,ijk->tk", a, b, table.reshape(n, n, n))
 
 
 def count_algebra_shell(order, m, mode=("exact",)):

@@ -78,10 +78,10 @@ def _generator_minpoly(order):
     candidates += [
         element(tuple(1 if j in (0, i) else 0 for j in range(n))) for i in range(1, n)
     ]
-    best = None
+    best = []  # a one-dimensional algebra has no candidates
     for cand in candidates:
         mp = minimal_polynomial(cand, spec)
-        if best is None or len(mp) > len(best):
+        if len(mp) > len(best):
             best = mp
         if len(mp) == n + 1:
             return mp
@@ -141,7 +141,7 @@ def _check_unit_rank_support(order, scenario):
     if order.unit_rank == 0:
         from .exact import definiteness
 
-        if definiteness(norm_gram(order)) == 1:
+        if order.norm_degree == 2 and definiteness(norm_gram(order)) == 1:
             return Check(name, PASS, "definite norm form, finite unit group")
         return Check(name, FAIL, "unit rank 0 but norm form not definite")
     if order.unit_rank == 1:

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitcount
 from orbitcount.cli import (
@@ -214,6 +217,23 @@ def test_report_bundle(tmp_path, capsys):
     assert 1.8 <= doc["lambda_hat_free"] <= 2.2
 
 
+def test_series_level_not_integral_after_scaling_rejected(tmp_path, capsys):
+    bad = tmp_path / "third.csv"
+    bad.write_text("# family=quadric scale_e=2 mode=exact\n"
+                   "level,n_prim,n_all,weighted_num,weighted_den,exact\n1/2,1,1,1,1,1\n1/3,1,1,1,1,1\n")
+    with pytest.raises(ValueError, match="level 1/3 times scale_e=2 is not an integer"):
+        series_from_csv(str(bad))
+    assert run(["fit", "--config", "model-quadric", "--series", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_series_zero_weight_denominator_rejected(tmp_path, capsys):
+    bad = tmp_path / "zero.csv"
+    bad.write_text("# family=normform scale_e=1 mode=exact\n"
+                   "level,n_prim,n_all,weighted_num,weighted_den,exact\n1,1,1,1,0,1\n")
+    assert run(["fit", "--config", "gauss", "--series", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "weighted_den of 0" in capsys.readouterr().err
+
+
 def test_series_round_trip(tmp_path):
     assert run(["count", "--config", "model-quadric", "--rmax", "40", "--out", str(tmp_path)]) == EXIT_OK
     series = series_from_csv(str(tmp_path / "model-quadric-counts.csv"))
@@ -347,3 +367,88 @@ def test_cone_oracle_column_counts_the_level_points():
     pipeline, _, _ = _oracle_columns(scenario, series, 30)
     points = [len(cone_section_points(sec, k)) for k in range(1, 31)]
     assert pipeline == points and points[:5] == [8, 0, 0, 0, 8]
+
+
+def test_validate_one_dimensional_normform_fails_cleanly(tmp_path, capsys):
+    # Q itself: no basis generator, so the irreducibility check reports FAIL
+    assert run(["validate", "--config", _order_config(tmp_path / "q.json", [[1]], 0)]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert ("FAIL         norm form irreducible over Q -- "
+            "no basis generator has a full-degree minimal polynomial") in out
+    assert out.splitlines()[-1] == "validation FAILED"
+
+
+def test_oracle_compare_series_short_of_rmax_diverges(tmp_path, capsys):
+    assert run(["count", "--config", "gauss", "--rmax", "20", "--out", str(tmp_path)]) == EXIT_OK
+    assert run(["oracle-compare", "--config", "gauss", "--rmax", "50",
+                "--series", str(tmp_path / "gauss-counts.csv")]) == EXIT_ORACLE
+    assert "first divergence at level 21: pipeline=absent" in capsys.readouterr().out
+
+
+def test_oracle_compare_pairs_rows_by_level(tmp_path, capsys):
+    assert run(["count", "--config", "gauss", "--rmax", "20", "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "gauss-counts.csv").read_text().splitlines()
+    gap = tmp_path / "gap.csv"
+    gap.write_text("\n".join(row for row in rows if not row.startswith("3,")) + "\n")
+    assert run(["oracle-compare", "--config", "gauss", "--rmax", "20", "--series", str(gap)]) == EXIT_ORACLE
+    assert "first divergence at level 3: pipeline=absent oracle=0 (1 differing levels)" in capsys.readouterr().out
+
+
+def test_report_reads_its_counts_once(tmp_path, monkeypatch, capsys):
+    import orbitcount.cli as cli
+
+    reads = []
+
+    def counting_reader(path):
+        reads.append(path)
+        return series_from_csv(path)
+
+    monkeypatch.setattr(cli, "series_from_csv", counting_reader)
+    assert run(["report", "--config", "gauss", "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
+    assert reads == [os.path.join(str(tmp_path), "gauss-counts.csv")]
+    assert "zero diffs over 60 levels" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+def test_series_cell_at_2_63_refused(tmp_path, capsys, column):
+    cells = ["2", "1", str(2 ** 63 - 1), "1", "1", "1"]
+    cells[column] = str(2 ** 63)
+    rows = ["# family=normform scale_e=1 mode=exact",
+            "level,n_prim,n_all,weighted_num,weighted_den,exact", "1,0,0,0,1,1", ",".join(cells)]
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=str(2 ** 63)):
+        series_from_csv(str(big))
+    assert run(["fit", "--config", "gauss", "--series", str(big), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert str(2 ** 63) in capsys.readouterr().err
+    # one below 2^63 is read exactly, as an int
+    big.write_text("\n".join(rows).replace(str(2 ** 63), str(2 ** 63 - 1)) + "\n")
+    series = series_from_csv(str(big))
+    read = [series.levels, series.n_prim, series.n_all, series.weighted][column][-1]
+    assert type(read) is int and read == 2 ** 63 - 1
+
+
+@st.composite
+def count_series(draw):
+    scale_e = draw(st.integers(1, 4))
+    levels = sorted(draw(st.sets(st.integers(1, 200), max_size=30)))
+    n_all = [draw(st.integers(0, 10 ** 6)) for _ in levels]
+    n_prim = [draw(st.integers(0, c)) for c in n_all]
+    weighted = [draw(st.one_of(st.integers(0, 10 ** 6), st.fractions(0, 10 ** 3, max_denominator=12)))
+                for _ in levels]
+    return CountSeries(family="quadric", levels=levels, n_prim=n_prim, n_all=n_all,
+                       weighted=weighted, scale_e=scale_e,
+                       exact=[draw(st.booleans()) for _ in levels])
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_series())
+def test_series_csv_round_trip_property(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w") as fh:
+            series_to_csv(series, fh, "x")
+        back = series_from_csv(path)
+    assert (back.family, back.scale_e) == (series.family, series.scale_e)
+    assert (back.levels, back.n_prim, back.n_all) == (series.levels, series.n_prim, series.n_all)
+    assert (back.weighted, back.exact) == (series.weighted, series.exact)

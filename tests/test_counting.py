@@ -2,7 +2,10 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcount.exact import gcd_vector
 from orbitcount.lattice import cone_section_points
@@ -10,6 +13,7 @@ from orbitcount.sections import quadric_section
 
 from orbitcount.algebra import AlgebraSpec, quadratic_field_order
 from orbitcount.counting import (
+    CountSeries,
     ScenarioSpec,
     aggregate_levels,
     algebra_series,
@@ -313,3 +317,149 @@ def test_real_quadratic_int64_overflow_refused_up_front(d):
     with pytest.raises(ValueError, match="values of b"):
         normform_series(real_quadratic(d), 10, use_absolute_norm=True)
     assert time.time() - t0 < 1
+
+
+def _aggregate_reference(prim_levels, prim_counts, d, k_max):
+    """The per-level Python sieve that aggregate_levels replaced."""
+    cmap = dict(zip(prim_levels, prim_counts))
+    out = [0] * (k_max + 1)
+    p = 1
+    while p ** d <= k_max:
+        q = p ** d
+        for j in range(1, k_max // q + 1):
+            c = cmap.get(j, 0)
+            if c:
+                out[j * q] += c
+        p += 1
+    return list(range(1, k_max + 1)), out[1:]
+
+
+@st.composite
+def primitive_columns(draw):
+    k_max = draw(st.one_of(st.integers(0, 500), st.sampled_from([0, 1, 4, 9, 144, 361, 484])))
+    levels = sorted(draw(st.sets(st.integers(-2, k_max + 3), max_size=60)))
+    value = st.integers(-10 ** 6, 10 ** 6)
+    if draw(st.booleans()):
+        value = st.one_of(value, st.fractions(-50, 50, max_denominator=7))
+    return levels, [draw(value) for _ in levels], draw(st.sampled_from([1, 2, 3])), k_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(primitive_columns())
+def test_aggregate_levels_matches_python_sieve(args):
+    levels, counts, d, k_max = args
+    got = aggregate_levels(levels, counts, d, k_max)
+    assert got == _aggregate_reference(levels, counts, d, k_max)
+    # ints wherever the aggregated value is integral
+    assert all(type(c) is int or c.denominator > 1 for c in got[1])
+
+
+def test_aggregate_levels_past_int64_is_exact():
+    counts = [2 ** 62 + k for k in range(1, 41)] + [Fraction(2 ** 70, 3)]
+    levels = list(range(1, 42))
+    assert aggregate_levels(levels, counts, 1, 60) == _aggregate_reference(levels, counts, 1, 60)
+    tiny = [Fraction(1, 2 ** 40 + 15), Fraction(1, 2 ** 40 + 21)]  # lcm of denominators past 2^63
+    assert aggregate_levels([1, 2], tiny, 1, 8) == _aggregate_reference([1, 2], tiny, 1, 8)
+
+
+def _scalar_division_probe(order, rng, trials):
+    """The per-pair alg_mul probe that the batched one replaced."""
+    from orbitcount.algebra import alg_mul, element
+
+    spec, n = order.algebra, order.algebra.dim
+    for _ in range(trials):
+        a = element([rng.randint(-9, 9) for _ in range(n)])
+        b = element([rng.randint(-9, 9) for _ in range(n)])
+        if not (a.is_zero() or b.is_zero()) and alg_mul(a, b, spec).is_zero():
+            return False
+    return True
+
+
+def _rational_split_algebra():
+    """Q[t]/(t^2 - 1), a split algebra, in the basis 1/2, t/2: half-integer constants."""
+    h = Fraction(1, 2)
+    return AlgebraSpec(dim=2, table=(((h, 0), (0, h)), ((0, h), (h, 0))), unity=(2, 0),
+                       kind="number-field")
+
+
+@pytest.mark.parametrize("spec", [order_lipschitz().algebra, order_hurwitz().algebra,
+                                  split_algebra(), _rational_split_algebra()])
+def test_batched_products_match_alg_mul(spec):
+    import random
+
+    from orbitcount.algebra import alg_mul, element
+    from orbitcount.counting import _scaled_products
+
+    rng = random.Random(7)
+    n = spec.dim
+    a = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(300)] + [[1] + [0] * (n - 1)])
+    b = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(300)] + [[0] * n])
+    den = math.lcm(*{Fraction(c).denominator for row in spec.table for cell in row for c in cell})
+    got = _scaled_products(spec, a, b)
+    for x, y, prod in zip(a.tolist(), b.tolist(), got.tolist()):
+        assert prod == [den * c for c in alg_mul(element(x), element(y), spec).coords]
+    # the exact path once the int64 bound is passed
+    big = np.array([[2 ** 40] * n])
+    assert _scaled_products(spec, big, big).tolist()[0] == [
+        den * c for c in alg_mul(element([2 ** 40] * n), element([2 ** 40] * n), spec).coords]
+
+
+def test_batched_division_probe_matches_scalar_probe():
+    # shell_bound = 0 leaves the random products as the only probe
+    import random
+
+    split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
+    verdicts = set()
+    for seed in range(30):
+        for order, trials in ((order_hurwitz(), 200), (order_lipschitz(), 60), (split, 40)):
+            expected = _scalar_division_probe(order, random.Random(seed), trials)
+            try:
+                assert_division_order(order, rng=random.Random(seed), trials=trials, shell_bound=0)
+            except ValueError as e:
+                assert str(e) == "zero divisors detected: payload is not a division algebra"
+                assert not expected
+            else:
+                assert expected
+            verdicts.add((order is split, expected))
+    assert {(True, True), (True, False), (False, True)} <= verdicts
+
+
+def test_quadric_series_weights_with_point_stabilizers():
+    # the reflection y -> -y fixes the points with y = 0: those orbits have
+    # |stab| = 2, so the orbit sizes |G| / |stab| differ from the orbit counts
+    from orbitcount.symmetry import SymmetryGroup
+
+    sec = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1))
+    refl = SymmetryGroup(elements=(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, -1, 0), (0, 0, 1))),
+                         order=2)
+    series = quadric_series(sec, 60, refl)
+    assert series.weighted == [count_quadric_level(sec, k, refl)[1] for k in range(1, 61)]
+    assert (series.n_prim[0], series.weighted[0]) == (3, 2)
+
+
+def test_count_series_checks():
+    def series(levels, n_prim, n_all):
+        k = len(levels)
+        return CountSeries(family="normform", levels=levels, n_prim=n_prim, n_all=n_all,
+                           weighted=list(n_all), scale_e=1, exact=[True] * k)
+
+    for levels, n_prim, n_all, message in (
+        ([1, 1, 2], [0, 0, 0], [0, 0, 0], "strictly increasing"),
+        ([2, 1], [0, 0], [0, 0], "strictly increasing"),
+        ([1, 2], [0, -1], [0, 0], "negative"),
+        ([1, 2], [0, 0], [-2 ** 70, 0], "negative"),
+        ([1, 2], [0, 2 ** 70], [0, 2 ** 70 - 1], "exceeds"),
+        ([1, 2], [0], [0, 0], "ragged"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            series(levels, n_prim, n_all)
+    assert series([1, 2 ** 64], [0, 2 ** 70], [1, 2 ** 70]).n_all == [1, 2 ** 70]
+
+
+def test_cumulative_at_fractional_radii():
+    series = CountSeries(family="quadric", levels=[1, 2, 3, 4, 5, 6], n_prim=[1] * 6, n_all=[1] * 6,
+                         weighted=[Fraction(1, 2), 1, 2, Fraction(1, 3), 4, 5], scale_e=2, exact=[True] * 6)
+    radii = [Fraction(1, 2), Fraction(5, 4), Fraction(7, 4), 2, Fraction(11, 4)]
+    assert cumulative_at(series, radii, "weighted") == [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2),
+                                                        Fraction(23, 6), Fraction(47, 6)]
+    assert cumulative_at(series, radii) == [1, 2, 3, 4, 5]
