@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import det, frac, frac_str, inverse, mat, mat_mul, mat_vec, scalar, solve, vec
+from .exact import det, frac, frac_str, inverse, mat, mat_mul, mat_vec, scalar, solve, vec, vec_mat
 
 NUMBER_FIELD = "number-field"
 QUATERNION = "quaternion"
@@ -241,9 +241,9 @@ def change_of_basis(spec, basis_rows, kind=None):
         row = []
         for j in range(n):
             prod = alg_mul(new_basis[i], new_basis[j], spec).coords
-            row.append(vec(vec_mul_mat(prod, tinv)))
+            row.append(vec(vec_mat(prod, tinv)))
         table.append(tuple(row))
-    unity_new = vec(vec_mul_mat(spec.unity, tinv))
+    unity_new = vec(vec_mat(spec.unity, tinv))
     inv_mat = None
     if spec.involution is not None:
         # conj acts on new coordinate columns as (T^t)^-1 C T^t
@@ -253,11 +253,6 @@ def change_of_basis(spec, basis_rows, kind=None):
     return AlgebraSpec(
         dim=n, table=tuple(table), unity=unity_new, kind=kind or spec.kind, involution=inv_mat
     )
-
-
-def vec_mul_mat(v, m):
-    n = len(m)
-    return tuple(scalar(sum(v[i] * m[i][j] for i in range(n))) for j in range(len(m[0])))
 
 
 def quadratic_field_order(d):

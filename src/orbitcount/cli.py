@@ -34,7 +34,7 @@ from .numtheory import pell
 from .embeddings import embeddings
 from .oracles import hurwitz_shell_series, ideal_count_series, r4_series, two_squares_primitive
 from .orders import OrderSpec, finite_units, real_quadratic_d, trace_form_discriminant
-from .presets import PRESET_NAMES, preset_scenario
+from .presets import PRESET_NAMES, preset_parts
 from .sections import quadric_section
 from .symmetry import integral_symmetries
 from .validation import validate_scenario
@@ -52,11 +52,13 @@ def load_config(path_or_preset, overrides):
     else:
         with open(path_or_preset) as fh:
             doc = json.load(fh)
+    if "primitive_only" in doc:
+        raise ValueError("config key 'primitive_only' is not supported: fit reads the "
+                         "weighted column for a quadric and n_all otherwise")
     doc = dict(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
     doc.setdefault("r_max", 100)
     doc.setdefault("mode", "exact")
-    doc.setdefault("primitive_only", False)
     doc.setdefault("absolute_norm", False)
     doc.setdefault("jobs", 1)
     return doc
@@ -81,38 +83,26 @@ def parse_mode(text):
 
 def scenario_from_config(doc):
     mode = parse_mode(doc["mode"])
-    r_max = int(doc["r_max"])
     if "preset" in doc:
-        scenario = preset_scenario(
-            doc["preset"], r_max, mode=mode,
-            count_primitive_only=bool(doc["primitive_only"]),
-            use_absolute_norm=bool(doc["absolute_norm"]),
-        )
-        if "fundamental_unit" in doc:
-            scenario.invariants["fundamental_unit"] = doc["fundamental_unit"]
-        return scenario
-    fam = doc["family"]
-    if fam == FAMILY_QUADRIC:
-        gram = [[frac(c) for c in row] for row in doc["gram"]]
-        ell = [frac(c) for c in doc["ell"]]
-        base = doc.get("base_point")
-        payload = quadric_section(gram, ell, base_point=tuple(base) if base else None)
+        fam, payload, inv = preset_parts(doc["preset"])
+        label = doc["preset"]
     else:
-        spec = AlgebraSpec.from_json(json.dumps(doc["algebra"]))
-        payload = OrderSpec(
-            algebra=spec,
-            norm_degree=int(doc["norm_degree"]),
-            unit_rank=int(doc["unit_rank"]),
-        )
-    inv = dict(doc.get("invariants", {}))
+        fam, label = doc["family"], doc.get("label", "custom")
+        inv = dict(doc.get("invariants", {}))
+        if fam == FAMILY_QUADRIC:
+            gram = [[frac(c) for c in row] for row in doc["gram"]]
+            ell = [frac(c) for c in doc["ell"]]
+            base = doc.get("base_point")
+            payload = quadric_section(gram, ell, base_point=tuple(base) if base else None)
+        else:
+            spec = AlgebraSpec.from_json(json.dumps(doc["algebra"]))
+            payload = OrderSpec(algebra=spec, norm_degree=int(doc["norm_degree"]),
+                                unit_rank=int(doc["unit_rank"]))
     if "fundamental_unit" in doc:
         inv["fundamental_unit"] = doc["fundamental_unit"]
     return ScenarioSpec(
-        family=fam, payload=payload, k_max=r_max, mode=mode,
-        count_primitive_only=bool(doc["primitive_only"]),
-        use_absolute_norm=bool(doc["absolute_norm"]),
-        label=doc.get("label", "custom"),
-        invariants=inv,
+        family=fam, payload=payload, k_max=int(doc["r_max"]), mode=mode,
+        use_absolute_norm=bool(doc["absolute_norm"]), label=label, invariants=inv,
     )
 
 
@@ -136,7 +126,8 @@ def series_to_csv(series, fh, chash):
 def series_from_csv(path):
     """Read a counts CSV with numpy's C parser: six columns, all int64 when
     scale_e is 1 (else the level is text, checked by hand); a cell past int64 raises."""
-    meta = {"family": "unknown", "scale_e": "1", "mode": "exact", "units": "computed"}
+    meta = {"config_hash": None, "family": "unknown", "scale_e": "1", "mode": "exact",
+            "units": "computed"}
     with open(path) as fh:
         lines = fh.read().splitlines()
     body = next((i for i, line in enumerate(lines)
@@ -163,13 +154,17 @@ def series_from_csv(path):
     return CountSeries(
         family=meta["family"], levels=levels, n_prim=n_prim.tolist(), n_all=n_all.tolist(),
         weighted=weighted, scale_e=scale_e, exact=(exact == 1).tolist(),
-        meta={"mode": meta["mode"], "units": meta["units"]},
+        meta={"mode": meta["mode"], "units": meta["units"], "config_hash": meta["config_hash"]},
     )
 
 
-def cmd_validate(args):
+def _load(args):
     doc = load_config(args.config, _overrides(args))
-    return _print_validation(scenario_from_config(doc))
+    return doc, scenario_from_config(doc)
+
+
+def cmd_validate(args):
+    return _print_validation(_load(args)[1])
 
 
 def _print_validation(scenario):
@@ -184,8 +179,7 @@ def _print_validation(scenario):
 
 
 def cmd_count(args):
-    doc = load_config(args.config, _overrides(args))
-    scenario = scenario_from_config(doc)
+    doc, scenario = _load(args)
     report = validate_scenario(scenario)
     if not report.ok():
         for line in report.lines():
@@ -222,24 +216,23 @@ def _saturation_check(scenario):
     return True
 
 
-def cmd_fit(args, series=None):
-    doc = load_config(args.config, _overrides(args))
-    scenario = scenario_from_config(doc)
-    series = series_from_csv(args.series) if series is None else series
+def cmd_fit(args):
+    doc, scenario = _load(args)
+    return _fit(args, doc, scenario, series_from_csv(args.series))
+
+
+def _fit(args, doc, scenario, series):
     r_top = max(series.levels) / series.scale_e
     window = (r_top / 10, r_top)
     lam_expected = expected_lambda(scenario)
-    if scenario.family == FAMILY_QUADRIC:
-        column = "weighted"
-    else:
-        column = "prim" if scenario.count_primitive_only else "all"
+    column = "weighted" if scenario.family == FAMILY_QUADRIC else "all"
     free = fit_power(series, window=window, which=column)
     fixed = fit_power(series, window=window, fixed_lambda=float(lam_expected), which=column)
     report = fixed if args.fixed_lambda else free
     report.expected_lambda = lam_expected
     report.extras["lambda_hat_free"] = free.lambda_hat
     report.extras["c_hat_fixed_lambda"] = fixed.c_hat
-    report.extras["config_hash"] = config_hash(doc)
+    report.extras["config_hash"] = series.meta["config_hash"]
     report.extras["fitted_column"] = column
     if series.meta.get("units") == "user-asserted":
         report.extras["units"] = "user-asserted"
@@ -275,7 +268,7 @@ def _attach_predictions(report, scenario, args):
                 f"R={reg:.6f}, h={scenario.invariants['class_number']} (preset-asserted), "
                 f"omega={omega}, disc={int(disc)}"
             )
-    if getattr(args, "zeta", False):
+    if args.zeta:
         from .counting import level_scaling_degree
 
         d = level_scaling_degree(scenario.family, scenario.payload)
@@ -283,14 +276,15 @@ def _attach_predictions(report, scenario, args):
             report.zeta_factor = zeta_correction(d)
 
 
-def cmd_oracle_compare(args, series=None):
-    doc = load_config(args.config, _overrides(args))
-    scenario = scenario_from_config(doc)
+def cmd_oracle_compare(args):
+    scenario = _load(args)[1]
+    series = series_from_csv(args.series) if args.series else run_scenario(scenario)
+    return _oracle_compare(scenario, series)
+
+
+def _oracle_compare(scenario, series):
     label = scenario.label
-    r = scenario.k_max
-    if series is None:
-        series = series_from_csv(args.series) if args.series else run_scenario(scenario)
-    pipeline, oracle, what = _oracle_columns(scenario, series, r)
+    pipeline, oracle, what = _oracle_columns(scenario, series, scenario.k_max)
     if pipeline is None:
         print(f"no oracle applicable to scenario {label!r}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -335,8 +329,7 @@ def _at_levels(series, column, r):
 
 
 def cmd_report(args):
-    doc = load_config(args.config, _overrides(args))
-    scenario = scenario_from_config(doc)
+    doc, scenario = _load(args)
     rc = _print_validation(scenario)
     if rc != EXIT_OK:
         return rc
@@ -344,10 +337,10 @@ def cmd_report(args):
     if rc != EXIT_OK:
         return rc
     series = series_from_csv(_out_path(args, doc, "counts.csv"))
-    rc = cmd_fit(args, series)
+    rc = _fit(args, doc, scenario, series)
     if rc != EXIT_OK:
         return rc
-    return cmd_oracle_compare(args, series)
+    return _oracle_compare(scenario, series)
 
 
 def _out_path(args, doc, name):
@@ -361,7 +354,6 @@ def _overrides(args):
     return {
         "r_max": args.rmax,
         "mode": args.mode,
-        "primitive_only": True if args.primitive_only else None,
         "jobs": args.jobs,
     }
 
@@ -385,26 +377,23 @@ def build_parser():
                         help=f"config JSON path or preset name ({', '.join(PRESET_NAMES)})")
         sp.add_argument("--rmax", type=int, default=None)
         sp.add_argument("--mode", default=None, help="exact | box:B")
-        sp.add_argument("--primitive-only", action="store_true", dest="primitive_only")
         sp.add_argument("--allow-heuristic", action="store_true")
         sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         if name in ("fit", "oracle-compare"):
-            sp.add_argument("--series", default=None, help="counts CSV (from the count command)")
+            sp.add_argument("--series", required=name == "fit", default=None,
+                            help="counts CSV (from the count command)")
         if name == "fit":
             sp.add_argument("--fixed-lambda", action="store_true",
                             help="report the fixed-exponent constant fit as the main result")
             sp.add_argument("--zeta", action="store_true",
                             help="attach the zeta aggregation factor for the family")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, fixed_lambda=False, zeta=False)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    for attr, default in (("series", None), ("fixed_lambda", False), ("zeta", False)):
-        if not hasattr(args, attr):
-            setattr(args, attr, default)
     try:
         return args.fn(args)
     except (ValueError, OSError) as e:

@@ -58,7 +58,6 @@ class ScenarioSpec:
     payload: object            # OrderSpec or QuadricSectionSpec
     k_max: int
     mode: tuple = ("exact",)   # ("exact",) or ("box", B)
-    count_primitive_only: bool = False
     use_absolute_norm: bool = False
     label: str = ""
     invariants: dict = field(default_factory=dict, compare=False, hash=False)

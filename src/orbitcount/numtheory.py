@@ -4,27 +4,24 @@ and bracketed zeta values.
 All routines are exact; zeta_value returns a rational bracketing interval.
 """
 
+import functools
 import math
 from fractions import Fraction
 
-_SMALL_PRIME_LIMIT = 10 ** 6
+_SMALL_PRIME_LIMIT = 2 ** 16
 _FACTOR_INPUT_LIMIT = 10 ** 18
 
-_small_primes = None
 
-
+@functools.cache
 def small_primes():
-    """Primes below 10^6, sieved once and cached."""
-    global _small_primes
-    if _small_primes is None:
-        n = _SMALL_PRIME_LIMIT
-        sieve = bytearray([1]) * n
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(n) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _small_primes = [i for i, b in enumerate(sieve) if b]
-    return _small_primes
+    """Primes below 2^16 as a tuple, sieved once."""
+    n = _SMALL_PRIME_LIMIT
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return tuple(i for i, b in enumerate(sieve) if b)
 
 
 def is_prime(n):
@@ -70,7 +67,7 @@ def _rho(n):
 def factor(m):
     """Exact prime factorisation of m >= 1 as a sorted list with multiplicity.
 
-    Trial division through 10^6, then Pollard rho.  Inputs beyond 10^18 are
+    Trial division by the primes below 2^16, then Pollard rho.  Inputs beyond 10^18 are
     rejected (desk scale).
     """
     if m < 1:
@@ -102,13 +99,6 @@ def factor_counts(m):
     for p in factor(m):
         counts[p] = counts.get(p, 0) + 1
     return counts
-
-
-def divisors(m):
-    ds = [1]
-    for p, e in factor_counts(m).items():
-        ds = [d * p ** k for d in ds for k in range(e + 1)]
-    return sorted(ds)
 
 
 def kronecker(a, n):

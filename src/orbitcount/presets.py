@@ -13,9 +13,6 @@ from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, FAMILY_QUADRIC, ScenarioS
 from .orders import OrderSpec
 from .sections import quadric_section
 
-PRESET_NAMES = ("zsqrt2", "gauss", "model-quadric", "lipschitz", "hurwitz")
-
-
 def order_zsqrt2():
     return OrderSpec(quadratic_field_order(2), norm_degree=2, unit_rank=1)
 
@@ -41,38 +38,28 @@ def model_quadric_section():
     return quadric_section([[0, 0, h], [0, -1, 0], [h, 0, 0]], (1, 0, 1), base_point=(0, 0, 1))
 
 
-def preset_scenario(name, k_max, mode=("exact",), count_primitive_only=False,
-                    use_absolute_norm=False):
-    if name == "zsqrt2":
-        return ScenarioSpec(
-            family=FAMILY_NORMFORM, payload=order_zsqrt2(), k_max=k_max, mode=mode,
-            count_primitive_only=count_primitive_only, use_absolute_norm=use_absolute_norm,
-            label="zsqrt2", invariants={"class_number": 1, "minpoly": [-2, 0, 1],
-                                      "oracle": "ideal-count:8"},
-        )
-    if name == "gauss":
-        return ScenarioSpec(
-            family=FAMILY_NORMFORM, payload=order_gauss(), k_max=k_max, mode=mode,
-            count_primitive_only=count_primitive_only, use_absolute_norm=use_absolute_norm,
-            label="gauss", invariants={"class_number": 1, "minpoly": [1, 0, 1],
-                                     "oracle": "ideal-count:-4"},
-        )
-    if name == "model-quadric":
-        return ScenarioSpec(
-            family=FAMILY_QUADRIC, payload=model_quadric_section(), k_max=k_max, mode=mode,
-            count_primitive_only=count_primitive_only, label="model-quadric",
-            invariants={"oracle": "two-squares-primitive"},
-        )
-    if name == "lipschitz":
-        return ScenarioSpec(
-            family=FAMILY_ALGEBRA, payload=order_lipschitz(), k_max=k_max, mode=mode,
-            count_primitive_only=count_primitive_only, label="lipschitz",
-            invariants={"oracle": "jacobi-r4"},
-        )
-    if name == "hurwitz":
-        return ScenarioSpec(
-            family=FAMILY_ALGEBRA, payload=order_hurwitz(), k_max=k_max, mode=mode,
-            count_primitive_only=count_primitive_only, label="hurwitz",
-            invariants={"oracle": "hurwitz-shell"},
-        )
-    raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
+# name -> (family, payload factory, invariants); preset_parts copies the invariants
+PRESETS = {
+    "zsqrt2": (FAMILY_NORMFORM, order_zsqrt2,
+               {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": "ideal-count:8"}),
+    "gauss": (FAMILY_NORMFORM, order_gauss,
+              {"class_number": 1, "minpoly": [1, 0, 1], "oracle": "ideal-count:-4"}),
+    "model-quadric": (FAMILY_QUADRIC, model_quadric_section, {"oracle": "two-squares-primitive"}),
+    "lipschitz": (FAMILY_ALGEBRA, order_lipschitz, {"oracle": "jacobi-r4"}),
+    "hurwitz": (FAMILY_ALGEBRA, order_hurwitz, {"oracle": "hurwitz-shell"}),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
+def preset_parts(name):
+    """(family, payload, invariants) of a preset, the invariants a fresh dict."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
+    family, payload, invariants = PRESETS[name]
+    return family, payload(), dict(invariants)
+
+
+def preset_scenario(name, k_max, mode=("exact",), use_absolute_norm=False):
+    family, payload, invariants = preset_parts(name)
+    return ScenarioSpec(family=family, payload=payload, k_max=k_max, mode=mode,
+                        use_absolute_norm=use_absolute_norm, label=name, invariants=invariants)

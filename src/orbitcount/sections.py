@@ -138,11 +138,6 @@ def _search_base_point(g, ell, n, bound):
     return best
 
 
-def kernel_basis(section):
-    """Integer basis of the rank n-1 lattice ker(ell) cap Z^n, as columns."""
-    return section.fiber_frame.basis
-
-
 def restricted_gram(section):
     """Gram matrix of q restricted to ker(ell), on the integral kernel basis."""
     return section.fiber_frame.gram

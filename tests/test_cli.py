@@ -16,7 +16,9 @@ from orbitcount.cli import (
     EXIT_SATURATION,
     EXIT_VALIDATION,
     _oracle_columns,
+    load_config,
     main,
+    scenario_from_config,
     series_from_csv,
     series_to_csv,
 )
@@ -407,6 +409,58 @@ def test_report_reads_its_counts_once(tmp_path, monkeypatch, capsys):
     assert run(["report", "--config", "gauss", "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
     assert reads == [os.path.join(str(tmp_path), "gauss-counts.csv")]
     assert "zero diffs over 60 levels" in capsys.readouterr().out
+
+
+def test_report_builds_its_scenario_once(tmp_path, monkeypatch, capsys):
+    import orbitcount.cli as cli
+
+    built = []
+
+    def counting_builder(doc):
+        built.append(doc["preset"])
+        return scenario_from_config(doc)
+
+    monkeypatch.setattr(cli, "scenario_from_config", counting_builder)
+    assert run(["report", "--config", "model-quadric", "--rmax", "40",
+                "--out", str(tmp_path)]) == EXIT_OK
+    assert built == ["model-quadric"]
+    assert "zero diffs over 40 levels" in capsys.readouterr().out
+
+
+def test_fit_writes_the_series_config_hash(tmp_path, capsys):
+    assert run(["count", "--config", "gauss", "--rmax", "300", "--out", str(tmp_path)]) == EXIT_OK
+    csv_path = str(tmp_path / "gauss-counts.csv")
+    header = read(csv_path).decode().splitlines()[0]
+    assert header.startswith("# config_hash=")
+    for rmax in (["--rmax", "300"], []):
+        assert run(["fit", "--config", "gauss", *rmax, "--series", csv_path,
+                    "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads(read(tmp_path / "gauss-fit.json"))
+        assert doc["config_hash"] == header.split("=", 1)[1]
+    assert series_from_csv(csv_path).meta["config_hash"] == header.split("=", 1)[1]
+
+
+def test_primitive_only_refused(tmp_path, capsys):
+    cfg = tmp_path / "prim.json"
+    for value in (True, False):
+        cfg.write_text(json.dumps({"preset": "gauss", "r_max": 20, "primitive_only": value}))
+        for command in ("validate", "count", "report"):
+            assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+            assert "'primitive_only'" in capsys.readouterr().err
+    assert not (tmp_path / "gauss-counts.csv").exists()
+    with pytest.raises(SystemExit):
+        run(["count", "--config", "gauss", "--primitive-only"])
+
+
+def test_preset_fundamental_unit_stays_out_of_the_table(tmp_path):
+    cfg = tmp_path / "fu.json"
+    cfg.write_text(json.dumps({"preset": "zsqrt2", "fundamental_unit": ["1", "1"]}))
+    for _ in range(2):
+        scenario = scenario_from_config(load_config(str(cfg), {}))
+        assert scenario.invariants["fundamental_unit"] == ["1", "1"]
+    plain = scenario_from_config(load_config("zsqrt2", {}))
+    assert "fundamental_unit" not in plain.invariants
+    assert plain.invariants == {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": "ideal-count:8"}
 
 
 @pytest.mark.parametrize("column", [0, 1, 2, 3])

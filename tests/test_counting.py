@@ -11,7 +11,7 @@ from orbitcount.exact import gcd_vector
 from orbitcount.lattice import cone_section_points
 from orbitcount.sections import quadric_section
 
-from orbitcount.algebra import AlgebraSpec, quadratic_field_order
+from orbitcount.algebra import AlgebraSpec, change_of_basis, quadratic_field_order, quaternion_algebra
 from orbitcount.counting import (
     CountSeries,
     ScenarioSpec,
@@ -38,6 +38,7 @@ from orbitcount.presets import (
     order_hurwitz,
     order_lipschitz,
     order_zsqrt2,
+    PRESET_NAMES,
     preset_scenario,
 )
 from orbitcount.symmetry import integral_symmetries
@@ -209,6 +210,37 @@ def test_run_scenario_presets():
         series = run_scenario(sc)
         assert len(series.levels) == 25
         assert all(a >= b for a, b in zip(series.n_all, series.n_prim))
+
+
+def test_preset_scenarios_written_out():
+    h = Fraction(1, 2)
+    hurwitz = OrderSpec(change_of_basis(quaternion_algebra(-1, -1),
+                                        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (h, h, h, h)]),
+                        norm_degree=2, unit_rank=0)
+    expected = {
+        "zsqrt2": ("normform", OrderSpec(quadratic_field_order(2), norm_degree=2, unit_rank=1),
+                   {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": "ideal-count:8"}),
+        "gauss": ("normform", OrderSpec(quadratic_field_order(-1), norm_degree=2, unit_rank=0),
+                  {"class_number": 1, "minpoly": [1, 0, 1], "oracle": "ideal-count:-4"}),
+        "model-quadric": ("quadric",
+                          quadric_section([[0, 0, h], [0, -1, 0], [h, 0, 0]], (1, 0, 1),
+                                          base_point=(0, 0, 1)),
+                          {"oracle": "two-squares-primitive"}),
+        "lipschitz": ("algebra-norm",
+                      OrderSpec(quaternion_algebra(-1, -1), norm_degree=2, unit_rank=0),
+                      {"oracle": "jacobi-r4"}),
+        "hurwitz": ("algebra-norm", hurwitz, {"oracle": "hurwitz-shell"}),
+    }
+    assert PRESET_NAMES == tuple(expected)
+    for name, (family, payload, invariants) in expected.items():
+        sc = preset_scenario(name, 30)
+        assert (sc.family, sc.label, sc.invariants, sc.payload) == (family, name, invariants, payload)
+        assert (sc.k_max, sc.mode, sc.use_absolute_norm) == (30, ("exact",), False)
+    # each call hands out its own invariants dict
+    preset_scenario("gauss", 5).invariants["oracle"] = "changed"
+    assert preset_scenario("gauss", 5).invariants["oracle"] == "ideal-count:-4"
+    with pytest.raises(ValueError, match="unknown preset 'nope'"):
+        preset_scenario("nope", 5)
 
 
 def four_variable_section():
