@@ -158,6 +158,16 @@ def series_from_csv(path):
     )
 
 
+def _read_series(path, scenario):
+    """The counts CSV at `path`, refused when its header names another family
+    than the scenario's (or none)."""
+    series = series_from_csv(path)
+    if series.family != scenario.family:
+        raise ValueError(f"series {path} was counted for family {series.family!r}, "
+                         f"but the scenario's family is {scenario.family!r}")
+    return series
+
+
 def _load(args):
     doc = load_config(args.config, _overrides(args))
     return doc, scenario_from_config(doc)
@@ -218,7 +228,7 @@ def _saturation_check(scenario):
 
 def cmd_fit(args):
     doc, scenario = _load(args)
-    return _fit(args, doc, scenario, series_from_csv(args.series))
+    return _fit(args, doc, scenario, _read_series(args.series, scenario))
 
 
 def _fit(args, doc, scenario, series):
@@ -278,7 +288,7 @@ def _attach_predictions(report, scenario, args):
 
 def cmd_oracle_compare(args):
     scenario = _load(args)[1]
-    series = series_from_csv(args.series) if args.series else run_scenario(scenario)
+    series = _read_series(args.series, scenario) if args.series else run_scenario(scenario)
     return _oracle_compare(scenario, series)
 
 
@@ -336,7 +346,7 @@ def cmd_report(args):
     rc = _count_validated(args, doc, scenario)
     if rc != EXIT_OK:
         return rc
-    series = series_from_csv(_out_path(args, doc, "counts.csv"))
+    series = _read_series(_out_path(args, doc, "counts.csv"), scenario)
     rc = _fit(args, doc, scenario, series)
     if rc != EXIT_OK:
         return rc

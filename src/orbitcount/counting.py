@@ -34,7 +34,14 @@ from .orders import (
     unit_domain_points,
 )
 from .sections import QuadricSectionSpec
-from .shells import ball_points, definite_shell, theta_series
+from .shells import (
+    _bilinear_bound,
+    _check_int64,
+    _scaled_integer_gram,
+    ball_points,
+    definite_shell,
+    theta_series,
+)
 from .symmetry import integral_symmetries, orbit_partition, weighted_count
 
 FAMILY_NORMFORM = "normform"
@@ -512,7 +519,7 @@ def count_algebra_shell(order, m, mode=("exact",)):
     return len(shell) // nu
 
 
-def algebra_series(order, r_max, check_freeness=True):
+def algebra_series(order, r_max):
     """Per-level unit-orbit counts for reduced norms 1..r_max on a definite
     division order: exact theta series divided by the unit count, primitive
     part by Moebius inversion over x -> p x."""
@@ -521,8 +528,7 @@ def algebra_series(order, r_max, check_freeness=True):
     units = finite_units(order)
     nu = len(units.torsion)
     theta = theta_series(norm_gram(order), r_max)
-    if check_freeness:
-        _assert_free_action(order, units, sample_levels=(1, 2, 3))
+    _assert_free_action(order, units)
     alln = theta[1:].tolist()
     if any(c % nu for c in alln):
         raise ValueError("unit action not free on some shell: not a division order")
@@ -552,19 +558,24 @@ def _primitive_shell_sizes(all_sizes, d):
     return prim[1:]
 
 
-def _assert_free_action(order, units, sample_levels):
-    spec = order.algebra
+def _assert_free_action(order, units):
+    """Check on the points of norm at most 3 that each unit maps a point to
+    one of the same norm and that a point's |units| images are distinct, in
+    one int64 einsum over the units' integer left-multiplication matrices."""
+    mats = _torsion_matrices(order, units)
+    if any(Fraction(e).denominator != 1 for m in mats for row in m for e in row):
+        raise AssertionError("unit action does not preserve the shell")
     gram = norm_gram(order)
-    for m in sample_levels:
-        shell = definite_shell(gram, m)
-        pts = {tuple(p) for p in shell}
-        for p in shell:
-            x = AlgebraElement(tuple(p))
-            orbit = {alg_mul(u, x, spec).coords for u in units.torsion}
-            if len(orbit) != len(units.torsion):
-                raise ValueError("unit action not free: payload is not a division order")
-            if not orbit <= pts:
-                raise AssertionError("unit action does not preserve the shell")
+    pts, twice_q, _ = ball_points(gram, 3)
+    _, gi = _scaled_integer_gram(gram)
+    img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))
+    _check_int64(img_max, _bilinear_bound(gi, [img_max] * len(gi)))
+    imgs = np.einsum("uij,pj->pui", np.array(mats, dtype=np.int64), pts)
+    same = (imgs[:, :, None] == imgs[:, None]).all(axis=3)
+    if np.count_nonzero(same) != same.shape[0] * same.shape[1]:
+        raise ValueError("unit action not free: payload is not a division order")
+    if np.any(np.einsum("pui,ij,puj->pu", imgs, np.array(gi, dtype=np.int64), imgs) != twice_q[:, None]):
+        raise AssertionError("unit action does not preserve the shell")
 
 
 def primitive_algebra_shell_direct(order, m):

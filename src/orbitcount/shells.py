@@ -6,6 +6,7 @@ interval bounds from the form's LDL decomposition.  Vectorised integer paths
 square roots and every accepted point passes an exact integer check.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -257,7 +258,7 @@ def theta_series(gram, r):
 
     T is the sum over the classes c of the convolution of the inner histogram
     (a v-box, shifted by its minimum) with the outer histogram of the w in
-    class c.  Every value is an int64 computed after a Python-int headroom
+    class c, truncated to 0..r (truncated_product_sum).  Every value is an int64 computed after a Python-int headroom
     bound; dim 2 is the case where w is empty.
     """
     gram = mat(gram)
@@ -298,7 +299,7 @@ def theta_series(gram, r):
     wcw = np.einsum("ki,ij,kj->k", ws, np.array(cb, dtype=np.int64).reshape(n - 2, n - 2), ws)
     q, cls = np.divmod(ws @ np.array(adj_x, dtype=np.int64).reshape(2, n - 2).T, det_a)
     key = cls[:, 0] * det_a + cls[:, 1]
-    counts = np.zeros(r + 1, dtype=np.int64)
+    pairs = []
     for k in np.unique(key).tolist():
         ac = am @ np.array(divmod(k, det_a), dtype=np.int64)
         assert not np.any(ac % det_a), "A c not divisible by det A"
@@ -310,7 +311,104 @@ def theta_series(gram, r):
         assert np.all(outer >= 0), "shifted outer value negative"
         inner -= lo
         assert not (np.any(inner % 2) or np.any(outer % 2)), "mass off the integer grid"
-        hin = np.bincount(inner[inner <= 2 * r] // 2, minlength=r + 1)
-        hout = np.bincount(outer[outer <= 2 * r] // 2, minlength=r + 1)
-        counts += np.convolve(hin, hout)[: r + 1]
-    return counts
+        pairs.append((np.bincount(inner[inner <= 2 * r] // 2, minlength=r + 1),
+                      np.bincount(outer[outer <= 2 * r] // 2, minlength=r + 1)))
+    return truncated_product_sum(pairs, r)
+
+
+# NTT primes k * 2^e + 1 below 2^30, so that a product of two residues stays
+# below 2^60 in int64; 3 is a primitive root of both.  Their product bounds
+# what two primes recover exactly, and the smaller e bounds the length.
+_NTT_PRIMES = (998244353, 469762049)
+_NTT_MAX_LENGTH = 2 ** 23
+# below this r one np.convolve per class is faster than the transforms
+_NTT_CROSSOVER = 3000
+
+
+@functools.cache
+def _twiddles(p, n, inverse):
+    """w^j mod p for 0 <= j < n/2, with w the primitive n-th root of unity
+    3^((p-1)/n) mod p, or its inverse; built by doubling, vectorised."""
+    w = pow(3, (p - 1) // n, p)
+    if inverse:
+        w = pow(w, -1, p)
+    t = np.ones(n // 2, dtype=np.int64)
+    k = 1
+    while k < n // 2:
+        t[k: 2 * k] = t[:k] * pow(w, k, p) % p
+        k *= 2
+    return t
+
+
+def _ntt_forward(a, p):
+    """In-place decimation-in-frequency NTT of the residues a (length n a
+    power of two): natural order in, bit-reversed order out."""
+    n = len(a)
+    tw = _twiddles(p, n, False)
+    h = n // 2
+    while h:
+        blocks = a.reshape(-1, 2, h)
+        u, v = blocks[:, 0], blocks[:, 1]
+        s, d = u + v, (u - v) * tw[:: n // (2 * h)]
+        blocks[:, 0] = s % p
+        blocks[:, 1] = d % p
+        h //= 2
+    return a
+
+
+def _ntt_inverse(a, p):
+    """In-place decimation-in-time inverse NTT: bit-reversed order in,
+    natural order out, scaled by 1/n mod p."""
+    n = len(a)
+    tw = _twiddles(p, n, True)
+    h = 1
+    while h < n:
+        blocks = a.reshape(-1, 2, h)
+        u, v = blocks[:, 0], blocks[:, 1] * tw[:: n // (2 * h)] % p
+        s, d = u + v, u - v
+        blocks[:, 0] = s % p
+        blocks[:, 1] = d % p
+        h *= 2
+    a *= pow(n, -1, p)
+    a %= p
+    return a
+
+
+def truncated_product_sum(pairs, r):
+    """Exact sum over (a, b) in pairs of the first r + 1 coefficients of the
+    polynomial product a * b; a, b are nonnegative int64 arrays of length at
+    most r + 1.
+
+    Below r = _NTT_CROSSOVER each product is one np.convolve.  From it on, the
+    products are taken by number-theoretic transforms of length n, the least
+    power of two >= 2r + 1 (so no product wraps into 0..r), summed in the
+    transform domain, with one inverse transform per prime.  Every output
+    coefficient is at most B = sum over pairs of sum(a) * max(b), bounded in
+    Python ints first: one prime suffices when B < p1, two primes combined by
+    Garner's step when B < p1 p2, and a larger B or n is refused.
+    """
+    if r < _NTT_CROSSOVER:
+        out = np.zeros(r + 1, dtype=np.int64)
+        for a, b in pairs:
+            c = np.convolve(a, b)[: r + 1]
+            out[: len(c)] += c
+        return out
+    n = 1 << (2 * r).bit_length()
+    if n > _NTT_MAX_LENGTH:
+        raise ValueError(f"transform length {n} exceeds the NTT primes' limit {_NTT_MAX_LENGTH}")
+    bound = sum(sum(a.tolist()) * int(b.max(initial=0)) for a, b in pairs)
+    p1, p2 = _NTT_PRIMES
+    if bound >= p1 * p2:
+        raise ValueError(f"a coefficient could reach {bound} >= {p1 * p2}, past two NTT primes")
+    residues = []
+    for p in _NTT_PRIMES[: 1 if bound < p1 else 2]:
+        acc = np.zeros(n, dtype=np.int64)
+        for a, b in pairs:
+            fa, fb = (_ntt_forward(np.pad(x % p, (0, n - len(x))), p) for x in (a, b))
+            acc += fa * fb % p
+        residues.append(_ntt_inverse(acc % p, p)[: r + 1])
+    if len(residues) == 1:
+        return residues[0].copy()
+    x1, x2 = residues
+    # Garner: x = x1 + p1 t with t = (x2 - x1) / p1 mod p2; x < p1 p2 < 2^59
+    return x1 + p1 * ((x2 - x1) % p2 * pow(p1, -1, p2) % p2)

@@ -161,6 +161,17 @@ def test_fit_synthetic_exact_power(tmp_path, capsys):
     assert doc["residual_rms"] < 1e-9
 
 
+@pytest.mark.parametrize("command", ["fit", "oracle-compare"])
+def test_series_of_another_family_is_refused(tmp_path, capsys, command):
+    assert run(["count", "--config", "lipschitz", "--rmax", "30", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run([command, "--config", "gauss", "--series", str(tmp_path / "lipschitz-counts.csv"),
+                "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "'algebra-norm'" in err and "'normform'" in err
+    assert not (tmp_path / "gauss-fit.json").exists()
+
+
 def test_fit_malformed_series(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("level,n_prim\n1,2\n")

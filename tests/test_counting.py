@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ from orbitcount.exact import gcd_vector
 from orbitcount.lattice import cone_section_points
 from orbitcount.sections import quadric_section
 
-from orbitcount.algebra import AlgebraSpec, change_of_basis, quadratic_field_order, quaternion_algebra
+from orbitcount.algebra import AlgebraSpec, change_of_basis, element, quadratic_field_order, quaternion_algebra
 from orbitcount.counting import (
+    _assert_free_action,
     CountSeries,
     ScenarioSpec,
     aggregate_levels,
@@ -31,7 +33,7 @@ from orbitcount.counting import (
     run_scenario,
 )
 from orbitcount.oracles import ideal_count_series, r4_series, two_squares_primitive
-from orbitcount.orders import OrderSpec
+from orbitcount.orders import OrderSpec, UnitGroupData, finite_units
 from orbitcount.presets import (
     model_quadric_section,
     order_gauss,
@@ -139,6 +141,24 @@ def test_division_guard_rejects_split_norm_form():
         assert_division_order(split)
     with pytest.raises(ValueError):
         algebra_series(split, 10)
+
+
+@pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
+def test_free_action_check(order):
+    units = finite_units(order)
+    _assert_free_action(order, units)
+    with pytest.raises(ValueError, match="unit action not free"):
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1]))
+    two = element(tuple(2 * c for c in order.algebra.unity))
+    with pytest.raises(AssertionError, match="does not preserve the shell"):
+        _assert_free_action(order, replace(units, torsion=units.torsion + (two,)))
+
+
+def test_free_action_check_rejects_split_norm_form():
+    split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
+    units = UnitGroupData(torsion=(element((1, 1)), element((-1, -1))), fundamental=(), complete=True)
+    with pytest.raises(ValueError, match="not positive definite"):
+        _assert_free_action(split, units)
 
 
 def test_cumulative():

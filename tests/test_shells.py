@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from orbitcount.shells import (
     is_integer_valued,
     shifted_shell_2d,
     theta_series,
+    truncated_product_sum,
 )
 
 I2 = gram_form([[1, 0], [0, 1]])
@@ -116,6 +118,21 @@ def test_theta_lipschitz_matches_jacobi():
     t = theta_series(lip, 1000)
     assert t[0] == 1
     assert t[1:].tolist() == r4_series(1000)
+
+
+def test_theta_at_large_r_matches_divisor_sums():
+    # r = 3e4 runs the transform route; the references are divisor sieves:
+    # #{x in Hurwitz order : nrd(x) = m} = 24 * (sum of the odd divisors of m)
+    r = 30000
+    sigma_odd = [0] * (r + 1)
+    for d in range(1, r + 1, 2):
+        for m in range(d, r + 1, d):
+            sigma_odd[m] += d
+    t = theta_series(norm_gram(order_hurwitz()), r)
+    assert t[0] == 1
+    assert t[1:].tolist() == [24 * c for c in sigma_odd[1:]]
+    t = theta_series(norm_gram(order_lipschitz()), r)
+    assert t[1:].tolist() == r4_series(r)
 
 
 def test_theta_hurwitz_matches_direct_shells():
@@ -246,3 +263,65 @@ def test_shifted_shell_2d_just_under_int64_matches_python_scan():
                 want |= {(-b1 + root, y), (-b1 - root, y)}
         t2 += 1
     assert shifted_shell_2d(1, 0, d, b1, b2, c) == sorted(want) == [(-57690, 1), (33000, 1)]
+
+
+# a coefficient of at most 2^21 * 2^21 * 8193 * 4 < 998244353 * 469762049 keeps
+# the int64 np.convolve reference exact and the kernel below its refusal bound
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.sampled_from([0, 1, 2999, 3000, 3001, 4095, 4096, 8191, 8192]) | st.integers(0, 8192),
+    classes=st.integers(1, 4),
+    bits=st.tuples(st.integers(0, 21), st.integers(0, 21)),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_truncated_product_sum_matches_convolve(r, classes, bits, sparse, seed):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(classes):
+        a, b = (rng.integers(0, 2 ** k, r + 1, endpoint=True) for k in bits)
+        if sparse:
+            a[rng.random(r + 1) < 0.9] = 0
+        pairs.append((a, b))
+    want = sum(np.convolve(a, b)[: r + 1] for a, b in pairs)
+    got = truncated_product_sum(pairs, r)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+def test_truncated_product_sum_two_primes():
+    # coefficients near 2^54 exceed the first prime: only the CRT step recovers them
+    r = 5000
+    rng = np.random.default_rng(7)
+    pairs = [(rng.integers(2 ** 20, 2 ** 21, r + 1), rng.integers(2 ** 20, 2 ** 21, r + 1))
+             for _ in range(2)]
+    want = sum(np.convolve(a, b)[: r + 1] for a, b in pairs)
+    assert want.max() > 998244353
+    assert truncated_product_sum(pairs, r).tolist() == want.tolist()
+
+
+P1, P2 = 998244353, 469762049
+
+
+@pytest.mark.parametrize("value", [P1 - 1, P1, P1 * P2 - 1])
+def test_truncated_product_sum_at_the_prime_bounds(value):
+    # the a-priori bound is the value itself: one prime below P1, two up to P1 * P2 - 1
+    r = 3000
+    a, b = np.zeros(r + 1, dtype=np.int64), np.zeros(r + 1, dtype=np.int64)
+    a[0], b[0] = 1, value
+    out = truncated_product_sum([(a, b)], r)
+    assert out[0] == value and not out[1:].any()
+
+
+def test_truncated_product_sum_refuses_past_two_primes():
+    r = 3000
+    a, b = np.zeros(r + 1, dtype=np.int64), np.zeros(r + 1, dtype=np.int64)
+    a[0], b[0] = 1, P1 * P2
+    with pytest.raises(ValueError, match="past two NTT primes"):
+        truncated_product_sum([(a, b)], r)
+
+
+def test_truncated_product_sum_refuses_past_length_limit():
+    # r = 2^22 needs a transform of length 2^24, past the primes' 2^23
+    one = np.ones(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="transform length"):
+        truncated_product_sum([(one, one)], 2 ** 22)
