@@ -32,7 +32,7 @@ from .exact import frac
 from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_correction
 from .numtheory import pell
 from .embeddings import embeddings
-from .oracles import hurwitz_shell_series, ideal_count_series, r4_series, two_squares_primitive
+from .oracles import hurwitz_shell_series, ideal_count_series, r4_series, two_squares_primitive_series
 from .orders import OrderSpec, finite_units, real_quadratic_d, trace_form_discriminant
 from .presets import PRESET_NAMES, preset_parts
 from .sections import quadric_section
@@ -322,7 +322,7 @@ def _oracle_columns(scenario, series, r):
         # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
         group_order = integral_symmetries(scenario.payload).order
         pts = _at_levels(series, [group_order * w for w in series.weighted], r)
-        oracle = [two_squares_primitive(k) for k in range(1, r + 1)]
+        oracle = two_squares_primitive_series(r)
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
     if kind == "jacobi-r4":
         eight_s = _at_levels(series, [8 * c for c in series.n_all], r)

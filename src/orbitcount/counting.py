@@ -256,7 +256,7 @@ def normform_series(order, r_max, use_absolute_norm=False, units=None):
     orders; it is verified before use."""
     r_max = int(r_max)
     if order.unit_rank == 0:
-        return _definite_normform_series(order, r_max)
+        return _definite_series(order, r_max, FAMILY_NORMFORM)
     if order.unit_rank == 1:
         return _real_quadratic_series(order, r_max, use_absolute_norm, units=units)
     raise ValueError("unit rank >= 2: exact mode unsupported, use box mode")
@@ -344,26 +344,6 @@ def box_level_counts(order, k, bound, use_absolute_norm=False):
     return tot_prim, tot_all
 
 
-def _definite_normform_series(order, r_max):
-    units = finite_units(order)
-    pts, vals2, s = ball_points(norm_gram(order), r_max)
-    if len(vals2) and np.any(vals2 % (2 * s)):
-        raise AssertionError("norm values not integral on the order lattice")
-    lvls = vals2 // (2 * s)
-    reps, stab = reduce_orbits(pts, _torsion_matrices(order, units))
-    first = _orbit_classes(lvls, reps, stab, len(units.torsion))
-    # primitivity is a unit invariant: one member per orbit decides it
-    prim = np.gcd.reduce(np.abs(pts[first]), axis=1) == 1
-    n_all = np.bincount(lvls[first], minlength=r_max + 1)[1:].tolist()
-    n_prim = np.bincount(lvls[first][prim], minlength=r_max + 1)[1:].tolist()
-    levels = list(range(1, r_max + 1))
-    return CountSeries(
-        family=FAMILY_NORMFORM, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=list(n_all), scale_e=1,
-        exact=[True] * len(levels), meta={"mode": "exact", "units": len(units.torsion)},
-    )
-
-
 def _real_quadratic_series(order, r_max, use_absolute_norm, units=None):
     d = real_quadratic_d(order)
     units_provenance = "computed"
@@ -407,14 +387,19 @@ def count_quadric_level(section, k, group=None):
 
 def quadric_series(section, r_max, group=None):
     """Primitive orbit counts and weights for scaled levels 1..e*r_max: the
-    conic parametrisation with vectorised orbit reduction in three variables,
-    the per-level fiber route otherwise."""
+    points of every level from the conic parametrisation in three variables
+    and from the per-level fiber route otherwise, reduced in one pass."""
     if group is None:
         group = integral_symmetries(section)
     r_scaled = int(Fraction(r_max) * section.scale_e)
-    if section.dim != 3:
-        return _quadric_series_per_level(section, r_scaled, group)
-    pts, lvls = conic_points_up_to(section, r_scaled)
+    if section.dim == 3:
+        pts, lvls = conic_points_up_to(section, r_scaled)
+        route = {}
+    else:
+        per = [cone_section_points(section, Fraction(k, section.scale_e)) for k in range(1, r_scaled + 1)]
+        pts = np.array([p for level in per for p in level], dtype=object).reshape(-1, section.dim)
+        lvls = np.repeat(np.arange(1, r_scaled + 1, dtype=np.int64), [len(level) for level in per])
+        route = {"route": "per-level"}
     reps, stab = reduce_orbits(pts, group.elements)
     first = _orbit_classes(lvls, reps, stab, group.order)
     levels = list(range(1, r_scaled + 1))
@@ -428,24 +413,7 @@ def quadric_series(section, r_max, group=None):
         family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim, n_all=n_all,
         weighted=_over(sizes[1:], group.order), scale_e=section.scale_e,
         exact=[True] * r_scaled,
-        meta={"mode": "exact", "group_order": group.order,
-              "weight_normalisation": "relative (one undetermined global constant)"},
-    )
-
-
-def _quadric_series_per_level(section, r_scaled, group):
-    n_prim, weighted = [], []
-    for k_scaled in range(1, r_scaled + 1):
-        k = Fraction(k_scaled, section.scale_e)
-        report = orbit_partition(cone_section_points(section, k), group, level=k)
-        n_prim.append(len(report.orbits))
-        weighted.append(weighted_count(report))
-    levels = list(range(1, r_scaled + 1))
-    _, n_all = aggregate_levels(levels, n_prim, 1, r_scaled)
-    return CountSeries(
-        family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=weighted, scale_e=section.scale_e, exact=[True] * r_scaled,
-        meta={"mode": "exact", "group_order": group.order, "route": "per-level",
+        meta={"mode": "exact", "group_order": group.order, **route,
               "weight_normalisation": "relative (one undetermined global constant)"},
     )
 
@@ -499,16 +467,12 @@ def _scaled_products(spec, a, b):
     return np.einsum("ti,tj,ijk->tk", a, b, table.reshape(n, n, n))
 
 
-def count_algebra_shell(order, m, mode=("exact",)):
-    """Number of left unit-orbits of integral elements of reduced norm m.
-
-    Exact mode (definite order): shell size / |units|, with the freeness of the
-    action asserted on the enumerated shell.  Box mode: pairwise partition."""
+def count_algebra_shell(order, m):
+    """Number of left unit-orbits of integral elements of reduced norm m on a
+    definite order: shell size / |units|, with the freeness of the action
+    asserted on the enumerated shell."""
     if m < 1:
         raise ValueError("shell level must be >= 1")
-    if mode[0] == "box":
-        orbits = _box_level_orbits(order, m, mode[1], use_absolute_norm=True)
-        return len(orbits)
     units = finite_units(order)
     shell = definite_shell(norm_gram(order), m)
     if not shell:
@@ -521,8 +485,15 @@ def count_algebra_shell(order, m, mode=("exact",)):
 
 def algebra_series(order, r_max):
     """Per-level unit-orbit counts for reduced norms 1..r_max on a definite
-    division order: exact theta series divided by the unit count, primitive
-    part by Moebius inversion over x -> p x."""
+    division order (_definite_series)."""
+    return _definite_series(order, r_max, FAMILY_ALGEBRA)
+
+
+def _definite_series(order, r_max, family):
+    """Per-level unit-orbit counts for norms 1..r_max on a definite order: its
+    units act freely on the nonzero elements of a domain, so every orbit has
+    |units| members and the count is the exact theta series over |units|; the
+    primitive part by Moebius inversion over x -> p x, N(p x) = p^d N(x)."""
     r_max = int(r_max)
     assert_division_order(order)
     units = finite_units(order)
@@ -535,7 +506,7 @@ def algebra_series(order, r_max):
     prim_shell = _primitive_shell_sizes(alln, order.norm_degree)
     levels = list(range(1, r_max + 1))
     return CountSeries(
-        family=FAMILY_ALGEBRA, levels=levels,
+        family=family, levels=levels,
         n_prim=[c // nu for c in prim_shell],
         n_all=[c // nu for c in alln],
         weighted=[c // nu for c in alln],

@@ -57,23 +57,20 @@ def ideal_count_series(disc, s):
     return [ideal_a(disc, m) for m in range(1, s + 1)]
 
 
+def two_squares_primitive_series(r):
+    """[#{(a, b): a^2 + b^2 = k, gcd(a, b) = 1} / 2 for k = 1..r]: one bincount
+    of a^2 + b^2 over the coprime pairs of the square |a|, |b| <= sqrt(r)."""
+    a = np.arange(-math.isqrt(r), math.isqrt(r) + 1, dtype=np.int64)
+    sq = a[:, None] ** 2 + a[None, :] ** 2
+    keep = (np.gcd(a[:, None], a[None, :]) == 1) & (sq <= r)
+    return (np.bincount(sq[keep], minlength=r + 1)[1:] // 2).tolist()
+
+
 def two_squares_primitive(k):
-    """#{(a, b): a^2 + b^2 = k, gcd(a, b) = 1} / 2, by direct scan a <= sqrt(k)."""
+    """The last entry of two_squares_primitive_series(k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    count = 0
-    a = 0
-    while a * a <= k:
-        b2 = k - a * a
-        b = math.isqrt(b2)
-        if b * b == b2 and math.gcd(a, b) == 1:
-            # (a, +-b) and sign of a: four signed pairs unless a or b is 0
-            if a == 0 or b == 0:
-                count += 2
-            else:
-                count += 4
-        a += 1
-    return count // 2
+    return two_squares_primitive_series(k)[-1]
 
 
 def r4(m):

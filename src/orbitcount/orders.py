@@ -51,31 +51,6 @@ class OrderSpec:
     def dim(self):
         return self.algebra.dim
 
-    def to_json(self):
-        import json
-
-        return json.dumps(
-            {
-                "algebra": json.loads(self.algebra.to_json()),
-                "norm_degree": self.norm_degree,
-                "unit_rank": self.unit_rank,
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text):
-        import json
-
-        from .algebra import AlgebraSpec
-
-        doc = json.loads(text)
-        return OrderSpec(
-            algebra=AlgebraSpec.from_json(json.dumps(doc["algebra"])),
-            norm_degree=int(doc["norm_degree"]),
-            unit_rank=int(doc["unit_rank"]),
-        )
-
 
 @dataclass(frozen=True)
 class UnitGroupData:
@@ -83,36 +58,6 @@ class UnitGroupData:
     fundamental: tuple          # length unit_rank; empty for rank 0
     complete: bool
     norm_one_fundamental: AlgebraElement = None  # fundamental unit of norm +1 (rank 1)
-
-    def to_json(self):
-        import json
-
-        from .exact import frac_str
-
-        doc = {
-            "torsion": [[frac_str(c) for c in u.coords] for u in self.torsion],
-            "fundamental": [[frac_str(c) for c in u.coords] for u in self.fundamental],
-            "complete": self.complete,
-        }
-        if self.norm_one_fundamental is not None:
-            doc["norm_one_fundamental"] = [frac_str(c) for c in self.norm_one_fundamental.coords]
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text):
-        import json
-
-        from .algebra import element
-        from .exact import frac
-
-        doc = json.loads(text)
-        nof = doc.get("norm_one_fundamental")
-        return UnitGroupData(
-            torsion=tuple(element([frac(c) for c in u]) for u in doc["torsion"]),
-            fundamental=tuple(element([frac(c) for c in u]) for u in doc["fundamental"]),
-            complete=bool(doc["complete"]),
-            norm_one_fundamental=element([frac(c) for c in nof]) if nof else None,
-        )
 
 
 def norm_gram(order):

@@ -156,17 +156,6 @@ def weighted_count(report):
     return scalar(sum((o.relative_weight for o in report.orbits), Fraction(0)))
 
 
-def orbit_report_csv_rows(report):
-    """CSV rows 'level,representative,orbit_size,stabilizer_order,weight' for
-    an OrbitReport; representative coordinates are space-separated."""
-    rows = []
-    for o in report.orbits:
-        rep = " ".join(str(c) for c in o.representative)
-        w = Fraction(o.relative_weight)
-        rows.append(f"{report.level},{rep},{o.size},{o.stabilizer_order},{w.numerator}/{w.denominator}")
-    return rows
-
-
 def transformed_section(section, u):
     """The section seen through the coordinate change x = U x': gram becomes
     U^t G U, the linear form ell U, the base point U^-1 v0."""

@@ -515,3 +515,82 @@ def test_cumulative_at_fractional_radii():
     assert cumulative_at(series, radii, "weighted") == [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2),
                                                         Fraction(23, 6), Fraction(47, 6)]
     assert cumulative_at(series, radii) == [1, 2, 3, 4, 5]
+
+
+# ---------------------------------------------------------------------------
+# the definite driver beyond Gauss: free unit actions, counted
+
+
+def eisenstein_order():
+    """Z[omega] with omega^2 = -1 - omega: six units, class number one."""
+    table = (((1, 0), (0, 1)), ((0, 1), (-1, -1)))
+    return OrderSpec(AlgebraSpec(dim=2, table=table, unity=(1, 0), kind="number-field"), 2, 0)
+
+
+def test_definite_series_eisenstein_vs_ideal_oracle():
+    order = eisenstein_order()
+    series = normform_series(order, 300)
+    assert series.meta == {"mode": "exact", "units": 6}
+    assert series.n_all == ideal_count_series(-3, 300)
+
+
+@pytest.mark.parametrize("d", [-5, -3, -6])  # h = 2; not maximal; h = 2
+def test_definite_series_matches_the_reduction_reference(d):
+    from orbitcount.orders import norm_gram
+    from orbitcount.shells import definite_shell
+
+    order = OrderSpec(quadratic_field_order(d), 2, 0)
+    nu = len(finite_units(order).torsion)
+    series = normform_series(order, 200)
+    assert series.n_all == [count_normform_level(order, k) for k in range(1, 201)]
+    gram = norm_gram(order)
+    assert series.n_prim == [
+        sum(1 for p in definite_shell(gram, k) if gcd_vector(p) == 1) // nu for k in range(1, 201)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the shared quadric orbit-reduction tail
+
+
+def sphere_section():
+    """q = x^2 + y^2 + z^2 - w^2 sliced by ell = w: |G| = 24, with stabilizers."""
+    return quadric_section([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], (0, 0, 0, 1))
+
+
+def test_quadric_series_with_stabilizers_matches_the_partition_reference():
+    sec = sphere_section()
+    group = integral_symmetries(sec)
+    assert group.order == 24
+    series = quadric_series(sec, 30, group)
+    assert series.meta["route"] == "per-level"
+    ref = [count_quadric_level(sec, k, group) for k in range(1, 31)]
+    assert series.n_prim == [n for n, _ in ref]
+    assert series.weighted == [w for _, w in ref]
+    assert any(isinstance(w, Fraction) for w in series.weighted)  # some stabilizer is nontrivial
+
+
+def _columns(series):
+    return series.n_prim, series.n_all, series.weighted
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 12), st.integers(1, 300))
+def test_quadric_series_invariant_under_unimodular_change_model(rng, steps, r):
+    from orbitcount.exact import random_unimodular
+    from orbitcount.symmetry import transformed_section
+
+    sec = model_quadric_section()
+    moved = transformed_section(sec, random_unimodular(3, rng, steps=steps))
+    assert _columns(quadric_series(moved, r)) == _columns(quadric_series(sec, r))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 12), st.integers(1, 15))
+def test_quadric_series_invariant_under_unimodular_change_four_variables(rng, steps, r):
+    from orbitcount.exact import random_unimodular
+    from orbitcount.symmetry import transformed_section
+
+    sec = four_variable_section()
+    moved = transformed_section(sec, random_unimodular(4, rng, steps=steps))
+    assert _columns(quadric_series(moved, r)) == _columns(quadric_series(sec, r))

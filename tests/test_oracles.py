@@ -13,6 +13,7 @@ from orbitcount.oracles import (
     r4,
     r4_series,
     two_squares_primitive,
+    two_squares_primitive_series,
 )
 from orbitcount.presets import order_zsqrt2
 from orbitcount.shells import ball_points, gram_form
@@ -126,3 +127,18 @@ def test_hurwitz_shell_count_is_last_series_entry():
     assert [hurwitz_shell_count(m) for m in (1, 7, 64, 299, 300)] == [series[m - 1] for m in (1, 7, 64, 299, 300)]
     for r in (1, 2, 5, 300):
         assert jacobi_r4_cumulative(r, "hurwitz") == sum(series[:r])
+
+
+def test_two_squares_series_matches_the_direct_scan():
+    # reference: the per-k scan over a <= sqrt(k), independent of the bincount
+    def scan(k):
+        count = 0
+        for a in range(math.isqrt(k) + 1):
+            b = math.isqrt(k - a * a)
+            if a * a + b * b == k and math.gcd(a, b) == 1:
+                count += 2 if a == 0 or b == 0 else 4
+        return count // 2
+
+    assert two_squares_primitive_series(400) == [scan(k) for k in range(1, 401)]
+    assert two_squares_primitive_series(0) == []
+    assert two_squares_primitive(400) == two_squares_primitive_series(400)[-1]

@@ -232,17 +232,6 @@ def test_canonical_rep_quaternion_spot():
             assert len(cls) == len(units.torsion)  # free action
 
 
-def test_order_and_units_serialization_round_trip():
-    from orbitcount.orders import OrderSpec, UnitGroupData
-
-    for order in (order_zsqrt2(), order_gauss(), order_lipschitz(), order_hurwitz()):
-        assert OrderSpec.from_json(order.to_json()) == order
-    fu = fundamental_unit(order_zsqrt2())
-    assert UnitGroupData.from_json(fu.to_json()) == fu
-    ug = finite_units(order_gauss())
-    assert UnitGroupData.from_json(ug.to_json()) == ug
-
-
 # ---------------------------------------------------------------------------
 # the finite-group orbit kernel
 

@@ -113,11 +113,3 @@ def test_gl3z_equivariance_random_transforms():
             assert len(p1) == len(p2)
             assert len(r1.orbits) == len(r2.orbits)
             assert weighted_count(r1) == weighted_count(r2)
-
-
-def test_orbit_report_csv_rows():
-    from orbitcount.symmetry import orbit_report_csv_rows
-
-    report = orbit_partition(cone_section_points(SEC, 5), GROUP, level=5)
-    rows = orbit_report_csv_rows(report)
-    assert rows == ["5,1 -2 4,2,1,1/1", "5,1 2 4,2,1,1/1"]
