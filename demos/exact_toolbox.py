@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """The exact substrate: structure-constant algebras, Pell equations,
-certified embeddings, bracketed zeta values, and definite-shell enumeration.
+Sturm signatures, bracketed zeta values, and definite-shell enumeration.
 """
 
 from orbitcount.algebra import alg_inverse, alg_mul, alg_norm, element, quaternion_algebra
-from orbitcount.embeddings import embeddings
-from orbitcount.numtheory import factor, pell, zeta_value
+from orbitcount.numtheory import factor, pell, signature, zeta_value
 from orbitcount.presets import order_hurwitz
 from orbitcount.orders import norm_gram
 from orbitcount.shells import definite_ball, definite_shell, gram_form, theta_series
@@ -22,12 +21,9 @@ for d in (2, 3, 13, 61):
     px, py, sign = pell(d)
     print(f"  d = {d:2d}: ({px}, {py}), norm {sign:+d}")
 
-print("\ncertified embeddings of x^3 - 2:")
-rep = embeddings([-2, 0, 0, 1])
-for r in rep.roots:
-    kind = "real" if r.is_real else "complex"
-    print(f"  {kind:7s} {r.real:+.9f} {r.imag:+.9f}i  (radius <= {r.radius:.1e})")
-print(f"  signature: r1 = {rep.r1}, r2 = {rep.r2}")
+print("\nsignature of x^3 - 2 (Sturm count of real roots):")
+r1, r2 = signature([-2, 0, 0, 1])
+print(f"  real embeddings r1 = {r1}, complex conjugate pairs r2 = {r2}")
 
 print("\nbracketed zeta values (rational enclosures of width <= 1e-9):")
 for s in (2, 4, 100):

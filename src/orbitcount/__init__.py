@@ -10,7 +10,7 @@ Three families are supported end to end:
   counted modulo left multiplication by units.
 
 Counting is exact integer/rational arithmetic; floating point enters only in
-certified root enclosures and in asymptotic fitting.
+asymptotic fitting.
 """
 
 from .algebra import (
@@ -37,7 +37,6 @@ from .counting import (
     quadric_series,
     run_scenario,
 )
-from .embeddings import embeddings
 from .fitting import (
     FitReport,
     expected_lambda,
@@ -53,7 +52,7 @@ from .lattice import (
     cone_section_points,
     indefinite_quadratic_shell,
 )
-from .numtheory import factor, pell, zeta_value
+from .numtheory import factor, pell, signature, zeta_value
 from .oracles import (
     ideal_count_quadratic,
     jacobi_r4_cumulative,

@@ -30,8 +30,7 @@ from .counting import (
 )
 from .exact import frac
 from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_correction
-from .numtheory import pell
-from .embeddings import embeddings
+from .numtheory import pell, signature
 from .oracles import hurwitz_shell_series, ideal_count_series, r4_series, two_squares_primitive_series
 from .orders import OrderSpec, finite_units, real_quadratic_d, trace_form_discriminant
 from .presets import PRESET_NAMES, preset_parts
@@ -232,12 +231,10 @@ def cmd_fit(args):
 
 
 def _fit(args, doc, scenario, series):
-    r_top = max(series.levels) / series.scale_e
-    window = (r_top / 10, r_top)
     lam_expected = expected_lambda(scenario)
     column = "weighted" if scenario.family == FAMILY_QUADRIC else "all"
-    free = fit_power(series, window=window, which=column)
-    fixed = fit_power(series, window=window, fixed_lambda=float(lam_expected), which=column)
+    free = fit_power(series, which=column)
+    fixed = fit_power(series, fixed_lambda=float(lam_expected), which=column)
     report = fixed if args.fixed_lambda else free
     report.expected_lambda = lam_expected
     report.extras["lambda_hat_free"] = free.lambda_hat
@@ -256,28 +253,28 @@ def _fit(args, doc, scenario, series):
 
 
 def _attach_predictions(report, scenario, args):
-    if scenario.family == FAMILY_NORMFORM and scenario.invariants.get("class_number") == 1:
+    minpoly = scenario.invariants.get("minpoly")
+    if (scenario.family == FAMILY_NORMFORM and scenario.invariants.get("class_number") == 1
+            and minpoly):
         order = scenario.payload
-        minpoly = scenario.invariants.get("minpoly")
-        emb = embeddings(minpoly) if minpoly else None
-        if emb is not None:
-            disc = trace_form_discriminant(order)
-            if order.unit_rank == 1:
-                d = real_quadratic_d(order)
-                x, y, _ = pell(d)
-                reg = math.log(x + y * math.sqrt(d))
-            else:
-                reg = 1.0
-            omega = 2 if order.unit_rank == 1 else len(finite_units(order).torsion)
-            report.predicted_c = predicted_constant_ideal(
-                emb.r1, emb.r2, reg, scenario.invariants["class_number"], omega, int(disc),
-                degree=order.algebra.dim,
-            )
-            report.predicted_c_provenance = (
-                f"ideal-count leading coefficient: r1={emb.r1}, r2={emb.r2}, "
-                f"R={reg:.6f}, h={scenario.invariants['class_number']} (preset-asserted), "
-                f"omega={omega}, disc={int(disc)}"
-            )
+        r1, r2 = signature(minpoly)
+        disc = trace_form_discriminant(order)
+        if order.unit_rank == 1:
+            d = real_quadratic_d(order)
+            x, y, _ = pell(d)
+            reg = math.log(x + y * math.sqrt(d))
+        else:
+            reg = 1.0
+        omega = 2 if order.unit_rank == 1 else len(finite_units(order).torsion)
+        report.predicted_c = predicted_constant_ideal(
+            r1, r2, reg, scenario.invariants["class_number"], omega, int(disc),
+            degree=order.algebra.dim,
+        )
+        report.predicted_c_provenance = (
+            f"ideal-count leading coefficient: r1={r1}, r2={r2}, "
+            f"R={reg:.6f}, h={scenario.invariants['class_number']} (preset-asserted), "
+            f"omega={omega}, disc={int(disc)}"
+        )
     if args.zeta:
         from .counting import level_scaling_degree
 
@@ -387,9 +384,12 @@ def build_parser():
                         help=f"config JSON path or preset name ({', '.join(PRESET_NAMES)})")
         sp.add_argument("--rmax", type=int, default=None)
         sp.add_argument("--mode", default=None, help="exact | box:B")
-        sp.add_argument("--allow-heuristic", action="store_true")
-        sp.add_argument("--jobs", type=int, default=None)
-        sp.add_argument("--out", default=None, help="output directory")
+        if name in ("count", "report"):
+            sp.add_argument("--allow-heuristic", action="store_true",
+                            help="emit box-mode counts that fail the saturation check")
+        if name in ("count", "fit", "report"):
+            sp.add_argument("--jobs", type=int, default=None)
+            sp.add_argument("--out", default=None, help="output directory")
         if name in ("fit", "oracle-compare"):
             sp.add_argument("--series", required=name == "fit", default=None,
                             help="counts CSV (from the count command)")
@@ -398,7 +398,7 @@ def build_parser():
                             help="report the fixed-exponent constant fit as the main result")
             sp.add_argument("--zeta", action="store_true",
                             help="attach the zeta aggregation factor for the family")
-        sp.set_defaults(fn=fn, fixed_lambda=False, zeta=False)
+        sp.set_defaults(fn=fn, jobs=None, fixed_lambda=False, zeta=False)
     return p
 
 

@@ -79,7 +79,8 @@ def fit_power(series, window=None, fixed_lambda=None, samples=16, which="all"):
     r_top = max(series.levels, default=0) / series.scale_e
     if window is None:
         window = (r_top / 10, r_top)
-    radii = geometric_radii(window[0], window[1], samples)
+    # an empty series has no window; it is refused below as too sparse
+    radii = geometric_radii(window[0], window[1], samples) if window[1] > 0 else []
     values = [float(v) for v in cumulative_at(series, radii, which=which)]
     pairs = [(r, v) for r, v in zip(radii, values) if v > 0]
     if len(pairs) < 8:

@@ -1,5 +1,5 @@
 """Integer number theory: factorisation, Pell equations, Kronecker symbols,
-and bracketed zeta values.
+irreducibility mod p, Sturm real-root counts and bracketed zeta values.
 
 All routines are exact; zeta_value returns a rational bracketing interval.
 """
@@ -203,6 +203,63 @@ def _gcd_mod_p(a, b, p):
     while b:
         a, b = b, _rem_mod_p(a, b, p)
     return a
+
+
+def _rem(a, b):
+    """a mod b over Q (Fraction coefficients low to high; b with a nonzero lead)."""
+    a = list(a)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        off = len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[off + i] -= c * bi
+        a.pop()
+    return _trim(a)
+
+
+def _sturm_sequence(f):
+    """f, f', then negated remainders; the last member is gcd(f, f')."""
+    seq = [f, _trim([k * c for k, c in enumerate(f)][1:])]
+    while len(seq[-1]) > 1:
+        r = _rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def _sign_changes(seq, x):
+    values = []
+    for p in seq:
+        v = Fraction(0)
+        for c in reversed(p):
+            v = v * x + c
+        if v:
+            values.append(v > 0)
+    return sum(a != b for a, b in zip(values, values[1:]))
+
+
+def count_real_roots(coeffs, lo, hi):
+    """Distinct real roots in (lo, hi] of the rational polynomial sum c_k x^k
+    (coeffs low to high), by Sturm's theorem."""
+    seq = _sturm_sequence(_trim([Fraction(c) for c in coeffs]))
+    return _sign_changes(seq, Fraction(lo)) - _sign_changes(seq, Fraction(hi))
+
+
+def signature(coeffs):
+    """Signature (r1, r2) of the squarefree rational polynomial sum c_k x^k
+    (coeffs low to high): r1 real roots, counted by Sturm's theorem inside the
+    Cauchy bound 1 + max |c_k / c_n|, and r2 pairs of complex conjugate roots.
+
+    Raises ValueError on a constant or non-squarefree polynomial."""
+    f = _trim([Fraction(c) for c in coeffs])
+    if len(f) < 2:
+        raise ValueError("polynomial must be nonconstant")
+    if len(_sturm_sequence(f)[-1]) > 1:
+        raise ValueError("polynomial is not squarefree")
+    bound = 1 + max(abs(c / f[-1]) for c in f[:-1])
+    r1 = count_real_roots(f, -bound, bound)
+    return r1, (len(f) - 1 - r1) // 2
 
 
 def sqrt_cf_period(d):

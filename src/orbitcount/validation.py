@@ -1,6 +1,7 @@
 """Scenario validation: the hypotheses that make exact counting meaningful.
 
-Checks are exact where possible (associativity, definiteness via minors) and
+Checks are exact where possible (associativity, definiteness via minors,
+the unit rank by Dirichlet from a Sturm signature) and
 probabilistic-but-deterministic where not (seeded random division probes,
 mod-p irreducibility with pass/undetermined/fail outcomes).
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 from .algebra import element, minimal_polynomial
 from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, assert_division_order
 from .exact import det
-from .numtheory import irreducible_mod_p, small_primes
+from .numtheory import irreducible_mod_p, signature, small_primes
 from .orders import norm_gram, real_quadratic_d
 from .sections import restricted_definiteness
 
@@ -44,8 +45,10 @@ def validate_scenario(scenario, seed=0xC0FFEE):
         checks.append(_check_axioms(payload))
         checks.append(_check_integral_basis(payload))
         if scenario.family == FAMILY_NORMFORM:
-            checks.append(_check_irreducible_norm_form(payload))
-            checks.append(_check_unit_rank_support(payload, scenario))
+            mp = _generator_minpoly(payload)
+            checks.append(_check_irreducible_norm_form(payload, mp))
+            field_minpoly = mp if checks[-1].status != FAIL else None
+            checks.append(_check_unit_rank_support(payload, scenario, field_minpoly))
         else:
             checks.append(_check_division(payload, seed))
     else:
@@ -88,16 +91,14 @@ def _generator_minpoly(order):
     return best
 
 
-def _check_irreducible_norm_form(order):
+def _check_irreducible_norm_form(order, mp):
     """The norm form of an order is irreducible iff the algebra is a field;
-    probe: a generator's minimal polynomial must have full degree and reduce
+    probe: the generator's minimal polynomial mp must have full degree and reduce
     irreducibly mod some small prime not dividing its discriminant (pass).
     With no such prime, an exact factorisation over Q decides between fail
     and undetermined."""
     name = "norm form irreducible over Q"
-    spec = order.algebra
-    mp = _generator_minpoly(order)
-    if len(mp) != spec.dim + 1:
+    if len(mp) != order.algebra.dim + 1:
         return Check(name, FAIL, "no basis generator has a full-degree minimal polynomial")
     disc = _discriminant(mp)
     disc_num = abs(disc.numerator * disc.denominator)
@@ -134,8 +135,16 @@ def _discriminant(coeffs):
     return Fraction(sign * det(rows)) / f[0]
 
 
-def _check_unit_rank_support(order, scenario):
+def _check_unit_rank_support(order, scenario, field_minpoly):
+    """The configured unit rank must be Dirichlet's r1 + r2 - 1 of the field
+    field_minpoly defines (None when irreducibility failed), and exact mode
+    must have unit machinery for it."""
     name = "exact-mode support for the unit group"
+    if field_minpoly is not None:
+        r1, r2 = signature(field_minpoly)
+        if order.unit_rank != r1 + r2 - 1:
+            return Check(name, FAIL, f"config unit_rank {order.unit_rank} disagrees with "
+                                     f"r1 + r2 - 1 = {r1 + r2 - 1} (signature ({r1}, {r2}))")
     if scenario.mode[0] == "box":
         return Check(name, PASS, "box mode (heuristic, no exact unit machinery needed)")
     if order.unit_rank == 0:

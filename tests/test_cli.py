@@ -93,12 +93,40 @@ def test_validate_irreducibility_without_a_certifying_prime(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
-def test_import_loads_neither_sympy_nor_mpmath():
+ZETA7_PLUS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, -1], [-1, -1, 3]]  # a^3 = 1 + 2a - a^2
+
+
+@pytest.mark.parametrize("table, unit_rank, detail", [
+    pytest.param([[1, 0], [0, 1], [-1, 0]], 1,
+                 "config unit_rank 1 disagrees with r1 + r2 - 1 = 0 (signature (0, 1))", id="gauss"),
+    pytest.param([[1, 0], [0, 1], [2, 0]], 0,
+                 "config unit_rank 0 disagrees with r1 + r2 - 1 = 1 (signature (2, 0))", id="zsqrt2"),
+    pytest.param(ZETA7_PLUS, 1,
+                 "config unit_rank 1 disagrees with r1 + r2 - 1 = 2 (signature (3, 0))", id="zeta7plus"),
+])
+def test_validate_refuses_a_unit_rank_against_dirichlet(tmp_path, capsys, table, unit_rank, detail):
+    cfg = _order_config(tmp_path / "order.json", table, unit_rank)
+    for mode in ([], ["--mode", "box:4"]):
+        assert run(["validate", "--config", cfg, *mode]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert f"FAIL         exact-mode support for the unit group -- {detail}\n" in out
+        assert "PASS         norm form irreducible over Q" in out
+
+
+def test_import_loads_neither_sympy_nor_mpmath(tmp_path):
+    # neither at import, nor on count and fit of an order with a complex embedding
     src = os.path.dirname(os.path.dirname(orbitcount.__file__))
-    code = "import sys, orbitcount.cli; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+    code = ("import sys, orbitcount.cli as cli\n"
+            "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n"
+            f"assert cli.main(['count', '--config', 'gauss', '--rmax', '300', '--out', {str(tmp_path)!r}]) == 0\n"
+            f"assert cli.main(['fit', '--config', 'gauss', '--series', "
+            f"{str(tmp_path / 'gauss-counts.csv')!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    lines = out.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert json.loads((tmp_path / "gauss-fit.json").read_text())["predicted_c"] is not None
 
 
 def test_count_deterministic_across_runs_and_jobs(tmp_path):
@@ -118,6 +146,28 @@ def test_count_rmax_zero_header_only(tmp_path):
     lines = read(tmp_path / "gauss-counts.csv").decode().strip().splitlines()
     assert lines[-1] == "level,n_prim,n_all,weighted_num,weighted_den,exact"
     assert len(lines) == 3  # two comment lines + header
+
+
+def test_report_on_an_empty_series_refuses_the_fit(tmp_path, capsys):
+    assert run(["report", "--config", "gauss", "--rmax", "0", "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert ("error: fewer than 8 positive sample radii in window (series too sparse or zero)"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--allow-heuristic"],
+    ["oracle-compare", "--allow-heuristic"],
+    ["fit", "--series", "absent.csv", "--allow-heuristic"],
+    ["validate", "--jobs", "2"],
+    ["validate", "--out", "."],
+    ["oracle-compare", "--jobs", "2"],
+    ["oracle-compare", "--out", "."],
+])
+def test_flags_that_change_nothing_are_refused(argv):
+    # --allow-heuristic acts only where the saturation check runs (count,
+    # report); validate and oracle-compare write no file and run no pool
+    with pytest.raises(SystemExit):
+        run([*argv, "--config", "gauss"])
 
 
 def test_box_saturation_failure_exit_2(tmp_path):
@@ -165,8 +215,9 @@ def test_fit_synthetic_exact_power(tmp_path, capsys):
 def test_series_of_another_family_is_refused(tmp_path, capsys, command):
     assert run(["count", "--config", "lipschitz", "--rmax", "30", "--out", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
+    out = ["--out", str(tmp_path)] if command == "fit" else []  # oracle-compare writes no file
     assert run([command, "--config", "gauss", "--series", str(tmp_path / "lipschitz-counts.csv"),
-                "--out", str(tmp_path)]) == EXIT_VALIDATION
+                *out]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "'algebra-norm'" in err and "'normform'" in err
     assert not (tmp_path / "gauss-fit.json").exists()
@@ -455,7 +506,9 @@ def test_primitive_only_refused(tmp_path, capsys):
     cfg = tmp_path / "prim.json"
     for value in (True, False):
         cfg.write_text(json.dumps({"preset": "gauss", "r_max": 20, "primitive_only": value}))
-        for command in ("validate", "count", "report"):
+        assert run(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "'primitive_only'" in capsys.readouterr().err
+        for command in ("count", "report"):
             assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
             assert "'primitive_only'" in capsys.readouterr().err
     assert not (tmp_path / "gauss-counts.csv").exists()

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcount.numtheory import (
+    count_real_roots,
     factor,
     irreducible_mod_p,
     is_prime,
     kronecker,
     pell,
+    signature,
     small_primes,
     zeta_value,
 )
@@ -130,3 +132,45 @@ def test_rabin_certificate_edge_cases():
     assert irreducible_mod_p([Fraction(1, 3), 0, 1], 5)           # x^2 + 2 mod 5
     assert not irreducible_mod_p([Fraction(1, 5), 0, 1], 5)       # p in a denominator never certifies
     assert not irreducible_mod_p([1, 0, 5], 5)                    # nor a p in the leading coefficient
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ([-2, 0, 1], (2, 0)),            # x^2 - 2
+    ([1, 0, 1], (0, 1)),             # x^2 + 1
+    ([-2, 0, 0, 1], (1, 1)),         # x^3 - 2
+    ([1, 0, 0, 0, 1], (0, 2)),       # x^4 + 1
+    ([-1, -2, 1, 1], (3, 0)),        # x^3 + x^2 - 2x - 1, Q(zeta_7)^+
+    ([-31, 0, 1], (2, 0)),           # x^2 - 31
+    ([Fraction(-1, 4), 0, 1], (2, 0)),  # x^2 - 1/4: roots on the rationals
+])
+def test_signature_probe_set(coeffs, expected):
+    assert signature(coeffs) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=6).filter(lambda c: c[-1] != 0))
+def test_signature_matches_sympy_real_root_count(coeffs):
+    # sympy is the reference here only: r1 = its count of real roots
+    x = sympy.symbols("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    if not poly.is_sqf:
+        with pytest.raises(ValueError, match="not squarefree"):
+            signature(coeffs)
+        return
+    r1 = len(poly.real_roots())
+    assert signature(coeffs) == (r1, (poly.degree() - r1) // 2)
+
+
+def test_sturm_count():
+    assert count_real_roots([-2, 0, 1], -10, 10) == 2
+    assert count_real_roots([1, 0, 1], -10, 10) == 0
+    assert count_real_roots([-2, 0, 0, 1], -10, 10) == 1
+    assert count_real_roots([-2, 0, 1], 0, 10) == 1
+
+
+def test_non_squarefree_rejected():
+    for coeffs in ([1, 2, 1], [0, 0, 1], [-1, 1, 1, -1]):  # (x+1)^2, x^2, (x-1)^2(x+1)
+        with pytest.raises(ValueError, match="not squarefree"):
+            signature(coeffs)
+    with pytest.raises(ValueError, match="nonconstant"):
+        signature([5, 0])

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from orbitcount.algebra import AlgebraSpec
 from orbitcount.numtheory import small_primes
 from orbitcount.orders import OrderSpec
-from orbitcount.validation import FAIL, PASS, UNDETERMINED, _check_irreducible_norm_form, _discriminant
+from orbitcount.validation import (
+    FAIL,
+    PASS,
+    UNDETERMINED,
+    _check_irreducible_norm_form,
+    _discriminant,
+    _generator_minpoly,
+)
 
 X = sympy.symbols("x")
 
@@ -56,7 +63,8 @@ def test_irreducibility_check_matches_sympy_route(a, b):
     # b = [] keeps f = x^n + a; otherwise f is a product of two monic factors
     f = _monic_product(a, b)
     assume(len(f) > 2)
-    check = _check_irreducible_norm_form(monogenic_order(f))
+    order = monogenic_order(f)
+    check = _check_irreducible_norm_form(order, _generator_minpoly(order))
     assert (check.status, check.detail) == sympy_irreducibility(f)
 
 
