@@ -194,23 +194,24 @@ def cmd_count(args):
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    return _count_validated(args, doc, scenario)
+    return _count_validated(args, doc, scenario)[0]
 
 
 def _count_validated(args, doc, scenario):
+    """(exit code, the counted series or None); writes counts.csv."""
     if scenario.mode[0] == "box" and not args.allow_heuristic:
         sat = _saturation_check(scenario)
         if not sat:
             print("box saturation not reached (counts changed when the box doubled); "
                   "pass --allow-heuristic to emit anyway", file=sys.stderr)
-            return EXIT_SATURATION
+            return EXIT_SATURATION, None
     series = run_scenario(scenario, int(doc["jobs"]))
     chash = config_hash(doc)
     out_path = _out_path(args, doc, "counts.csv")
     with open(out_path, "w") as fh:
         series_to_csv(series, fh, chash)
     print(out_path)
-    return EXIT_OK
+    return EXIT_OK, series
 
 
 def _saturation_check(scenario):
@@ -258,6 +259,9 @@ def _attach_predictions(report, scenario, args):
             and minpoly):
         order = scenario.payload
         r1, r2 = signature(minpoly)
+        if order.unit_rank != r1 + r2 - 1:
+            raise ValueError(f"config unit_rank {order.unit_rank} disagrees with r1 + r2 - 1 = "
+                             f"{r1 + r2 - 1} (signature ({r1}, {r2}) of minpoly {minpoly})")
         disc = trace_form_discriminant(order)
         if order.unit_rank == 1:
             d = real_quadratic_d(order)
@@ -286,12 +290,12 @@ def _attach_predictions(report, scenario, args):
 def cmd_oracle_compare(args):
     scenario = _load(args)[1]
     series = _read_series(args.series, scenario) if args.series else run_scenario(scenario)
-    return _oracle_compare(scenario, series)
+    return _oracle_compare(scenario, series, series.meta.get("group_order"))
 
 
-def _oracle_compare(scenario, series):
+def _oracle_compare(scenario, series, group_order=None):
     label = scenario.label
-    pipeline, oracle, what = _oracle_columns(scenario, series, scenario.k_max)
+    pipeline, oracle, what = _oracle_columns(scenario, series, scenario.k_max, group_order)
     if pipeline is None:
         print(f"no oracle applicable to scenario {label!r}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -305,11 +309,13 @@ def _oracle_compare(scenario, series):
     return EXIT_ORACLE
 
 
-def _oracle_columns(scenario, series, r):
+def _oracle_columns(scenario, series, r, group_order=None):
     """Pipeline and oracle columns at levels 1..r for the oracle the scenario
     declares in invariants["oracle"]: ideal-count:D, two-squares-primitive,
     jacobi-r4 or hurwitz-shell.  Series rows are paired by level, and a level
-    without a row reads "absent"."""
+    without a row reads "absent".  group_order is the quadric's |G| when the
+    caller counted the series (a counts CSV does not carry it); without it
+    the group is built here."""
     kind = scenario.invariants.get("oracle", "")
     if kind.startswith("ideal-count:"):
         disc = int(kind.split(":", 1)[1])
@@ -317,7 +323,8 @@ def _oracle_columns(scenario, series, r):
                 f"per-level orbit counts vs ideal counts (D={disc})")
     if kind == "two-squares-primitive":
         # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
-        group_order = integral_symmetries(scenario.payload).order
+        if group_order is None:
+            group_order = integral_symmetries(scenario.payload).order
         pts = _at_levels(series, [group_order * w for w in series.weighted], r)
         oracle = two_squares_primitive_series(r)
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
@@ -340,14 +347,14 @@ def cmd_report(args):
     rc = _print_validation(scenario)
     if rc != EXIT_OK:
         return rc
-    rc = _count_validated(args, doc, scenario)
+    rc, counted = _count_validated(args, doc, scenario)
     if rc != EXIT_OK:
         return rc
     series = _read_series(_out_path(args, doc, "counts.csv"), scenario)
     rc = _fit(args, doc, scenario, series)
     if rc != EXIT_OK:
         return rc
-    return _oracle_compare(scenario, series)
+    return _oracle_compare(scenario, series, counted.meta.get("group_order"))
 
 
 def _out_path(args, doc, name):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, alg_mul, element, left_mul_matrix
+from .algebra import AlgebraElement, alg_mul, element
 from .exact import gcd_vector, scalar
 from .lattice import (
     box_scan,
@@ -28,6 +28,7 @@ from .orders import (
     finite_units,
     fundamental_unit,
     is_unit,
+    left_mul_matrices,
     norm_gram,
     real_quadratic_d,
     reduce_orbits,
@@ -157,9 +158,8 @@ def cumulative(series, r, which="all"):
 
 def aggregate_levels(prim_levels, prim_counts, d, k_max):
     """Aggregate a primitive per-level series: N_all(k) = sum over p >= 1 with
-    p^d | k of N_prim(k / p^d); levels are dense integers 1..k_max.  An exact
-    int64 sieve (object arrays past 2^63) of one slice per p^d; for d = 1 only
-    p <= sqrt(k_max), with one slice per cofactor j for the larger p."""
+    p^d | k of N_prim(k / p^d); levels are dense integers 1..k_max, summed by
+    _slice_sieve with weight 1."""
     if d < 1:
         raise ValueError("scaling degree must be >= 1")
     nums, den = _numerators(prim_counts)
@@ -167,15 +167,45 @@ def aggregate_levels(prim_levels, prim_counts, d, k_max):
     keep = (lv >= 1) & (lv <= k_max)
     src = np.zeros(k_max + 1, dtype=nums.dtype)
     src[lv[keep]] = nums[keep]
+    out = _slice_sieve(src, d, k_max)
+    return list(range(1, k_max + 1)), _over(out[1:], den)
+
+
+def _slice_sieve(src, d, k_max, mu=None):
+    """out[k] = sum over p >= 1 with p^d | k of w(p) src[k / p^d] for k <= k_max,
+    with w = 1, or w = mu (an array of weights indexed by p) for the inverse.
+    One slice per p^d; for d = 1 only p <= sqrt(k_max), with one slice per
+    cofactor j for the larger p.  Exact in the dtype of src: int64 when the
+    caller bounded sum |src| below 2^63 (every partial sum then fits), object
+    arrays otherwise."""
     out = np.zeros_like(src)
+    if mu is not None:
+        mu = mu.astype(src.dtype)
     p = 1
     while p ** max(d, 2) <= k_max:
         q = p ** d
-        out[q::q] += src[1 : k_max // q + 1]
+        w = 1 if mu is None else mu[p]
+        if w == 1:
+            out[q::q] += src[1 : k_max // q + 1]
+        elif w == -1:
+            out[q::q] -= src[1 : k_max // q + 1]
         p += 1
     for j in range(1, k_max // p + 1 if d == 1 else 1):
-        out[j * p :: j] += src[j]
-    return list(range(1, k_max + 1)), _over(out[1:], den)
+        out[j * p :: j] += src[j] if mu is None else src[j] * mu[p : k_max // j + 1]
+    return out
+
+
+def _mobius_upto(n):
+    """[mu(0) = 0, mu(1), ..., mu(n)] as int64 by a prime sieve."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+    return mu
 
 
 def imprimitive_from_primitive(series, d):
@@ -201,7 +231,13 @@ def imprimitive_from_primitive(series, d):
 
 
 def _torsion_matrices(order, units):
-    return [tuple(tuple(row) for row in left_mul_matrix(u, order.algebra)) for u in units.torsion]
+    """The left-multiplication matrices of the torsion units as tuples of
+    Python ints, from one einsum of their coordinates with the structure
+    constants."""
+    if not all(u.is_integral() for u in units.torsion):
+        raise AssertionError("unit action does not preserve the shell: a unit is not integral")
+    coords = [u.coords for u in units.torsion]
+    return [tuple(map(tuple, m)) for m in left_mul_matrices(order.algebra, coords).tolist()]
 
 
 def _orbit_classes(lvls, reps, stab, group_order):
@@ -432,6 +468,18 @@ def quadric_all_points_level(section, k, group=None):
 # division-algebra family
 
 
+def probe_values(rng, count):
+    """count values uniform on [-9, 9] from the seeded bytes of rng: the bytes
+    below 247 = 13 * 19, each mod 19 minus 9.  One randbytes call with a margin
+    for the rejected bytes (about 3.5 %); a short draw is topped up."""
+    vals = np.zeros(0, dtype=np.int64)
+    while len(vals) < count:
+        need = count - len(vals)
+        raw = np.frombuffer(rng.randbytes(need + need // 16 + 16), dtype=np.uint8)
+        vals = np.concatenate([vals, raw[raw < 247].astype(np.int64) % 19 - 9])
+    return vals[:count]
+
+
 def assert_division_order(order, rng=None, trials=200, shell_bound=6):
     """Probe for zero divisors: random integral products and small norm-zero
     shells.  Raises ValueError on evidence of a matrix-algebra payload."""
@@ -441,7 +489,7 @@ def assert_division_order(order, rng=None, trials=200, shell_bound=6):
     spec = order.algebra
     n = spec.dim
     # each trial draws a, then b; all trials are multiplied in one batch
-    a, b = np.array([rng.randint(-9, 9) for _ in range(2 * n * trials)]).reshape(trials, 2, n).transpose(1, 0, 2)
+    a, b = probe_values(rng, 2 * n * trials).reshape(trials, 2, n).transpose(1, 0, 2)
     if np.any(a.any(axis=1) & b.any(axis=1) & ~_scaled_products(spec, a, b).any(axis=1)):
         raise ValueError("zero divisors detected: payload is not a division algebra")
     if order.norm_degree == 2:
@@ -498,52 +546,50 @@ def _definite_series(order, r_max, family):
     assert_division_order(order)
     units = finite_units(order)
     nu = len(units.torsion)
-    theta = theta_series(norm_gram(order), r_max)
+    theta = theta_series(norm_gram(order), r_max)[1:]
     _assert_free_action(order, units)
-    alln = theta[1:].tolist()
-    if any(c % nu for c in alln):
+    if np.any(theta % nu):
         raise ValueError("unit action not free on some shell: not a division order")
-    prim_shell = _primitive_shell_sizes(alln, order.norm_degree)
-    levels = list(range(1, r_max + 1))
+    n_all = (theta // nu).tolist()
     return CountSeries(
-        family=family, levels=levels,
-        n_prim=[c // nu for c in prim_shell],
-        n_all=[c // nu for c in alln],
-        weighted=[c // nu for c in alln],
+        family=family, levels=list(range(1, r_max + 1)),
+        n_prim=(_primitive_shell_sizes(theta, order.norm_degree) // nu).tolist(),
+        n_all=n_all, weighted=list(n_all),
         scale_e=1, exact=[True] * r_max,
         meta={"mode": "exact", "units": nu},
     )
 
 
 def _primitive_shell_sizes(all_sizes, d):
-    # all(m) = sum over f with f^d | m of prim(m / f^d); invert by an ascending
-    # subtraction sieve, the mirror of aggregate_levels (O(r) for d >= 2)
-    r = len(all_sizes)
-    prim = [0] + list(all_sizes)
-    for m in range(1, r + 1):
-        c = prim[m]
-        f = 2
-        while c and f ** d * m <= r:
-            prim[f ** d * m] -= c
-            f += 1
-    return prim[1:]
+    """prim(1..k) from the integer array all(1..k), where all(m) is the sum
+    over f with f^d | m of prim(m / f^d): Moebius inversion, prim(m) = sum of
+    mu(f) all(m / f^d), by the slice sieve of aggregate_levels.  int64 while
+    max|all| * k < 2^63 bounds every partial sum, Python ints (object) past it."""
+    k = len(all_sizes)
+    big = int(np.abs(all_sizes).max(initial=0)) * k >= 2 ** 63
+    src = np.zeros(k + 1, dtype=object if big else np.int64)
+    src[1:] = all_sizes
+    return _slice_sieve(src, d, k, _mobius_upto(k if d == 1 else math.isqrt(k)))[1:]
 
 
 def _assert_free_action(order, units):
     """Check on the points of norm at most 3 that each unit maps a point to
-    one of the same norm and that a point's |units| images are distinct, in
-    one int64 einsum over the units' integer left-multiplication matrices."""
+    one of the same norm and that a point's |units| images are distinct (a
+    sort of each point's image codes), in one int64 einsum over the units'
+    integer left-multiplication matrices."""
     mats = _torsion_matrices(order, units)
-    if any(Fraction(e).denominator != 1 for m in mats for row in m for e in row):
-        raise AssertionError("unit action does not preserve the shell")
     gram = norm_gram(order)
     pts, twice_q, _ = ball_points(gram, 3)
     _, gi = _scaled_integer_gram(gram)
     img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))
     _check_int64(img_max, _bilinear_bound(gi, [img_max] * len(gi)))
     imgs = np.einsum("uij,pj->pui", np.array(mats, dtype=np.int64), pts)
-    same = (imgs[:, :, None] == imgs[:, None]).all(axis=3)
-    if np.count_nonzero(same) != same.shape[0] * same.shape[1]:
+    # one code per image, sum of (c_i + img_max) base^i, injective for base = 2 img_max + 1
+    base, n = 2 * img_max + 1, len(gi)
+    dtype = np.int64 if base ** n < 2 ** 63 else object
+    weights = np.array([base ** i for i in range(n)], dtype=dtype)
+    codes = np.sort((imgs + img_max).astype(dtype) @ weights, axis=1)
+    if np.any(codes[:, 1:] == codes[:, :-1]):
         raise ValueError("unit action not free: payload is not a division order")
     if np.any(np.einsum("pui,ij,puj->pu", imgs, np.array(gi, dtype=np.int64), imgs) != twice_q[:, None]):
         raise AssertionError("unit action does not preserve the shell")

@@ -53,8 +53,16 @@ def ideal_a(disc, m):
 
 
 def ideal_count_series(disc, s):
-    """[a(1), ..., a(s)] as a list."""
-    return [ideal_a(disc, m) for m in range(1, s + 1)]
+    """[a(1), ..., a(s)] by divisor sieve: a(m) = sum_{d | m} chi(d) with
+    chi(d) = kronecker(disc, d), one slice out[d::d] += chi(d) per d.  chi is
+    completely multiplicative in d for every disc, so this equals ideal_a at
+    every level, fundamental disc or not."""
+    out = np.zeros(max(s, 0) + 1, dtype=np.int64)
+    for d in range(1, s + 1):
+        chi = kronecker(disc, d)
+        if chi:
+            out[d::d] += chi
+    return out[1:].tolist()
 
 
 def two_squares_primitive_series(r):

@@ -13,6 +13,7 @@ the level sets norm = k and norm = -k and are excluded from the orbit group.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from .algebra import (
 )
 from .exact import det, scalar
 from .numtheory import pell
-from .shells import definite_shell, gram_form, vec_isqrt_exact
+# definite_shell is no longer called here; it stays importable as
+# orbitcount.orders.definite_shell, a name perfbench/tracer.py wraps
+from .shells import ball_points, definite_shell, vec_isqrt_exact
 
 
 @dataclass(frozen=True)
@@ -122,18 +125,54 @@ def associated(x, y, order):
     return v.is_integral()
 
 
+def left_mul_matrices(spec, xs):
+    """The matrices of x -> a x for the integer rows a of xs, as one einsum
+    with the integral structure constants: (T, n, n), int64 when
+    max|a| * sum|c_ijk| < 2^63 bounds every entry, and Python ints (object)
+    otherwise."""
+    n = spec.dim
+    xmax = max((abs(int(c)) for x in xs for c in x), default=0)
+    bound = xmax * sum(abs(c) for row in spec.table for cell in row for c in cell)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    table = np.array(spec.table, dtype=dtype).reshape(n, n, n)
+    # entry (k, j) is coordinate k of a e_j, as in left_mul_matrix
+    return np.einsum("ti,ijk->tkj", np.array(xs, dtype=dtype).reshape(-1, n), table)
+
+
+def integer_dets(mats):
+    """Exact determinants of a (T, n, n) stack of integer matrices by the
+    Leibniz sum over the n! permutations (small n); int64 when
+    n! * max|entry|^n < 2^63, Python ints otherwise."""
+    t, n, _ = mats.shape
+    big = math.factorial(n) * int(np.abs(mats).max(initial=0)) ** n >= 2 ** 63
+    mats = mats.astype(object if big else np.int64)
+    out = np.zeros(t, dtype=mats.dtype)
+    for perm in permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = np.ones(t, dtype=mats.dtype)
+        for row, col in enumerate(perm):
+            term = term * mats[:, row, col]
+        out += -term if inversions % 2 else term
+    return out
+
+
 def finite_units(order):
     """Complete unit list for an order whose norm form is positive definite
-    (imaginary quadratic or definite quaternion): enumerate the norm-1 shell
-    and filter by is_unit."""
-    g = norm_gram(order)
-    form = gram_form(g)
-    shell = definite_shell(form, 1)
-    units = [AlgebraElement(tuple(v)) for v in shell]
-    units = [u for u in units if is_unit(u, order)]
-    if not units:
+    (imaginary quadratic or definite quaternion): the norm-1 shell of
+    ball_points in lexicographic order, certified in one batch.  With
+    integral structure constants and an integral unity, x is a unit iff
+    det(L_x) = +-1 (L_x L_{x^-1} = L_1 = I, and the adjugate of a
+    determinant +-1 matrix is integral); with a non-integral unity, no
+    integral x has an integral inverse."""
+    pts, twice_q, s = ball_points(norm_gram(order), 1)
+    shell = pts[twice_q == 2 * s]
+    shell = shell[np.lexsort(shell.T[::-1])]
+    dets = integer_dets(left_mul_matrices(order.algebra, shell))
+    shell = shell[((dets == 1) | (dets == -1)) & order.algebra.one().is_integral()]
+    if not len(shell):
         raise AssertionError("no units found; definiteness precondition violated")
-    return UnitGroupData(torsion=tuple(units), fundamental=(), complete=True)
+    units = tuple(AlgebraElement(tuple(v)) for v in shell.tolist())
+    return UnitGroupData(torsion=units, fundamental=(), complete=True)
 
 
 def real_quadratic_d(order):

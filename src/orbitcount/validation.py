@@ -2,8 +2,9 @@
 
 Checks are exact where possible (associativity, definiteness via minors,
 the unit rank by Dirichlet from a Sturm signature) and
-probabilistic-but-deterministic where not (seeded random division probes,
-mod-p irreducibility with pass/undetermined/fail outcomes).
+probabilistic-but-deterministic where not (random division probes whose
+values come from the seeded bytes of random.Random(seed).randbytes, mod-p
+irreducibility with pass/undetermined/fail outcomes).
 """
 
 import random

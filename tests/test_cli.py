@@ -129,6 +129,18 @@ def test_import_loads_neither_sympy_nor_mpmath(tmp_path):
     assert json.loads((tmp_path / "gauss-fit.json").read_text())["predicted_c"] is not None
 
 
+def test_report_does_not_load_numpy_random(tmp_path):
+    # the division probe draws seeded bytes; importing numpy.random would cost resident memory
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    code = ("import sys, orbitcount.cli as cli\n"
+            "for name in ('gauss', 'hurwitz', 'model-quadric'):\n"
+            f"    assert cli.main(['report', '--config', name, '--rmax', '60', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip().splitlines()[-1] == "False"
+
+
 def test_count_deterministic_across_runs_and_jobs(tmp_path):
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert run(["count", "--config", "gauss", "--rmax", "60", "--out", str(out1)]) == EXIT_OK
@@ -487,6 +499,46 @@ def test_report_builds_its_scenario_once(tmp_path, monkeypatch, capsys):
                 "--out", str(tmp_path)]) == EXIT_OK
     assert built == ["model-quadric"]
     assert "zero diffs over 40 levels" in capsys.readouterr().out
+
+
+def test_report_builds_the_quadric_group_once(tmp_path, monkeypatch, capsys):
+    # report takes |G| from the series it counted; only oracle-compare on a
+    # counts CSV, which does not carry |G|, builds the group itself
+    import orbitcount.cli as cli
+    import orbitcount.counting as counting
+    from orbitcount.symmetry import integral_symmetries
+
+    built = []
+
+    def counting_group(section):
+        built.append(section)
+        return integral_symmetries(section)
+
+    monkeypatch.setattr(cli, "integral_symmetries", counting_group)
+    monkeypatch.setattr(counting, "integral_symmetries", counting_group)
+    assert run(["report", "--config", "model-quadric", "--rmax", "40",
+                "--out", str(tmp_path)]) == EXIT_OK
+    assert len(built) == 1
+    assert "zero diffs over 40 levels" in capsys.readouterr().out
+    assert run(["oracle-compare", "--config", "model-quadric", "--rmax", "40",
+                "--series", str(tmp_path / "model-quadric-counts.csv")]) == EXIT_OK
+    assert len(built) == 2
+    assert "zero diffs over 40 levels" in capsys.readouterr().out
+
+
+def test_fit_refuses_a_unit_rank_against_dirichlet(tmp_path, capsys):
+    assert run(["count", "--config", "gauss", "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
+    path = _order_config(tmp_path / "order.json", [[1, 0], [0, 1], [-1, 0]], 1)
+    cfg = json.loads((tmp_path / "order.json").read_text())
+    cfg["invariants"] = {"class_number": 1, "minpoly": [1, 0, 1]}
+    (tmp_path / "order.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run(["fit", "--config", path, "--out", str(tmp_path),
+                "--series", str(tmp_path / "gauss-counts.csv")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == ("error: config unit_rank 1 disagrees with r1 + r2 - 1 = 0 "
+                   "(signature (0, 1) of minpoly [1, 0, 1])\n")
+    assert not (tmp_path / "scenario-fit.json").exists()
 
 
 def test_fit_writes_the_series_config_hash(tmp_path, capsys):

@@ -154,6 +154,42 @@ def test_free_action_check(order):
         _assert_free_action(order, replace(units, torsion=units.torsion + (two,)))
 
 
+@pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
+def test_free_action_check_with_image_codes_past_int64(order):
+    # a unit matrix of entries 10^5 makes the image codes (2 * 10^5 + 1)^4 > 2^63
+    units = finite_units(order)
+    big = element(tuple(10 ** 5 * c for c in order.algebra.unity))
+    with pytest.raises(ValueError, match="unit action not free"):
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1] + (big,)))
+    with pytest.raises(AssertionError, match="does not preserve the shell"):
+        _assert_free_action(order, replace(units, torsion=units.torsion + (big,)))
+
+
+def _primitive_reference(all_sizes, d):
+    # the ascending subtraction sieve: all(m) = sum over f^d | m of prim(m / f^d)
+    prim = [0] + list(all_sizes)
+    for m in range(1, len(all_sizes) + 1):
+        for f in range(2, len(all_sizes) + 1):
+            if f ** d * m > len(all_sizes):
+                break
+            prim[f ** d * m] -= prim[m]
+    return prim[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=300),
+       st.booleans())
+def test_primitive_shell_sizes_matches_python_sieve(d, sizes, past_int64):
+    from orbitcount.counting import _primitive_shell_sizes
+
+    if past_int64:  # the object-array route past 2^63
+        sizes = [c * 2 ** 60 for c in sizes]
+    got = _primitive_shell_sizes(sizes, d).tolist()
+    assert got == _primitive_reference(sizes, d)
+    assert all(type(c) is int for c in got)
+    assert aggregate_levels(range(1, len(sizes) + 1), got, d, len(sizes))[1] == sizes
+
+
 def test_free_action_check_rejects_split_norm_form():
     split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
     units = UnitGroupData(torsion=(element((1, 1)), element((-1, -1))), fundamental=(), complete=True)
@@ -415,16 +451,40 @@ def test_aggregate_levels_past_int64_is_exact():
 
 
 def _scalar_division_probe(order, rng, trials):
-    """The per-pair alg_mul probe that the batched one replaced."""
+    """The per-pair alg_mul probe on the pairs the batched one draws: trial t
+    reads a, then b, from the same probe_values draw."""
     from orbitcount.algebra import alg_mul, element
+    from orbitcount.counting import probe_values
 
     spec, n = order.algebra, order.algebra.dim
-    for _ in range(trials):
-        a = element([rng.randint(-9, 9) for _ in range(n)])
-        b = element([rng.randint(-9, 9) for _ in range(n)])
+    vals = probe_values(rng, 2 * n * trials).tolist()
+    for t in range(trials):
+        a = element(vals[2 * n * t : 2 * n * t + n])
+        b = element(vals[2 * n * t + n : 2 * n * (t + 1)])
         if not (a.is_zero() or b.is_zero()) and alg_mul(a, b, spec).is_zero():
             return False
     return True
+
+
+def test_probe_values_are_seeded_and_cover_the_range():
+    import random
+
+    from orbitcount.counting import probe_values
+
+    vals = probe_values(random.Random(5), 19 * 400)
+    assert vals.tolist() == probe_values(random.Random(5), 19 * 400).tolist()
+    assert np.bincount(vals + 9, minlength=19).min() > 300  # every value of [-9, 9], near 400 times
+    assert vals.min() == -9 and vals.max() == 9
+    # a draw short after the rejected bytes is topped up to the count asked for
+    class AllRejected(random.Random):
+        calls = 0
+
+        def randbytes(self, k):
+            self.calls += 1
+            return bytes([255] * k) if self.calls == 1 else super().randbytes(k)
+
+    rng = AllRejected(5)
+    assert len(probe_values(rng, 100)) == 100 and rng.calls == 2
 
 
 def _rational_split_algebra():

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitcount.algebra import element
 from orbitcount.oracles import (
@@ -8,6 +10,7 @@ from orbitcount.oracles import (
     hurwitz_shell_series,
     ideal_a,
     ideal_count_quadratic,
+    ideal_count_series,
     jacobi_r4_cumulative,
     pairwise_orbits,
     r4,
@@ -48,6 +51,19 @@ def test_ideal_a_brute_force_small():
         for m in range(1, 200):
             direct = sum(kronecker(disc, d) for d in range(1, m + 1) if m % d == 0)
             assert ideal_a(disc, m) == direct
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-400, 400), st.integers(0, 500))
+@example(-16, 500).via("non-fundamental, D = 4 * -4")
+@example(-12, 500).via("non-fundamental, D = 4 * -3")
+@example(9, 500).via("a square")
+@example(0, 500).via("chi(d) = 0 past d = 1")
+@example(-400, 500).via("the range's end")
+def test_ideal_count_series_sieve_matches_ideal_a(disc, s):
+    # the Kronecker symbol is completely multiplicative in its lower argument,
+    # so the divisor sieve agrees with the factorisation for every D
+    assert ideal_count_series(disc, s) == [ideal_a(disc, m) for m in range(1, s + 1)]
 
 
 def test_two_squares_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcount.algebra import alg_mul, alg_norm, element, quadratic_field_order
+from orbitcount.algebra import AlgebraElement, alg_mul, alg_norm, element, quadratic_field_order, quaternion_algebra
 from orbitcount.oracles import pairwise_orbits
 from orbitcount.orders import (
     OrderSpec,
@@ -68,6 +68,30 @@ def test_finite_units_counts():
     assert len(finite_units(order_hurwitz()).torsion) == 24
     with pytest.raises(ValueError):
         finite_units(order_zsqrt2())  # indefinite norm form
+
+
+def _is_unit_filter(order):
+    """The units as the per-element is_unit filter over the norm-1 shell."""
+    shell = definite_shell(norm_gram(order), 1)
+    return tuple(u for u in (AlgebraElement(tuple(v)) for v in shell) if is_unit(u, order))
+
+
+@pytest.mark.parametrize("order", [order_gauss(), order_lipschitz(), order_hurwitz()],
+                         ids=["gauss", "lipschitz", "hurwitz"])
+def test_finite_units_match_the_is_unit_filter(order):
+    units = finite_units(order).torsion
+    assert units == _is_unit_filter(order)
+    assert all(type(c) is int for u in units for c in u.coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.integers(1, 60).map(lambda d: OrderSpec(quadratic_field_order(-d), norm_degree=2, unit_rank=0)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(
+        lambda ab: OrderSpec(quaternion_algebra(-ab[0], -ab[1]), norm_degree=2, unit_rank=0)),
+))
+def test_finite_units_match_the_is_unit_filter_on_drawn_orders(order):
+    assert finite_units(order).torsion == _is_unit_filter(order)
 
 
 def test_fundamental_unit():
