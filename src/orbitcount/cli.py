@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation failure, 2 box-mode saturation failure,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -105,7 +106,15 @@ def scenario_from_config(doc):
     )
 
 
+CSV_CHUNK = 4096  # rows per writer chunk; bounds the ASCII kernel's temporaries
+_CSV_ROW = "{},{},{},{},{},{}\n".format
+
+
 def series_to_csv(series, fh, chash):
+    """Write the counts CSV.  A chunk of rows whose level, n_prim, n_all,
+    weighted and exact cells numpy reads as one nonnegative int64 table goes
+    through _ascii_rows; any other chunk (a Fraction weight, a level in
+    original units, a cell past int64 or below 0) is formatted row by row."""
     fh.write(f"# config_hash={chash}\n")
     extra = ""
     if series.meta.get("units") == "user-asserted":
@@ -113,13 +122,47 @@ def series_to_csv(series, fh, chash):
     fh.write(f"# family={series.family} scale_e={series.scale_e} "
              f"mode={series.meta.get('mode', 'exact')}{extra}\n")
     fh.write("level,n_prim,n_all,weighted_num,weighted_den,exact\n")
-    levels, e, w = series.levels, series.scale_e, series.weighted
+    levels, e = series.levels, series.scale_e
     if e != 1:
         gs = [math.gcd(lv, e) for lv in levels]
         levels = [f"{lv // g}/{e // g}" if g < e else lv // e for lv, g in zip(levels, gs)]
-    fh.writelines(map("{},{},{},{},{},{}\n".format, levels, series.n_prim, series.n_all,
-                      (c.numerator for c in w), (c.denominator for c in w),
-                      (1 if ex else 0 for ex in series.exact)))
+    columns = (levels, series.n_prim, series.n_all, series.weighted, series.exact)
+    for lo in range(0, len(levels), CSV_CHUNK):
+        part = [col[lo : lo + CSV_CHUNK] for col in columns]
+        cells = np.array(part)
+        # [1, 2**63] reads as float64 and [2**63] as uint64: only int64 is exact here
+        if cells.dtype == np.int64 and cells.min() >= 0:
+            table = np.ones((cells.shape[1], 6), dtype=np.int64)
+            table[:, :4] = cells[:4].T
+            table[:, 5] = cells[4] != 0
+            fh.write(_ascii_rows(table))
+        else:
+            lv, prim, alln, w, ex = part
+            fh.writelines(map(_CSV_ROW, lv, prim, alln, (c.numerator for c in w),
+                              (c.denominator for c in w), (1 if x else 0 for x in ex)))
+
+
+def _ascii_rows(table):
+    """The CSV lines of a nonempty nonnegative int64 table: each cell's width
+    (digits and separator) from comparisons with the powers of ten, one uint8
+    buffer of commas with a newline ending each row, and the digits placed
+    right to left, one pass per digit over the cells that have it."""
+    vals = table.ravel()
+    width = np.full(len(vals), 2, dtype=np.int64)
+    p, top = 10, int(vals.max())
+    while p <= top:
+        width += vals >= p
+        p *= 10
+    ends = np.cumsum(width)
+    buf = np.full(ends[-1], ord(","), dtype=np.uint8)
+    buf[ends[table.shape[1] - 1 :: table.shape[1]] - 1] = ord("\n")
+    ends -= 2  # each cell's last digit
+    while len(vals):
+        q = vals // 10
+        buf[ends] = (vals - 10 * q + ord("0")).astype(np.uint8)
+        more = q > 0
+        vals, ends = q[more], ends[more] - 1
+    return buf.tobytes().decode("ascii")
 
 
 def series_from_csv(path):
@@ -372,6 +415,7 @@ def _overrides(args):
     }
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace
 def build_parser():
     p = argparse.ArgumentParser(
         prog="orbitcount",

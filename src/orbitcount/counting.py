@@ -115,7 +115,14 @@ class CountSeries:
 
 def _numerators(column):
     """(numerators, L) of an int/Fraction column over the lcm L of its
-    denominators, as int64 when L and sum |numerator| are below 2^63."""
+    denominators, as int64 when L and sum |numerator| are below 2^63.  A
+    column numpy reads as int64 with max |x| * len below 2^63 is its own
+    array over L = 1; any other goes through the lcm."""
+    nums = np.array(column)
+    if nums.dtype == np.int64:
+        top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
+        if top * len(nums) < 2 ** 63:
+            return nums, 1
     den = math.lcm(*{c.denominator for c in column})
     nums = column if den == 1 else [c.numerator * (den // c.denominator) for c in column]
     big = max(den, sum(map(abs, nums))) >= 2 ** 63
@@ -135,9 +142,9 @@ def cumulative_at(series, radii, which="all"):
     prefix sums of the chosen column ("all", "prim" or "weighted") over its
     common denominator; errors beyond the computed range."""
     column = {"prim": series.n_prim, "weighted": series.weighted}.get(which, series.n_all)
-    top = max(series.levels, default=0)
+    top = series.levels[-1] if series.levels else 0
     nums, den = _numerators(column)
-    sums = np.cumsum(nums).tolist()
+    sums = np.cumsum(nums)
     out, prev = [], None
     for r in radii:
         r_scaled = Fraction(r) * series.scale_e
@@ -147,7 +154,7 @@ def cumulative_at(series, radii, which="all"):
             raise ValueError("radii must be ascending")
         prev = r_scaled
         i = bisect_right(series.levels, math.floor(r_scaled))
-        out.append(scalar(Fraction(sums[i - 1] if i else 0, den)))
+        out.append(scalar(Fraction(int(sums[i - 1]) if i else 0, den)))
     return out
 
 
@@ -251,7 +258,14 @@ def _orbit_classes(lvls, reps, stab, group_order):
         first = np.array([m[0] for m in members.values()], dtype=np.int64)
         counts = np.array([len(m) for m in members.values()], dtype=np.int64)
     else:
-        _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+        # one stable sort by the key columns: a class's first sorted member is
+        # its first index, as np.unique(axis=0, return_index=True) returns it
+        order = np.lexsort(key.T[::-1])
+        sk = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        first, counts = order[starts], np.diff(starts, append=len(key))
     if np.any(counts * stab[first] != group_order):
         raise AssertionError("orbit-stabilizer identity violated: an orbit is incomplete")
     return first
@@ -480,9 +494,10 @@ def probe_values(rng, count):
     return vals[:count]
 
 
-def assert_division_order(order, rng=None, trials=200, shell_bound=6):
+def assert_division_order(order, rng=None, trials=200, shell_bound=6, gram=None):
     """Probe for zero divisors: random integral products and small norm-zero
-    shells.  Raises ValueError on evidence of a matrix-algebra payload."""
+    shells.  Raises ValueError on evidence of a matrix-algebra payload.  gram
+    is norm_gram(order) when the caller has it."""
     import random
 
     rng = rng or random.Random(0x5EED)
@@ -493,7 +508,7 @@ def assert_division_order(order, rng=None, trials=200, shell_bound=6):
     if np.any(a.any(axis=1) & b.any(axis=1) & ~_scaled_products(spec, a, b).any(axis=1)):
         raise ValueError("zero divisors detected: payload is not a division algebra")
     if order.norm_degree == 2:
-        g = norm_gram(order)
+        g = norm_gram(order) if gram is None else gram
         from .exact import definiteness
 
         if definiteness(g) == 1:
@@ -543,11 +558,12 @@ def _definite_series(order, r_max, family):
     |units| members and the count is the exact theta series over |units|; the
     primitive part by Moebius inversion over x -> p x, N(p x) = p^d N(x)."""
     r_max = int(r_max)
-    assert_division_order(order)
-    units = finite_units(order)
+    gram = norm_gram(order)
+    assert_division_order(order, gram=gram)
+    units = finite_units(order, gram)
     nu = len(units.torsion)
-    theta = theta_series(norm_gram(order), r_max)[1:]
-    _assert_free_action(order, units)
+    theta = theta_series(gram, r_max)[1:]
+    _assert_free_action(order, units, gram)
     if np.any(theta % nu):
         raise ValueError("unit action not free on some shell: not a division order")
     n_all = (theta // nu).tolist()
@@ -572,13 +588,12 @@ def _primitive_shell_sizes(all_sizes, d):
     return _slice_sieve(src, d, k, _mobius_upto(k if d == 1 else math.isqrt(k)))[1:]
 
 
-def _assert_free_action(order, units):
-    """Check on the points of norm at most 3 that each unit maps a point to
-    one of the same norm and that a point's |units| images are distinct (a
-    sort of each point's image codes), in one int64 einsum over the units'
-    integer left-multiplication matrices."""
+def _assert_free_action(order, units, gram):
+    """Check on the points of norm at most 3 (gram is norm_gram(order)) that
+    each unit maps a point to one of the same norm and that a point's |units|
+    images are distinct (a sort of each point's image codes), in one int64
+    einsum over the units' integer left-multiplication matrices."""
     mats = _torsion_matrices(order, units)
-    gram = norm_gram(order)
     pts, twice_q, _ = ball_points(gram, 3)
     _, gi = _scaled_integer_gram(gram)
     img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))

@@ -214,45 +214,31 @@ def conic_points_up_to(section, r_scaled):
         a * smax * smax + abs(b) * smax * tmax + c * tmax * tmax,
         *(abs(f0) * smax * smax + abs(f1) * smax * tmax + abs(f2) * tmax * tmax for f0, f1, f2 in phi),
     )
-    pts, lvls = [], []
-    phi_m = np.array(phi, dtype=np.int64)
+    # each s's t window in Python ints (the discriminant can pass int64), then
+    # all (s, t) pairs at once: t runs from lo(s) to hi(s) by one
+    windows = []
     for s in range(0, smax + 1):
         # c t^2 + b s t + a s^2 - bound <= 0
         dd = b * b * s * s - 4 * c * (a * s * s - bound)
-        if dd < 0:
-            continue
-        root = math.isqrt(dd)
-        lo = (-b * s - root) // (2 * c) - 1
-        hi = (-b * s + root) // (2 * c) + 2
-        ts = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = a * s * s + b * s * ts + c * ts * ts
-        keep = (vals > 0) & (vals <= bound)
-        if s == 0:
-            keep &= ts > 0
-        ts, vals = ts[keep], vals[keep]
-        if len(ts) == 0:
-            continue
-        co = np.gcd(np.int64(s), ts) == 1
-        ts, vals = ts[co], vals[co]
-        if len(ts) == 0:
-            continue
-        mono = np.stack([np.full_like(ts, s * s), s * ts, ts * ts], axis=0)
-        xs = phi_m @ mono  # (3, N)
-        content = np.gcd.reduce(np.abs(xs), axis=0)
-        assert np.all(content > 0)
-        assert not np.any(vals % content), "content must divide the level form"
-        levels = vals // content
-        keep2 = levels <= r_scaled
-        if not keep2.any():
-            continue
-        xs = (xs[:, keep2] // content[keep2]).T
-        lv = levels[keep2]
-        pts.append(xs)
-        lvls.append(lv)
-    if not pts:
-        return np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    pts = np.vstack(pts)
-    lvls = np.concatenate(lvls)
+        if dd >= 0:
+            root = math.isqrt(dd)
+            windows.append((s, (-b * s - root) // (2 * c) - 1, (-b * s + root) // (2 * c) + 2))
+    s_w, lo_w, hi_w = np.array(windows, dtype=np.int64).reshape(-1, 3).T
+    sizes = hi_w - lo_w + 1
+    ss = np.repeat(s_w, sizes)
+    ts = np.arange(len(ss), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes - lo_w, sizes)
+    vals = a * ss * ss + b * ss * ts + c * ts * ts
+    keep = (vals > 0) & (vals <= bound) & ((ss > 0) | (ts > 0))
+    ss, ts, vals = ss[keep], ts[keep], vals[keep]
+    co = np.gcd(ss, ts) == 1
+    ss, ts, vals = ss[co], ts[co], vals[co]
+    xs = np.array(phi, dtype=np.int64) @ np.stack([ss * ss, ss * ts, ts * ts])  # (3, N)
+    content = np.gcd.reduce(np.abs(xs), axis=0)
+    assert np.all(content > 0)
+    assert not np.any(vals % content), "content must divide the level form"
+    levels = vals // content
+    keep = levels <= r_scaled
+    pts, lvls = (xs[:, keep] // content[keep]).T, levels[keep]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], lvls))
     return pts[order], lvls[order]
 

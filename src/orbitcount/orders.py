@@ -156,15 +156,16 @@ def integer_dets(mats):
     return out
 
 
-def finite_units(order):
+def finite_units(order, gram=None):
     """Complete unit list for an order whose norm form is positive definite
     (imaginary quadratic or definite quaternion): the norm-1 shell of
     ball_points in lexicographic order, certified in one batch.  With
     integral structure constants and an integral unity, x is a unit iff
     det(L_x) = +-1 (L_x L_{x^-1} = L_1 = I, and the adjugate of a
     determinant +-1 matrix is integral); with a non-integral unity, no
-    integral x has an integral inverse."""
-    pts, twice_q, s = ball_points(norm_gram(order), 1)
+    integral x has an integral inverse.  gram is norm_gram(order), computed
+    here when not given."""
+    pts, twice_q, s = ball_points(norm_gram(order) if gram is None else gram, 1)
     shell = pts[twice_q == 2 * s]
     shell = shell[np.lexsort(shell.T[::-1])]
     dets = integer_dets(left_mul_matrices(order.algebra, shell))

@@ -6,6 +6,7 @@ Class numbers are preset metadata (asserted, not computed); everything else
 (units, regulators, discriminants, signatures) is derived on demand.
 """
 
+import functools
 from fractions import Fraction
 
 from .algebra import change_of_basis, quadratic_field_order, quaternion_algebra
@@ -38,7 +39,8 @@ def model_quadric_section():
     return quadric_section([[0, 0, h], [0, -1, 0], [h, 0, 0]], (1, 0, 1), base_point=(0, 0, 1))
 
 
-# name -> (family, payload factory, invariants); preset_parts copies the invariants
+# name -> (family, payload factory, invariants); preset_parts builds each payload
+# once (frozen dataclasses of tuples) and copies the invariants on every call
 PRESETS = {
     "zsqrt2": (FAMILY_NORMFORM, order_zsqrt2,
                {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": "ideal-count:8"}),
@@ -55,8 +57,13 @@ def preset_parts(name):
     """(family, payload, invariants) of a preset, the invariants a fresh dict."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
-    family, payload, invariants = PRESETS[name]
-    return family, payload(), dict(invariants)
+    family, _, invariants = PRESETS[name]
+    return family, _payload(name), dict(invariants)
+
+
+@functools.cache
+def _payload(name):
+    return PRESETS[name][1]()
 
 
 def preset_scenario(name, k_max, mode=("exact",), use_absolute_norm=False):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcount.algebra import (
     AlgebraSpec,
@@ -122,3 +124,44 @@ def test_rejects_broken_structure_constants():
                         unity=(1, 0), kind="number-field")
     with pytest.raises(ValueError):
         spec2.check_axioms()
+
+
+def _axiom_loop(spec):
+    """The unity and associativity checks as nested alg_mul calls over basis
+    triples: the first failure's message, or None."""
+    n = spec.dim
+    basis = [spec.basis_element(i) for i in range(n)]
+    one = spec.one()
+    for i in range(n):
+        if alg_mul(one, basis[i], spec) != basis[i] or alg_mul(basis[i], one, spec) != basis[i]:
+            return "unity is not a two-sided identity"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg_mul(alg_mul(basis[i], basis[j], spec), basis[k], spec)
+                rhs = alg_mul(basis[i], alg_mul(basis[j], basis[k], spec), spec)
+                if lhs != rhs:
+                    return f"associativity fails on basis triple {(i, j, k)}"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_SPECS), st.data())
+def test_associativity_check_matches_the_basis_loop(spec, data):
+    # perturb one structure constant by an integer, a Fraction or a value past
+    # int64; drop the involution, whose checks come after these
+    n = spec.dim
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=5),
+                                st.just(2 ** 70)))
+    table = [[list(cell) for cell in row] for row in spec.table]
+    table[i][j][k] += delta
+    moved = AlgebraSpec(dim=n, table=tuple(tuple(map(tuple, row)) for row in table),
+                        unity=spec.unity, kind="number-field")
+    expected = _axiom_loop(moved)
+    if expected is None:
+        moved.check_axioms()
+    else:
+        with pytest.raises(ValueError) as err:
+            moved.check_axioms()
+        assert str(err.value) == expected

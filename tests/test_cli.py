@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from orbitcount.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_SATURATION,
+    CSV_CHUNK,
     EXIT_VALIDATION,
     _oracle_columns,
     load_config,
@@ -622,3 +625,108 @@ def test_series_csv_round_trip_property(series):
     assert (back.family, back.scale_e) == (series.family, series.scale_e)
     assert (back.levels, back.n_prim, back.n_all) == (series.levels, series.n_prim, series.n_all)
     assert (back.weighted, back.exact) == (series.weighted, series.exact)
+
+
+def _format_rows(series):
+    """The counts CSV body as one str.format per row, with levels in original
+    units when scale_e is not 1."""
+    levels, e = series.levels, series.scale_e
+    if e != 1:
+        levels = [f"{lv // math.gcd(lv, e)}/{e // math.gcd(lv, e)}" if lv % e else lv // e
+                  for lv in levels]
+    return "".join(f"{lv},{p},{a},{w.numerator},{w.denominator},{1 if ex else 0}\n"
+                   for lv, p, a, w, ex in zip(levels, series.n_prim, series.n_all,
+                                              series.weighted, series.exact))
+
+
+def _written_rows(series):
+    fh = io.StringIO()
+    series_to_csv(series, fh, "x")
+    return fh.getvalue().split("\n", 3)[3]
+
+
+EDGE_CELLS = (0, 9, 10, 10 ** 18, 2 ** 63 - 1)
+
+
+def _edge_series(rows, weight=lambda i, w: w, scale_e=1):
+    levels = [1 + 3 * i for i in range(rows)]
+    n_all = [EDGE_CELLS[i % 5] for i in range(rows)]
+    n_prim = [min(EDGE_CELLS[(i * 7) % 5], c) for i, c in enumerate(n_all)]
+    weighted = [weight(i, EDGE_CELLS[(i * 3) % 5]) for i in range(rows)]
+    return CountSeries(family="quadric", levels=levels, n_prim=n_prim, n_all=n_all,
+                       weighted=weighted, scale_e=scale_e, exact=[i % 3 != 0 for i in range(rows)])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_writer_matches_row_format_at_chunk_boundaries(offset):
+    series = _edge_series(CSV_CHUNK + offset)
+    assert _written_rows(series) == _format_rows(series)
+    two = _edge_series(2 * CSV_CHUNK + offset)
+    assert _written_rows(two) == _format_rows(two)
+
+
+def test_csv_writer_edge_cells():
+    cells = list(EDGE_CELLS)
+    series = CountSeries(family="quadric", levels=cells, n_prim=cells, n_all=cells,
+                         weighted=cells, scale_e=1, exact=[True, False, True, 1, 0])
+    assert _written_rows(series) == _format_rows(series)
+    assert _written_rows(series).splitlines()[-1] == ",".join([str(2 ** 63 - 1)] * 4 + ["1", "0"])
+
+
+@pytest.mark.parametrize("odd", [Fraction(7, 3), 2 ** 63, 2 ** 64, -5])
+def test_csv_writer_mixes_array_and_row_chunks(odd, monkeypatch):
+    # one cell in the second chunk is a Fraction, past int64 or negative; the
+    # other three chunks still go through the array kernel
+    from orbitcount import cli
+
+    kernel, kernel_rows = cli._ascii_rows, []
+
+    def counting_kernel(table):
+        kernel_rows.append(len(table))
+        return kernel(table)
+
+    monkeypatch.setattr(cli, "_ascii_rows", counting_kernel)
+    series = _edge_series(3 * CSV_CHUNK + 5, weight=lambda i, w: odd if i == CSV_CHUNK + 17 else w)
+    assert _written_rows(series) == _format_rows(series)
+    assert kernel_rows == [CSV_CHUNK, CSV_CHUNK, 5]
+
+
+def test_csv_writer_scaled_levels():
+    series = _edge_series(CSV_CHUNK + 3, scale_e=6)
+    text = _written_rows(series)
+    assert text == _format_rows(series)
+    assert text.startswith("1/6,") and "\n2/3," in text  # levels 1 and 4, over 6
+
+
+def test_parser_is_built_once_and_fit_flags_do_not_leak(tmp_path, capsys):
+    from orbitcount import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["count", "--config", "gauss", "--rmax", "300", "--out", str(tmp_path)]) == EXIT_OK
+    csv_path = str(tmp_path / "gauss-counts.csv")
+    docs = []
+    for flags in (["--fixed-lambda", "--zeta"], [], ["--fixed-lambda"]):
+        capsys.readouterr()
+        assert run(["fit", "--config", "gauss", "--series", csv_path, "--out", str(tmp_path),
+                    *flags]) == EXIT_OK
+        docs.append(json.loads(capsys.readouterr().out))
+    fixed, free, fixed_again = docs
+    assert free["lambda_hat"] == fixed["lambda_hat_free"] != fixed["lambda_hat"] == 1.0
+    assert free["zeta_factor"] is None and fixed["zeta_factor"] is not None
+    assert fixed_again == dict(fixed, zeta_factor=None)
+    args = cli.build_parser().parse_args(["fit", "--config", "gauss", "--series", csv_path])
+    assert (args.fixed_lambda, args.zeta, args.out, args.rmax) == (False, False, None, None)
+
+
+def test_preset_payload_built_once_with_fresh_invariants():
+    from orbitcount.presets import PRESET_NAMES, preset_parts
+
+    for name in PRESET_NAMES:
+        family, payload, invariants = preset_parts(name)
+        again = preset_parts(name)
+        assert again[0] == family and again[1] is payload
+        assert again[2] == invariants and again[2] is not invariants
+        invariants["class_number"] = 99
+        invariants.pop("oracle")
+        assert "oracle" in preset_parts(name)[2]
+        assert preset_parts(name)[2].get("class_number") != 99

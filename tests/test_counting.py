@@ -33,7 +33,7 @@ from orbitcount.counting import (
     run_scenario,
 )
 from orbitcount.oracles import ideal_count_series, r4_series, two_squares_primitive
-from orbitcount.orders import OrderSpec, UnitGroupData, finite_units
+from orbitcount.orders import OrderSpec, UnitGroupData, finite_units, norm_gram
 from orbitcount.presets import (
     model_quadric_section,
     order_gauss,
@@ -145,24 +145,24 @@ def test_division_guard_rejects_split_norm_form():
 
 @pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
 def test_free_action_check(order):
-    units = finite_units(order)
-    _assert_free_action(order, units)
+    units, gram = finite_units(order), norm_gram(order)
+    _assert_free_action(order, units, gram)
     with pytest.raises(ValueError, match="unit action not free"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1]))
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1]), gram)
     two = element(tuple(2 * c for c in order.algebra.unity))
     with pytest.raises(AssertionError, match="does not preserve the shell"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + (two,)))
+        _assert_free_action(order, replace(units, torsion=units.torsion + (two,)), gram)
 
 
 @pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
 def test_free_action_check_with_image_codes_past_int64(order):
     # a unit matrix of entries 10^5 makes the image codes (2 * 10^5 + 1)^4 > 2^63
-    units = finite_units(order)
+    units, gram = finite_units(order), norm_gram(order)
     big = element(tuple(10 ** 5 * c for c in order.algebra.unity))
     with pytest.raises(ValueError, match="unit action not free"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1] + (big,)))
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1] + (big,)), gram)
     with pytest.raises(AssertionError, match="does not preserve the shell"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + (big,)))
+        _assert_free_action(order, replace(units, torsion=units.torsion + (big,)), gram)
 
 
 def _primitive_reference(all_sizes, d):
@@ -194,7 +194,7 @@ def test_free_action_check_rejects_split_norm_form():
     split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
     units = UnitGroupData(torsion=(element((1, 1)), element((-1, -1))), fundamental=(), complete=True)
     with pytest.raises(ValueError, match="not positive definite"):
-        _assert_free_action(split, units)
+        _assert_free_action(split, units, norm_gram(split))
 
 
 def test_cumulative():
@@ -654,3 +654,70 @@ def test_quadric_series_invariant_under_unimodular_change_four_variables(rng, st
     sec = four_variable_section()
     moved = transformed_section(sec, random_unimodular(4, rng, steps=steps))
     assert _columns(quadric_series(moved, r)) == _columns(quadric_series(sec, r))
+
+
+def _numerators_over_lcm(column):
+    """(numerators, L) over the lcm L of the denominators, int64 when L and
+    sum |numerator| are below 2^63."""
+    den = math.lcm(*{Fraction(c).denominator for c in column})
+    nums = [int(Fraction(c) * den) for c in column]
+    big = max(den, sum(map(abs, nums))) >= 2 ** 63
+    return np.array(nums, dtype=object if big else np.int64), den
+
+
+@st.composite
+def numerator_columns(draw):
+    # columns near the 2^63 / len edge of the int64 route, with sign, with
+    # a Fraction or with a cell past int64
+    n = draw(st.integers(1, 40))
+    edge = (2 ** 63 - 1) // n + draw(st.integers(-2, 2))
+    cells = st.one_of(st.integers(-9, 9), st.just(edge), st.just(-edge), st.just(-(2 ** 63)),
+                      st.just(2 ** 63), st.fractions(-5, 5, max_denominator=6))
+    return draw(st.lists(cells, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator_columns())
+def test_numerators_match_the_lcm_route(column):
+    from orbitcount.counting import _numerators
+
+    nums, den = _numerators(column)
+    ref, ref_den = _numerators_over_lcm(column)
+    assert den == ref_den and nums.dtype == ref.dtype
+    assert nums.tolist() == ref.tolist()
+    assert np.cumsum(nums).tolist() == np.cumsum(np.array(ref.tolist(), dtype=object)).tolist()
+
+
+def test_numerators_int64_route_edge():
+    from orbitcount.counting import _numerators
+
+    n = 7
+    top = (2 ** 63 - 1) // n
+    for column in ([top] * n, [-top] * n, [top] * (n - 1) + [-top]):
+        nums, den = _numerators(column)
+        assert den == 1 and nums.dtype == np.int64 and nums.tolist() == column
+    # max * len reaches 2^63, so the sum decides: object past it, int64 below
+    nums, den = _numerators([top + 1] * n)
+    assert den == 1 and nums.dtype == object and sum(nums.tolist()) == (top + 1) * n
+    nums, den = _numerators([top + 1] + [0] * (n - 1))
+    assert den == 1 and nums.dtype == np.int64
+    nums, den = _numerators([Fraction(1, 3), 2, Fraction(5, 6)])
+    assert den == 6 and nums.tolist() == [2, 12, 5]
+
+
+def test_definite_series_builds_the_norm_gram_once(monkeypatch):
+    from orbitcount import counting, orders
+
+    calls = []
+    original = orders.norm_gram
+
+    def counting_gram(order):
+        calls.append(order)
+        return original(order)
+
+    monkeypatch.setattr(counting, "norm_gram", counting_gram)
+    monkeypatch.setattr(orders, "norm_gram", counting_gram)
+    for order in (order_gauss(), order_lipschitz(), order_hurwitz()):
+        calls.clear()
+        series = counting._definite_series(order, 50, counting.FAMILY_ALGEBRA)
+        assert len(calls) == 1 and sum(series.n_all) > 0

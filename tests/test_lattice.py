@@ -267,3 +267,38 @@ def test_indefinite_shell_saturation_under_bound_doubling():
             [x for x in box_scan(zs2, k, 24) if alg_norm(x, zs2.algebra) == k], zs2
         )
         assert len(small) == len(big) == len(indefinite_quadratic_shell(zs2, k))
+
+
+def _conic_points_per_s(section, r_scaled):
+    """conic_points_up_to as one t window per s: the points in any order."""
+    phi, (a, b, c), n_bound = conic_parametrization(section)
+    bound = r_scaled * n_bound
+    smax = math.isqrt(4 * c * bound // (4 * a * c - b * b)) + 2
+    out = []
+    for s in range(smax + 1):
+        dd = b * b * s * s - 4 * c * (a * s * s - bound)
+        if dd < 0:
+            continue
+        root = math.isqrt(dd)
+        for t in range((-b * s - root) // (2 * c) - 1, (-b * s + root) // (2 * c) + 3):
+            val = a * s * s + b * s * t + c * t * t
+            if not 0 < val <= bound or (s == 0 and t <= 0) or math.gcd(s, t) != 1:
+                continue
+            x = [f0 * s * s + f1 * s * t + f2 * t * t for f0, f1, f2 in phi]
+            g = math.gcd(*x)
+            assert val % g == 0
+            if val // g <= r_scaled:
+                out.append((val // g, *(v // g for v in x)))
+    return sorted(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 12), st.integers(0, 400))
+def test_conic_points_match_per_s_windows(rng, steps, r):
+    from orbitcount.symmetry import transformed_section
+
+    sec = SEC if steps == 0 else transformed_section(SEC, random_unimodular(3, rng, steps=steps))
+    pts, lvls = conic_points_up_to(sec, r)
+    assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
+    got = [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())]
+    assert got == _conic_points_per_s(sec, r)  # in (level, x) order, each point once

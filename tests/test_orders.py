@@ -356,3 +356,36 @@ def test_dropping_an_orbit_member_trips_completeness_check(scale):
     reps, stab = reduce_orbits(pts[1:], group.elements)
     with pytest.raises(AssertionError):
         _orbit_classes(levels[1:], reps, stab, group.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_point_sets(), st.randoms(use_true_random=False), st.booleans())
+def test_orbit_classes_match_unique_rows(case, rng, drop):
+    # the sorted-key grouping gives np.unique(axis=0)'s first indices, and it
+    # trips exactly when np.unique's counts break the orbit-stabiliser identity
+    from orbitcount.counting import _orbit_classes
+
+    group, pts = case
+    pts = np.array(pts, dtype=np.int64)
+    rng.shuffle(pts)
+    levels = np.array([rng.randrange(3) for _ in pts], dtype=np.int64)
+    if drop:  # an incomplete orbit: one member gone
+        keep = np.arange(len(pts)) != rng.randrange(len(pts))
+        pts, levels = pts[keep], levels[keep]
+    reps, stab = reduce_orbits(pts, group.elements)
+    key = np.column_stack([levels, reps])
+    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    if np.all(counts * stab[first] == group.order):
+        assert _orbit_classes(levels, reps, stab, group.order).tolist() == first.tolist()
+    else:
+        with pytest.raises(AssertionError, match="orbit-stabilizer"):
+            _orbit_classes(levels, reps, stab, group.order)
+
+
+def test_orbit_classes_of_no_points():
+    from orbitcount.counting import _orbit_classes
+
+    group = KERNEL_GROUPS["model-quadric"]
+    empty = np.zeros((0, 3), dtype=np.int64)
+    reps, stab = reduce_orbits(empty, group.elements)
+    assert _orbit_classes(np.zeros(0, dtype=np.int64), reps, stab, group.order).tolist() == []
