@@ -111,10 +111,10 @@ _CSV_ROW = "{},{},{},{},{},{}\n".format
 
 
 def series_to_csv(series, fh, chash):
-    """Write the counts CSV.  A chunk of rows whose level, n_prim, n_all,
-    weighted and exact cells numpy reads as one nonnegative int64 table goes
-    through _ascii_rows; any other chunk (a Fraction weight, a level in
-    original units, a cell past int64 or below 0) is formatted row by row."""
+    """Write the counts CSV.  A chunk of rows whose level, n_prim, n_all and
+    weighted cells are all nonnegative int64 goes through _ascii_rows as one
+    table; any other chunk (a Fraction weight, a level in original units, a
+    cell past int64 or below 0) is formatted row by row."""
     fh.write(f"# config_hash={chash}\n")
     extra = ""
     if series.meta.get("units") == "user-asserted":
@@ -122,24 +122,36 @@ def series_to_csv(series, fh, chash):
     fh.write(f"# family={series.family} scale_e={series.scale_e} "
              f"mode={series.meta.get('mode', 'exact')}{extra}\n")
     fh.write("level,n_prim,n_all,weighted_num,weighted_den,exact\n")
-    levels, e = series.levels, series.scale_e
-    if e != 1:
-        gs = [math.gcd(lv, e) for lv in levels]
-        levels = [f"{lv // g}/{e // g}" if g < e else lv // e for lv, g in zip(levels, gs)]
-    columns = (levels, series.n_prim, series.n_all, series.weighted, series.exact)
-    for lo in range(0, len(levels), CSV_CHUNK):
-        part = [col[lo : lo + CSV_CHUNK] for col in columns]
-        cells = np.array(part)
-        # [1, 2**63] reads as float64 and [2**63] as uint64: only int64 is exact here
-        if cells.dtype == np.int64 and cells.min() >= 0:
-            table = np.ones((cells.shape[1], 6), dtype=np.int64)
-            table[:, :4] = cells[:4].T
-            table[:, 5] = cells[4] != 0
+    e = series.scale_e
+    columns = (series.levels, series.n_prim, series.n_all, series.weighted)
+    for lo in range(0, len(series.levels), CSV_CHUNK):
+        part = [_int64_cells(col[lo : lo + CSV_CHUNK]) for col in columns]
+        ex = series.exact[lo : lo + CSV_CHUNK]
+        if e == 1 and all(col.dtype == np.int64 and col.min() >= 0 for col in part):
+            table = np.empty((len(ex), 6), dtype=np.int64)
+            for j, col in enumerate(part):
+                table[:, j] = col
+            table[:, 4] = 1
+            table[:, 5] = ex
             fh.write(_ascii_rows(table))
-        else:
-            lv, prim, alln, w, ex = part
-            fh.writelines(map(_CSV_ROW, lv, prim, alln, (c.numerator for c in w),
-                              (c.denominator for c in w), (1 if x else 0 for x in ex)))
+            continue
+        lv, prim, alln, w = (col.tolist() for col in part)
+        if e != 1:
+            gs = [math.gcd(v, e) for v in lv]
+            lv = [f"{v // g}/{e // g}" if g < e else v // e for v, g in zip(lv, gs)]
+        fh.writelines(map(_CSV_ROW, lv, prim, alln, (c.numerator for c in w),
+                          (c.denominator for c in w), (1 if x else 0 for x in ex.tolist())))
+
+
+def _int64_cells(col):
+    """A slice of a series column as int64 when its cells are integers that
+    fit: an object column's slice of small ints is read again by numpy, which
+    gives int64 only then ([1, 2**63] reads as float64, [2**63] as uint64)."""
+    if col.dtype == object:
+        cells = np.array(col.tolist())
+        if cells.dtype == np.int64:
+            return cells
+    return col
 
 
 def _ascii_rows(table):
@@ -180,22 +192,26 @@ def series_from_csv(path):
     scale_e = int(meta["scale_e"])
     dtype = np.dtype([("level", np.int64 if scale_e == 1 else object), ("cols", np.int64, (5,))])
     rows = np.loadtxt(lines[body:], delimiter=",", dtype=dtype, ndmin=1) if body < len(lines) else np.zeros(0, dtype)
-    levels = rows["level"].tolist()
-    for i, cell in enumerate(levels if scale_e != 1 else ()):
-        num, _, den = cell.partition("/")
-        num, den = int(num) * scale_e, int(den or 1)
-        if den <= 0 or num % den:
-            raise ValueError(f"level {cell.strip()} times scale_e={scale_e} is not an integer")
-        levels[i] = num // den
-    n_prim, n_all, w_num, w_den, exact = rows["cols"].T
+    levels = rows["level"]
+    if scale_e != 1:
+        levels = levels.tolist()
+        for i, cell in enumerate(levels):
+            num, _, den = cell.partition("/")
+            num, den = int(num) * scale_e, int(den or 1)
+            if den <= 0 or num % den:
+                raise ValueError(f"level {cell.strip()} times scale_e={scale_e} is not an integer")
+            levels[i] = num // den
+    n_prim, n_all, weighted, w_den, exact = rows["cols"].T
     if not w_den.all():
         raise ValueError("a weighted_den of 0 in the series")
-    weighted = w_num.tolist()
-    for i in np.flatnonzero(w_den != 1).tolist():
-        weighted[i] = Fraction(weighted[i], int(w_den[i]))
+    odd = np.flatnonzero(w_den != 1)
+    if len(odd):
+        weighted = weighted.astype(object)
+        for i in odd.tolist():
+            weighted[i] = Fraction(weighted[i], int(w_den[i]))
     return CountSeries(
-        family=meta["family"], levels=levels, n_prim=n_prim.tolist(), n_all=n_all.tolist(),
-        weighted=weighted, scale_e=scale_e, exact=(exact == 1).tolist(),
+        family=meta["family"], levels=levels, n_prim=n_prim, n_all=n_all,
+        weighted=weighted, scale_e=scale_e, exact=exact == 1,
         meta={"mode": meta["mode"], "units": meta["units"], "config_hash": meta["config_hash"]},
     )
 
@@ -368,21 +384,24 @@ def _oracle_columns(scenario, series, r, group_order=None):
         # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
         if group_order is None:
             group_order = integral_symmetries(scenario.payload).order
-        pts = _at_levels(series, [group_order * w for w in series.weighted], r)
+        pts = _at_levels(series, series.weighted, r, group_order)
         oracle = two_squares_primitive_series(r)
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
     if kind == "jacobi-r4":
-        eight_s = _at_levels(series, [8 * c for c in series.n_all], r)
+        eight_s = _at_levels(series, series.n_all, r, 8)
         return eight_s, r4_series(r), "8 * orbit counts vs Jacobi r4"
     if kind == "hurwitz-shell":
-        tw = _at_levels(series, [24 * c for c in series.n_all], r)
+        tw = _at_levels(series, series.n_all, r, 24)
         return tw, hurwitz_shell_series(r), "24 * orbit counts vs direct half-integer shell enumeration"
     return None, None, ""
 
 
-def _at_levels(series, column, r):
-    by_level = dict(zip(series.levels, column))
-    return [by_level.get(k * series.scale_e, "absent") for k in range(1, r + 1)]
+def _at_levels(series, column, r, factor=1):
+    """factor * column at the levels k * scale_e, k = 1..r, in Python ints
+    (and Fractions), "absent" where the series has no row for the level."""
+    by_level = dict(zip(series.levels.tolist(), column.tolist()))
+    levels = (k * series.scale_e for k in range(1, r + 1))
+    return [factor * by_level[lv] if lv in by_level else "absent" for lv in levels]
 
 
 def cmd_report(args):

@@ -7,7 +7,7 @@ counting path is exact integer/rational arithmetic throughout.
 """
 
 import math
-from bisect import bisect_right
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,6 +21,7 @@ from .lattice import (
     conic_points_up_to,
     fiber_section_points,
     indefinite_quadratic_shell,
+    row_order,
 )
 from .oracles import pairwise_orbits
 from .orders import (
@@ -88,29 +89,66 @@ class ScenarioSpec:
 
 @dataclass
 class CountSeries:
+    """Per-level counts as numpy columns: levels, n_prim and n_all are int64
+    arrays (object arrays of Python ints past int64), weighted is int64 when
+    every weight is an integer that fits (else an object array of ints and
+    Fractions; it equals n_all when all stabilizers are trivial) and exact is
+    a bool array of per-level exactness flags.  Levels are sorted integers
+    after scaling by scale_e.  Lists are accepted and converted; an int64
+    array is kept as it is."""
+
     family: str
-    levels: list               # sorted integer levels (after scaling)
-    n_prim: list
-    n_all: list
-    weighted: list             # int or Fraction; equals n_all when all stabilizers are trivial
+    levels: np.ndarray
+    n_prim: np.ndarray
+    n_all: np.ndarray
+    weighted: np.ndarray
     scale_e: int
-    exact: list                # per-level exactness flags
+    exact: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.levels, self.n_prim, self.n_all = (
+            _column(c, integral=True) for c in (self.levels, self.n_prim, self.n_all))
+        self.weighted = _column(self.weighted, integral=False)
+        self.exact = np.asarray(self.exact, dtype=bool)
         k = len(self.levels)
         if not (len(self.n_prim) == len(self.n_all) == len(self.weighted) == len(self.exact) == k):
             raise ValueError("ragged series")
-        try:
-            levels, prim, alln = np.array([self.levels, self.n_prim, self.n_all], dtype=np.int64)
-        except OverflowError:  # Python ints past int64
-            levels, prim, alln = np.array([self.levels, self.n_prim, self.n_all], dtype=object)
-        if np.any(levels[1:] <= levels[:-1]):
+        if self.exact.ndim != 1:
+            raise ValueError("a series column is not one-dimensional")
+        if np.any(self.levels[1:] <= self.levels[:-1]):
             raise ValueError("levels not strictly increasing")
-        if np.any(prim < 0) or np.any(alln < 0):
+        if np.any(self.n_prim < 0) or np.any(self.n_all < 0):
             raise ValueError("negative count")
-        if np.any(prim > alln):
+        if np.any(self.n_prim > self.n_all):
             raise ValueError("n_prim exceeds n_all")
+
+
+def _column(values, integral):
+    """values as a 1-d int64 array when every cell is an integer that fits,
+    else as an object array of Python ints and, unless integral, Fractions
+    with denominator > 1.  An int64 array is returned as it is.  Any other
+    input is read cell by cell, since numpy reads [1, 2**63] as float64 and
+    [2**63] as uint64, and a Fraction cast to int64 is silently truncated."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values)
+    if arr.ndim != 1:
+        raise ValueError("a series column is not one-dimensional")
+    if arr.dtype == np.int64:
+        return arr
+    cells = [_cell(c, integral) for c in (values.tolist() if values is arr else values)]
+    if all(type(c) is int and -2 ** 63 <= c < 2 ** 63 for c in cells):
+        return np.array(cells, dtype=np.int64)
+    out = np.empty(len(cells), dtype=object)
+    out[:] = cells
+    return out
+
+
+def _cell(c, integral):
+    if isinstance(c, numbers.Integral):
+        return int(c)
+    if isinstance(c, Fraction) and (c.denominator == 1 or not integral):
+        return scalar(c)
+    raise ValueError(f"series cell {c!r} is not an {'integer' if integral else 'integer or Fraction'}")
 
 
 def _numerators(column):
@@ -118,11 +156,13 @@ def _numerators(column):
     denominators, as int64 when L and sum |numerator| are below 2^63.  A
     column numpy reads as int64 with max |x| * len below 2^63 is its own
     array over L = 1; any other goes through the lcm."""
-    nums = np.array(column)
+    nums = np.asarray(column)
     if nums.dtype == np.int64:
         top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
         if top * len(nums) < 2 ** 63:
             return nums, 1
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
     den = math.lcm(*{c.denominator for c in column})
     nums = column if den == 1 else [c.numerator * (den // c.denominator) for c in column]
     big = max(den, sum(map(abs, nums))) >= 2 ** 63
@@ -130,10 +170,17 @@ def _numerators(column):
 
 
 def _over(nums, den):
-    """nums / den as a list of ints, with a Fraction only where not integral."""
-    out = (nums // den).tolist()
-    for i in np.flatnonzero(nums % den).tolist():
-        out[i] = Fraction(int(nums[i]), den)
+    """The array nums / den: nums itself when den is 1, the quotients where
+    every cell is integral, else an object array of ints with a Fraction
+    where a cell is not."""
+    if den == 1:
+        return nums
+    out = nums // den
+    odd = np.flatnonzero(nums % den)
+    if len(odd):
+        out = out.astype(object)
+        for i in odd.tolist():
+            out[i] = Fraction(int(nums[i]), den)
     return out
 
 
@@ -142,10 +189,8 @@ def cumulative_at(series, radii, which="all"):
     prefix sums of the chosen column ("all", "prim" or "weighted") over its
     common denominator; errors beyond the computed range."""
     column = {"prim": series.n_prim, "weighted": series.weighted}.get(which, series.n_all)
-    top = series.levels[-1] if series.levels else 0
-    nums, den = _numerators(column)
-    sums = np.cumsum(nums)
-    out, prev = [], None
+    top = int(series.levels[-1]) if len(series.levels) else 0
+    floors, prev = [], None
     for r in radii:
         r_scaled = Fraction(r) * series.scale_e
         if r_scaled > top:
@@ -153,9 +198,11 @@ def cumulative_at(series, radii, which="all"):
         if prev is not None and r_scaled < prev:
             raise ValueError("radii must be ascending")
         prev = r_scaled
-        i = bisect_right(series.levels, math.floor(r_scaled))
-        out.append(scalar(Fraction(int(sums[i - 1]) if i else 0, den)))
-    return out
+        floors.append(math.floor(r_scaled))
+    nums, den = _numerators(column)
+    sums = np.concatenate([np.zeros(1, dtype=nums.dtype), np.cumsum(nums)])
+    at = sums[np.searchsorted(series.levels, floors, side="right")]
+    return [scalar(Fraction(int(s), den)) for s in at.tolist()]
 
 
 def cumulative(series, r, which="all"):
@@ -170,12 +217,12 @@ def aggregate_levels(prim_levels, prim_counts, d, k_max):
     if d < 1:
         raise ValueError("scaling degree must be >= 1")
     nums, den = _numerators(prim_counts)
-    lv = np.array(prim_levels, dtype=np.int64)
+    lv = np.asarray(prim_levels, dtype=np.int64)
     keep = (lv >= 1) & (lv <= k_max)
     src = np.zeros(k_max + 1, dtype=nums.dtype)
     src[lv[keep]] = nums[keep]
     out = _slice_sieve(src, d, k_max)
-    return list(range(1, k_max + 1)), _over(out[1:], den)
+    return np.arange(1, k_max + 1, dtype=np.int64), _over(out[1:], den)
 
 
 def _slice_sieve(src, d, k_max, mu=None):
@@ -221,14 +268,14 @@ def imprimitive_from_primitive(series, d):
     an orbit bijection that preserves stabilizers.  The primitive weight is the
     stored weighted column for the quadric family and n_prim otherwise (trivial
     stabilizers)."""
-    k_max = max(series.levels, default=0)
-    _, n_all = aggregate_levels(series.levels, series.n_prim, d, k_max)
+    k_max = int(series.levels[-1]) if len(series.levels) else 0
+    levels, n_all = aggregate_levels(series.levels, series.n_prim, d, k_max)
     prim_weights = series.weighted if series.family == FAMILY_QUADRIC else series.n_prim
     _, weighted = aggregate_levels(series.levels, prim_weights, d, k_max)
     return CountSeries(
-        family=series.family, levels=list(range(1, k_max + 1)),
-        n_prim=list(series.n_prim), n_all=n_all, weighted=weighted,
-        scale_e=series.scale_e, exact=list(series.exact),
+        family=series.family, levels=levels,
+        n_prim=series.n_prim, n_all=n_all, weighted=weighted,
+        scale_e=series.scale_e, exact=series.exact,
         meta=dict(series.meta, aggregated=f"d={d}"),
     )
 
@@ -260,7 +307,7 @@ def _orbit_classes(lvls, reps, stab, group_order):
     else:
         # one stable sort by the key columns: a class's first sorted member is
         # its first index, as np.unique(axis=0, return_index=True) returns it
-        order = np.lexsort(key.T[::-1])
+        order = row_order(list(key.T))
         sk = key[order]
         new = np.ones(len(key), dtype=bool)
         new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
@@ -347,8 +394,7 @@ def box_series(scenario, jobs=1):
     """Box-mode (heuristic) per-level orbit counts for levels 1..k_max, with
     levels spread over `jobs` worker processes; the result does not depend on
     jobs."""
-    levels = list(range(1, scenario.k_max + 1))
-    tasks = [(scenario, k) for k in levels]
+    tasks = [(scenario, k) for k in range(1, scenario.k_max + 1)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -356,11 +402,11 @@ def box_series(scenario, jobs=1):
             pairs = list(pool.map(_box_level_task, tasks, chunksize=16))
     else:
         pairs = [_box_level_task(t) for t in tasks]
+    n_prim, n_all = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return CountSeries(
-        family=scenario.family, levels=levels,
-        n_prim=[p for p, _ in pairs], n_all=[a for _, a in pairs],
-        weighted=[a for _, a in pairs], scale_e=1,
-        exact=[False] * len(levels), meta={"mode": f"box:{scenario.mode[1]}"},
+        family=scenario.family, levels=np.arange(1, scenario.k_max + 1, dtype=np.int64),
+        n_prim=n_prim, n_all=n_all, weighted=n_all, scale_e=1,
+        exact=np.zeros(scenario.k_max, dtype=bool), meta={"mode": f"box:{scenario.mode[1]}"},
     )
 
 
@@ -410,13 +456,12 @@ def _real_quadratic_series(order, r_max, use_absolute_norm, units=None):
         pts, norms = pts[norms > 0], norms[norms > 0]
     lvls = np.abs(norms)
     prim = np.gcd(pts[:, 0], pts[:, 1]) == 1
-    n_all = np.bincount(lvls, minlength=r_max + 1)[1:].tolist()
-    n_prim = np.bincount(lvls[prim], minlength=r_max + 1)[1:].tolist()
-    levels = list(range(1, r_max + 1))
+    n_all = np.bincount(lvls, minlength=r_max + 1)[1:]
+    n_prim = np.bincount(lvls[prim], minlength=r_max + 1)[1:]
     return CountSeries(
-        family=FAMILY_NORMFORM, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=list(n_all), scale_e=1,
-        exact=[True] * len(levels),
+        family=FAMILY_NORMFORM, levels=np.arange(1, r_max + 1, dtype=np.int64),
+        n_prim=n_prim, n_all=n_all, weighted=n_all, scale_e=1,
+        exact=np.ones(r_max, dtype=bool),
         meta={"mode": "exact", "pell_sign": pell_sign, "absolute_norm": use_absolute_norm,
               "units": units_provenance},
     )
@@ -452,17 +497,16 @@ def quadric_series(section, r_max, group=None):
         route = {"route": "per-level"}
     reps, stab = reduce_orbits(pts, group.elements)
     first = _orbit_classes(lvls, reps, stab, group.order)
-    levels = list(range(1, r_scaled + 1))
     lv, st = lvls[first], stab[first]
-    n_prim = np.bincount(lv, minlength=r_scaled + 1)[1:].tolist()
+    n_prim = np.bincount(lv, minlength=r_scaled + 1)[1:]
     # the weight of a level is its orbit sizes |G| / |stab| summed, over |G|
     sizes = sum((group.order // s * np.bincount(lv[st == s], minlength=r_scaled + 1)
                  for s in np.unique(st).tolist()), np.zeros(r_scaled + 1, dtype=np.int64))
-    _, n_all = aggregate_levels(levels, n_prim, 1, r_scaled)
+    levels, n_all = aggregate_levels(np.arange(1, r_scaled + 1, dtype=np.int64), n_prim, 1, r_scaled)
     return CountSeries(
         family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim, n_all=n_all,
         weighted=_over(sizes[1:], group.order), scale_e=section.scale_e,
-        exact=[True] * r_scaled,
+        exact=np.ones(r_scaled, dtype=bool),
         meta={"mode": "exact", "group_order": group.order, **route,
               "weight_normalisation": "relative (one undetermined global constant)"},
     )
@@ -560,18 +604,21 @@ def _definite_series(order, r_max, family):
     r_max = int(r_max)
     gram = norm_gram(order)
     assert_division_order(order, gram=gram)
-    units = finite_units(order, gram)
+    # the norm <= 3 ball of the free-action check holds the norm-1 unit shell
+    ball = ball_points(gram, 3)
+    pts, twice_q, s = ball
+    units = finite_units(order, shell=pts[twice_q == 2 * s])
     nu = len(units.torsion)
     theta = theta_series(gram, r_max)[1:]
-    _assert_free_action(order, units, gram)
+    _assert_free_action(order, units, gram, ball)
     if np.any(theta % nu):
         raise ValueError("unit action not free on some shell: not a division order")
-    n_all = (theta // nu).tolist()
+    n_all = theta // nu
     return CountSeries(
-        family=family, levels=list(range(1, r_max + 1)),
-        n_prim=(_primitive_shell_sizes(theta, order.norm_degree) // nu).tolist(),
-        n_all=n_all, weighted=list(n_all),
-        scale_e=1, exact=[True] * r_max,
+        family=family, levels=np.arange(1, r_max + 1, dtype=np.int64),
+        n_prim=_primitive_shell_sizes(theta, order.norm_degree) // nu,
+        n_all=n_all, weighted=n_all,
+        scale_e=1, exact=np.ones(r_max, dtype=bool),
         meta={"mode": "exact", "units": nu},
     )
 
@@ -588,13 +635,14 @@ def _primitive_shell_sizes(all_sizes, d):
     return _slice_sieve(src, d, k, _mobius_upto(k if d == 1 else math.isqrt(k)))[1:]
 
 
-def _assert_free_action(order, units, gram):
-    """Check on the points of norm at most 3 (gram is norm_gram(order)) that
-    each unit maps a point to one of the same norm and that a point's |units|
-    images are distinct (a sort of each point's image codes), in one int64
-    einsum over the units' integer left-multiplication matrices."""
+def _assert_free_action(order, units, gram, ball=None):
+    """Check on the points of norm at most 3 (gram is norm_gram(order), ball
+    its ball_points(gram, 3) when the caller has it) that each unit maps a
+    point to one of the same norm and that a point's |units| images are
+    distinct (a sort of each point's image codes), in one int64 einsum over
+    the units' integer left-multiplication matrices."""
     mats = _torsion_matrices(order, units)
-    pts, twice_q, _ = ball_points(gram, 3)
+    pts, twice_q, _ = ball_points(gram, 3) if ball is None else ball
     _, gi = _scaled_integer_gram(gram)
     img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))
     _check_int64(img_max, _bilinear_bound(gi, [img_max] * len(gi)))

@@ -76,7 +76,7 @@ def fit_power(series, window=None, fixed_lambda=None, samples=16, which="all"):
     Free fit: least squares on (log r, log S(r)).  With fixed_lambda, c_hat is
     the mean of S(r) / r^lambda.  Requires at least 8 usable sample radii.
     """
-    r_top = (series.levels[-1] if series.levels else 0) / series.scale_e
+    r_top = (int(series.levels[-1]) if len(series.levels) else 0) / series.scale_e
     if window is None:
         window = (r_top / 10, r_top)
     # an empty series has no window; it is refused below as too sparse

@@ -239,8 +239,26 @@ def conic_points_up_to(section, r_scaled):
     levels = vals // content
     keep = levels <= r_scaled
     pts, lvls = (xs[:, keep] // content[keep]).T, levels[keep]
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], lvls))
+    order = row_order([lvls, pts[:, 0], pts[:, 1], pts[:, 2]])
     return pts[order], lvls[order]
+
+
+def row_order(columns):
+    """The stable permutation that sorts rows by the int64 key columns, the
+    first most significant: np.lexsort(columns[::-1]).  Each column minus its
+    minimum is one digit of a mixed-radix int64 code whose radices are the
+    column spans, sorted by one stable argsort; when the product of the spans
+    reaches 2^63, np.lexsort itself."""
+    if not len(columns[0]):
+        return np.zeros(0, dtype=np.intp)
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
+    if math.prod(spans) >= 2 ** 63:
+        return np.lexsort(columns[::-1])
+    code = columns[0] - lows[0]
+    for c, lo, span in zip(columns[1:], lows[1:], spans[1:]):
+        code = code * span + (c - lo)
+    return np.argsort(code, kind="stable")
 
 
 def box_scan(order, k, bound):

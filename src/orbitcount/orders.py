@@ -156,7 +156,7 @@ def integer_dets(mats):
     return out
 
 
-def finite_units(order, gram=None):
+def finite_units(order, gram=None, shell=None):
     """Complete unit list for an order whose norm form is positive definite
     (imaginary quadratic or definite quaternion): the norm-1 shell of
     ball_points in lexicographic order, certified in one batch.  With
@@ -164,9 +164,11 @@ def finite_units(order, gram=None):
     det(L_x) = +-1 (L_x L_{x^-1} = L_1 = I, and the adjugate of a
     determinant +-1 matrix is integral); with a non-integral unity, no
     integral x has an integral inverse.  gram is norm_gram(order), computed
-    here when not given."""
-    pts, twice_q, s = ball_points(norm_gram(order) if gram is None else gram, 1)
-    shell = pts[twice_q == 2 * s]
+    here when not given; shell is the int64 array of the norm-1 points in
+    any order, when the caller has enumerated them."""
+    if shell is None:
+        pts, twice_q, s = ball_points(norm_gram(order) if gram is None else gram, 1)
+        shell = pts[twice_q == 2 * s]
     shell = shell[np.lexsort(shell.T[::-1])]
     dets = integer_dets(left_mul_matrices(order.algebra, shell))
     shell = shell[((dets == 1) | (dets == -1)) & order.algebra.one().is_integral()]

@@ -10,6 +10,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -124,6 +125,25 @@ def _bilinear_bound(m, bx, by=None):
     |x_i| <= bx[i], |y_j| <= by[j]; by defaults to bx."""
     by = bx if by is None else by
     return sum(abs(m[i][j]) * bx[i] * by[j] for i in range(len(bx)) for j in range(len(by)))
+
+
+def _quadratic_values(pts, m):
+    """x^t m x for each row x of the int64 array pts, m a square matrix of
+    Python ints: the diagonal terms and each pair i < j once, with the
+    coefficient m_ij + m_ji, as elementwise int64 products into two buffers.
+    Every partial sum is bounded by _bilinear_bound(m, b) when |x_i| <= b_i,
+    which the caller checks below 2^63."""
+    out = tmp = None
+    for i, j in combinations_with_replacement(range(len(m)), 2):
+        c = m[i][i] if i == j else m[i][j] + m[j][i]
+        if c:
+            tmp = np.multiply(pts[:, i], c, out=tmp)
+            tmp *= pts[:, j]
+            if out is None:
+                out, tmp = tmp, None
+            else:
+                out += tmp
+    return np.zeros(len(pts), dtype=np.int64) if out is None else out
 
 
 def _check_int64(*bounds):
@@ -294,9 +314,9 @@ def theta_series(gram, r):
 
     am = np.array(a, dtype=np.int64)
     vs = _box(bv)
-    vav = np.einsum("ki,ij,kj->k", vs, am, vs)
+    vav = _quadratic_values(vs, a)
     ws = _box(bw)
-    wcw = np.einsum("ki,ij,kj->k", ws, np.array(cb, dtype=np.int64).reshape(n - 2, n - 2), ws)
+    wcw = _quadratic_values(ws, cb)
     q, cls = np.divmod(ws @ np.array(adj_x, dtype=np.int64).reshape(2, n - 2).T, det_a)
     key = cls[:, 0] * det_a + cls[:, 1]
     pairs = []
@@ -307,7 +327,7 @@ def theta_series(gram, r):
         inner = vav + 2 * (vs @ b)
         lo = int(inner.min())
         qk = q[key == k]
-        outer = wcw[key == k] - np.einsum("ki,ij,kj->k", qk, am, qk) - 2 * (qk @ b) + lo
+        outer = wcw[key == k] - _quadratic_values(qk, a) - 2 * (qk @ b) + lo
         assert np.all(outer >= 0), "shifted outer value negative"
         inner -= lo
         assert not (np.any(inner % 2) or np.any(outer % 2)), "mass off the integer grid"

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,7 +193,7 @@ def test_box_saturation_failure_exit_2(tmp_path):
     assert run(["count", "--config", str(cfg), "--out", str(tmp_path),
                 "--allow-heuristic"]) == EXIT_OK
     series = series_from_csv(str(tmp_path / "zsqrt2-counts.csv"))
-    assert series.exact == [False] * 8
+    assert series.exact.tolist() == [False] * 8
 
 
 def test_fit_report_fields(tmp_path, capsys):
@@ -256,7 +257,7 @@ def test_series_non_integral_scaled_level_rejected(tmp_path, capsys):
     assert "5/2" in capsys.readouterr().err
     # the same level is integral once scaled by scale_e = 2
     bad.write_text("\n".join(rows).replace("scale_e=1", "scale_e=2") + "\n")
-    assert series_from_csv(str(bad)).levels == [2, 5, 6]
+    assert series_from_csv(str(bad)).levels.tolist() == [2, 5, 6]
 
 
 def test_oracle_compare_zero_diffs(capsys):
@@ -317,7 +318,7 @@ def test_series_round_trip(tmp_path):
     assert run(["count", "--config", "model-quadric", "--rmax", "40", "--out", str(tmp_path)]) == EXIT_OK
     series = series_from_csv(str(tmp_path / "model-quadric-counts.csv"))
     assert series.family == "quadric"
-    assert series.levels == list(range(1, 41))
+    assert series.levels.tolist() == list(range(1, 41))
     assert series.n_prim[4] == 2  # level 5
 
 
@@ -333,7 +334,7 @@ def test_series_csv_scaled_levels_round_trip(tmp_path):
         "1/2,1,1,1,2,1", "1,0,1,1,1,1", "3/2,2,2,3,4,1", "3,1,2,2,1,1",
     ]
     back = series_from_csv(str(path))
-    assert (back.levels, back.weighted, back.scale_e) == (series.levels, series.weighted, 2)
+    assert (back.levels.tolist(), back.weighted.tolist(), back.scale_e) == (series.levels.tolist(), series.weighted.tolist(), 2)
 
 
 def test_user_asserted_fundamental_unit(tmp_path, capsys):
@@ -384,7 +385,7 @@ def test_algebra_box_mode_primitive_column(tmp_path):
                 "--jobs", "2"]) == EXIT_OK
     assert read(out1 / "lipschitz-counts.csv") == read(out2 / "lipschitz-counts.csv")
     series = series_from_csv(str(out1 / "lipschitz-counts.csv"))
-    assert series.n_prim == algebra_series(order_lipschitz(), 8).n_prim == [1, 3, 4, 2, 6, 12, 8, 0]
+    assert series.n_prim.tolist() == algebra_series(order_lipschitz(), 8).n_prim.tolist() == [1, 3, 4, 2, 6, 12, 8, 0]
 
 
 def _quadratic_config(path, d, label, invariants=None):
@@ -597,8 +598,8 @@ def test_series_cell_at_2_63_refused(tmp_path, capsys, column):
     # one below 2^63 is read exactly, as an int
     big.write_text("\n".join(rows).replace(str(2 ** 63), str(2 ** 63 - 1)) + "\n")
     series = series_from_csv(str(big))
-    read = [series.levels, series.n_prim, series.n_all, series.weighted][column][-1]
-    assert type(read) is int and read == 2 ** 63 - 1
+    read = [series.levels, series.n_prim, series.n_all, series.weighted][column]
+    assert read.dtype == np.int64 and read.tolist()[-1] == 2 ** 63 - 1
 
 
 @st.composite
@@ -623,8 +624,9 @@ def test_series_csv_round_trip_property(series):
             series_to_csv(series, fh, "x")
         back = series_from_csv(path)
     assert (back.family, back.scale_e) == (series.family, series.scale_e)
-    assert (back.levels, back.n_prim, back.n_all) == (series.levels, series.n_prim, series.n_all)
-    assert (back.weighted, back.exact) == (series.weighted, series.exact)
+    assert [c.tolist() for c in (back.levels, back.n_prim, back.n_all)] == [
+        c.tolist() for c in (series.levels, series.n_prim, series.n_all)]
+    assert (back.weighted.tolist(), back.exact.tolist()) == (series.weighted.tolist(), series.exact.tolist())
 
 
 def _format_rows(series):
@@ -730,3 +732,68 @@ def test_preset_payload_built_once_with_fresh_invariants():
         invariants.pop("oracle")
         assert "oracle" in preset_parts(name)[2]
         assert preset_parts(name)[2].get("class_number") != 99
+
+
+@st.composite
+def array_series(draw):
+    # int64 columns, object columns past 2^63, Fraction weights, scale_e = 6
+    # and empty series, built from lists or from int64 arrays
+    scale_e = draw(st.sampled_from([1, 6]))
+    levels = sorted(draw(st.sets(st.integers(1, 10 ** 6), max_size=12)))
+    past = draw(st.sampled_from(["none", "levels", "n_prim", "n_all", "weighted"]))
+    big = {col: 2 ** 64 if past == col else 0 for col in ("levels", "n_prim", "n_all", "weighted")}
+    levels = [lv + big["levels"] for lv in levels]
+    n_all = [draw(st.integers(0, 10 ** 12)) + big["n_all"] + big["n_prim"] for _ in levels]
+    n_prim = [draw(st.integers(0, c - big["n_prim"])) + big["n_prim"] for c in n_all]
+    weighted = [draw(st.one_of(st.integers(0, 10 ** 12), st.fractions(0, 10 ** 3, max_denominator=12)))
+                + big["weighted"] for _ in levels]
+    exact = [draw(st.booleans()) for _ in levels]
+    columns = [levels, n_prim, n_all, weighted]
+    if draw(st.booleans()):
+        columns = [np.array(c, dtype=np.int64) if all(type(x) is int and x < 2 ** 63 for x in c) else c
+                   for c in columns]
+    return CountSeries(family="quadric", levels=columns[0], n_prim=columns[1], n_all=columns[2],
+                       weighted=columns[3], scale_e=scale_e, exact=np.array(exact, dtype=bool))
+
+
+@settings(max_examples=120, deadline=None)
+@given(array_series())
+def test_series_csv_round_trip_keeps_columns_and_dtypes(series):
+    names = ("levels", "n_prim", "n_all", "weighted", "exact")
+    # a count or weight cell past int64 is refused by the reader; a level past
+    # it is read back, as text, only when scale_e is not 1
+    refused = (any(getattr(series, name).dtype == object and
+                   any(abs(Fraction(c).numerator) >= 2 ** 63 for c in getattr(series, name).tolist())
+                   for name in ("n_prim", "n_all", "weighted"))
+               or (series.scale_e == 1 and series.levels.dtype == object))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w") as fh:
+            series_to_csv(series, fh, "x")
+        if refused:
+            with pytest.raises(ValueError, match="to int64"):
+                series_from_csv(path)
+            return
+        back = series_from_csv(path)
+    assert (back.family, back.scale_e) == (series.family, series.scale_e)
+    for name in names:
+        got, want = getattr(back, name), getattr(series, name)
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
+        assert [type(c) for c in got.tolist()] == [type(c) for c in want.tolist()], name
+
+
+def test_empty_series_csv_round_trip():
+    for scale_e in (1, 6):
+        series = CountSeries(family="normform", levels=[], n_prim=[], n_all=[], weighted=[],
+                             scale_e=scale_e, exact=[])
+        fh = io.StringIO()
+        series_to_csv(series, fh, "x")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            with open(path, "w") as out:
+                out.write(fh.getvalue())
+            back = series_from_csv(path)
+        for name in ("levels", "n_prim", "n_all", "weighted"):
+            assert getattr(back, name).dtype == np.int64 and len(getattr(back, name)) == 0
+        assert back.exact.dtype == bool and back.scale_e == scale_e

@@ -71,8 +71,8 @@ def test_normform_level_box_mode_matches_exact():
 
 
 def test_normform_series_vs_ideal_oracle():
-    assert normform_series(order_gauss(), 500).n_all == ideal_count_series(-4, 500)
-    assert normform_series(order_zsqrt2(), 500).n_all == ideal_count_series(8, 500)
+    assert normform_series(order_gauss(), 500).n_all.tolist() == ideal_count_series(-4, 500)
+    assert normform_series(order_zsqrt2(), 500).n_all.tolist() == ideal_count_series(8, 500)
 
 
 def test_normform_absolute_norm_variant():
@@ -80,7 +80,7 @@ def test_normform_absolute_norm_variant():
     signed = normform_series(zs2, 60)
     absolute = normform_series(zs2, 60, use_absolute_norm=True)
     # the fundamental unit has norm -1, so |N| orbits match signed positive ones
-    assert absolute.n_all == signed.n_all
+    assert absolute.n_all.tolist() == signed.n_all.tolist()
 
     from orbitcount.algebra import quadratic_field_order
 
@@ -187,7 +187,7 @@ def test_primitive_shell_sizes_matches_python_sieve(d, sizes, past_int64):
     got = _primitive_shell_sizes(sizes, d).tolist()
     assert got == _primitive_reference(sizes, d)
     assert all(type(c) is int for c in got)
-    assert aggregate_levels(range(1, len(sizes) + 1), got, d, len(sizes))[1] == sizes
+    assert aggregate_levels(range(1, len(sizes) + 1), got, d, len(sizes))[1].tolist() == sizes
 
 
 def test_free_action_check_rejects_split_norm_form():
@@ -204,7 +204,7 @@ def test_cumulative():
     with pytest.raises(ValueError):
         cumulative(series, 51)
     empty = normform_series(order_gauss(), 0)
-    assert empty.levels == []
+    assert empty.levels.tolist() == []
 
 
 def test_cumulative_at_matches_per_radius_sums():
@@ -241,9 +241,9 @@ def test_aggregate_synthetic_examples():
 def test_imprimitive_identity_on_series():
     series = normform_series(order_gauss(), 300)
     rebuilt = imprimitive_from_primitive(series, 2)
-    assert rebuilt.n_all == series.n_all
+    assert rebuilt.n_all.tolist() == series.n_all.tolist()
     z = normform_series(order_zsqrt2(), 300)
-    assert imprimitive_from_primitive(z, 2).n_all == z.n_all
+    assert imprimitive_from_primitive(z, 2).n_all.tolist() == z.n_all.tolist()
 
 
 def test_quadric_identity_direct_vs_aggregated():
@@ -353,8 +353,8 @@ def test_quadric_scaled_levels_match_unscaled():
     assert halved.scale_e == 2
     series = quadric_series(halved, 10)           # levels in (1/2) Z up to 10
     base = quadric_series(model_quadric_section(), 20)
-    assert series.n_prim == base.n_prim           # scaled grid = integer grid of 2 ell
-    assert series.weighted == base.weighted
+    assert series.n_prim.tolist() == base.n_prim.tolist()  # scaled grid = integer grid of 2 ell
+    assert series.weighted.tolist() == base.weighted.tolist()
 
 
 def test_more_quadratic_fields_vs_ideal_oracle():
@@ -362,10 +362,10 @@ def test_more_quadratic_fields_vs_ideal_oracle():
 
     # norm +1 fundamental unit: ideals of norm m correspond to |N| = m classes
     zs3 = OrderSpec(quadratic_field_order(3), 2, 1)
-    assert normform_series(zs3, 300, use_absolute_norm=True).n_all == ideal_count_series(12, 300)
+    assert normform_series(zs3, 300, use_absolute_norm=True).n_all.tolist() == ideal_count_series(12, 300)
     # two-unit imaginary quadratic order
     zsm2 = OrderSpec(quadratic_field_order(-2), 2, 0)
-    assert normform_series(zsm2, 300).n_all == ideal_count_series(-8, 300)
+    assert normform_series(zsm2, 300).n_all.tolist() == ideal_count_series(-8, 300)
 
 
 def test_hurwitz_series_vs_jacobi_identity_at_scale():
@@ -390,13 +390,13 @@ CLASS_NUMBER_ONE = (2, 3, 6, 7, 11, 14, 19, 22, 23, 31, 38, 43, 46, 47, 59, 62, 
 @pytest.mark.parametrize("d", CLASS_NUMBER_ONE)
 def test_real_quadratic_absolute_norm_orbits_are_ideal_counts(d):
     series = normform_series(real_quadratic(d), 300, use_absolute_norm=True)
-    assert series.n_all == ideal_count_series(4 * d, 300)
+    assert series.n_all.tolist() == ideal_count_series(4 * d, 300)
 
 
 def test_real_quadratic_large_regulator_to_r2000():
     # eps = 2143295 + 221064 sqrt(94): the domain scan covers about 2e7 values of b
     series = normform_series(real_quadratic(94), 2000, use_absolute_norm=True)
-    assert series.n_all == ideal_count_series(376, 2000)
+    assert series.n_all.tolist() == ideal_count_series(376, 2000)
 
 
 @pytest.mark.parametrize("d", [151, 211])
@@ -436,7 +436,7 @@ def primitive_columns(draw):
 @given(primitive_columns())
 def test_aggregate_levels_matches_python_sieve(args):
     levels, counts, d, k_max = args
-    got = aggregate_levels(levels, counts, d, k_max)
+    got = tuple(col.tolist() for col in aggregate_levels(levels, counts, d, k_max))
     assert got == _aggregate_reference(levels, counts, d, k_max)
     # ints wherever the aggregated value is integral
     assert all(type(c) is int or c.denominator > 1 for c in got[1])
@@ -445,9 +445,13 @@ def test_aggregate_levels_matches_python_sieve(args):
 def test_aggregate_levels_past_int64_is_exact():
     counts = [2 ** 62 + k for k in range(1, 41)] + [Fraction(2 ** 70, 3)]
     levels = list(range(1, 42))
-    assert aggregate_levels(levels, counts, 1, 60) == _aggregate_reference(levels, counts, 1, 60)
+    assert _listed(aggregate_levels(levels, counts, 1, 60)) == _aggregate_reference(levels, counts, 1, 60)
     tiny = [Fraction(1, 2 ** 40 + 15), Fraction(1, 2 ** 40 + 21)]  # lcm of denominators past 2^63
-    assert aggregate_levels([1, 2], tiny, 1, 8) == _aggregate_reference([1, 2], tiny, 1, 8)
+    assert _listed(aggregate_levels([1, 2], tiny, 1, 8)) == _aggregate_reference([1, 2], tiny, 1, 8)
+
+
+def _listed(columns):
+    return tuple(col.tolist() for col in columns)
 
 
 def _scalar_division_probe(order, rng, trials):
@@ -545,7 +549,7 @@ def test_quadric_series_weights_with_point_stabilizers():
     refl = SymmetryGroup(elements=(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, -1, 0), (0, 0, 1))),
                          order=2)
     series = quadric_series(sec, 60, refl)
-    assert series.weighted == [count_quadric_level(sec, k, refl)[1] for k in range(1, 61)]
+    assert series.weighted.tolist() == [count_quadric_level(sec, k, refl)[1] for k in range(1, 61)]
     assert (series.n_prim[0], series.weighted[0]) == (3, 2)
 
 
@@ -565,7 +569,7 @@ def test_count_series_checks():
     ):
         with pytest.raises(ValueError, match=message):
             series(levels, n_prim, n_all)
-    assert series([1, 2 ** 64], [0, 2 ** 70], [1, 2 ** 70]).n_all == [1, 2 ** 70]
+    assert series([1, 2 ** 64], [0, 2 ** 70], [1, 2 ** 70]).n_all.tolist() == [1, 2 ** 70]
 
 
 def test_cumulative_at_fractional_radii():
@@ -591,7 +595,7 @@ def test_definite_series_eisenstein_vs_ideal_oracle():
     order = eisenstein_order()
     series = normform_series(order, 300)
     assert series.meta == {"mode": "exact", "units": 6}
-    assert series.n_all == ideal_count_series(-3, 300)
+    assert series.n_all.tolist() == ideal_count_series(-3, 300)
 
 
 @pytest.mark.parametrize("d", [-5, -3, -6])  # h = 2; not maximal; h = 2
@@ -602,9 +606,9 @@ def test_definite_series_matches_the_reduction_reference(d):
     order = OrderSpec(quadratic_field_order(d), 2, 0)
     nu = len(finite_units(order).torsion)
     series = normform_series(order, 200)
-    assert series.n_all == [count_normform_level(order, k) for k in range(1, 201)]
+    assert series.n_all.tolist() == [count_normform_level(order, k) for k in range(1, 201)]
     gram = norm_gram(order)
-    assert series.n_prim == [
+    assert series.n_prim.tolist() == [
         sum(1 for p in definite_shell(gram, k) if gcd_vector(p) == 1) // nu for k in range(1, 201)
     ]
 
@@ -625,13 +629,13 @@ def test_quadric_series_with_stabilizers_matches_the_partition_reference():
     series = quadric_series(sec, 30, group)
     assert series.meta["route"] == "per-level"
     ref = [count_quadric_level(sec, k, group) for k in range(1, 31)]
-    assert series.n_prim == [n for n, _ in ref]
-    assert series.weighted == [w for _, w in ref]
+    assert series.n_prim.tolist() == [n for n, _ in ref]
+    assert series.weighted.tolist() == [w for _, w in ref]
     assert any(isinstance(w, Fraction) for w in series.weighted)  # some stabilizer is nontrivial
 
 
 def _columns(series):
-    return series.n_prim, series.n_all, series.weighted
+    return series.n_prim.tolist(), series.n_all.tolist(), series.weighted.tolist()
 
 
 @settings(max_examples=15, deadline=None)
@@ -721,3 +725,97 @@ def test_definite_series_builds_the_norm_gram_once(monkeypatch):
         calls.clear()
         series = counting._definite_series(order, 50, counting.FAMILY_ALGEBRA)
         assert len(calls) == 1 and sum(series.n_all) > 0
+
+
+@pytest.mark.parametrize("route", ["int64", "object"])
+def test_count_series_refusals_on_both_column_routes(route):
+    # the same refusals whether the columns are int64 arrays or object arrays
+    # of Python ints past int64
+    big = 1 if route == "int64" else 2 ** 70
+    dtype = np.int64 if route == "int64" else object
+
+    def series(levels, n_prim, n_all, weighted=None):
+        cols = [np.array(c, dtype=dtype) for c in (levels, n_prim, n_all)]
+        return CountSeries(family="normform", levels=cols[0], n_prim=cols[1], n_all=cols[2],
+                           weighted=cols[2] if weighted is None else weighted, scale_e=1,
+                           exact=np.ones(len(levels), dtype=bool))
+
+    for levels, n_prim, n_all, message in (
+        ([big, big, big + 1], [0, 0, 0], [0, 0, 0], "strictly increasing"),
+        ([big + 1, big], [0, 0], [0, 0], "strictly increasing"),
+        ([1, 2], [0, -big], [0, 0], "negative"),
+        ([1, 2], [0, 0], [-big, 0], "negative"),
+        ([1, 2], [0, big + 1], [0, big], "exceeds"),
+        ([1, 2], [0], [0, 0], "ragged"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            series(levels, n_prim, n_all)
+    with pytest.raises(ValueError, match="ragged"):
+        series([1, 2], [0, 0], [0, 0], weighted=np.zeros(3, dtype=dtype))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        series([1, 2], [0, 0], [0, 0], weighted=np.zeros((2, 1), dtype=dtype))
+    ok = series([big, big + 1], [0, big], [big, big])
+    assert all(c.dtype == dtype for c in (ok.levels, ok.n_prim, ok.n_all, ok.weighted))
+    assert ok.exact.dtype == bool
+
+
+def test_count_series_cells_are_read_exactly():
+    def series(**cols):
+        base = dict(levels=[1, 2], n_prim=[0, 0], n_all=[1, 1], weighted=[1, 1], exact=[True, 1])
+        base.update(cols)
+        return CountSeries(family="quadric", scale_e=1, **base)
+
+    # numpy reads [1, 2**63] as float64 and [2**63] as uint64; both stay exact ints
+    for levels in ([1, 2 ** 63], [2 ** 63 - 1, 2 ** 63]):
+        s = series(levels=levels)
+        assert s.levels.dtype == object and s.levels.tolist() == levels
+    assert series(n_all=[2 ** 63, 2 ** 63]).n_all.tolist() == [2 ** 63] * 2
+    assert series(levels=np.array([1, 2], dtype=np.uint64)).levels.dtype == np.int64
+    # a Fraction is never truncated: refused in a count, kept in a weight
+    with pytest.raises(ValueError, match="not an integer"):
+        series(n_all=[1, Fraction(3, 2)])
+    with pytest.raises(ValueError, match="not an integer or Fraction"):
+        series(weighted=[1, 0.5])
+    w = series(weighted=[Fraction(3, 2), Fraction(4, 2)]).weighted
+    assert w.dtype == object and w.tolist() == [Fraction(3, 2), 2] and type(w[1]) is int
+    assert series(weighted=[Fraction(4, 2), np.int64(5)]).weighted.dtype == np.int64
+    assert series(exact=[True, 0]).exact.tolist() == [True, False]
+    empty = CountSeries(family="quadric", levels=[], n_prim=[], n_all=[], weighted=[], scale_e=1, exact=[])
+    assert empty.levels.dtype == empty.weighted.dtype == np.int64 and empty.exact.dtype == bool
+
+
+def test_count_series_keeps_int64_arrays_without_copy():
+    cols = [np.arange(1, 6, dtype=np.int64), np.zeros(5, dtype=np.int64), np.arange(5, dtype=np.int64)]
+    exact = np.ones(5, dtype=bool)
+    series = CountSeries(family="normform", levels=cols[0], n_prim=cols[1], n_all=cols[2],
+                         weighted=cols[2], scale_e=1, exact=exact)
+    assert series.levels is cols[0] and series.n_prim is cols[1] and series.n_all is cols[2]
+    assert series.weighted is cols[2] and series.exact is exact
+    # a list of numpy ints, as a perturbed copy passes through dataclasses.replace
+    n_all = list(series.n_all)
+    n_all[-1] += 1
+    bumped = replace(series, n_all=n_all)
+    assert bumped.n_all.dtype == np.int64 and bumped.n_all.tolist() == [0, 1, 2, 3, 5]
+    assert bumped.levels is cols[0] and bumped.weighted is cols[2]
+    # the producers hand over their arrays: nothing is copied into a list
+    counted = normform_series(order_gauss(), 50)
+    assert counted.weighted is counted.n_all and counted.levels.dtype == np.int64
+    assert imprimitive_from_primitive(counted, 2).n_prim is counted.n_prim
+
+
+def test_definite_series_enumerates_one_ball(monkeypatch):
+    from orbitcount import counting, orders
+
+    calls = []
+    original = counting.ball_points
+
+    def counting_ball(gram, r):
+        calls.append(r)
+        return original(gram, r)
+
+    monkeypatch.setattr(counting, "ball_points", counting_ball)
+    monkeypatch.setattr(orders, "ball_points", counting_ball)
+    for order in (order_gauss(), order_lipschitz(), order_hurwitz()):
+        calls.clear()
+        series = counting._definite_series(order, 40, counting.FAMILY_ALGEBRA)
+        assert calls == [3] and series.meta["units"] == len(finite_units(order).torsion)

@@ -302,3 +302,39 @@ def test_conic_points_match_per_s_windows(rng, steps, r):
     assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
     got = [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())]
     assert got == _conic_points_per_s(sec, r)  # in (level, x) order, each point once
+
+
+@st.composite
+def key_columns(draw):
+    # up to four int64 key columns; wide ones push the span product past 2^63
+    rows = draw(st.integers(0, 60))
+    widths = draw(st.lists(st.sampled_from([1, 3, 2 ** 20, 2 ** 40, 2 ** 62]), min_size=1, max_size=4))
+    return [np.array([draw(st.integers(-w, w)) for _ in range(rows)], dtype=np.int64) for w in widths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_columns())
+def test_row_order_matches_lexsort(columns):
+    from orbitcount.lattice import row_order
+
+    assert row_order(columns).tolist() == np.lexsort(columns[::-1]).tolist()
+
+
+@pytest.mark.parametrize("spans", [(2 ** 31, 2 ** 32 - 1), (2 ** 31, 2 ** 32), (2 ** 64 - 1,), (3, 2 ** 61, 2)])
+def test_row_order_at_the_packed_code_edge(spans):
+    # span products 2^63 - 2^31 (one int64 code), 2^63, 2^64 - 1 and 3 * 2^62
+    # (np.lexsort): the same stable permutation either way, ties included
+    from orbitcount.lattice import row_order
+
+    rng = np.random.default_rng(len(spans))
+    columns = []
+    for span in spans:
+        lo = -(2 ** 63) if span > 2 ** 63 else -(span // 2)
+        col = rng.integers(lo, lo + span, size=400, dtype=np.int64, endpoint=False)
+        col[:2] = lo, lo + span - 1  # both ends, so the span is exact
+        col[2:6] = col[6:10]  # repeated rows
+        columns.append(col)
+    with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = row_order(columns)
+    assert lexsort.called == (math.prod(spans) >= 2 ** 63)
+    assert got.tolist() == np.lexsort(columns[::-1]).tolist()

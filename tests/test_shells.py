@@ -325,3 +325,28 @@ def test_truncated_product_sum_refuses_past_length_limit():
     one = np.ones(1, dtype=np.int64)
     with pytest.raises(ValueError, match="transform length"):
         truncated_product_sum([(one, one)], 2 ** 22)
+
+
+@st.composite
+def definite_integer_grams(draw):
+    # B^t B + I for a random integer B: a symmetric positive definite integer Gram
+    n = draw(st.integers(2, 4))
+    b = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+    return [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(definite_integer_grams(), st.integers(0, 30), st.booleans())
+def test_quadratic_values_match_the_einsum_reference(g, r, skew):
+    from orbitcount.shells import _box, _coordinate_bounds, _quadratic_values
+
+    m = [[2 * e for e in row] for row in g]  # the 2G of theta_series' blocks
+    if skew:  # x^t m x depends on m_ij + m_ji only; an asymmetric m must agree too
+        m[0][1] += 3
+        m[1][0] -= 1
+    pts = _box(_coordinate_bounds(g, r))
+    ref = np.einsum("ki,ij,kj->k", pts, np.array(m, dtype=np.int64), pts)
+    got = _quadratic_values(pts, m)
+    assert got.dtype == np.int64 and got.tolist() == ref.tolist()
+    # the w block of a binary form is empty: every value is 0
+    assert _quadratic_values(_box([]), []).tolist() == [0]
