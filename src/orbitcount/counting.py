@@ -123,6 +123,16 @@ class CountSeries:
         if np.any(self.n_prim > self.n_all):
             raise ValueError("n_prim exceeds n_all")
 
+    def __eq__(self, other):
+        """Equal family, scale_e and meta, and each column of the same dtype
+        and cells (the generated __eq__ would ask an array for its truth)."""
+        if not isinstance(other, CountSeries):
+            return NotImplemented
+        cols = ("levels", "n_prim", "n_all", "weighted", "exact")
+        return (self.family, self.scale_e, self.meta) == (other.family, other.scale_e, other.meta) and all(
+            getattr(self, c).dtype == getattr(other, c).dtype
+            and getattr(self, c).tolist() == getattr(other, c).tolist() for c in cols)
+
 
 def _column(values, integral):
     """values as a 1-d int64 array when every cell is an integer that fits,
@@ -635,14 +645,14 @@ def _primitive_shell_sizes(all_sizes, d):
     return _slice_sieve(src, d, k, _mobius_upto(k if d == 1 else math.isqrt(k)))[1:]
 
 
-def _assert_free_action(order, units, gram, ball=None):
+def _assert_free_action(order, units, gram, ball):
     """Check on the points of norm at most 3 (gram is norm_gram(order), ball
-    its ball_points(gram, 3) when the caller has it) that each unit maps a
-    point to one of the same norm and that a point's |units| images are
+    its ball_points(gram, 3)) that each unit maps a point to one of the same
+    norm and that a point's |units| images are
     distinct (a sort of each point's image codes), in one int64 einsum over
     the units' integer left-multiplication matrices."""
     mats = _torsion_matrices(order, units)
-    pts, twice_q, _ = ball_points(gram, 3) if ball is None else ball
+    pts, twice_q, _ = ball
     _, gi = _scaled_integer_gram(gram)
     img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))
     _check_int64(img_max, _bilinear_bound(gi, [img_max] * len(gi)))

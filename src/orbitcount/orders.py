@@ -156,18 +156,17 @@ def integer_dets(mats):
     return out
 
 
-def finite_units(order, gram=None, shell=None):
+def finite_units(order, shell=None):
     """Complete unit list for an order whose norm form is positive definite
     (imaginary quadratic or definite quaternion): the norm-1 shell of
     ball_points in lexicographic order, certified in one batch.  With
     integral structure constants and an integral unity, x is a unit iff
     det(L_x) = +-1 (L_x L_{x^-1} = L_1 = I, and the adjugate of a
     determinant +-1 matrix is integral); with a non-integral unity, no
-    integral x has an integral inverse.  gram is norm_gram(order), computed
-    here when not given; shell is the int64 array of the norm-1 points in
-    any order, when the caller has enumerated them."""
+    integral x has an integral inverse.  shell is the int64 array of the
+    norm-1 points in any order, when the caller has enumerated them."""
     if shell is None:
-        pts, twice_q, s = ball_points(norm_gram(order) if gram is None else gram, 1)
+        pts, twice_q, s = ball_points(norm_gram(order), 1)
         shell = pts[twice_q == 2 * s]
     shell = shell[np.lexsort(shell.T[::-1])]
     dets = integer_dets(left_mul_matrices(order.algebra, shell))

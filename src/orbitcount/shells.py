@@ -131,14 +131,15 @@ def _quadratic_values(pts, m):
     """x^t m x for each row x of the int64 array pts, m a square matrix of
     Python ints: the diagonal terms and each pair i < j once, with the
     coefficient m_ij + m_ji, as elementwise int64 products into two buffers.
-    Every partial sum is bounded by _bilinear_bound(m, b) when |x_i| <= b_i,
-    which the caller checks below 2^63."""
+    Every product x_i x_j c (c != 0) and partial sum is bounded by
+    _bilinear_bound(m, b) when |x_i| <= b_i, which the caller checks below
+    2^63; so a coefficient past int64 meets only b_i b_j = 0 and adds 0."""
     out = tmp = None
     for i, j in combinations_with_replacement(range(len(m)), 2):
         c = m[i][i] if i == j else m[i][j] + m[j][i]
-        if c:
-            tmp = np.multiply(pts[:, i], c, out=tmp)
-            tmp *= pts[:, j]
+        if c and abs(c) < 2 ** 63:
+            tmp = np.multiply(pts[:, i], pts[:, j], out=tmp)
+            tmp *= c
             if out is None:
                 out, tmp = tmp, None
             else:
@@ -167,11 +168,10 @@ def ball_points(gram, r):
     bounds = _coordinate_bounds(gram, r)
     target = 2 * s * r
     _check_int64(_bilinear_bound(gi, bounds), target, max(abs(e) for row in gi for e in row))
-    gi = np.array(gi, dtype=np.int64)
     flat = _box(bounds[:-1])  # (#, n-1)
     pts_out, vals_out = [], []
-    sub = gi[: n - 1, : n - 1]
-    part = np.einsum("ki,ij,kj->k", flat, sub, flat)
+    part = _quadratic_values(flat, [row[: n - 1] for row in gi[: n - 1]])
+    gi = np.array(gi, dtype=np.int64)
     cross = 2 * flat @ gi[: n - 1, n - 1]
     last_diag = gi[n - 1, n - 1]
     for v in range(-bounds[-1], bounds[-1] + 1):

@@ -43,6 +43,7 @@ from orbitcount.presets import (
     PRESET_NAMES,
     preset_scenario,
 )
+from orbitcount.shells import ball_points
 from orbitcount.symmetry import integral_symmetries
 
 
@@ -146,23 +147,25 @@ def test_division_guard_rejects_split_norm_form():
 @pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
 def test_free_action_check(order):
     units, gram = finite_units(order), norm_gram(order)
-    _assert_free_action(order, units, gram)
+    ball = ball_points(gram, 3)
+    _assert_free_action(order, units, gram, ball)
     with pytest.raises(ValueError, match="unit action not free"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1]), gram)
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1]), gram, ball)
     two = element(tuple(2 * c for c in order.algebra.unity))
     with pytest.raises(AssertionError, match="does not preserve the shell"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + (two,)), gram)
+        _assert_free_action(order, replace(units, torsion=units.torsion + (two,)), gram, ball)
 
 
 @pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
 def test_free_action_check_with_image_codes_past_int64(order):
     # a unit matrix of entries 10^5 makes the image codes (2 * 10^5 + 1)^4 > 2^63
     units, gram = finite_units(order), norm_gram(order)
+    ball = ball_points(gram, 3)
     big = element(tuple(10 ** 5 * c for c in order.algebra.unity))
     with pytest.raises(ValueError, match="unit action not free"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1] + (big,)), gram)
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1] + (big,)), gram, ball)
     with pytest.raises(AssertionError, match="does not preserve the shell"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + (big,)), gram)
+        _assert_free_action(order, replace(units, torsion=units.torsion + (big,)), gram, ball)
 
 
 def _primitive_reference(all_sizes, d):
@@ -194,7 +197,7 @@ def test_free_action_check_rejects_split_norm_form():
     split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
     units = UnitGroupData(torsion=(element((1, 1)), element((-1, -1))), fundamental=(), complete=True)
     with pytest.raises(ValueError, match="not positive definite"):
-        _assert_free_action(split, units, norm_gram(split))
+        _assert_free_action(split, units, norm_gram(split), ball_points(norm_gram(split), 3))
 
 
 def test_cumulative():
@@ -801,6 +804,24 @@ def test_count_series_keeps_int64_arrays_without_copy():
     counted = normform_series(order_gauss(), 50)
     assert counted.weighted is counted.n_all and counted.levels.dtype == np.int64
     assert imprimitive_from_primitive(counted, 2).n_prim is counted.n_prim
+
+
+def test_count_series_equality_compares_columns():
+    series = normform_series(order_gauss(), 50)
+    same = replace(series, levels=series.levels.tolist(), n_all=list(series.n_all))
+    assert series == same and not (series != same)
+    bumped = series.n_all.copy()
+    bumped[-1] += 1
+    assert series != replace(series, n_all=bumped)
+    assert series != replace(series, scale_e=2, levels=2 * series.levels)
+    assert series != replace(series, meta={})
+    # equal values under another dtype: an object column past int64 is not an int64 one
+    wide = replace(series, n_all=[c + 2 ** 63 for c in series.n_all.tolist()])
+    assert wide == replace(series, n_all=[c + 2 ** 63 for c in series.n_all.tolist()])
+    assert wide != series
+    fractions = replace(series, weighted=[Fraction(c) for c in series.weighted.tolist()])
+    assert fractions == series and fractions.weighted.dtype == np.int64
+    assert series != "not a series"
 
 
 def test_definite_series_enumerates_one_ball(monkeypatch):
