@@ -7,7 +7,7 @@ from orbitcount.algebra import alg_inverse, alg_mul, alg_norm, element, quaterni
 from orbitcount.numtheory import factor, pell, signature, zeta_value
 from orbitcount.presets import order_hurwitz
 from orbitcount.orders import norm_gram
-from orbitcount.shells import definite_ball, definite_shell, gram_form, theta_series
+from orbitcount.shells import definite_ball, definite_shell, theta_series
 
 print("quaternions (1+i+j+k is a zero of x^2 - 2x + 4):")
 lip = quaternion_algebra(-1, -1)
@@ -33,7 +33,7 @@ for s in (2, 4, 100):
 print("\nfactorisation (trial division + rho):", factor(2 ** 4 * 10 ** 9 + 7 * 13))
 
 print("\ndefinite shells (exact backtracking):")
-i2 = gram_form([[1, 0], [0, 1]])
+i2 = [[1, 0], [0, 1]]
 print("  x^2 + y^2 = 25:", definite_shell(i2, 25))
 print("  ball to 5:", [(m, len(s)) for m, s in definite_ball(i2, 5)])
 

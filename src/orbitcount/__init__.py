@@ -46,8 +46,6 @@ from .fitting import (
     zeta_correction,
 )
 from .lattice import (
-    AffineLatticeFiber,
-    affine_fiber,
     box_scan,
     cone_section_points,
     indefinite_quadratic_shell,
@@ -70,7 +68,7 @@ from .orders import (
 )
 from .presets import preset_scenario
 from .sections import QuadricSectionSpec, quadric_section
-from .shells import GramForm, definite_ball, definite_shell, gram_form, theta_series
+from .shells import definite_ball, definite_shell, theta_series
 from .symmetry import (
     OrbitReport,
     SymmetryGroup,

@@ -45,6 +45,13 @@ EXIT_SATURATION = 2
 EXIT_ORACLE = 3
 
 
+# config keys that are refused, with the reason given for each
+RETIRED_KEYS = {
+    "primitive_only": "fit reads the weighted column for a quadric and n_all otherwise",
+    "fundamental_unit": "the unit group is computed from the order (Pell's equation)",
+}
+
+
 def load_config(path_or_preset, overrides):
     """A config is either a JSON file or a bare preset name."""
     if path_or_preset in PRESET_NAMES and not os.path.exists(path_or_preset):
@@ -52,9 +59,9 @@ def load_config(path_or_preset, overrides):
     else:
         with open(path_or_preset) as fh:
             doc = json.load(fh)
-    if "primitive_only" in doc:
-        raise ValueError("config key 'primitive_only' is not supported: fit reads the "
-                         "weighted column for a quadric and n_all otherwise")
+    for key, why in RETIRED_KEYS.items():
+        if key in doc:
+            raise ValueError(f"config key {key!r} is not supported: {why}")
     doc = dict(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
     doc.setdefault("r_max", 100)
@@ -98,8 +105,6 @@ def scenario_from_config(doc):
             spec = AlgebraSpec.from_json(json.dumps(doc["algebra"]))
             payload = OrderSpec(algebra=spec, norm_degree=int(doc["norm_degree"]),
                                 unit_rank=int(doc["unit_rank"]))
-    if "fundamental_unit" in doc:
-        inv["fundamental_unit"] = doc["fundamental_unit"]
     return ScenarioSpec(
         family=fam, payload=payload, k_max=int(doc["r_max"]), mode=mode,
         use_absolute_norm=bool(doc["absolute_norm"]), label=label, invariants=inv,
@@ -116,11 +121,8 @@ def series_to_csv(series, fh, chash):
     table; any other chunk (a Fraction weight, a level in original units, a
     cell past int64 or below 0) is formatted row by row."""
     fh.write(f"# config_hash={chash}\n")
-    extra = ""
-    if series.meta.get("units") == "user-asserted":
-        extra = " units=user-asserted"
     fh.write(f"# family={series.family} scale_e={series.scale_e} "
-             f"mode={series.meta.get('mode', 'exact')}{extra}\n")
+             f"mode={series.meta.get('mode', 'exact')}\n")
     fh.write("level,n_prim,n_all,weighted_num,weighted_den,exact\n")
     e = series.scale_e
     columns = (series.levels, series.n_prim, series.n_all, series.weighted)
@@ -180,8 +182,7 @@ def _ascii_rows(table):
 def series_from_csv(path):
     """Read a counts CSV with numpy's C parser: six columns, all int64 when
     scale_e is 1 (else the level is text, checked by hand); a cell past int64 raises."""
-    meta = {"config_hash": None, "family": "unknown", "scale_e": "1", "mode": "exact",
-            "units": "computed"}
+    meta = {"config_hash": None, "family": "unknown", "scale_e": "1", "mode": "exact"}
     with open(path) as fh:
         lines = fh.read().splitlines()
     body = next((i for i, line in enumerate(lines)
@@ -212,7 +213,7 @@ def series_from_csv(path):
     return CountSeries(
         family=meta["family"], levels=levels, n_prim=n_prim, n_all=n_all,
         weighted=weighted, scale_e=scale_e, exact=exact == 1,
-        meta={"mode": meta["mode"], "units": meta["units"], "config_hash": meta["config_hash"]},
+        meta={"mode": meta["mode"], "config_hash": meta["config_hash"]},
     )
 
 
@@ -301,8 +302,6 @@ def _fit(args, doc, scenario, series):
     report.extras["c_hat_fixed_lambda"] = fixed.c_hat
     report.extras["config_hash"] = series.meta["config_hash"]
     report.extras["fitted_column"] = column
-    if series.meta.get("units") == "user-asserted":
-        report.extras["units"] = "user-asserted"
     _attach_predictions(report, scenario, args)
     text = report.to_json()
     out_path = _out_path(args, doc, "fit.json")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, alg_mul, element
+from .algebra import AlgebraElement
 from .exact import gcd_vector, scalar
 from .lattice import (
     box_scan,
@@ -28,7 +28,6 @@ from .orders import (
     OrderSpec,
     finite_units,
     fundamental_unit,
-    is_unit,
     left_mul_matrices,
     norm_gram,
     real_quadratic_d,
@@ -308,21 +307,14 @@ def _orbit_classes(lvls, reps, stab, group_order):
     """Index of one member of each (level, rep) class.  Asserts that every class
     is a whole orbit: its member count times the stabilizer order is |G|."""
     key = np.column_stack([lvls.astype(reps.dtype), reps])
-    if key.dtype == object:
-        members = {}
-        for i, row in enumerate(map(tuple, key.tolist())):
-            members.setdefault(row, []).append(i)
-        first = np.array([m[0] for m in members.values()], dtype=np.int64)
-        counts = np.array([len(m) for m in members.values()], dtype=np.int64)
-    else:
-        # one stable sort by the key columns: a class's first sorted member is
-        # its first index, as np.unique(axis=0, return_index=True) returns it
-        order = row_order(list(key.T))
-        sk = key[order]
-        new = np.ones(len(key), dtype=bool)
-        new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
-        starts = np.flatnonzero(new)
-        first, counts = order[starts], np.diff(starts, append=len(key))
+    # one stable sort by the key columns: a class's first sorted member is
+    # its first index, as np.unique(axis=0, return_index=True) returns it
+    order = row_order(list(key.T))
+    sk = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    first, counts = order[starts], np.diff(starts, append=len(key))
     if np.any(counts * stab[first] != group_order):
         raise AssertionError("orbit-stabilizer identity violated: an orbit is incomplete")
     return first
@@ -333,11 +325,7 @@ def count_normform_level(order, k, mode=("exact",)):
     if k == 0:
         raise ValueError("k = 0 is not a group torsor level (excluded)")
     if mode[0] == "box":
-        sols = box_scan(order, abs(k), mode[1])
-        sols = [x for x in sols if order.norm(x) == k]
-        if not sols:
-            return 0
-        return len(pairwise_orbits(sols, order))
+        return len(_box_level_orbits(order, k, mode[1], False))
     if order.unit_rank == 0:
         kf = Fraction(k)
         if kf <= 0 or kf.denominator != 1:
@@ -355,49 +343,15 @@ def count_normform_level(order, k, mode=("exact",)):
     raise ValueError("unit rank >= 2: exact mode unsupported, use box mode")
 
 
-def normform_series(order, r_max, use_absolute_norm=False, units=None):
+def normform_series(order, r_max, use_absolute_norm=False):
     """Per-level orbit counts for levels 1..r_max (norm = k, or |norm| = k when
-    use_absolute_norm).  Exact mode only; box mode is box_series.
-
-    units may carry externally supplied (user-asserted) unit data for rank-1
-    orders; it is verified before use."""
+    use_absolute_norm).  Exact mode only; box mode is box_series."""
     r_max = int(r_max)
     if order.unit_rank == 0:
         return _definite_series(order, r_max, FAMILY_NORMFORM)
     if order.unit_rank == 1:
-        return _real_quadratic_series(order, r_max, use_absolute_norm, units=units)
+        return _real_quadratic_series(order, r_max, use_absolute_norm)
     raise ValueError("unit rank >= 2: exact mode unsupported, use box mode")
-
-
-def user_asserted_units(order, coords):
-    """UnitGroupData built from an externally computed fundamental unit.
-
-    The element must be a non-torsion unit and must actually be fundamental
-    (a proper power would silently split orbits, so it is cross-checked
-    against the Pell solution, which is always available here)."""
-    from .orders import UnitGroupData
-
-    if order.unit_rank != 1 or real_quadratic_d(order) is None:
-        raise ValueError("asserted fundamental units apply to real quadratic orders only")
-    eps = element(tuple(coords))
-    if not is_unit(eps, order):
-        raise ValueError(f"asserted fundamental unit {coords} is not a unit of the order")
-    if eps.coords[1] == 0:
-        raise ValueError("asserted fundamental unit is torsion")
-    reference = fundamental_unit(order)
-    a, b = (abs(c) for c in eps.coords)
-    if (a, b) != tuple(abs(c) for c in reference.fundamental[0].coords):
-        raise ValueError(
-            f"asserted unit {coords} is not fundamental "
-            f"(expected one of +-{reference.fundamental[0].coords} up to sign)"
-        )
-    spec = order.algebra
-    nrm = order.norm(eps)
-    eps1 = eps if nrm == 1 else alg_mul(eps, eps, spec)
-    return UnitGroupData(
-        torsion=(element((1, 0)), element((-1, 0))),
-        fundamental=(eps,), complete=True, norm_one_fundamental=eps1,
-    )
 
 
 def box_series(scenario, jobs=1):
@@ -431,7 +385,9 @@ def _box_level_task(task):
 
 
 def _box_level_orbits(order, k, bound, use_absolute_norm):
-    sols = box_scan(order, k, bound)
+    """The orbits of the box points of norm k, or of |norm| = |k| when
+    use_absolute_norm (pairwise_orbits)."""
+    sols = box_scan(order, abs(k), bound)
     if not use_absolute_norm:
         sols = [x for x in sols if order.norm(x) == k]
     if not sols:
@@ -450,13 +406,9 @@ def box_level_counts(order, k, bound, use_absolute_norm=False):
     return tot_prim, tot_all
 
 
-def _real_quadratic_series(order, r_max, use_absolute_norm, units=None):
+def _real_quadratic_series(order, r_max, use_absolute_norm):
     d = real_quadratic_d(order)
-    units_provenance = "computed"
-    if units is None:
-        units = fundamental_unit(order)
-    else:
-        units_provenance = "user-asserted"
+    units = fundamental_unit(order)
     x0, y0 = units.fundamental[0].coords
     pell_sign = x0 * x0 - d * y0 * y0
     # one domain point per orbit; negative norms count only for absolute norms
@@ -472,8 +424,7 @@ def _real_quadratic_series(order, r_max, use_absolute_norm, units=None):
         family=FAMILY_NORMFORM, levels=np.arange(1, r_max + 1, dtype=np.int64),
         n_prim=n_prim, n_all=n_all, weighted=n_all, scale_e=1,
         exact=np.ones(r_max, dtype=bool),
-        meta={"mode": "exact", "pell_sign": pell_sign, "absolute_norm": use_absolute_norm,
-              "units": units_provenance},
+        meta={"mode": "exact", "pell_sign": pell_sign, "absolute_norm": use_absolute_norm},
     )
 
 
@@ -690,16 +641,7 @@ def run_scenario(scenario, jobs=1):
         return box_series(scenario, jobs)
     fam = scenario.family
     if fam == FAMILY_NORMFORM:
-        units = None
-        asserted = scenario.invariants.get("fundamental_unit")
-        if asserted is not None:
-            from .exact import frac
-
-            units = user_asserted_units(scenario.payload, [frac(c) for c in asserted])
-        return normform_series(
-            scenario.payload, scenario.k_max,
-            use_absolute_norm=scenario.use_absolute_norm, units=units,
-        )
+        return normform_series(scenario.payload, scenario.k_max, scenario.use_absolute_norm)
     if fam == FAMILY_QUADRIC:
         return quadric_series(scenario.payload, scenario.k_max)
     if fam == FAMILY_ALGEBRA:

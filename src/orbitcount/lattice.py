@@ -9,7 +9,6 @@ used by the bulk series driver and cross-checked against the fiber route.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,35 +20,10 @@ from .exact import (
     det,
     gcd_vector,
     invariant_factors,
-    primitive_integer_row,
     scalar,
-    unimodular_completion,
-    vec,
 )
 from .orders import fundamental_unit, unit_domain_points
 from .shells import _check_int64, definite_shell, shifted_shell_2d
-
-
-@dataclass(frozen=True)
-class AffineLatticeFiber:
-    offset: tuple   # rational particular solution of ell(x) = k
-    basis: tuple    # integer columns spanning ker(ell) cap Z^n
-
-
-def affine_fiber(ell, k):
-    """The fiber {x in Z^n : ell(x) = k} as offset + Z-span(basis), or None when
-    it contains no integral point."""
-    ell_int, s = primitive_integer_row(ell)
-    # ell . x = k  <=>  ell_int . x = s k, which needs s k integral
-    t = Fraction(k) * s
-    if t.denominator != 1:
-        return None
-    t = t.numerator
-    n = len(ell_int)
-    u = unimodular_completion(ell_int)
-    offset = tuple(u[i][0] * t for i in range(n))
-    basis = tuple(tuple(u[i][j] for j in range(1, n)) for i in range(n))
-    return AffineLatticeFiber(offset=vec(offset), basis=basis)
 
 
 def fiber_section_points(section, k, qtarget=0, primitive=True):
@@ -244,21 +218,29 @@ def conic_points_up_to(section, r_scaled):
 
 
 def row_order(columns):
-    """The stable permutation that sorts rows by the int64 key columns, the
-    first most significant: np.lexsort(columns[::-1]).  Each column minus its
-    minimum is one digit of a mixed-radix int64 code whose radices are the
-    column spans, sorted by one stable argsort; when the product of the spans
-    reaches 2^63, np.lexsort itself."""
+    """The stable permutation that sorts rows by the key columns, the first
+    most significant: np.lexsort(columns[::-1]).  The int64 columns are packed
+    greedily, most significant first, into mixed-radix int64 codes: each
+    column minus its minimum is one digit, its span the radix, while a code's
+    span product stays below 2^63.  A column whose own span reaches 2^63, or
+    an object column (Python ints), is a key of its own."""
     if not len(columns[0]):
         return np.zeros(0, dtype=np.intp)
-    lows = [int(c.min()) for c in columns]
-    spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
-    if math.prod(spans) >= 2 ** 63:
-        return np.lexsort(columns[::-1])
-    code = columns[0] - lows[0]
-    for c, lo, span in zip(columns[1:], lows[1:], spans[1:]):
-        code = code * span + (c - lo)
-    return np.argsort(code, kind="stable")
+    keys, size = [], 2 ** 63  # size: span product of keys[-1], 2^63 once it is closed
+    for c in columns:
+        span = 2 ** 63
+        if c.dtype == np.int64:
+            lo = int(c.min())
+            span = int(c.max()) - lo + 1
+        if span >= 2 ** 63:
+            keys.append(c)
+        elif size * span < 2 ** 63:
+            keys[-1] = keys[-1] * span + (c - lo)
+        else:
+            keys.append(c - lo)
+            size = 1
+        size *= span
+    return np.lexsort(keys[::-1])
 
 
 def box_scan(order, k, bound):

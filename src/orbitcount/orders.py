@@ -59,7 +59,6 @@ class OrderSpec:
 class UnitGroupData:
     torsion: tuple              # all torsion units (the finite part)
     fundamental: tuple          # length unit_rank; empty for rank 0
-    complete: bool
     norm_one_fundamental: AlgebraElement = None  # fundamental unit of norm +1 (rank 1)
 
 
@@ -174,7 +173,7 @@ def finite_units(order, shell=None):
     if not len(shell):
         raise AssertionError("no units found; definiteness precondition violated")
     units = tuple(AlgebraElement(tuple(v)) for v in shell.tolist())
-    return UnitGroupData(torsion=units, fundamental=(), complete=True)
+    return UnitGroupData(torsion=units, fundamental=())
 
 
 def real_quadratic_d(order):
@@ -209,7 +208,6 @@ def fundamental_unit(order):
     return UnitGroupData(
         torsion=(element((1, 0)), element((-1, 0))),
         fundamental=(eps,),
-        complete=True,
         norm_one_fundamental=eps1,
     )
 
@@ -275,8 +273,6 @@ def canonical_rep(x, units, order):
     """
     if x.is_zero():
         raise ValueError("canonical_rep: zero element")
-    if not units.complete:
-        raise ValueError("canonical_rep needs a complete unit description")
     if order.unit_rank == 0:
         cands = [alg_mul(u, x, order.algebra) for u in units.torsion]
         return min(cands, key=lambda c: rep_key(c.coords))

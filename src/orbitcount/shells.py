@@ -8,7 +8,6 @@ square roots and every accepted point passes an exact integer check.
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -17,26 +16,14 @@ import numpy as np
 from .exact import definiteness, inverse, isqrt_frac_floor, ldl, mat, scalar
 
 
-@dataclass(frozen=True)
-class GramForm:
-    gram: tuple
-    dim: int
-
-    def __post_init__(self):
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
-            raise ValueError("gram matrix has wrong shape")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix is not symmetric")
-
-
-def gram_form(rows):
-    g = mat(rows)
-    return GramForm(gram=g, dim=len(g))
-
-
 def _check_positive_definite(gram):
+    """Refuse a Gram matrix that is not square, not symmetric or not
+    positive definite."""
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise ValueError("gram matrix has wrong shape")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("gram matrix is not symmetric")
     if definiteness(gram) != 1:
         raise ValueError("form is not positive definite (exact minor check)")
 
@@ -46,15 +33,12 @@ def is_integer_valued(gram):
     return _scaled_integer_gram(gram)[0] == 1
 
 
-def definite_shell(form, m, shift=None):
+def definite_shell(gram, m, shift=None):
     """Complete set {x in Z^n : (x+shift)^t G (x+shift) = m}, lexicographically sorted.
 
     Exact recursive backtracking; G must be positive definite, m >= 0 rational.
     """
-    if isinstance(form, GramForm):
-        gram = form.gram
-    else:
-        gram = mat(form)
+    gram = mat(gram)
     _check_positive_definite(gram)
     m = scalar(Fraction(m))
     if m < 0:
@@ -187,13 +171,14 @@ def ball_points(gram, r):
     return np.vstack(pts_out), np.concatenate(vals_out), s
 
 
-def definite_ball(form, r):
+def definite_ball(gram, r):
     """Stream of (m, shell) for integer levels 1 <= m <= r; Q must be integer valued.
 
     Shells are complete and lexicographically sorted; levels with no points are
     skipped.
     """
-    gram = form.gram if isinstance(form, GramForm) else mat(form)
+    gram = mat(gram)
+    _check_positive_definite(gram)
     if r < 1:
         return
     if not is_integer_valued(gram):

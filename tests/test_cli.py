@@ -20,7 +20,6 @@ from orbitcount.cli import (
     CSV_CHUNK,
     EXIT_VALIDATION,
     _oracle_columns,
-    load_config,
     main,
     scenario_from_config,
     series_from_csv,
@@ -337,41 +336,6 @@ def test_series_csv_scaled_levels_round_trip(tmp_path):
     assert (back.levels.tolist(), back.weighted.tolist(), back.scale_e) == (series.levels.tolist(), series.weighted.tolist(), 2)
 
 
-def test_user_asserted_fundamental_unit(tmp_path, capsys):
-    cfg = tmp_path / "fu.json"
-    cfg.write_text(json.dumps({"preset": "zsqrt2", "r_max": 30,
-                               "fundamental_unit": ["1", "1"]}))
-    assert run(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-    text = (tmp_path / "zsqrt2-counts.csv").read_text()
-    assert "units=user-asserted" in text
-    # the injected unit reproduces the computed series
-    baseline = tmp_path / "base"
-    assert run(["count", "--config", "zsqrt2", "--rmax", "30", "--out", str(baseline)]) == EXIT_OK
-    base_rows = (baseline / "zsqrt2-counts.csv").read_text().splitlines()[2:]
-    rows = text.splitlines()[2:]
-    assert rows == base_rows
-    # fit echoes the provenance
-    assert run(["fit", "--config", str(cfg),
-                "--series", str(tmp_path / "zsqrt2-counts.csv"),
-                "--out", str(tmp_path)]) == EXIT_OK
-    doc = json.loads((tmp_path / "zsqrt2-fit.json").read_text())
-    assert doc["units"] == "user-asserted"
-    # a non-unit is rejected
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"preset": "zsqrt2", "r_max": 10,
-                               "fundamental_unit": ["2", "1"]}))
-    assert run(["count", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
-
-
-def test_user_asserted_unit_must_be_fundamental(tmp_path):
-    # (7, 5) is the cube of the fundamental unit: a unit, but accepting it
-    # would split every orbit into three
-    cfg = tmp_path / "cube.json"
-    cfg.write_text(json.dumps({"preset": "zsqrt2", "r_max": 10,
-                               "fundamental_unit": ["7", "5"]}))
-    assert run(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
-
-
 def test_algebra_box_mode_primitive_column(tmp_path):
     # box mode used to copy n_all into n_prim for quaternion shells
     from orbitcount.counting import algebra_series
@@ -572,15 +536,16 @@ def test_primitive_only_refused(tmp_path, capsys):
         run(["count", "--config", "gauss", "--primitive-only"])
 
 
-def test_preset_fundamental_unit_stays_out_of_the_table(tmp_path):
+def test_fundamental_unit_refused(tmp_path, capsys):
+    # the unit group is computed (Pell), so a config may not assert one
     cfg = tmp_path / "fu.json"
-    cfg.write_text(json.dumps({"preset": "zsqrt2", "fundamental_unit": ["1", "1"]}))
-    for _ in range(2):
-        scenario = scenario_from_config(load_config(str(cfg), {}))
-        assert scenario.invariants["fundamental_unit"] == ["1", "1"]
-    plain = scenario_from_config(load_config("zsqrt2", {}))
-    assert "fundamental_unit" not in plain.invariants
-    assert plain.invariants == {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": "ideal-count:8"}
+    cfg.write_text(json.dumps({"preset": "zsqrt2", "r_max": 30, "fundamental_unit": ["1", "1"]}))
+    assert run(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert "'fundamental_unit'" in capsys.readouterr().err
+    for command in ("count", "report"):
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "'fundamental_unit'" in capsys.readouterr().err
+    assert not (tmp_path / "zsqrt2-counts.csv").exists()
 
 
 @pytest.mark.parametrize("column", [0, 1, 2, 3])

@@ -67,7 +67,7 @@ def test_normform_level_examples():
 
 def test_normform_level_box_mode_matches_exact():
     zs2 = order_zsqrt2()
-    for k in (1, 2, 7, 8, 14):
+    for k in (1, 2, 7, 8, 14, -1, -7):
         assert count_normform_level(zs2, k, ("box", 30)) == count_normform_level(zs2, k)
 
 
@@ -195,7 +195,7 @@ def test_primitive_shell_sizes_matches_python_sieve(d, sizes, past_int64):
 
 def test_free_action_check_rejects_split_norm_form():
     split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
-    units = UnitGroupData(torsion=(element((1, 1)), element((-1, -1))), fundamental=(), complete=True)
+    units = UnitGroupData(torsion=(element((1, 1)), element((-1, -1))), fundamental=())
     with pytest.raises(ValueError, match="not positive definite"):
         _assert_free_action(split, units, norm_gram(split), ball_points(norm_gram(split), 3))
 

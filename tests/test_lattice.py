@@ -22,7 +22,6 @@ from orbitcount.exact import (
 )
 from orbitcount.lattice import (
     _content_bound,
-    affine_fiber,
     box_scan,
     cone_section_points,
     conic_parametrization,
@@ -44,15 +43,22 @@ def test_model_quadric_base_point_is_the_searched_one():
     assert SEC.base_point == (0, 0, 1)
 
 
+def _fiber_offset(section, k):
+    """t u0 with t = s k, the offset of the fiber ell = k in section's frame."""
+    fr = section.fiber_frame
+    return tuple(Fraction(k) * fr.scale * u for u in fr.u0)
+
+
 def test_affine_fiber_exactness():
-    fib = affine_fiber((1, 0, 1), 5)
     n = 3
-    assert sum(fib.offset[i] * (1, 0, 1)[i] for i in range(n)) == 5
+    assert SEC.ell_value(_fiber_offset(SEC, 5)) == 5
+    basis = SEC.fiber_frame.basis
     for j in range(n - 1):
-        col = [fib.basis[i][j] for i in range(n)]
-        assert sum(col[i] * (1, 0, 1)[i] for i in range(n)) == 0
-    # rational form with no integral fiber
-    assert affine_fiber((H, 0, H), Fraction(1, 3)) is None
+        assert SEC.ell_value([basis[i][j] for i in range(n)]) == 0
+    # rational form with no integral fiber: s k = 2/3 is not an integer
+    sec = quadric_section([[0, 0, H], [0, -1, 0], [H, 0, 0]], (H, 0, H))
+    assert (Fraction(1, 3) * sec.fiber_frame.scale).denominator != 1
+    assert fiber_section_points(sec, Fraction(1, 3), primitive=False) == []
 
 
 def test_cone_section_examples():
@@ -119,8 +125,7 @@ def test_fiber_section_points_match_box_scan(section, kn, kd, qtarget, primitive
 
 
 def test_fiber_of_negative_first_coordinate_form():
-    fib = affine_fiber((-1, 0, 0), 2)
-    assert fib.offset == (-2, 0, 0)
+    assert _fiber_offset(NEG, 2) == (-2, 0, 0)
     for k in range(1, 30):
         assert all(NEG.ell_value(p) == k for p in cone_section_points(NEG, k)), k
     assert cone_section_points(NEG, 5)[0] == (-5, -4, -3)
@@ -306,10 +311,12 @@ def test_conic_points_match_per_s_windows(rng, steps, r):
 
 @st.composite
 def key_columns(draw):
-    # up to four int64 key columns; wide ones push the span product past 2^63
+    # up to four key columns; wide ones push the span product past 2^63, and a
+    # column past int64 is an object array of Python ints
     rows = draw(st.integers(0, 60))
-    widths = draw(st.lists(st.sampled_from([1, 3, 2 ** 20, 2 ** 40, 2 ** 62]), min_size=1, max_size=4))
-    return [np.array([draw(st.integers(-w, w)) for _ in range(rows)], dtype=np.int64) for w in widths]
+    widths = draw(st.lists(st.sampled_from([1, 3, 2 ** 20, 2 ** 40, 2 ** 62, 2 ** 70]), min_size=1, max_size=4))
+    return [np.array([draw(st.integers(-w, w)) for _ in range(rows)], dtype=object if w > 2 ** 63 else np.int64)
+            for w in widths]
 
 
 @settings(max_examples=150, deadline=None)
@@ -320,21 +327,29 @@ def test_row_order_matches_lexsort(columns):
     assert row_order(columns).tolist() == np.lexsort(columns[::-1]).tolist()
 
 
-@pytest.mark.parametrize("spans", [(2 ** 31, 2 ** 32 - 1), (2 ** 31, 2 ** 32), (2 ** 64 - 1,), (3, 2 ** 61, 2)])
+# spans -> number of keys: span products 2^63 - 2^31 (one int64 code), 2^63
+# and 3 * 2^62 (two codes), a span of 2^64 - 1 (a key of its own); a span
+# past 2^64 is an object column of Python ints, a key of its own
+PACKED_KEYS = {(2 ** 31, 2 ** 32 - 1): 1, (2 ** 31, 2 ** 32): 2, (2 ** 64 - 1,): 1, (3, 2 ** 61, 2): 2,
+               (2 ** 31, 2 ** 73, 2 ** 31): 3, (2 ** 73, 3, 2 ** 61): 2}
+
+
+@pytest.mark.parametrize("spans", list(PACKED_KEYS))
 def test_row_order_at_the_packed_code_edge(spans):
-    # span products 2^63 - 2^31 (one int64 code), 2^63, 2^64 - 1 and 3 * 2^62
-    # (np.lexsort): the same stable permutation either way, ties included
+    # the same stable permutation as np.lexsort of the columns, ties included
     from orbitcount.lattice import row_order
 
     rng = np.random.default_rng(len(spans))
     columns = []
     for span in spans:
+        wide = span > 2 ** 64  # an int64 column times 2^9, as Python ints
         lo = -(2 ** 63) if span > 2 ** 63 else -(span // 2)
-        col = rng.integers(lo, lo + span, size=400, dtype=np.int64, endpoint=False)
-        col[:2] = lo, lo + span - 1  # both ends, so the span is exact
+        top = 2 ** 64 - 1 if wide else span
+        col = rng.integers(lo, lo + top, size=400, dtype=np.int64, endpoint=False)
+        col[:2] = lo, lo + top - 1  # both ends, so the span is exact
         col[2:6] = col[6:10]  # repeated rows
-        columns.append(col)
+        columns.append(np.array([v * 2 ** 9 for v in col.tolist()], dtype=object) if wide else col)
     with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
         got = row_order(columns)
-    assert lexsort.called == (math.prod(spans) >= 2 ** 63)
+    assert len(lexsort.call_args.args[0]) == PACKED_KEYS[spans]
     assert got.tolist() == np.lexsort(columns[::-1]).tolist()

@@ -14,15 +14,14 @@ from orbitcount.shells import (
     ball_points,
     definite_ball,
     definite_shell,
-    gram_form,
     is_integer_valued,
     shifted_shell_2d,
     theta_series,
     truncated_product_sum,
 )
 
-I2 = gram_form([[1, 0], [0, 1]])
-I4 = gram_form([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+I2 = [[1, 0], [0, 1]]
+I4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def two_squares_all(k):
@@ -56,8 +55,8 @@ def test_shell_closed_under_negation_and_exact():
 
 
 def test_shell_permuted_coordinates_same_set():
-    g = gram_form([[2, 1], [1, 3]])
-    gp = gram_form([[3, 1], [1, 2]])  # coordinates swapped
+    g = [[2, 1], [1, 3]]
+    gp = [[3, 1], [1, 2]]  # coordinates swapped
     for m in (1, 2, 3, 4, 5, 10, 20):
         a = definite_shell(g, m)
         b = sorted((y, x) for x, y in definite_shell(gp, m))
@@ -66,18 +65,30 @@ def test_shell_permuted_coordinates_same_set():
 
 def test_shell_rational_gram_and_level():
     h = Fraction(1, 2)
-    g = gram_form([[1, 0], [0, h]])
+    g = [[1, 0], [0, h]]
     # x^2 + y^2/2 = 3/2  ->  (1, 1) types and (0, ...) none
     sols = definite_shell(g, Fraction(3, 2))
     assert sols == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def test_shell_rejects_indefinite_or_negative():
-    bad = gram_form([[1, 0], [0, -1]])
+    bad = [[1, 0], [0, -1]]
     with pytest.raises(ValueError):
         definite_shell(bad, 1)
     with pytest.raises(ValueError):
         definite_shell(I2, -1)
+
+
+@pytest.mark.parametrize("enumerate_", [lambda g: definite_shell(g, 1), lambda g: ball_points(g, 1),
+                                        lambda g: theta_series(g, 1), lambda g: list(definite_ball(g, 1))])
+@pytest.mark.parametrize("gram, why", [
+    ([[1, 0, 0], [0, 1, 0]], "wrong shape"),  # its leading minors are all positive
+    ([[1, 0], [0, 1], [0, 0]], "wrong shape"),
+    ([[2, 1], [0, 2]], "not symmetric"),  # leading minors 2 and 4
+])
+def test_enumerators_refuse_a_malformed_gram(enumerate_, gram, why):
+    with pytest.raises(ValueError, match=why):
+        enumerate_(gram)
 
 
 def test_ball_examples():
@@ -87,7 +98,7 @@ def test_ball_examples():
 
 
 def test_ball_matches_per_level_shells():
-    g = gram_form([[2, 1], [1, 3]])
+    g = [[2, 1], [1, 3]]
     ball = dict(definite_ball(g, 40))
     for m in range(1, 41):
         assert ball.get(m, []) == definite_shell(g, m)
@@ -143,7 +154,7 @@ def test_theta_hurwitz_matches_direct_shells():
 
 
 def test_theta_dim2():
-    t = theta_series(I2.gram, 50)
+    t = theta_series(I2, 50)
     for m in (1, 2, 3, 4, 5, 25, 50):
         assert t[m] == len(two_squares_all(m))
 
