@@ -1,11 +1,10 @@
 """Command-line interface: validate | count | fit | oracle-compare | report.
 
 Configs are JSON documents (rationals as "p/q" strings, matrices row-major);
-a bare preset name is accepted wherever a config path is expected.  All
-emitted CSV/JSON is byte-deterministic across runs and across --jobs.
+a bare preset name is accepted wherever a config path is expected.  Every
+count is exact, and all emitted CSV/JSON is byte-deterministic across runs.
 
-Exit codes: 0 success, 1 validation failure, 2 box-mode saturation failure,
-3 oracle mismatch.
+Exit codes: 0 success, 1 validation failure or refused input, 3 oracle mismatch.
 """
 
 import argparse
@@ -25,8 +24,6 @@ from .counting import (
     FAMILY_QUADRIC,
     CountSeries,
     ScenarioSpec,
-    box_absolute_norm,
-    box_level_counts,
     run_scenario,
 )
 from .exact import frac
@@ -41,7 +38,6 @@ from .validation import validate_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_SATURATION = 2
 EXIT_ORACLE = 3
 
 
@@ -59,19 +55,23 @@ def load_config(path_or_preset, overrides):
     else:
         with open(path_or_preset) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {path_or_preset} is not a JSON object")
     for key, why in RETIRED_KEYS.items():
         if key in doc:
             raise ValueError(f"config key {key!r} is not supported: {why}")
     doc = dict(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
     doc.setdefault("r_max", 100)
+    # "mode" stays in the document so that config hashes keep their values
     doc.setdefault("mode", "exact")
+    if doc["mode"] != "exact":
+        raise ValueError(f"config mode {doc['mode']!r} is not supported: every count is exact")
     doc.setdefault("absolute_norm", False)
-    doc.setdefault("jobs", 1)
     return doc
 
 
-EXECUTION_KEYS = ("jobs", "out")  # knobs that must not change emitted bytes
+EXECUTION_KEYS = ("jobs", "out")  # config keys no count reads, left out of the hash
 
 
 def config_hash(doc):
@@ -80,33 +80,27 @@ def config_hash(doc):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def parse_mode(text):
-    if text == "exact":
-        return ("exact",)
-    if text.startswith("box:"):
-        return ("box", int(text.split(":", 1)[1]))
-    raise ValueError(f"mode must be 'exact' or 'box:B', got {text!r}")
-
-
 def scenario_from_config(doc):
-    mode = parse_mode(doc["mode"])
     if "preset" in doc:
         fam, payload, inv = preset_parts(doc["preset"])
         label = doc["preset"]
     else:
-        fam, label = doc["family"], doc.get("label", "custom")
-        inv = dict(doc.get("invariants", {}))
-        if fam == FAMILY_QUADRIC:
-            gram = [[frac(c) for c in row] for row in doc["gram"]]
-            ell = [frac(c) for c in doc["ell"]]
-            base = doc.get("base_point")
-            payload = quadric_section(gram, ell, base_point=tuple(base) if base else None)
-        else:
-            spec = AlgebraSpec.from_json(json.dumps(doc["algebra"]))
-            payload = OrderSpec(algebra=spec, norm_degree=int(doc["norm_degree"]),
-                                unit_rank=int(doc["unit_rank"]))
+        try:
+            fam, label = doc["family"], doc.get("label", "custom")
+            inv = dict(doc.get("invariants", {}))
+            if fam == FAMILY_QUADRIC:
+                gram = [[frac(c) for c in row] for row in doc["gram"]]
+                ell = [frac(c) for c in doc["ell"]]
+                base = doc.get("base_point")
+                payload = quadric_section(gram, ell, base_point=tuple(base) if base else None)
+            else:
+                spec = AlgebraSpec.from_json(json.dumps(doc["algebra"]))
+                payload = OrderSpec(algebra=spec, norm_degree=int(doc["norm_degree"]),
+                                    unit_rank=int(doc["unit_rank"]))
+        except KeyError as e:
+            raise ValueError(f"config has no {e.args[0]!r} key") from None
     return ScenarioSpec(
-        family=fam, payload=payload, k_max=int(doc["r_max"]), mode=mode,
+        family=fam, payload=payload, k_max=int(doc["r_max"]),
         use_absolute_norm=bool(doc["absolute_norm"]), label=label, invariants=inv,
     )
 
@@ -254,36 +248,19 @@ def cmd_count(args):
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    return _count_validated(args, doc, scenario)[0]
+    _count_validated(args, doc, scenario)
+    return EXIT_OK
 
 
 def _count_validated(args, doc, scenario):
-    """(exit code, the counted series or None); writes counts.csv."""
-    if scenario.mode[0] == "box" and not args.allow_heuristic:
-        sat = _saturation_check(scenario)
-        if not sat:
-            print("box saturation not reached (counts changed when the box doubled); "
-                  "pass --allow-heuristic to emit anyway", file=sys.stderr)
-            return EXIT_SATURATION, None
-    series = run_scenario(scenario, int(doc["jobs"]))
+    """The counted series; writes counts.csv."""
+    series = run_scenario(scenario)
     chash = config_hash(doc)
     out_path = _out_path(args, doc, "counts.csv")
     with open(out_path, "w") as fh:
         series_to_csv(series, fh, chash)
     print(out_path)
-    return EXIT_OK, series
-
-
-def _saturation_check(scenario):
-    """Box-mode orbit counts on probe levels must be stable when the box doubles."""
-    b = scenario.mode[1]
-    absolute = box_absolute_norm(scenario)
-    for k in range(1, min(scenario.k_max, 20) + 1):
-        c1 = box_level_counts(scenario.payload, k, b, absolute)
-        c2 = box_level_counts(scenario.payload, k, 2 * b, absolute)
-        if c1 != c2:
-            return False
-    return True
+    return series
 
 
 def cmd_fit(args):
@@ -408,9 +385,7 @@ def cmd_report(args):
     rc = _print_validation(scenario)
     if rc != EXIT_OK:
         return rc
-    rc, counted = _count_validated(args, doc, scenario)
-    if rc != EXIT_OK:
-        return rc
+    counted = _count_validated(args, doc, scenario)
     series = _read_series(_out_path(args, doc, "counts.csv"), scenario)
     rc = _fit(args, doc, scenario, series)
     if rc != EXIT_OK:
@@ -426,11 +401,7 @@ def _out_path(args, doc, name):
 
 
 def _overrides(args):
-    return {
-        "r_max": args.rmax,
-        "mode": args.mode,
-        "jobs": args.jobs,
-    }
+    return {"r_max": args.rmax}
 
 
 @functools.cache  # built once per process; parse_args returns a fresh namespace
@@ -452,12 +423,9 @@ def build_parser():
         sp.add_argument("--config", required=True,
                         help=f"config JSON path or preset name ({', '.join(PRESET_NAMES)})")
         sp.add_argument("--rmax", type=int, default=None)
-        sp.add_argument("--mode", default=None, help="exact | box:B")
-        if name in ("count", "report"):
-            sp.add_argument("--allow-heuristic", action="store_true",
-                            help="emit box-mode counts that fail the saturation check")
         if name in ("count", "fit", "report"):
-            sp.add_argument("--jobs", type=int, default=None)
+            sp.add_argument("--jobs", type=int, choices=(1,),
+                            help="accepted only as 1, the value perfbench/run.py passes")
             sp.add_argument("--out", default=None, help="output directory")
         if name in ("fit", "oracle-compare"):
             sp.add_argument("--series", required=name == "fit", default=None,
@@ -467,7 +435,7 @@ def build_parser():
                             help="report the fixed-exponent constant fit as the main result")
             sp.add_argument("--zeta", action="store_true",
                             help="attach the zeta aggregation factor for the family")
-        sp.set_defaults(fn=fn, jobs=None, fixed_lambda=False, zeta=False)
+        sp.set_defaults(fn=fn, fixed_lambda=False, zeta=False)
     return p
 
 

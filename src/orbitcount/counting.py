@@ -16,15 +16,14 @@ import numpy as np
 from .algebra import AlgebraElement
 from .exact import gcd_vector, scalar
 from .lattice import (
-    box_scan,
     cone_section_points,
     conic_points_up_to,
     fiber_section_points,
     indefinite_quadratic_shell,
     row_order,
 )
-from .oracles import pairwise_orbits
 from .orders import (
+    RANK_2_REFUSAL,
     OrderSpec,
     finite_units,
     fundamental_unit,
@@ -65,7 +64,6 @@ class ScenarioSpec:
     family: str
     payload: object            # OrderSpec or QuadricSectionSpec
     k_max: int
-    mode: tuple = ("exact",)   # ("exact",) or ("box", B)
     use_absolute_norm: bool = False
     label: str = ""
     invariants: dict = field(default_factory=dict, compare=False, hash=False)
@@ -80,10 +78,6 @@ class ScenarioSpec:
             raise ValueError(f"{self.family} family needs an OrderSpec payload")
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        if self.mode[0] not in ("exact", "box"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.family == FAMILY_QUADRIC and self.mode[0] == "box":
-            raise ValueError("box mode is not defined for quadric sections (exact support only)")
 
 
 @dataclass
@@ -320,12 +314,10 @@ def _orbit_classes(lvls, reps, stab, group_order):
     return first
 
 
-def count_normform_level(order, k, mode=("exact",)):
+def count_normform_level(order, k):
     """Number of norm-one-unit orbits of {x in O : norm(x) = k}, k != 0."""
     if k == 0:
         raise ValueError("k = 0 is not a group torsor level (excluded)")
-    if mode[0] == "box":
-        return len(_box_level_orbits(order, k, mode[1], False))
     if order.unit_rank == 0:
         kf = Fraction(k)
         if kf <= 0 or kf.denominator != 1:
@@ -340,70 +332,18 @@ def count_normform_level(order, k, mode=("exact",)):
         if kf.denominator != 1:
             return 0
         return len(indefinite_quadratic_shell(order, int(kf)))
-    raise ValueError("unit rank >= 2: exact mode unsupported, use box mode")
+    raise ValueError(RANK_2_REFUSAL)
 
 
 def normform_series(order, r_max, use_absolute_norm=False):
     """Per-level orbit counts for levels 1..r_max (norm = k, or |norm| = k when
-    use_absolute_norm).  Exact mode only; box mode is box_series."""
+    use_absolute_norm)."""
     r_max = int(r_max)
     if order.unit_rank == 0:
         return _definite_series(order, r_max, FAMILY_NORMFORM)
     if order.unit_rank == 1:
         return _real_quadratic_series(order, r_max, use_absolute_norm)
-    raise ValueError("unit rank >= 2: exact mode unsupported, use box mode")
-
-
-def box_series(scenario, jobs=1):
-    """Box-mode (heuristic) per-level orbit counts for levels 1..k_max, with
-    levels spread over `jobs` worker processes; the result does not depend on
-    jobs."""
-    tasks = [(scenario, k) for k in range(1, scenario.k_max + 1)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_box_level_task, tasks, chunksize=16))
-    else:
-        pairs = [_box_level_task(t) for t in tasks]
-    n_prim, n_all = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return CountSeries(
-        family=scenario.family, levels=np.arange(1, scenario.k_max + 1, dtype=np.int64),
-        n_prim=n_prim, n_all=n_all, weighted=n_all, scale_e=1,
-        exact=np.zeros(scenario.k_max, dtype=bool), meta={"mode": f"box:{scenario.mode[1]}"},
-    )
-
-
-def box_absolute_norm(scenario):
-    """Whether box mode matches |norm| = k: quaternion shells always do."""
-    return scenario.use_absolute_norm or scenario.family == FAMILY_ALGEBRA
-
-
-def _box_level_task(task):
-    scenario, k = task
-    return box_level_counts(scenario.payload, k, scenario.mode[1], box_absolute_norm(scenario))
-
-
-def _box_level_orbits(order, k, bound, use_absolute_norm):
-    """The orbits of the box points of norm k, or of |norm| = |k| when
-    use_absolute_norm (pairwise_orbits)."""
-    sols = box_scan(order, abs(k), bound)
-    if not use_absolute_norm:
-        sols = [x for x in sols if order.norm(x) == k]
-    if not sols:
-        return []
-    return pairwise_orbits(sols, order)
-
-
-def box_level_counts(order, k, bound, use_absolute_norm=False):
-    """(primitive, all) orbit counts for one level in box mode; a class is
-    primitive when its members have coprime coordinates (a unit invariant)."""
-    tot_all = tot_prim = 0
-    for cls in _box_level_orbits(order, k, bound, use_absolute_norm):
-        tot_all += 1
-        if gcd_vector(cls[0].coords) == 1:
-            tot_prim += 1
-    return tot_prim, tot_all
+    raise ValueError(RANK_2_REFUSAL)
 
 
 def _real_quadratic_series(order, r_max, use_absolute_norm):
@@ -634,11 +574,8 @@ def primitive_algebra_shell_direct(order, m):
 # entry point used by the CLI
 
 
-def run_scenario(scenario, jobs=1):
-    """Compute the CountSeries for a validated scenario; `jobs` worker
-    processes share the levels in box mode."""
-    if scenario.mode[0] == "box":
-        return box_series(scenario, jobs)
+def run_scenario(scenario):
+    """Compute the CountSeries for a validated scenario."""
     fam = scenario.family
     if fam == FAMILY_NORMFORM:
         return normform_series(scenario.payload, scenario.k_max, scenario.use_absolute_norm)

@@ -32,6 +32,10 @@ from .numtheory import pell
 # orbitcount.orders.definite_shell, a name perfbench/tracer.py wraps
 from .shells import ball_points, definite_shell, vec_isqrt_exact
 
+# every count of an order of unit rank >= 2 is refused with this reason
+RANK_2_REFUSAL = ("unit rank >= 2: no exact enumerator exists yet "
+                  "(planned: the Shintani-cone enumerator, ROADMAP.md item 4)")
+
 
 @dataclass(frozen=True)
 class OrderSpec:
@@ -277,7 +281,7 @@ def canonical_rep(x, units, order):
         cands = [alg_mul(u, x, order.algebra) for u in units.torsion]
         return min(cands, key=lambda c: rep_key(c.coords))
     if order.unit_rank != 1:
-        raise ValueError("unit rank >= 2 is unsupported (box mode only)")
+        raise ValueError(RANK_2_REFUSAL)
     d = real_quadratic_d(order)
     x1, y1 = _norm_one_generator(units)
     a, b = x.coords

@@ -66,7 +66,7 @@ def _payload(name):
     return PRESETS[name][1]()
 
 
-def preset_scenario(name, k_max, mode=("exact",), use_absolute_norm=False):
+def preset_scenario(name, k_max, use_absolute_norm=False):
     family, payload, invariants = preset_parts(name)
-    return ScenarioSpec(family=family, payload=payload, k_max=k_max, mode=mode,
+    return ScenarioSpec(family=family, payload=payload, k_max=k_max,
                         use_absolute_norm=use_absolute_norm, label=name, invariants=invariants)

@@ -15,7 +15,7 @@ from .algebra import element, minimal_polynomial
 from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, assert_division_order
 from .exact import det
 from .numtheory import irreducible_mod_p, signature, small_primes
-from .orders import norm_gram, real_quadratic_d
+from .orders import RANK_2_REFUSAL, norm_gram, real_quadratic_d
 from .sections import restricted_definiteness
 
 PASS, FAIL, UNDETERMINED = "pass", "fail", "undetermined"
@@ -49,7 +49,7 @@ def validate_scenario(scenario, seed=0xC0FFEE):
             mp = _generator_minpoly(payload)
             checks.append(_check_irreducible_norm_form(payload, mp))
             field_minpoly = mp if checks[-1].status != FAIL else None
-            checks.append(_check_unit_rank_support(payload, scenario, field_minpoly))
+            checks.append(_check_unit_rank_support(payload, field_minpoly))
         else:
             checks.append(_check_division(payload, seed))
     else:
@@ -136,18 +136,16 @@ def _discriminant(coeffs):
     return Fraction(sign * det(rows)) / f[0]
 
 
-def _check_unit_rank_support(order, scenario, field_minpoly):
+def _check_unit_rank_support(order, field_minpoly):
     """The configured unit rank must be Dirichlet's r1 + r2 - 1 of the field
-    field_minpoly defines (None when irreducibility failed), and exact mode
-    must have unit machinery for it."""
+    field_minpoly defines (None when irreducibility failed), and the exact
+    counter must have unit machinery for it."""
     name = "exact-mode support for the unit group"
     if field_minpoly is not None:
         r1, r2 = signature(field_minpoly)
         if order.unit_rank != r1 + r2 - 1:
             return Check(name, FAIL, f"config unit_rank {order.unit_rank} disagrees with "
                                      f"r1 + r2 - 1 = {r1 + r2 - 1} (signature ({r1}, {r2}))")
-    if scenario.mode[0] == "box":
-        return Check(name, PASS, "box mode (heuristic, no exact unit machinery needed)")
     if order.unit_rank == 0:
         from .exact import definiteness
 
@@ -158,7 +156,7 @@ def _check_unit_rank_support(order, scenario, field_minpoly):
         if real_quadratic_d(order) is not None:
             return Check(name, PASS, "real quadratic order, Pell fundamental unit")
         return Check(name, FAIL, "unit rank 1 but not a Z[sqrt(d)] basis")
-    return Check(name, FAIL, "unit rank >= 2: exact counting refused; rerun with --mode box:B")
+    return Check(name, FAIL, RANK_2_REFUSAL)
 
 
 def _check_division(order, seed):

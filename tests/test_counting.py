@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcount.exact import gcd_vector
-from orbitcount.lattice import cone_section_points
+from orbitcount.lattice import box_scan, cone_section_points
 from orbitcount.sections import quadric_section
 
 from orbitcount.algebra import AlgebraSpec, change_of_basis, element, quadratic_field_order, quaternion_algebra
@@ -32,7 +32,7 @@ from orbitcount.counting import (
     quadric_series,
     run_scenario,
 )
-from orbitcount.oracles import ideal_count_series, r4_series, two_squares_primitive
+from orbitcount.oracles import ideal_count_series, pairwise_orbits, r4_series, two_squares_primitive
 from orbitcount.orders import OrderSpec, UnitGroupData, finite_units, norm_gram
 from orbitcount.presets import (
     model_quadric_section,
@@ -65,10 +65,11 @@ def test_normform_level_examples():
         count_normform_level(order_gauss(), 0)
 
 
-def test_normform_level_box_mode_matches_exact():
+def test_normform_level_matches_box_scan_orbits():
     zs2 = order_zsqrt2()
     for k in (1, 2, 7, 8, 14, -1, -7):
-        assert count_normform_level(zs2, k, ("box", 30)) == count_normform_level(zs2, k)
+        box = [x for x in box_scan(zs2, abs(k), 30) if zs2.norm(x) == k]
+        assert count_normform_level(zs2, k) == len(pairwise_orbits(box, zs2))
 
 
 def test_normform_series_vs_ideal_oracle():
@@ -294,7 +295,7 @@ def test_preset_scenarios_written_out():
     for name, (family, payload, invariants) in expected.items():
         sc = preset_scenario(name, 30)
         assert (sc.family, sc.label, sc.invariants, sc.payload) == (family, name, invariants, payload)
-        assert (sc.k_max, sc.mode, sc.use_absolute_norm) == (30, ("exact",), False)
+        assert (sc.k_max, sc.use_absolute_norm) == (30, False)
     # each call hands out its own invariants dict
     preset_scenario("gauss", 5).invariants["oracle"] = "changed"
     assert preset_scenario("gauss", 5).invariants["oracle"] == "ideal-count:-4"
