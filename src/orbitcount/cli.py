@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .counting import (
     FAMILY_QUADRIC,
     CountSeries,
     ScenarioSpec,
+    _common_denominator,
     run_scenario,
 )
 from .exact import frac
@@ -45,6 +45,8 @@ EXIT_ORACLE = 3
 RETIRED_KEYS = {
     "primitive_only": "fit reads the weighted column for a quadric and n_all otherwise",
     "fundamental_unit": "the unit group is computed from the order (Pell's equation)",
+    "jobs": "every count runs in one process",
+    "out": "the output directory is the --out option",
 }
 
 
@@ -71,12 +73,8 @@ def load_config(path_or_preset, overrides):
     return doc
 
 
-EXECUTION_KEYS = ("jobs", "out")  # config keys no count reads, left out of the hash
-
-
 def config_hash(doc):
-    semantic = {k: v for k, v in doc.items() if k not in EXECUTION_KEYS}
-    canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -110,44 +108,32 @@ _CSV_ROW = "{},{},{},{},{},{}\n".format
 
 
 def series_to_csv(series, fh, chash):
-    """Write the counts CSV.  A chunk of rows whose level, n_prim, n_all and
-    weighted cells are all nonnegative int64 goes through _ascii_rows as one
-    table; any other chunk (a Fraction weight, a level in original units, a
-    cell past int64 or below 0) is formatted row by row."""
+    """Write the counts CSV: each weight as its own num/den in lowest terms,
+    from one np.gcd of a chunk's numerators with weight_den, and every row
+    flagged exact.  With scale_e 1 a chunk of rows goes through _ascii_rows
+    as one table; levels in original units (scale_e > 1) are formatted row
+    by row."""
     fh.write(f"# config_hash={chash}\n")
-    fh.write(f"# family={series.family} scale_e={series.scale_e} "
-             f"mode={series.meta.get('mode', 'exact')}\n")
+    fh.write(f"# family={series.family} scale_e={series.scale_e} mode=exact\n")
     fh.write("level,n_prim,n_all,weighted_num,weighted_den,exact\n")
-    e = series.scale_e
+    e, den = series.scale_e, series.weight_den
     columns = (series.levels, series.n_prim, series.n_all, series.weighted)
     for lo in range(0, len(series.levels), CSV_CHUNK):
-        part = [_int64_cells(col[lo : lo + CSV_CHUNK]) for col in columns]
-        ex = series.exact[lo : lo + CSV_CHUNK]
-        if e == 1 and all(col.dtype == np.int64 and col.min() >= 0 for col in part):
-            table = np.empty((len(ex), 6), dtype=np.int64)
-            for j, col in enumerate(part):
-                table[:, j] = col
-            table[:, 4] = 1
-            table[:, 5] = ex
+        part = [col[lo : lo + CSV_CHUNK] for col in columns]
+        w, d = part[3], den
+        if den > 1:
+            g = np.gcd(w, den)
+            w, d = w // g, den // g
+        table = np.empty((len(w), 6), dtype=np.int64)
+        table[:, 0], table[:, 1], table[:, 2] = part[:3]
+        table[:, 3], table[:, 4], table[:, 5] = w, d, 1
+        if e == 1:
             fh.write(_ascii_rows(table))
             continue
-        lv, prim, alln, w = (col.tolist() for col in part)
-        if e != 1:
-            gs = [math.gcd(v, e) for v in lv]
-            lv = [f"{v // g}/{e // g}" if g < e else v // e for v, g in zip(lv, gs)]
-        fh.writelines(map(_CSV_ROW, lv, prim, alln, (c.numerator for c in w),
-                          (c.denominator for c in w), (1 if x else 0 for x in ex.tolist())))
-
-
-def _int64_cells(col):
-    """A slice of a series column as int64 when its cells are integers that
-    fit: an object column's slice of small ints is read again by numpy, which
-    gives int64 only then ([1, 2**63] reads as float64, [2**63] as uint64)."""
-    if col.dtype == object:
-        cells = np.array(col.tolist())
-        if cells.dtype == np.int64:
-            return cells
-    return col
+        lv = part[0].tolist()
+        gs = [math.gcd(v, e) for v in lv]
+        lv = [f"{v // g}/{e // g}" if g < e else v // e for v, g in zip(lv, gs)]
+        fh.writelines(map(_CSV_ROW, lv, *table[:, 1:].T.tolist()))
 
 
 def _ascii_rows(table):
@@ -175,7 +161,10 @@ def _ascii_rows(table):
 
 def series_from_csv(path):
     """Read a counts CSV with numpy's C parser: six columns, all int64 when
-    scale_e is 1 (else the level is text, checked by hand); a cell past int64 raises."""
+    scale_e is 1 (else the level is text, checked by hand); a cell past int64
+    raises.  The weights come over the lcm of their denominators.  A series
+    whose header mode is not exact, or with a row not flagged exact, is
+    refused."""
     meta = {"config_hash": None, "family": "unknown", "scale_e": "1", "mode": "exact"}
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -184,6 +173,8 @@ def series_from_csv(path):
     tokens = (tok.partition("=") for line in lines[:body] if line.lstrip().startswith("#")
               for tok in line.lstrip()[1:].split())
     meta.update((key, value) for key, _, value in tokens if key in meta)
+    if meta["mode"] != "exact":
+        raise ValueError(f"series {path} has mode={meta['mode']}: only exact counts are read")
     scale_e = int(meta["scale_e"])
     dtype = np.dtype([("level", np.int64 if scale_e == 1 else object), ("cols", np.int64, (5,))])
     rows = np.loadtxt(lines[body:], delimiter=",", dtype=dtype, ndmin=1) if body < len(lines) else np.zeros(0, dtype)
@@ -196,18 +187,16 @@ def series_from_csv(path):
             if den <= 0 or num % den:
                 raise ValueError(f"level {cell.strip()} times scale_e={scale_e} is not an integer")
             levels[i] = num // den
-    n_prim, n_all, weighted, w_den, exact = rows["cols"].T
-    if not w_den.all():
-        raise ValueError("a weighted_den of 0 in the series")
-    odd = np.flatnonzero(w_den != 1)
-    if len(odd):
-        weighted = weighted.astype(object)
-        for i in odd.tolist():
-            weighted[i] = Fraction(weighted[i], int(w_den[i]))
+    n_prim, n_all, w_num, w_den, exact = rows["cols"].T
+    if np.any(exact != 1):
+        raise ValueError(f"series {path} has a row not flagged exact")
+    if np.any(w_den < 1):
+        raise ValueError("a weighted_den of 0 or below in the series")
+    weighted, weight_den = _common_denominator(w_num, w_den)
     return CountSeries(
         family=meta["family"], levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=weighted, scale_e=scale_e, exact=exact == 1,
-        meta={"mode": meta["mode"], "config_hash": meta["config_hash"]},
+        weighted=weighted, scale_e=scale_e, weight_den=weight_den,
+        meta={"config_hash": meta["config_hash"]},
     )
 
 
@@ -360,7 +349,7 @@ def _oracle_columns(scenario, series, r, group_order=None):
         # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
         if group_order is None:
             group_order = integral_symmetries(scenario.payload).order
-        pts = _at_levels(series, series.weighted, r, group_order)
+        pts = _at_levels(series, series.weighted, r, group_order, series.weight_den)
         oracle = two_squares_primitive_series(r)
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
     if kind == "jacobi-r4":
@@ -372,12 +361,16 @@ def _oracle_columns(scenario, series, r, group_order=None):
     return None, None, ""
 
 
-def _at_levels(series, column, r, factor=1):
-    """factor * column at the levels k * scale_e, k = 1..r, in Python ints
-    (and Fractions), "absent" where the series has no row for the level."""
-    by_level = dict(zip(series.levels.tolist(), column.tolist()))
+def _at_levels(series, column, r, factor=1, den=1):
+    """factor * column / den at the levels k * scale_e, k = 1..r, in Python
+    ints, "absent" where the series has no row for the level; refused where
+    a value is not an integer."""
+    values = [factor * c for c in column.tolist()]
+    if any(v % den for v in values):
+        raise ValueError(f"the series column times {factor}/{den} is not integral")
+    by_level = dict(zip(series.levels.tolist(), (v // den for v in values)))
     levels = (k * series.scale_e for k in range(1, r + 1))
-    return [factor * by_level[lv] if lv in by_level else "absent" for lv in levels]
+    return [by_level[lv] if lv in by_level else "absent" for lv in levels]
 
 
 def cmd_report(args):

@@ -82,13 +82,13 @@ class ScenarioSpec:
 
 @dataclass
 class CountSeries:
-    """Per-level counts as numpy columns: levels, n_prim and n_all are int64
-    arrays (object arrays of Python ints past int64), weighted is int64 when
-    every weight is an integer that fits (else an object array of ints and
-    Fractions; it equals n_all when all stabilizers are trivial) and exact is
-    a bool array of per-level exactness flags.  Levels are sorted integers
-    after scaling by scale_e.  Lists are accepted and converted; an int64
-    array is kept as it is."""
+    """Per-level counts as int64 numpy columns: levels (sorted integers after
+    scaling by scale_e), n_prim, n_all, and weighted, the numerators of the
+    weights over the one positive denominator weight_den (the weights equal
+    n_all when all stabilizers are trivial).  The weights are kept in lowest
+    terms: weight_den and the numerators have gcd 1.  Lists and other integer
+    arrays are read as int64 and refused where a cell is not an integer that
+    fits; an int64 array is kept as it is."""
 
     family: str
     levels: np.ndarray
@@ -96,102 +96,89 @@ class CountSeries:
     n_all: np.ndarray
     weighted: np.ndarray
     scale_e: int
-    exact: np.ndarray
+    weight_den: int = 1
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.levels, self.n_prim, self.n_all = (
-            _column(c, integral=True) for c in (self.levels, self.n_prim, self.n_all))
-        self.weighted = _column(self.weighted, integral=False)
-        self.exact = np.asarray(self.exact, dtype=bool)
-        k = len(self.levels)
-        if not (len(self.n_prim) == len(self.n_all) == len(self.weighted) == len(self.exact) == k):
+        self.levels, self.n_prim, self.n_all, self.weighted = (
+            _column(c) for c in (self.levels, self.n_prim, self.n_all, self.weighted))
+        if not (isinstance(self.weight_den, numbers.Integral) and 1 <= self.weight_den < 2 ** 63):
+            raise ValueError(f"weight_den {self.weight_den!r} is not a positive int64 integer")
+        self.weight_den = int(self.weight_den)
+        if not (len(self.n_prim) == len(self.n_all) == len(self.weighted) == len(self.levels)):
             raise ValueError("ragged series")
-        if self.exact.ndim != 1:
-            raise ValueError("a series column is not one-dimensional")
         if np.any(self.levels[1:] <= self.levels[:-1]):
             raise ValueError("levels not strictly increasing")
+        if np.any(self.levels < 0):
+            raise ValueError("negative level")
         if np.any(self.n_prim < 0) or np.any(self.n_all < 0):
             raise ValueError("negative count")
+        if np.any(self.weighted < 0):
+            raise ValueError("negative weight")
         if np.any(self.n_prim > self.n_all):
             raise ValueError("n_prim exceeds n_all")
+        g = math.gcd(self.weight_den, int(np.gcd.reduce(self.weighted))) if self.weight_den > 1 else 1
+        if g > 1:
+            self.weighted, self.weight_den = self.weighted // g, self.weight_den // g
 
     def __eq__(self, other):
-        """Equal family, scale_e and meta, and each column of the same dtype
-        and cells (the generated __eq__ would ask an array for its truth)."""
+        """Equal family, scale_e, weight_den and columns; meta, which records
+        how a series was made, is not compared (the generated __eq__ would
+        also ask an array for its truth)."""
         if not isinstance(other, CountSeries):
             return NotImplemented
-        cols = ("levels", "n_prim", "n_all", "weighted", "exact")
-        return (self.family, self.scale_e, self.meta) == (other.family, other.scale_e, other.meta) and all(
-            getattr(self, c).dtype == getattr(other, c).dtype
-            and getattr(self, c).tolist() == getattr(other, c).tolist() for c in cols)
+        scalars = ("family", "scale_e", "weight_den")
+        cols = ("levels", "n_prim", "n_all", "weighted")
+        return all(getattr(self, a) == getattr(other, a) for a in scalars) and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in cols)
 
 
-def _column(values, integral):
-    """values as a 1-d int64 array when every cell is an integer that fits,
-    else as an object array of Python ints and, unless integral, Fractions
-    with denominator > 1.  An int64 array is returned as it is.  Any other
-    input is read cell by cell, since numpy reads [1, 2**63] as float64 and
-    [2**63] as uint64, and a Fraction cast to int64 is silently truncated."""
+def _column(values):
+    """values as a 1-d int64 array.  An int64 array is returned as it is; any
+    other input is read by numpy and refused unless its dtype casts to int64
+    safely.  numpy reads a float cell as float64, a Fraction as object and a
+    cell past int64 as uint64, float64 or object, so none is truncated."""
     arr = values if isinstance(values, np.ndarray) else np.array(values)
     if arr.ndim != 1:
         raise ValueError("a series column is not one-dimensional")
     if arr.dtype == np.int64:
         return arr
-    cells = [_cell(c, integral) for c in (values.tolist() if values is arr else values)]
-    if all(type(c) is int and -2 ** 63 <= c < 2 ** 63 for c in cells):
-        return np.array(cells, dtype=np.int64)
-    out = np.empty(len(cells), dtype=object)
-    out[:] = cells
-    return out
+    if arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+        raise ValueError(f"a series column reads as {arr.dtype}: a cell is not an int64 integer")
+    return arr.astype(np.int64)
 
 
-def _cell(c, integral):
-    if isinstance(c, numbers.Integral):
-        return int(c)
-    if isinstance(c, Fraction) and (c.denominator == 1 or not integral):
-        return scalar(c)
-    raise ValueError(f"series cell {c!r} is not an {'integer' if integral else 'integer or Fraction'}")
+def _bounded_column(values):
+    """values as an int64 column (_column), refused unless max |cell| * len
+    < 2^63, which bounds every signed sum of its cells."""
+    col = _column(values)
+    _check_int64(max(int(col.max(initial=0)), -int(col.min(initial=0))) * len(col))
+    return col
 
 
-def _numerators(column):
-    """(numerators, L) of an int/Fraction column over the lcm L of its
-    denominators, as int64 when L and sum |numerator| are below 2^63.  A
-    column numpy reads as int64 with max |x| * len below 2^63 is its own
-    array over L = 1; any other goes through the lcm."""
-    nums = np.asarray(column)
-    if nums.dtype == np.int64:
-        top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
-        if top * len(nums) < 2 ** 63:
-            return nums, 1
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    den = math.lcm(*{c.denominator for c in column})
-    nums = column if den == 1 else [c.numerator * (den // c.denominator) for c in column]
-    big = max(den, sum(map(abs, nums))) >= 2 ** 63
-    return np.array(nums, dtype=object if big else np.int64), den
-
-
-def _over(nums, den):
-    """The array nums / den: nums itself when den is 1, the quotients where
-    every cell is integral, else an object array of ints with a Fraction
-    where a cell is not."""
-    if den == 1:
-        return nums
-    out = nums // den
-    odd = np.flatnonzero(nums % den)
-    if len(odd):
-        out = out.astype(object)
-        for i in odd.tolist():
-            out[i] = Fraction(int(nums[i]), den)
-    return out
+def _common_denominator(nums, dens):
+    """(numerators, L): the fractions nums / dens (int64 arrays, dens >= 1)
+    over the lcm L of dens, as an int64 array; refused when L or a numerator
+    rescaled to L passes int64."""
+    if dens.max(initial=1) == 1:
+        return nums, 1
+    den = math.lcm(*np.unique(dens).tolist())
+    _check_int64(den)
+    scale = den // dens
+    over = np.flatnonzero(np.abs(nums) > (2 ** 63 - 1) // scale)
+    if len(over):
+        i = over[0]
+        raise ValueError(f"weight {nums[i]}/{dens[i]} over the common denominator {den} "
+                         f"is {int(nums[i]) * int(scale[i])}, past int64")
+    return nums * scale, den
 
 
 def cumulative_at(series, radii, which="all"):
     """[S(r) for r in radii], r in original (unscaled) units and ascending, from
-    prefix sums of the chosen column ("all", "prim" or "weighted") over its
-    common denominator; errors beyond the computed range."""
+    prefix sums of the chosen column ("all", "prim" or "weighted", the last
+    over weight_den); errors beyond the computed range."""
     column = {"prim": series.n_prim, "weighted": series.weighted}.get(which, series.n_all)
+    den = series.weight_den if which == "weighted" else 1
     top = int(series.levels[-1]) if len(series.levels) else 0
     floors, prev = [], None
     for r in radii:
@@ -202,10 +189,12 @@ def cumulative_at(series, radii, which="all"):
             raise ValueError("radii must be ascending")
         prev = r_scaled
         floors.append(math.floor(r_scaled))
-    nums, den = _numerators(column)
-    sums = np.concatenate([np.zeros(1, dtype=nums.dtype), np.cumsum(nums)])
-    at = sums[np.searchsorted(series.levels, floors, side="right")]
-    return [scalar(Fraction(int(s), den)) for s in at.tolist()]
+    sums = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(column)])
+    # the cells are nonnegative, so the first prefix sum that wraps is negative
+    if sums.min() < 0:
+        raise ValueError("a cumulative sum of the series passes int64")
+    at = sums[np.searchsorted(series.levels, floors, side="right")].tolist()
+    return at if den == 1 else [scalar(Fraction(s, den)) for s in at]
 
 
 def cumulative(series, r, which="all"):
@@ -216,28 +205,26 @@ def cumulative(series, r, which="all"):
 def aggregate_levels(prim_levels, prim_counts, d, k_max):
     """Aggregate a primitive per-level series: N_all(k) = sum over p >= 1 with
     p^d | k of N_prim(k / p^d); levels are dense integers 1..k_max, summed by
-    _slice_sieve with weight 1."""
+    _slice_sieve with weight 1.  The counts are integers (weight numerators
+    over their common denominator aggregate alike), refused by _bounded_column
+    when a sum could pass int64."""
     if d < 1:
         raise ValueError("scaling degree must be >= 1")
-    nums, den = _numerators(prim_counts)
+    counts = _bounded_column(prim_counts)
     lv = np.asarray(prim_levels, dtype=np.int64)
     keep = (lv >= 1) & (lv <= k_max)
-    src = np.zeros(k_max + 1, dtype=nums.dtype)
-    src[lv[keep]] = nums[keep]
-    out = _slice_sieve(src, d, k_max)
-    return np.arange(1, k_max + 1, dtype=np.int64), _over(out[1:], den)
+    src = np.zeros(k_max + 1, dtype=np.int64)
+    src[lv[keep]] = counts[keep]
+    return np.arange(1, k_max + 1, dtype=np.int64), _slice_sieve(src, d, k_max)[1:]
 
 
 def _slice_sieve(src, d, k_max, mu=None):
     """out[k] = sum over p >= 1 with p^d | k of w(p) src[k / p^d] for k <= k_max,
     with w = 1, or w = mu (an array of weights indexed by p) for the inverse.
     One slice per p^d; for d = 1 only p <= sqrt(k_max), with one slice per
-    cofactor j for the larger p.  Exact in the dtype of src: int64 when the
-    caller bounded sum |src| below 2^63 (every partial sum then fits), object
-    arrays otherwise."""
+    cofactor j for the larger p.  Exact in int64 when the caller bounded
+    sum |src| below 2^63, as every partial sum then fits."""
     out = np.zeros_like(src)
-    if mu is not None:
-        mu = mu.astype(src.dtype)
     p = 1
     while p ** max(d, 2) <= k_max:
         q = p ** d
@@ -270,15 +257,15 @@ def imprimitive_from_primitive(series, d):
     the x -> p x identity aggregates counts and weights alike, since scaling is
     an orbit bijection that preserves stabilizers.  The primitive weight is the
     stored weighted column for the quadric family and n_prim otherwise (trivial
-    stabilizers)."""
+    stabilizers).  The weight numerators aggregate over the same denominator."""
     k_max = int(series.levels[-1]) if len(series.levels) else 0
     levels, n_all = aggregate_levels(series.levels, series.n_prim, d, k_max)
-    prim_weights = series.weighted if series.family == FAMILY_QUADRIC else series.n_prim
-    _, weighted = aggregate_levels(series.levels, prim_weights, d, k_max)
+    quadric = series.family == FAMILY_QUADRIC
+    _, weighted = aggregate_levels(series.levels, series.weighted if quadric else series.n_prim, d, k_max)
     return CountSeries(
         family=series.family, levels=levels,
         n_prim=series.n_prim, n_all=n_all, weighted=weighted,
-        scale_e=series.scale_e, exact=series.exact,
+        scale_e=series.scale_e, weight_den=series.weight_den if quadric else 1,
         meta=dict(series.meta, aggregated=f"d={d}"),
     )
 
@@ -363,8 +350,7 @@ def _real_quadratic_series(order, r_max, use_absolute_norm):
     return CountSeries(
         family=FAMILY_NORMFORM, levels=np.arange(1, r_max + 1, dtype=np.int64),
         n_prim=n_prim, n_all=n_all, weighted=n_all, scale_e=1,
-        exact=np.ones(r_max, dtype=bool),
-        meta={"mode": "exact", "pell_sign": pell_sign, "absolute_norm": use_absolute_norm},
+        meta={"pell_sign": pell_sign, "absolute_norm": use_absolute_norm},
     )
 
 
@@ -406,9 +392,8 @@ def quadric_series(section, r_max, group=None):
     levels, n_all = aggregate_levels(np.arange(1, r_scaled + 1, dtype=np.int64), n_prim, 1, r_scaled)
     return CountSeries(
         family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=_over(sizes[1:], group.order), scale_e=section.scale_e,
-        exact=np.ones(r_scaled, dtype=bool),
-        meta={"mode": "exact", "group_order": group.order, **route,
+        weighted=sizes[1:], scale_e=section.scale_e, weight_den=group.order,
+        meta={"group_order": group.order, **route,
               "weight_normalisation": "relative (one undetermined global constant)"},
     )
 
@@ -450,7 +435,7 @@ def assert_division_order(order, rng=None, trials=200, shell_bound=6, gram=None)
     n = spec.dim
     # each trial draws a, then b; all trials are multiplied in one batch
     a, b = probe_values(rng, 2 * n * trials).reshape(trials, 2, n).transpose(1, 0, 2)
-    if np.any(a.any(axis=1) & b.any(axis=1) & ~_scaled_products(spec, a, b).any(axis=1)):
+    if np.any(a.any(axis=1) & b.any(axis=1) & ~_batched_products(spec, a, b).any(axis=1)):
         raise ValueError("zero divisors detected: payload is not a division algebra")
     if order.norm_degree == 2:
         g = norm_gram(order) if gram is None else gram
@@ -465,14 +450,14 @@ def assert_division_order(order, rng=None, trials=200, shell_bound=6, gram=None)
             raise ValueError("nonzero element of norm 0: payload is not a division algebra")
 
 
-def _scaled_products(spec, a, b):
-    """Row-wise products of the integer arrays a and b in one einsum, times the
-    lcm L of the structure constants' denominators; exact past int64."""
+def _batched_products(spec, a, b):
+    """Row-wise products of the integer arrays a and b in one int64 einsum with
+    the structure constants of an order basis, which OrderSpec holds to be
+    integers; refused when a product could pass int64."""
     n = spec.dim
-    table, _ = _numerators([c for row in spec.table for cell in row for c in cell])
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * sum(map(abs, table.tolist()))
-    table, a, b = (x.astype(np.int64 if bound < 2 ** 63 else object) for x in (table, a, b))
-    return np.einsum("ti,tj,ijk->tk", a, b, table.reshape(n, n, n))
+    table = np.array(spec.table, dtype=np.int64).reshape(n, n, n)
+    _check_int64(int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * int(np.abs(table).sum()))
+    return np.einsum("ti,tj,ijk->tk", a.astype(np.int64), b.astype(np.int64), table)
 
 
 def count_algebra_shell(order, m):
@@ -519,20 +504,18 @@ def _definite_series(order, r_max, family):
         family=family, levels=np.arange(1, r_max + 1, dtype=np.int64),
         n_prim=_primitive_shell_sizes(theta, order.norm_degree) // nu,
         n_all=n_all, weighted=n_all,
-        scale_e=1, exact=np.ones(r_max, dtype=bool),
-        meta={"mode": "exact", "units": nu},
+        scale_e=1, meta={"units": nu},
     )
 
 
 def _primitive_shell_sizes(all_sizes, d):
     """prim(1..k) from the integer array all(1..k), where all(m) is the sum
     over f with f^d | m of prim(m / f^d): Moebius inversion, prim(m) = sum of
-    mu(f) all(m / f^d), by the slice sieve of aggregate_levels.  int64 while
-    max|all| * k < 2^63 bounds every partial sum, Python ints (object) past it."""
+    mu(f) all(m / f^d), by the slice sieve of aggregate_levels, in int64:
+    refused unless max|all| * k < 2^63 bounds every partial sum."""
     k = len(all_sizes)
-    big = int(np.abs(all_sizes).max(initial=0)) * k >= 2 ** 63
-    src = np.zeros(k + 1, dtype=object if big else np.int64)
-    src[1:] = all_sizes
+    src = np.zeros(k + 1, dtype=np.int64)
+    src[1:] = _bounded_column(all_sizes)
     return _slice_sieve(src, d, k, _mobius_upto(k if d == 1 else math.isqrt(k)))[1:]
 
 

@@ -333,6 +333,50 @@ def test_series_zero_weight_denominator_rejected(tmp_path, capsys):
     assert "weighted_den of 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, flag", [("mode=box:6", 0), ("mode=box:6", 1), ("mode=exact", 0)])
+def test_series_not_counted_exactly_is_refused(tmp_path, capsys, header, flag):
+    # the shape box mode wrote: mode=box:6 in the header and rows flagged exact=0
+    rows = ["# config_hash=x", f"# family=normform scale_e=1 {header}",
+            "level,n_prim,n_all,weighted_num,weighted_den,exact",
+            *(f"{k},{c},{c},{c},1,{flag if k == 3 else 1}" for k, c in enumerate([1, 1, 0, 1, 2], 1))]
+    path = tmp_path / "box.csv"
+    path.write_text("\n".join(rows) + "\n")
+    for argv in (["fit", "--out", str(tmp_path)], ["oracle-compare"]):
+        assert run([*argv, "--config", "zsqrt2", "--series", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("mode=box:6" in err if "box" in header else "not flagged exact" in err)
+    assert not (tmp_path / "zsqrt2-fit.json").exists()
+
+
+def test_series_negative_weight_refused(tmp_path, capsys):
+    bad = tmp_path / "negative.csv"
+    bad.write_text("# family=normform scale_e=1 mode=exact\n"
+                   "level,n_prim,n_all,weighted_num,weighted_den,exact\n1,1,1,1,1,1\n2,1,1,-1,1,1\n")
+    assert run(["fit", "--config", "gauss", "--series", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "negative weight" in capsys.readouterr().err
+
+
+def test_section_with_stabilizers_round_trips_in_lowest_terms(tmp_path):
+    # x^2 + y^2 + z^2 - w^2 sliced by ell = w: |G| = 24 and the level-1 weight is 1/4
+    from orbitcount.counting import count_quadric_level, quadric_series
+    from orbitcount.symmetry import integral_symmetries
+
+    gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+    cfg = tmp_path / "sphere.json"
+    cfg.write_text(json.dumps({"family": "quadric", "label": "sphere", "gram": gram, "ell": [0, 0, 0, 1]}))
+    assert run(["count", "--config", str(cfg), "--rmax", "30", "--out", str(tmp_path)]) == EXIT_OK
+    sec = quadric_section(gram, (0, 0, 0, 1))
+    group = integral_symmetries(sec)
+    counted = quadric_series(sec, 30, group)
+    assert group.order == 24 and counted.weight_den > 1
+    assert math.gcd(counted.weight_den, *counted.weighted.tolist()) == 1
+    back = series_from_csv(str(tmp_path / "sphere-counts.csv"))
+    assert back == counted
+    weights = [Fraction(w, back.weight_den) for w in back.weighted.tolist()]
+    assert weights[0] == Fraction(1, 4)
+    assert weights == [count_quadric_level(sec, k, group)[1] for k in range(1, 31)]
+
+
 def test_series_round_trip(tmp_path):
     assert run(["count", "--config", "model-quadric", "--rmax", "40", "--out", str(tmp_path)]) == EXIT_OK
     series = series_from_csv(str(tmp_path / "model-quadric-counts.csv"))
@@ -344,7 +388,7 @@ def test_series_round_trip(tmp_path):
 def test_series_csv_scaled_levels_round_trip(tmp_path):
     series = CountSeries(
         family="quadric", levels=[1, 2, 3, 6], n_prim=[1, 0, 2, 1], n_all=[1, 1, 2, 2],
-        weighted=[Fraction(1, 2), 1, Fraction(3, 4), Fraction(2)], scale_e=2, exact=[True] * 4,
+        weighted=[2, 4, 3, 8], weight_den=4, scale_e=2,
     )
     path = tmp_path / "s.csv"
     with open(path, "w") as fh:
@@ -353,7 +397,7 @@ def test_series_csv_scaled_levels_round_trip(tmp_path):
         "1/2,1,1,1,2,1", "1,0,1,1,1,1", "3/2,2,2,3,4,1", "3,1,2,2,1,1",
     ]
     back = series_from_csv(str(path))
-    assert (back.levels.tolist(), back.weighted.tolist(), back.scale_e) == (series.levels.tolist(), series.weighted.tolist(), 2)
+    assert back == series and (back.weight_den, back.scale_e) == (4, 2)
 
 
 def test_algebra_series_primitive_column():
@@ -547,6 +591,28 @@ def test_primitive_only_refused(tmp_path, capsys):
         run(["count", "--config", "gauss", "--primitive-only"])
 
 
+@pytest.mark.parametrize("key, value", [("jobs", 4), ("out", "elsewhere")])
+def test_execution_keys_refused(tmp_path, capsys, key, value):
+    # a config key no count reads is refused, not ignored
+    cfg = tmp_path / "exec.json"
+    cfg.write_text(json.dumps({"preset": "gauss", key: value}))
+    for command in ("validate", "count"):
+        out = ["--out", str(tmp_path)] if command == "count" else []
+        assert run([command, "--config", str(cfg), *out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key!r}" in err
+    assert not (tmp_path / "gauss-counts.csv").exists()
+
+
+def test_config_hash_of_a_preset_is_pinned(tmp_path):
+    # the hash of the whole config document, the defaults included
+    from orbitcount.cli import config_hash, load_config
+
+    assert config_hash(load_config("gauss", {"r_max": None})) == "293bc2ad2afe249f"
+    assert run(["count", "--config", "gauss", "--out", str(tmp_path)]) == EXIT_OK
+    assert read(tmp_path / "gauss-counts.csv").startswith(b"# config_hash=293bc2ad2afe249f\n")
+
+
 def test_fundamental_unit_refused(tmp_path, capsys):
     # the unit group is computed (Pell), so a config may not assert one
     cfg = tmp_path / "fu.json"
@@ -584,11 +650,9 @@ def count_series(draw):
     levels = sorted(draw(st.sets(st.integers(1, 200), max_size=30)))
     n_all = [draw(st.integers(0, 10 ** 6)) for _ in levels]
     n_prim = [draw(st.integers(0, c)) for c in n_all]
-    weighted = [draw(st.one_of(st.integers(0, 10 ** 6), st.fractions(0, 10 ** 3, max_denominator=12)))
-                for _ in levels]
+    weighted = [draw(st.integers(0, 10 ** 6)) for _ in levels]
     return CountSeries(family="quadric", levels=levels, n_prim=n_prim, n_all=n_all,
-                       weighted=weighted, scale_e=scale_e,
-                       exact=[draw(st.booleans()) for _ in levels])
+                       weighted=weighted, scale_e=scale_e, weight_den=draw(st.integers(1, 12)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -599,10 +663,7 @@ def test_series_csv_round_trip_property(series):
         with open(path, "w") as fh:
             series_to_csv(series, fh, "x")
         back = series_from_csv(path)
-    assert (back.family, back.scale_e) == (series.family, series.scale_e)
-    assert [c.tolist() for c in (back.levels, back.n_prim, back.n_all)] == [
-        c.tolist() for c in (series.levels, series.n_prim, series.n_all)]
-    assert (back.weighted.tolist(), back.exact.tolist()) == (series.weighted.tolist(), series.exact.tolist())
+    assert back == series
 
 
 def _format_rows(series):
@@ -612,9 +673,9 @@ def _format_rows(series):
     if e != 1:
         levels = [f"{lv // math.gcd(lv, e)}/{e // math.gcd(lv, e)}" if lv % e else lv // e
                   for lv in levels]
-    return "".join(f"{lv},{p},{a},{w.numerator},{w.denominator},{1 if ex else 0}\n"
-                   for lv, p, a, w, ex in zip(levels, series.n_prim, series.n_all,
-                                              series.weighted, series.exact))
+    weights = (Fraction(w, series.weight_den) for w in series.weighted.tolist())
+    return "".join(f"{lv},{p},{a},{w.numerator},{w.denominator},1\n"
+                   for lv, p, a, w in zip(levels, series.n_prim, series.n_all, weights))
 
 
 def _written_rows(series):
@@ -626,13 +687,13 @@ def _written_rows(series):
 EDGE_CELLS = (0, 9, 10, 10 ** 18, 2 ** 63 - 1)
 
 
-def _edge_series(rows, weight=lambda i, w: w, scale_e=1):
+def _edge_series(rows, weight_den=1, scale_e=1):
     levels = [1 + 3 * i for i in range(rows)]
     n_all = [EDGE_CELLS[i % 5] for i in range(rows)]
     n_prim = [min(EDGE_CELLS[(i * 7) % 5], c) for i, c in enumerate(n_all)]
-    weighted = [weight(i, EDGE_CELLS[(i * 3) % 5]) for i in range(rows)]
+    weighted = [EDGE_CELLS[(i * 3) % 5] for i in range(rows)]
     return CountSeries(family="quadric", levels=levels, n_prim=n_prim, n_all=n_all,
-                       weighted=weighted, scale_e=scale_e, exact=[i % 3 != 0 for i in range(rows)])
+                       weighted=weighted, scale_e=scale_e, weight_den=weight_den)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -646,15 +707,14 @@ def test_csv_writer_matches_row_format_at_chunk_boundaries(offset):
 def test_csv_writer_edge_cells():
     cells = list(EDGE_CELLS)
     series = CountSeries(family="quadric", levels=cells, n_prim=cells, n_all=cells,
-                         weighted=cells, scale_e=1, exact=[True, False, True, 1, 0])
+                         weighted=cells, scale_e=1)
     assert _written_rows(series) == _format_rows(series)
-    assert _written_rows(series).splitlines()[-1] == ",".join([str(2 ** 63 - 1)] * 4 + ["1", "0"])
+    assert _written_rows(series).splitlines()[-1] == ",".join([str(2 ** 63 - 1)] * 4 + ["1", "1"])
 
 
-@pytest.mark.parametrize("odd", [Fraction(7, 3), 2 ** 63, 2 ** 64, -5])
-def test_csv_writer_mixes_array_and_row_chunks(odd, monkeypatch):
-    # one cell in the second chunk is a Fraction, past int64 or negative; the
-    # other three chunks still go through the array kernel
+def test_csv_writer_takes_the_array_kernel_for_every_chunk(monkeypatch):
+    # weights over a denominator (3 here: a row reads 9/3 as 3/1 and 10/3 as
+    # it is) leave every chunk of a scale_e = 1 series to the array kernel
     from orbitcount import cli
 
     kernel, kernel_rows = cli._ascii_rows, []
@@ -664,13 +724,14 @@ def test_csv_writer_mixes_array_and_row_chunks(odd, monkeypatch):
         return kernel(table)
 
     monkeypatch.setattr(cli, "_ascii_rows", counting_kernel)
-    series = _edge_series(3 * CSV_CHUNK + 5, weight=lambda i, w: odd if i == CSV_CHUNK + 17 else w)
+    series = _edge_series(3 * CSV_CHUNK + 5, weight_den=3)
+    assert series.weight_den == 3
     assert _written_rows(series) == _format_rows(series)
-    assert kernel_rows == [CSV_CHUNK, CSV_CHUNK, 5]
+    assert kernel_rows == [CSV_CHUNK, CSV_CHUNK, CSV_CHUNK, 5]
 
 
 def test_csv_writer_scaled_levels():
-    series = _edge_series(CSV_CHUNK + 3, scale_e=6)
+    series = _edge_series(CSV_CHUNK + 3, weight_den=4, scale_e=6)
     text = _written_rows(series)
     assert text == _format_rows(series)
     assert text.startswith("1/6,") and "\n2/3," in text  # levels 1 and 4, over 6
@@ -712,57 +773,39 @@ def test_preset_payload_built_once_with_fresh_invariants():
 
 @st.composite
 def array_series(draw):
-    # int64 columns, object columns past 2^63, Fraction weights, scale_e = 6
+    # int64 cells up to 2^63 - 1, weights over a divisor of 24, scale_e = 6
     # and empty series, built from lists or from int64 arrays
     scale_e = draw(st.sampled_from([1, 6]))
-    levels = sorted(draw(st.sets(st.integers(1, 10 ** 6), max_size=12)))
-    past = draw(st.sampled_from(["none", "levels", "n_prim", "n_all", "weighted"]))
-    big = {col: 2 ** 64 if past == col else 0 for col in ("levels", "n_prim", "n_all", "weighted")}
-    levels = [lv + big["levels"] for lv in levels]
-    n_all = [draw(st.integers(0, 10 ** 12)) + big["n_all"] + big["n_prim"] for _ in levels]
-    n_prim = [draw(st.integers(0, c - big["n_prim"])) + big["n_prim"] for c in n_all]
-    weighted = [draw(st.one_of(st.integers(0, 10 ** 12), st.fractions(0, 10 ** 3, max_denominator=12)))
-                + big["weighted"] for _ in levels]
-    exact = [draw(st.booleans()) for _ in levels]
+    top = draw(st.sampled_from([10 ** 12, 2 ** 63 - 1]))
+    levels = sorted(draw(st.sets(st.integers(1, top), max_size=12)))
+    n_all = [draw(st.integers(0, top)) for _ in levels]
+    n_prim = [draw(st.integers(0, c)) for c in n_all]
+    weighted = [draw(st.integers(0, top)) for _ in levels]
     columns = [levels, n_prim, n_all, weighted]
     if draw(st.booleans()):
-        columns = [np.array(c, dtype=np.int64) if all(type(x) is int and x < 2 ** 63 for x in c) else c
-                   for c in columns]
+        columns = [np.array(c, dtype=np.int64) for c in columns]
     return CountSeries(family="quadric", levels=columns[0], n_prim=columns[1], n_all=columns[2],
-                       weighted=columns[3], scale_e=scale_e, exact=np.array(exact, dtype=bool))
+                       weighted=columns[3], scale_e=scale_e,
+                       weight_den=draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24])))
 
 
 @settings(max_examples=120, deadline=None)
 @given(array_series())
 def test_series_csv_round_trip_keeps_columns_and_dtypes(series):
-    names = ("levels", "n_prim", "n_all", "weighted", "exact")
-    # a count or weight cell past int64 is refused by the reader; a level past
-    # it is read back, as text, only when scale_e is not 1
-    refused = (any(getattr(series, name).dtype == object and
-                   any(abs(Fraction(c).numerator) >= 2 ** 63 for c in getattr(series, name).tolist())
-                   for name in ("n_prim", "n_all", "weighted"))
-               or (series.scale_e == 1 and series.levels.dtype == object))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "s.csv")
         with open(path, "w") as fh:
             series_to_csv(series, fh, "x")
-        if refused:
-            with pytest.raises(ValueError, match="to int64"):
-                series_from_csv(path)
-            return
         back = series_from_csv(path)
-    assert (back.family, back.scale_e) == (series.family, series.scale_e)
-    for name in names:
-        got, want = getattr(back, name), getattr(series, name)
-        assert got.dtype == want.dtype, name
-        assert got.tolist() == want.tolist(), name
-        assert [type(c) for c in got.tolist()] == [type(c) for c in want.tolist()], name
+    assert back == series
+    for name in ("levels", "n_prim", "n_all", "weighted"):
+        assert getattr(back, name).dtype == np.int64, name
 
 
 def test_empty_series_csv_round_trip():
     for scale_e in (1, 6):
         series = CountSeries(family="normform", levels=[], n_prim=[], n_all=[], weighted=[],
-                             scale_e=scale_e, exact=[])
+                             scale_e=scale_e)
         fh = io.StringIO()
         series_to_csv(series, fh, "x")
         with tempfile.TemporaryDirectory() as tmp:
@@ -772,4 +815,4 @@ def test_empty_series_csv_round_trip():
             back = series_from_csv(path)
         for name in ("levels", "n_prim", "n_all", "weighted"):
             assert getattr(back, name).dtype == np.int64 and len(getattr(back, name)) == 0
-        assert back.exact.dtype == bool and back.scale_e == scale_e
+        assert (back.weight_den, back.scale_e) == (1, scale_e)

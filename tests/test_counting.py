@@ -186,8 +186,12 @@ def _primitive_reference(all_sizes, d):
 def test_primitive_shell_sizes_matches_python_sieve(d, sizes, past_int64):
     from orbitcount.counting import _primitive_shell_sizes
 
-    if past_int64:  # the object-array route past 2^63
+    if past_int64:  # the sieve's int64 sums are bounded by max |size| * len < 2^63
         sizes = [c * 2 ** 60 for c in sizes]
+        if max(map(abs, sizes), default=0) * len(sizes) >= 2 ** 63:
+            with pytest.raises(ValueError, match="int64"):
+                _primitive_shell_sizes(sizes, d)
+            return
     got = _primitive_shell_sizes(sizes, d).tolist()
     assert got == _primitive_reference(sizes, d)
     assert all(type(c) is int for c in got)
@@ -431,8 +435,6 @@ def primitive_columns(draw):
     k_max = draw(st.one_of(st.integers(0, 500), st.sampled_from([0, 1, 4, 9, 144, 361, 484])))
     levels = sorted(draw(st.sets(st.integers(-2, k_max + 3), max_size=60)))
     value = st.integers(-10 ** 6, 10 ** 6)
-    if draw(st.booleans()):
-        value = st.one_of(value, st.fractions(-50, 50, max_denominator=7))
     return levels, [draw(value) for _ in levels], draw(st.sampled_from([1, 2, 3])), k_max
 
 
@@ -440,18 +442,22 @@ def primitive_columns(draw):
 @given(primitive_columns())
 def test_aggregate_levels_matches_python_sieve(args):
     levels, counts, d, k_max = args
-    got = tuple(col.tolist() for col in aggregate_levels(levels, counts, d, k_max))
-    assert got == _aggregate_reference(levels, counts, d, k_max)
-    # ints wherever the aggregated value is integral
-    assert all(type(c) is int or c.denominator > 1 for c in got[1])
+    columns = aggregate_levels(levels, counts, d, k_max)
+    assert _listed(columns) == _aggregate_reference(levels, counts, d, k_max)
+    assert all(col.dtype == np.int64 for col in columns)
 
 
-def test_aggregate_levels_past_int64_is_exact():
-    counts = [2 ** 62 + k for k in range(1, 41)] + [Fraction(2 ** 70, 3)]
+def test_aggregate_levels_past_int64_is_refused():
+    # max |count| * len < 2^63 bounds every int64 sum: at the edge the sums
+    # are exact, past it the counts are refused, as is a cell past int64
     levels = list(range(1, 42))
-    assert _listed(aggregate_levels(levels, counts, 1, 60)) == _aggregate_reference(levels, counts, 1, 60)
-    tiny = [Fraction(1, 2 ** 40 + 15), Fraction(1, 2 ** 40 + 21)]  # lcm of denominators past 2^63
-    assert _listed(aggregate_levels([1, 2], tiny, 1, 8)) == _aggregate_reference([1, 2], tiny, 1, 8)
+    top = (2 ** 63 - 1) // 41
+    assert _listed(aggregate_levels(levels, [top] * 41, 1, 60)) == _aggregate_reference(levels, [top] * 41, 1, 60)
+    with pytest.raises(ValueError, match="2\\^63"):
+        aggregate_levels(levels, [top + 1] + [0] * 40, 1, 60)
+    for counts in ([1, 2 ** 63], [1, Fraction(1, 3)]):
+        with pytest.raises(ValueError, match="not an int64 integer"):
+            aggregate_levels([1, 2], counts, 1, 8)
 
 
 def _listed(columns):
@@ -495,33 +501,25 @@ def test_probe_values_are_seeded_and_cover_the_range():
     assert len(probe_values(rng, 100)) == 100 and rng.calls == 2
 
 
-def _rational_split_algebra():
-    """Q[t]/(t^2 - 1), a split algebra, in the basis 1/2, t/2: half-integer constants."""
-    h = Fraction(1, 2)
-    return AlgebraSpec(dim=2, table=(((h, 0), (0, h)), ((0, h), (h, 0))), unity=(2, 0),
-                       kind="number-field")
-
-
 @pytest.mark.parametrize("spec", [order_lipschitz().algebra, order_hurwitz().algebra,
-                                  split_algebra(), _rational_split_algebra()])
+                                  split_algebra(), quadratic_field_order(-7)])
 def test_batched_products_match_alg_mul(spec):
     import random
 
     from orbitcount.algebra import alg_mul, element
-    from orbitcount.counting import _scaled_products
+    from orbitcount.counting import _batched_products
 
     rng = random.Random(7)
     n = spec.dim
     a = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(300)] + [[1] + [0] * (n - 1)])
     b = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(300)] + [[0] * n])
-    den = math.lcm(*{Fraction(c).denominator for row in spec.table for cell in row for c in cell})
-    got = _scaled_products(spec, a, b)
+    got = _batched_products(spec, a, b)
     for x, y, prod in zip(a.tolist(), b.tolist(), got.tolist()):
-        assert prod == [den * c for c in alg_mul(element(x), element(y), spec).coords]
-    # the exact path once the int64 bound is passed
+        assert prod == list(alg_mul(element(x), element(y), spec).coords)
+    # refused once a product could pass int64
     big = np.array([[2 ** 40] * n])
-    assert _scaled_products(spec, big, big).tolist()[0] == [
-        den * c for c in alg_mul(element([2 ** 40] * n), element([2 ** 40] * n), spec).coords]
+    with pytest.raises(ValueError, match="2\\^63"):
+        _batched_products(spec, big, big)
 
 
 def test_batched_division_probe_matches_scalar_probe():
@@ -558,27 +556,29 @@ def test_quadric_series_weights_with_point_stabilizers():
 
 
 def test_count_series_checks():
-    def series(levels, n_prim, n_all):
-        k = len(levels)
+    def series(levels, n_prim, n_all, weighted=None):
         return CountSeries(family="normform", levels=levels, n_prim=n_prim, n_all=n_all,
-                           weighted=list(n_all), scale_e=1, exact=[True] * k)
+                           weighted=list(n_all) if weighted is None else weighted, scale_e=1)
 
     for levels, n_prim, n_all, message in (
         ([1, 1, 2], [0, 0, 0], [0, 0, 0], "strictly increasing"),
         ([2, 1], [0, 0], [0, 0], "strictly increasing"),
-        ([1, 2], [0, -1], [0, 0], "negative"),
-        ([1, 2], [0, 0], [-2 ** 70, 0], "negative"),
-        ([1, 2], [0, 2 ** 70], [0, 2 ** 70 - 1], "exceeds"),
+        ([-1, 2], [0, 0], [0, 0], "negative level"),
+        ([1, 2], [0, -1], [0, 0], "negative count"),
+        ([1, 2], [0, 0], [-2 ** 62, 0], "negative count"),
+        ([1, 2], [0, 2 ** 62], [0, 2 ** 62 - 1], "exceeds"),
         ([1, 2], [0], [0, 0], "ragged"),
     ):
         with pytest.raises(ValueError, match=message):
             series(levels, n_prim, n_all)
-    assert series([1, 2 ** 64], [0, 2 ** 70], [1, 2 ** 70]).n_all.tolist() == [1, 2 ** 70]
+    with pytest.raises(ValueError, match="negative weight"):
+        series([1, 2], [0, 0], [1, 1], weighted=[1, -1])
+    assert series([1, 2 ** 63 - 1], [0, 2 ** 62], [1, 2 ** 62]).n_all.tolist() == [1, 2 ** 62]
 
 
 def test_cumulative_at_fractional_radii():
     series = CountSeries(family="quadric", levels=[1, 2, 3, 4, 5, 6], n_prim=[1] * 6, n_all=[1] * 6,
-                         weighted=[Fraction(1, 2), 1, 2, Fraction(1, 3), 4, 5], scale_e=2, exact=[True] * 6)
+                         weighted=[3, 6, 12, 2, 24, 30], weight_den=6, scale_e=2)
     radii = [Fraction(1, 2), Fraction(5, 4), Fraction(7, 4), 2, Fraction(11, 4)]
     assert cumulative_at(series, radii, "weighted") == [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2),
                                                         Fraction(23, 6), Fraction(47, 6)]
@@ -598,7 +598,7 @@ def eisenstein_order():
 def test_definite_series_eisenstein_vs_ideal_oracle():
     order = eisenstein_order()
     series = normform_series(order, 300)
-    assert series.meta == {"mode": "exact", "units": 6}
+    assert series.meta == {"units": 6}
     assert series.n_all.tolist() == ideal_count_series(-3, 300)
 
 
@@ -634,8 +634,12 @@ def test_quadric_series_with_stabilizers_matches_the_partition_reference():
     assert series.meta["route"] == "per-level"
     ref = [count_quadric_level(sec, k, group) for k in range(1, 31)]
     assert series.n_prim.tolist() == [n for n, _ in ref]
-    assert series.weighted.tolist() == [w for _, w in ref]
-    assert any(isinstance(w, Fraction) for w in series.weighted)  # some stabilizer is nontrivial
+    assert [Fraction(w, series.weight_den) for w in series.weighted.tolist()] == [w for _, w in ref]
+    # some stabilizer is nontrivial: the level-1 weight is 1/4
+    assert Fraction(int(series.weighted[0]), series.weight_den) == Fraction(1, 4)
+    # the weights are in lowest terms, over a divisor of |G|
+    assert group.order % series.weight_den == 0
+    assert math.gcd(series.weight_den, *series.weighted.tolist()) == 1
 
 
 def _columns(series):
@@ -664,53 +668,56 @@ def test_quadric_series_invariant_under_unimodular_change_four_variables(rng, st
     assert _columns(quadric_series(moved, r)) == _columns(quadric_series(sec, r))
 
 
-def _numerators_over_lcm(column):
-    """(numerators, L) over the lcm L of the denominators, int64 when L and
-    sum |numerator| are below 2^63."""
-    den = math.lcm(*{Fraction(c).denominator for c in column})
-    nums = [int(Fraction(c) * den) for c in column]
-    big = max(den, sum(map(abs, nums))) >= 2 ** 63
-    return np.array(nums, dtype=object if big else np.int64), den
+def _over_lcm_reference(nums, dens):
+    """(numerators, L) of the fractions nums / dens over the lcm L of dens,
+    in Python ints."""
+    den = math.lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
 @st.composite
-def numerator_columns(draw):
-    # columns near the 2^63 / len edge of the int64 route, with sign, with
-    # a Fraction or with a cell past int64
+def weight_cells(draw):
+    # numerators small or near the int64 edge, with sign, over small denominators
     n = draw(st.integers(1, 40))
-    edge = (2 ** 63 - 1) // n + draw(st.integers(-2, 2))
-    cells = st.one_of(st.integers(-9, 9), st.just(edge), st.just(-edge), st.just(-(2 ** 63)),
-                      st.just(2 ** 63), st.fractions(-5, 5, max_denominator=6))
-    return draw(st.lists(cells, min_size=n, max_size=n))
+    num = st.one_of(st.integers(-9, 9), st.integers(2 ** 62, 2 ** 63 - 1), st.integers(-(2 ** 63 - 1), -(2 ** 62)))
+    return (draw(st.lists(num, min_size=n, max_size=n)),
+            draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)))
+
+
+def _common(nums, dens):
+    from orbitcount.counting import _common_denominator
+
+    return _common_denominator(np.array(nums, dtype=np.int64), np.array(dens, dtype=np.int64))
 
 
 @settings(max_examples=200, deadline=None)
-@given(numerator_columns())
-def test_numerators_match_the_lcm_route(column):
-    from orbitcount.counting import _numerators
-
-    nums, den = _numerators(column)
-    ref, ref_den = _numerators_over_lcm(column)
-    assert den == ref_den and nums.dtype == ref.dtype
-    assert nums.tolist() == ref.tolist()
-    assert np.cumsum(nums).tolist() == np.cumsum(np.array(ref.tolist(), dtype=object)).tolist()
+@given(weight_cells())
+def test_numerators_match_the_lcm_route(cells):
+    ref, ref_den = _over_lcm_reference(*cells)
+    if max(map(abs, ref)) >= 2 ** 63:
+        with pytest.raises(ValueError, match="past int64"):
+            _common(*cells)
+        return
+    nums, den = _common(*cells)
+    assert den == ref_den and nums.dtype == np.int64 and nums.tolist() == ref
 
 
 def test_numerators_int64_route_edge():
-    from orbitcount.counting import _numerators
-
-    n = 7
-    top = (2 ** 63 - 1) // n
-    for column in ([top] * n, [-top] * n, [top] * (n - 1) + [-top]):
-        nums, den = _numerators(column)
-        assert den == 1 and nums.dtype == np.int64 and nums.tolist() == column
-    # max * len reaches 2^63, so the sum decides: object past it, int64 below
-    nums, den = _numerators([top + 1] * n)
-    assert den == 1 and nums.dtype == object and sum(nums.tolist()) == (top + 1) * n
-    nums, den = _numerators([top + 1] + [0] * (n - 1))
-    assert den == 1 and nums.dtype == np.int64
-    nums, den = _numerators([Fraction(1, 3), 2, Fraction(5, 6)])
-    assert den == 6 and nums.tolist() == [2, 12, 5]
+    nums, den = _common([2, 1, 5, 0], [4, 3, 6, 7])  # over lcm(4, 3, 6, 7) = 84
+    assert den == 84 and nums.tolist() == [42, 28, 70, 0]
+    # the series reduces the pair: 2/4, 1/3, 5/6 and 0 are 3, 2, 5 and 0 over 6
+    series = CountSeries(family="quadric", levels=[1, 2, 3, 4], n_prim=[0] * 4, n_all=[0] * 4,
+                         weighted=nums, weight_den=den, scale_e=1)
+    assert (series.weighted.tolist(), series.weight_den) == ([3, 2, 5, 0], 6)
+    top = (2 ** 63 - 1) // 6
+    nums, den = _common([top, 1], [1, 6])
+    assert den == 6 and nums.tolist() == [6 * top, 1]
+    with pytest.raises(ValueError, match="past int64"):
+        _common([top + 1, 1], [1, 6])
+    nums, den = _common([2 ** 63 - 1, 0], [1, 1])
+    assert den == 1 and nums.tolist() == [2 ** 63 - 1, 0]
+    with pytest.raises(ValueError, match="2\\^63"):  # the lcm of the denominators passes int64
+        _common([0, 0], [2 ** 40 + 15, 2 ** 40 + 21])
 
 
 def test_definite_series_builds_the_norm_gram_once(monkeypatch):
@@ -733,68 +740,75 @@ def test_definite_series_builds_the_norm_gram_once(monkeypatch):
 
 @pytest.mark.parametrize("route", ["int64", "object"])
 def test_count_series_refusals_on_both_column_routes(route):
-    # the same refusals whether the columns are int64 arrays or object arrays
-    # of Python ints past int64
-    big = 1 if route == "int64" else 2 ** 70
+    # int64 columns are checked cell by cell; an object column, numpy's form
+    # for Python ints past int64 and Fractions, is refused whatever it holds
     dtype = np.int64 if route == "int64" else object
+
+    def refused(message):
+        return message if route == "int64" else "reads as object"
 
     def series(levels, n_prim, n_all, weighted=None):
         cols = [np.array(c, dtype=dtype) for c in (levels, n_prim, n_all)]
         return CountSeries(family="normform", levels=cols[0], n_prim=cols[1], n_all=cols[2],
-                           weighted=cols[2] if weighted is None else weighted, scale_e=1,
-                           exact=np.ones(len(levels), dtype=bool))
+                           weighted=cols[2] if weighted is None else weighted, scale_e=1)
 
     for levels, n_prim, n_all, message in (
-        ([big, big, big + 1], [0, 0, 0], [0, 0, 0], "strictly increasing"),
-        ([big + 1, big], [0, 0], [0, 0], "strictly increasing"),
-        ([1, 2], [0, -big], [0, 0], "negative"),
-        ([1, 2], [0, 0], [-big, 0], "negative"),
-        ([1, 2], [0, big + 1], [0, big], "exceeds"),
+        ([1, 1, 2], [0, 0, 0], [0, 0, 0], "strictly increasing"),
+        ([2, 1], [0, 0], [0, 0], "strictly increasing"),
+        ([1, 2], [0, -1], [0, 0], "negative"),
+        ([1, 2], [0, 0], [-1, 0], "negative"),
+        ([1, 2], [0, 2], [0, 1], "exceeds"),
         ([1, 2], [0], [0, 0], "ragged"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=refused(message)):
             series(levels, n_prim, n_all)
-    with pytest.raises(ValueError, match="ragged"):
+    with pytest.raises(ValueError, match=refused("ragged")):
         series([1, 2], [0, 0], [0, 0], weighted=np.zeros(3, dtype=dtype))
-    with pytest.raises(ValueError, match="one-dimensional"):
+    with pytest.raises(ValueError, match=refused("one-dimensional")):
         series([1, 2], [0, 0], [0, 0], weighted=np.zeros((2, 1), dtype=dtype))
-    ok = series([big, big + 1], [0, big], [big, big])
-    assert all(c.dtype == dtype for c in (ok.levels, ok.n_prim, ok.n_all, ok.weighted))
-    assert ok.exact.dtype == bool
+    if route == "object":
+        with pytest.raises(ValueError, match=refused("")):
+            series([1, 2], [0, 1], [1, 1])
+        return
+    ok = series([1, 2], [0, 1], [1, 1])
+    assert all(c.dtype == np.int64 for c in (ok.levels, ok.n_prim, ok.n_all, ok.weighted))
 
 
 def test_count_series_cells_are_read_exactly():
     def series(**cols):
-        base = dict(levels=[1, 2], n_prim=[0, 0], n_all=[1, 1], weighted=[1, 1], exact=[True, 1])
+        base = dict(levels=[1, 2], n_prim=[0, 0], n_all=[1, 1], weighted=[1, 1])
         base.update(cols)
         return CountSeries(family="quadric", scale_e=1, **base)
 
-    # numpy reads [1, 2**63] as float64 and [2**63] as uint64; both stay exact ints
-    for levels in ([1, 2 ** 63], [2 ** 63 - 1, 2 ** 63]):
-        s = series(levels=levels)
-        assert s.levels.dtype == object and s.levels.tolist() == levels
-    assert series(n_all=[2 ** 63, 2 ** 63]).n_all.tolist() == [2 ** 63] * 2
-    assert series(levels=np.array([1, 2], dtype=np.uint64)).levels.dtype == np.int64
-    # a Fraction is never truncated: refused in a count, kept in a weight
-    with pytest.raises(ValueError, match="not an integer"):
-        series(n_all=[1, Fraction(3, 2)])
-    with pytest.raises(ValueError, match="not an integer or Fraction"):
-        series(weighted=[1, 0.5])
-    w = series(weighted=[Fraction(3, 2), Fraction(4, 2)]).weighted
-    assert w.dtype == object and w.tolist() == [Fraction(3, 2), 2] and type(w[1]) is int
-    assert series(weighted=[Fraction(4, 2), np.int64(5)]).weighted.dtype == np.int64
-    assert series(exact=[True, 0]).exact.tolist() == [True, False]
-    empty = CountSeries(family="quadric", levels=[], n_prim=[], n_all=[], weighted=[], scale_e=1, exact=[])
-    assert empty.levels.dtype == empty.weighted.dtype == np.int64 and empty.exact.dtype == bool
+    # a cell past int64, a float or a Fraction is refused, never truncated:
+    # numpy reads [1, 2**63] as float64, [2**63 - 1, 2**63] as uint64 and
+    # [1, 2**64] or a Fraction as object, and it would cast 1.5 to int64 as 1
+    for cells in ([1, 2 ** 63], [2 ** 63 - 1, 2 ** 63], [1, 2 ** 64], [1, 1.5], [1.0, 2.0],
+                  [1, Fraction(3, 2)], [1, Fraction(4, 2)], np.array([1, 2], dtype=np.uint64)):
+        for name in ("levels", "n_prim", "n_all", "weighted"):
+            with pytest.raises(ValueError, match="not an int64 integer"):
+                series(**{name: cells})
+    assert series(levels=np.array([1, 2], dtype=np.int32)).levels.dtype == np.int64
+    assert series(weighted=[np.int64(4), 5]).weighted.dtype == np.int64
+    # a weight that is not an integer is a numerator over weight_den, in lowest terms
+    halves = series(weighted=[3, 4], weight_den=2)
+    assert (halves.weighted.tolist(), halves.weight_den) == ([3, 4], 2)
+    thirds = series(weighted=[2, 4], weight_den=6)
+    assert (thirds.weighted.tolist(), thirds.weight_den) == ([1, 2], 3)
+    for den in (0, -2, 2 ** 63, Fraction(1, 2), 1.0):
+        with pytest.raises(ValueError, match="weight_den"):
+            series(weight_den=den)
+    empty = CountSeries(family="quadric", levels=[], n_prim=[], n_all=[], weighted=[], scale_e=1, weight_den=4)
+    assert all(c.dtype == np.int64 for c in (empty.levels, empty.n_prim, empty.n_all, empty.weighted))
+    assert empty.weight_den == 1
 
 
 def test_count_series_keeps_int64_arrays_without_copy():
     cols = [np.arange(1, 6, dtype=np.int64), np.zeros(5, dtype=np.int64), np.arange(5, dtype=np.int64)]
-    exact = np.ones(5, dtype=bool)
     series = CountSeries(family="normform", levels=cols[0], n_prim=cols[1], n_all=cols[2],
-                         weighted=cols[2], scale_e=1, exact=exact)
+                         weighted=cols[2], scale_e=1, weight_den=7)
     assert series.levels is cols[0] and series.n_prim is cols[1] and series.n_all is cols[2]
-    assert series.weighted is cols[2] and series.exact is exact
+    assert series.weighted is cols[2] and series.weight_den == 7
     # a list of numpy ints, as a perturbed copy passes through dataclasses.replace
     n_all = list(series.n_all)
     n_all[-1] += 1
@@ -815,13 +829,12 @@ def test_count_series_equality_compares_columns():
     bumped[-1] += 1
     assert series != replace(series, n_all=bumped)
     assert series != replace(series, scale_e=2, levels=2 * series.levels)
-    assert series != replace(series, meta={})
-    # equal values under another dtype: an object column past int64 is not an int64 one
-    wide = replace(series, n_all=[c + 2 ** 63 for c in series.n_all.tolist()])
-    assert wide == replace(series, n_all=[c + 2 ** 63 for c in series.n_all.tolist()])
-    assert wide != series
-    fractions = replace(series, weighted=[Fraction(c) for c in series.weighted.tolist()])
-    assert fractions == series and fractions.weighted.dtype == np.int64
+    # meta records how a series was made, not what it counts
+    assert series == replace(series, meta={})
+    # weights compare as rationals: 2w / 2 is reduced to w / 1
+    doubled = replace(series, weighted=2 * series.weighted, weight_den=2)
+    assert doubled == series and doubled.weight_den == 1
+    assert series != replace(series, weight_den=2)
     assert series != "not a series"
 
 

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -20,7 +19,7 @@ def synthetic_series(values):
     return CountSeries(
         family=FAMILY_NORMFORM, levels=list(range(1, n + 1)),
         n_prim=list(values), n_all=list(values),
-        weighted=[Fraction(v) for v in values], scale_e=1, exact=[True] * n,
+        weighted=list(values), scale_e=1,
     )
 
 
