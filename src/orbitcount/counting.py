@@ -157,9 +157,12 @@ def _bounded_column(values):
 
 
 def _common_denominator(nums, dens):
-    """(numerators, L): the fractions nums / dens (int64 arrays, dens >= 1)
-    over the lcm L of dens, as an int64 array; refused when L or a numerator
-    rescaled to L passes int64."""
+    """(numerators, L): the fractions nums / dens (int64 arrays, nums >= 0,
+    dens >= 1) over the lcm L of dens, as an int64 array; refused when a
+    numerator is negative (-2^63 would pass the bound below and wrap), or
+    when L or a numerator rescaled to L passes int64."""
+    if np.any(nums < 0):
+        raise ValueError("negative weight")
     if dens.max(initial=1) == 1:
         return nums, 1
     den = math.lcm(*np.unique(dens).tolist())

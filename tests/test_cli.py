@@ -348,10 +348,15 @@ def test_series_not_counted_exactly_is_refused(tmp_path, capsys, header, flag):
     assert not (tmp_path / "zsqrt2-fit.json").exists()
 
 
-def test_series_negative_weight_refused(tmp_path, capsys):
+@pytest.mark.parametrize("rows", [
+    "1,1,1,1,1,1\n2,1,1,-1,1,1\n",
+    # -2^63 is its own absolute value; rescaled by 2 to the lcm it would wrap to 0
+    "1,1,1,1,2,1\n2,1,1,-9223372036854775808,1,1\n",
+], ids=["minus-one", "minus-2^63"])
+def test_series_negative_weight_refused(tmp_path, capsys, rows):
     bad = tmp_path / "negative.csv"
     bad.write_text("# family=normform scale_e=1 mode=exact\n"
-                   "level,n_prim,n_all,weighted_num,weighted_den,exact\n1,1,1,1,1,1\n2,1,1,-1,1,1\n")
+                   "level,n_prim,n_all,weighted_num,weighted_den,exact\n" + rows)
     assert run(["fit", "--config", "gauss", "--series", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
     assert "negative weight" in capsys.readouterr().err
 
