@@ -39,6 +39,7 @@ from .validation import validate_scenario
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ORACLE = 3
+ABSENT = -1  # a pipeline cell with no series row; counts and oracle values are >= 0
 
 
 # config keys that are refused, with the reason given for each
@@ -323,12 +324,14 @@ def _oracle_compare(scenario, series, group_order=None):
     if pipeline is None:
         print(f"no oracle applicable to scenario {label!r}", file=sys.stderr)
         return EXIT_VALIDATION
-    diffs = [(k + 1, a, b) for k, (a, b) in enumerate(zip(pipeline, oracle)) if a != b]
-    if not diffs:
+    oracle = np.asarray(oracle, dtype=np.int64)
+    diffs = np.flatnonzero(pipeline != oracle)
+    if not len(diffs):
         print(f"oracle-compare {label}: {what}: zero diffs over {len(pipeline)} levels")
         return EXIT_OK
-    k, a, b = diffs[0]
-    print(f"oracle-compare {label}: first divergence at level {k}: pipeline={a} oracle={b} "
+    k = diffs[0]
+    a = "absent" if pipeline[k] == ABSENT else pipeline[k]
+    print(f"oracle-compare {label}: first divergence at level {k + 1}: pipeline={a} oracle={oracle[k]} "
           f"({len(diffs)} differing levels)")
     return EXIT_ORACLE
 
@@ -337,9 +340,9 @@ def _oracle_columns(scenario, series, r, group_order=None):
     """Pipeline and oracle columns at levels 1..r for the oracle the scenario
     declares in invariants["oracle"]: ideal-count:D, two-squares-primitive,
     jacobi-r4 or hurwitz-shell.  Series rows are paired by level, and a level
-    without a row reads "absent".  group_order is the quadric's |G| when the
-    caller counted the series (a counts CSV does not carry it); without it
-    the group is built here."""
+    without a row reads ABSENT in the pipeline column.  group_order is the
+    quadric's |G| when the caller counted the series (a counts CSV does not
+    carry it); without it the group is built here."""
     kind = scenario.invariants.get("oracle", "")
     if kind.startswith("ideal-count:"):
         disc = int(kind.split(":", 1)[1])
@@ -362,15 +365,19 @@ def _oracle_columns(scenario, series, r, group_order=None):
 
 
 def _at_levels(series, column, r, factor=1, den=1):
-    """factor * column / den at the levels k * scale_e, k = 1..r, in Python
-    ints, "absent" where the series has no row for the level; refused where
-    a value is not an integer."""
-    values = [factor * c for c in column.tolist()]
-    if any(v % den for v in values):
+    """factor * column / den at the levels k * scale_e, k = 1..r, as an int64
+    array, ABSENT where the series has no row for the level; refused where a
+    value is not an integer or factor * column could pass int64."""
+    if int(column.max(initial=0)) * factor >= 2 ** 63:
+        raise ValueError(f"the series column times {factor} could pass int64")
+    values = column * factor
+    if np.any(values % den):
         raise ValueError(f"the series column times {factor}/{den} is not integral")
-    by_level = dict(zip(series.levels.tolist(), (v // den for v in values)))
-    levels = (k * series.scale_e for k in range(1, r + 1))
-    return [by_level[lv] if lv in by_level else "absent" for lv in levels]
+    out = np.full(r, ABSENT, dtype=np.int64)
+    k, rem = np.divmod(series.levels, series.scale_e)
+    on = (rem == 0) & (k >= 1) & (k <= r)
+    out[k[on] - 1] = values[on] // den
+    return out
 
 
 def cmd_report(args):

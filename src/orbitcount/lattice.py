@@ -208,8 +208,10 @@ def conic_points_up_to(section, r_scaled):
     ss, ts, vals = ss[co], ts[co], vals[co]
     xs = np.array(phi, dtype=np.int64) @ np.stack([ss * ss, ss * ts, ts * ts])  # (3, N)
     content = np.gcd.reduce(np.abs(xs), axis=0)
-    assert np.all(content > 0)
-    assert not np.any(vals % content), "content must divide the level form"
+    if np.any(content <= 0):
+        raise AssertionError("a conic point has content 0")
+    if np.any(vals % content):
+        raise AssertionError("content must divide the level form")
     levels = vals // content
     keep = levels <= r_scaled
     pts, lvls = (xs[:, keep] // content[keep]).T, levels[keep]

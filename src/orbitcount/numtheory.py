@@ -296,7 +296,8 @@ def pell(d):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
     sign = p * p - d * q * q
-    assert sign in (1, -1), (d, p, q, sign)
+    if sign not in (1, -1):
+        raise AssertionError((d, p, q, sign))
     return p, q, sign
 
 
@@ -322,7 +323,8 @@ def zeta_value(s, width=Fraction(1, 10 ** 9)):
         hi_sum += -((-scale) // js)  # ceil
     lo = Fraction(lo_sum, scale) + Fraction(1, (m + 1) ** (s - 1) * (s - 1))
     hi = Fraction(hi_sum, scale) + Fraction(1, m ** (s - 1) * (s - 1))
-    assert hi - lo <= width, (s, float(hi - lo))
+    if hi - lo > width:
+        raise AssertionError((s, float(hi - lo)))
     return lo, hi
 
 

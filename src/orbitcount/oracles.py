@@ -56,12 +56,23 @@ def ideal_count_series(disc, s):
     """[a(1), ..., a(s)] by divisor sieve: a(m) = sum_{d | m} chi(d) with
     chi(d) = kronecker(disc, d), one slice out[d::d] += chi(d) per d.  chi is
     completely multiplicative in d for every disc, so this equals ideal_a at
-    every level, fundamental disc or not."""
-    out = np.zeros(max(s, 0) + 1, dtype=np.int64)
-    for d in range(1, s + 1):
-        chi = kronecker(disc, d)
-        if chi:
-            out[d::d] += chi
+    every level, fundamental disc or not.
+
+    For disc != 0, chi has period 4|disc| on the odd d, so one period is
+    computed and repeated.  On even d that period fails when disc = 3 mod 4
+    (kronecker(-49, 198) = -1, kronecker(-49, 2) = 1), so every even d is
+    set from its odd part o by chi(2^v o) = chi(2)^v chi(o)."""
+    s = max(s, 0)
+    period = min(4 * abs(disc), s) if disc else s
+    # chi[i] = chi(i + 1)
+    chi = np.resize(np.array([kronecker(disc, d) for d in range(1, period + 1)], dtype=np.int64), s)
+    chi2, odd = kronecker(disc, 2), chi[0::2].copy()
+    for v in range(1, s.bit_length()):
+        part = chi[2 ** v - 1:: 2 ** (v + 1)]  # d = 2^v o for o = 1, 3, 5, ...
+        part[:] = chi2 ** v * odd[: len(part)]
+    out = np.zeros(s + 1, dtype=np.int64)
+    for i in np.flatnonzero(chi).tolist():
+        out[i + 1:: i + 1] += chi[i]
     return out[1:].tolist()
 
 

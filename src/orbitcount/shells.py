@@ -250,6 +250,11 @@ def shifted_shell_2d(a11, a12, a22, b1, b2, c):
     return sorted(set(out))
 
 
+def _check_integer_grid(twice_levels):
+    if np.any(twice_levels % 2):
+        raise AssertionError("mass off the integer grid")
+
+
 def theta_series(gram, r):
     """Exact representation counts T[m] = #{x in Z^n : Q(x) = m} for 0 <= m <= r.
 
@@ -263,8 +268,10 @@ def theta_series(gram, r):
 
     T is the sum over the classes c of the convolution of the inner histogram
     (a v-box, shifted by its minimum) with the outer histogram of the w in
-    class c, truncated to 0..r (truncated_product_sum).  Every value is an int64 computed after a Python-int headroom
-    bound; dim 2 is the case where w is empty.
+    class c, truncated to 0..r (truncated_product_sum).  Every value is an
+    int64 computed after a Python-int headroom bound.  In dim 2, w is empty:
+    the one outer histogram is the unit mass at 0, so T is the inner
+    histogram itself and no product is taken.
     """
     gram = mat(gram)
     _check_positive_definite(gram)
@@ -297,9 +304,12 @@ def theta_series(gram, r):
     _check_int64(2 * inner_max, 2 * outer_max, max(pw), det_a * max(bb), det_a ** 2,
                  max(abs(e) for row in g2 + adj_x for e in row))
 
-    am = np.array(a, dtype=np.int64)
     vs = _box(bv)
     vav = _quadratic_values(vs, a)
+    if n == 2:
+        _check_integer_grid(vav)
+        return np.bincount(vav[vav <= 2 * r] // 2, minlength=r + 1)
+    am = np.array(a, dtype=np.int64)
     ws = _box(bw)
     wcw = _quadratic_values(ws, cb)
     q, cls = np.divmod(ws @ np.array(adj_x, dtype=np.int64).reshape(2, n - 2).T, det_a)
@@ -307,113 +317,184 @@ def theta_series(gram, r):
     pairs = []
     for k in np.unique(key).tolist():
         ac = am @ np.array(divmod(k, det_a), dtype=np.int64)
-        assert not np.any(ac % det_a), "A c not divisible by det A"
+        if np.any(ac % det_a):
+            raise AssertionError("A c not divisible by det A")
         b = ac // det_a
         inner = vav + 2 * (vs @ b)
         lo = int(inner.min())
         qk = q[key == k]
         outer = wcw[key == k] - _quadratic_values(qk, a) - 2 * (qk @ b) + lo
-        assert np.all(outer >= 0), "shifted outer value negative"
+        if np.any(outer < 0):
+            raise AssertionError("shifted outer value negative")
         inner -= lo
-        assert not (np.any(inner % 2) or np.any(outer % 2)), "mass off the integer grid"
+        _check_integer_grid(inner)
+        _check_integer_grid(outer)
         pairs.append((np.bincount(inner[inner <= 2 * r] // 2, minlength=r + 1),
                       np.bincount(outer[outer <= 2 * r] // 2, minlength=r + 1)))
     return truncated_product_sum(pairs, r)
 
 
 # NTT primes k * 2^e + 1 below 2^30, so that a product of two residues stays
-# below 2^60 in int64; 3 is a primitive root of both.  Their product bounds
+# below 2^60 in uint64; 3 is a primitive root of both.  Their product bounds
 # what two primes recover exactly, and the smaller e bounds the length.
 _NTT_PRIMES = (998244353, 469762049)
 _NTT_MAX_LENGTH = 2 ** 23
 # below this r one np.convolve per class is faster than the transforms
 _NTT_CROSSOVER = 3000
+# Relative costs that choose the transform length, measured on a 2-vCPU Intel
+# Xeon (numpy 2.4): one transform of length n costs about
+# (n + _STAGE_COST) * log2(n) units, one np.convolve of two length-m + 1
+# factors about (m + 1)^2 / _CONVOLVE_SPEED units.
+_STAGE_COST = 2000
+_CONVOLVE_SPEED = 8
 
 
 @functools.cache
-def _twiddles(p, n, inverse):
-    """w^j mod p for 0 <= j < n/2, with w the primitive n-th root of unity
-    3^((p-1)/n) mod p, or its inverse; built by doubling, vectorised."""
-    w = pow(3, (p - 1) // n, p)
+def _stage_twiddles(p, h, inverse):
+    """w^j mod p for 0 <= j < h as a contiguous uint64 array, with w the
+    primitive 2h-th root of unity 3^((p-1)/2h) mod p, or its inverse: the
+    twiddles of the butterfly stage of half-width h; built by doubling."""
+    w = pow(3, (p - 1) // (2 * h), p)
     if inverse:
         w = pow(w, -1, p)
-    t = np.ones(n // 2, dtype=np.int64)
+    t = np.ones(h, dtype=np.uint64)
     k = 1
-    while k < n // 2:
-        t[k: 2 * k] = t[:k] * pow(w, k, p) % p
+    while k < h:
+        t[k: 2 * k] = t[:k] * np.uint64(pow(w, k, p)) % np.uint64(p)
         k *= 2
     return t
 
 
 def _ntt_forward(a, p):
-    """In-place decimation-in-frequency NTT of the residues a (length n a
-    power of two): natural order in, bit-reversed order out."""
-    n = len(a)
-    tw = _twiddles(p, n, False)
-    h = n // 2
+    """In-place decimation-in-frequency NTT of the uint64 residues a (length
+    n a power of two): natural order in, bit-reversed order out.  A sum of
+    two residues is brought back below p by one conditional subtraction
+    (in uint64 u - p wraps past u when u < p, so min(u, u - p) is u mod p);
+    the difference u + p - v < 2p goes into the twiddle product, the one %."""
+    p_ = np.uint64(p)
+    h = len(a) // 2
     while h:
         blocks = a.reshape(-1, 2, h)
         u, v = blocks[:, 0], blocks[:, 1]
-        s, d = u + v, (u - v) * tw[:: n // (2 * h)]
-        blocks[:, 0] = s % p
-        blocks[:, 1] = d % p
+        d = u + p_
+        d -= v
+        d *= _stage_twiddles(p, h, False)
+        u += v
+        np.minimum(u, u - p_, out=u)
+        np.remainder(d, p_, out=v)
         h //= 2
     return a
 
 
 def _ntt_inverse(a, p):
-    """In-place decimation-in-time inverse NTT: bit-reversed order in,
-    natural order out, scaled by 1/n mod p."""
+    """In-place decimation-in-time inverse NTT of uint64 residues:
+    bit-reversed order in, natural order out, scaled by 1/n mod p."""
+    p_ = np.uint64(p)
     n = len(a)
-    tw = _twiddles(p, n, True)
     h = 1
     while h < n:
         blocks = a.reshape(-1, 2, h)
-        u, v = blocks[:, 0], blocks[:, 1] * tw[:: n // (2 * h)] % p
-        s, d = u + v, u - v
-        blocks[:, 0] = s % p
-        blocks[:, 1] = d % p
+        u, v = blocks[:, 0], blocks[:, 1]
+        v *= _stage_twiddles(p, h, True)
+        v %= p_
+        d = u + p_
+        d -= v
+        u += v
+        np.minimum(u, u - p_, out=u)
+        np.minimum(d, d - p_, out=v)
         h *= 2
-    a *= pow(n, -1, p)
-    a %= p
+    a *= np.uint64(pow(n, -1, p))
+    a %= p_
     return a
+
+
+def _transform_plan(r, k, primes):
+    """(estimated cost, length n) of the cheapest route for k products
+    truncated to 0..r under the given number of primes.  With n1 the least
+    power of two above r, a cyclic product of length n1 wraps only the
+    terms of levels n1..2r onto 0..2r - n1, so levels 2r - n1 < j <= r come
+    out exact and the prefix 0..2r - n1 is taken again; length 2 n1 wraps
+    nothing.  Lengths past _NTT_MAX_LENGTH are not candidates.  n = 0 stands
+    for direct convolution (r below _NTT_CROSSOVER)."""
+    if r < _NTT_CROSSOVER:
+        return k * (r + 1) ** 2 // _CONVOLVE_SPEED, 0
+
+    def transforms(n):
+        return primes * (2 * k + 1) * (n + _STAGE_COST) * (n.bit_length() - 1)
+
+    n1 = 1 << r.bit_length()
+    plans = [(transforms(n1) + _transform_plan(2 * r - n1, k, primes)[0], n1)]
+    if 2 * n1 <= _NTT_MAX_LENGTH:
+        plans.append((transforms(2 * n1), 2 * n1))
+    return min(plans)
+
+
+def _convolve_sum(pairs, r):
+    out = np.zeros(r + 1, dtype=np.int64)
+    for a, b in pairs:
+        c = np.convolve(a, b)[: r + 1]
+        out[: len(c)] += c
+    return out
+
+
+def _transform_sum(pairs, r, primes):
+    """Sum of the products of pairs truncated to 0..r, as residues mod each
+    prime of primes at the length _transform_plan picks."""
+    n = _transform_plan(r, len(pairs), len(primes))[1]
+    if not n:
+        exact = _convolve_sum(pairs, r)
+        return [exact % p for p in primes]
+    residues = []
+    for p in primes:
+        acc = np.zeros(n, dtype=np.uint64)
+        for a, b in pairs:
+            fa, fb = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+            fa[: len(a)], fb[: len(b)] = a % p, b % p
+            _ntt_forward(fa, p)
+            _ntt_forward(fb, p)
+            fa *= fb
+            fa %= np.uint64(p)
+            acc += fa
+        acc %= np.uint64(p)
+        residues.append(_ntt_inverse(acc, p)[: r + 1].astype(np.int64))
+    m = 2 * r - n
+    if m >= 0:
+        for res, pre in zip(residues, _transform_sum([(a[: m + 1], b[: m + 1]) for a, b in pairs], m, primes)):
+            res[: m + 1] = pre
+    return residues
 
 
 def truncated_product_sum(pairs, r):
     """Exact sum over (a, b) in pairs of the first r + 1 coefficients of the
     polynomial product a * b; a, b are nonnegative int64 arrays of length at
-    most r + 1.
+    most r + 1, and anything else is refused with ValueError.
 
     Below r = _NTT_CROSSOVER each product is one np.convolve.  From it on, the
-    products are taken by number-theoretic transforms of length n, the least
-    power of two >= 2r + 1 (so no product wraps into 0..r), summed in the
-    transform domain, with one inverse transform per prime.  Every output
-    coefficient is at most B = sum over pairs of sum(a) * max(b), bounded in
-    Python ints first: one prime suffices when B < p1, two primes combined by
-    Garner's step when B < p1 p2, and a larger B or n is refused.
+    products are taken by number-theoretic transforms, summed in the transform
+    domain, with one inverse transform per prime.  The length n is the least
+    power of two above r, with the wrapped prefix 0..2r - n taken again by the
+    same function, or twice that, with no wrap; _transform_plan picks the
+    cheaper.  Every output coefficient is at most B = sum over pairs of
+    sum(a) * max(b), bounded in Python ints first: one prime suffices when
+    B < p1, two primes combined by Garner's step when B < p1 p2, and a larger
+    B, or r >= _NTT_MAX_LENGTH, is refused before any transform.
     """
+    for a, b in pairs:
+        if max(len(a), len(b)) > r + 1:
+            raise ValueError(f"a factor of length {max(len(a), len(b))} is longer than r + 1 = {r + 1}")
+        if a.min(initial=0) < 0 or b.min(initial=0) < 0:
+            raise ValueError("a factor has a negative entry")
     if r < _NTT_CROSSOVER:
-        out = np.zeros(r + 1, dtype=np.int64)
-        for a, b in pairs:
-            c = np.convolve(a, b)[: r + 1]
-            out[: len(c)] += c
-        return out
-    n = 1 << (2 * r).bit_length()
-    if n > _NTT_MAX_LENGTH:
-        raise ValueError(f"transform length {n} exceeds the NTT primes' limit {_NTT_MAX_LENGTH}")
+        return _convolve_sum(pairs, r)
+    if r >= _NTT_MAX_LENGTH:
+        raise ValueError(f"transform length {1 << r.bit_length()} exceeds the NTT primes' limit {_NTT_MAX_LENGTH}")
     bound = sum(sum(a.tolist()) * int(b.max(initial=0)) for a, b in pairs)
     p1, p2 = _NTT_PRIMES
     if bound >= p1 * p2:
         raise ValueError(f"a coefficient could reach {bound} >= {p1 * p2}, past two NTT primes")
-    residues = []
-    for p in _NTT_PRIMES[: 1 if bound < p1 else 2]:
-        acc = np.zeros(n, dtype=np.int64)
-        for a, b in pairs:
-            fa, fb = (_ntt_forward(np.pad(x % p, (0, n - len(x))), p) for x in (a, b))
-            acc += fa * fb % p
-        residues.append(_ntt_inverse(acc % p, p)[: r + 1])
+    residues = _transform_sum(pairs, r, _NTT_PRIMES[: 1 if bound < p1 else 2])
     if len(residues) == 1:
-        return residues[0].copy()
+        return residues[0]
     x1, x2 = residues
     # Garner: x = x1 + p1 t with t = (x2 - x1) / p1 mod p2; x < p1 p2 < 2^59
     return x1 + p1 * ((x2 - x1) % p2 * pow(p1, -1, p2) % p2)

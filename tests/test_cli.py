@@ -470,7 +470,23 @@ def test_cone_oracle_column_counts_the_level_points():
     assert series.scale_e == 5 and series.meta["group_order"] == 4
     pipeline, _, _ = _oracle_columns(scenario, series, 30)
     points = [len(cone_section_points(sec, k)) for k in range(1, 31)]
-    assert pipeline == points and points[:5] == [8, 0, 0, 0, 8]
+    assert pipeline.tolist() == points and points[:5] == [8, 0, 0, 0, 8]
+
+
+def test_at_levels_pairs_rows_by_level_and_refuses_past_int64():
+    from orbitcount.cli import ABSENT, _at_levels
+
+    # levels 2, 6, 8 with scale_e = 2 are k = 1, 3, 4; k = 2 has no row
+    s = CountSeries(family=FAMILY_QUADRIC, levels=[2, 6, 8], n_prim=[1, 1, 1],
+                    n_all=[1, 2, 2 ** 60], weighted=[1, 2, 3], scale_e=2, weight_den=2)
+    assert _at_levels(s, s.n_all, 3).tolist() == [1, ABSENT, 2]
+    assert _at_levels(s, s.weighted, 3, 4, s.weight_den).tolist() == [2, ABSENT, 4]
+    with pytest.raises(ValueError, match="not integral"):
+        _at_levels(s, s.weighted, 3, 1, s.weight_den)
+    # 8 * 2^60 = 2^63 would wrap in int64
+    with pytest.raises(ValueError, match="could pass int64"):
+        _at_levels(s, s.n_all, 4, 8)
+    assert _at_levels(s, s.n_all, 4, 7).tolist() == [7, ABSENT, 14, 7 * 2 ** 60]
 
 
 def test_validate_one_dimensional_normform_fails_cleanly(tmp_path, capsys):

@@ -66,6 +66,20 @@ def test_ideal_count_series_sieve_matches_ideal_a(disc, s):
     assert ideal_count_series(disc, s) == [ideal_a(disc, m) for m in range(1, s + 1)]
 
 
+@pytest.mark.parametrize("disc", range(-50, 51))
+def test_ideal_count_series_chi_matches_kronecker_per_d(disc):
+    # chi is taken from one period of 4|D| on odd d and from chi(2) on even d;
+    # s = 1000 spans five periods or more, and D = 3 mod 4 has no period on even d
+    from orbitcount.numtheory import kronecker
+
+    s = 1000
+    want = [0] * (s + 1)
+    for d in range(1, s + 1):
+        for m in range(d, s + 1, d):
+            want[m] += kronecker(disc, d)
+    assert ideal_count_series(disc, s) == want[1:]
+
+
 def test_two_squares_examples():
     assert two_squares_primitive(5) == 4
     assert two_squares_primitive(2) == 2

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitcount.exact import definiteness
@@ -276,16 +277,24 @@ def test_shifted_shell_2d_just_under_int64_matches_python_scan():
     assert shifted_shell_2d(1, 0, d, b1, b2, c) == sorted(want) == [(-57690, 1), (33000, 1)]
 
 
-# a coefficient of at most 2^21 * 2^21 * 8193 * 4 < 998244353 * 469762049 keeps
-# the int64 np.convolve reference exact and the kernel below its refusal bound
+# a coefficient of at most 2^21 * 2^21 * 12390 * 4 < 998244353 * 469762049 keeps
+# the int64 np.convolve reference exact and the kernel below its refusal bound.
+# Past 4096 the sampled r include the switch points of the transform length
+# for one prime and one class (4962, 9451, 9692, 12389) and r whose prefix
+# 2r - 16384 is taken again (10000 and up: the prefix passes _NTT_CROSSOVER)
 @settings(max_examples=40, deadline=None)
 @given(
-    r=st.sampled_from([0, 1, 2999, 3000, 3001, 4095, 4096, 8191, 8192]) | st.integers(0, 8192),
+    r=st.sampled_from([0, 1, 2999, 3000, 3001, 4095, 4096, 8191, 8192,
+                       4961, 4962, 5461, 5462, 9450, 9451, 9691, 9692, 10000,
+                       10922, 10923, 12388, 12389]) | st.integers(0, 8192),
     classes=st.integers(1, 4),
     bits=st.tuples(st.integers(0, 21), st.integers(0, 21)),
     sparse=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+@example(r=10000, classes=1, bits=(21, 21), sparse=False, seed=1).via("two primes, prefix by transforms")
+@example(r=10923, classes=4, bits=(3, 5), sparse=True, seed=2).via("one prime, prefix by transforms")
+@example(r=4500, classes=3, bits=(10, 12), sparse=False, seed=3).via("prefix by np.convolve")
 def test_truncated_product_sum_matches_convolve(r, classes, bits, sparse, seed):
     rng = np.random.default_rng(seed)
     pairs = []
@@ -300,14 +309,19 @@ def test_truncated_product_sum_matches_convolve(r, classes, bits, sparse, seed):
 
 
 def test_truncated_product_sum_two_primes():
-    # coefficients near 2^54 exceed the first prime: only the CRT step recovers them
-    r = 5000
+    # coefficients near 2^54 exceed the first prime: only the CRT step recovers
+    # them; both lengths wrap, so the prefix is taken again, by np.convolve at
+    # r = 5000 and by transforms at r = 10000
+    from orbitcount.shells import _transform_plan
+
     rng = np.random.default_rng(7)
-    pairs = [(rng.integers(2 ** 20, 2 ** 21, r + 1), rng.integers(2 ** 20, 2 ** 21, r + 1))
-             for _ in range(2)]
-    want = sum(np.convolve(a, b)[: r + 1] for a, b in pairs)
-    assert want.max() > 998244353
-    assert truncated_product_sum(pairs, r).tolist() == want.tolist()
+    for r in (5000, 10000):
+        pairs = [(rng.integers(2 ** 20, 2 ** 21, r + 1), rng.integers(2 ** 20, 2 ** 21, r + 1))
+                 for _ in range(2)]
+        assert _transform_plan(r, 2, 2)[1] <= 2 * r
+        want = sum(np.convolve(a, b)[: r + 1] for a, b in pairs)
+        assert want.max() > 998244353
+        assert truncated_product_sum(pairs, r).tolist() == want.tolist()
 
 
 P1, P2 = 998244353, 469762049
@@ -332,10 +346,57 @@ def test_truncated_product_sum_refuses_past_two_primes():
 
 
 def test_truncated_product_sum_refuses_past_length_limit():
-    # r = 2^22 needs a transform of length 2^24, past the primes' 2^23
+    # r = 2^23 needs a transform of length 2^24 at least, past the primes' 2^23
+    # (every r below it has length 2^23 with its prefix taken again); the
+    # refusal comes before any transform array is allocated
     one = np.ones(1, dtype=np.int64)
-    with pytest.raises(ValueError, match="transform length"):
-        truncated_product_sum([(one, one)], 2 ** 22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="transform length 16777216"):
+            truncated_product_sum([(one, one)], 2 ** 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("r", [10, 3000])
+@pytest.mark.parametrize("factors, why", [
+    (lambda r: ([1] * (r + 2), [1]), "longer than r"),
+    (lambda r: ([1], [1] * (r + 2)), "longer than r"),
+    (lambda r: ([1, 1, 1], [1, -1, 1]), "negative"),
+    (lambda r: ([-1], [1, 1, 1]), "negative"),
+])
+def test_truncated_product_sum_refuses_a_long_or_negative_factor(r, factors, why):
+    # the wrapping transforms are exact only for nonnegative factors of length <= r + 1
+    a, b = (np.array(x, dtype=np.int64) for x in factors(r))
+    one = np.ones(1, dtype=np.int64)
+    with pytest.raises(ValueError, match=why):
+        truncated_product_sum([(one, one), (a, b)], r)
+
+
+@pytest.mark.parametrize("g, r", [
+    (I2, 4000),
+    ([[2, 1], [1, 3]], 3500),
+    ([[1, Fraction(1, 2)], [Fraction(1, 2), 1]], 3000),
+    ([[3, Fraction(-1, 2)], [Fraction(-1, 2), 5]], 40),
+])
+def test_theta_binary_form_is_one_bincount(g, r, monkeypatch):
+    # w is empty in dim 2, so the series is the v-box histogram and no
+    # transform is taken, also past _NTT_CROSSOVER
+    import orbitcount.shells as shells
+
+    def no_transform(*args):
+        raise AssertionError("a binary form took a transform")
+
+    monkeypatch.setattr(shells, "_ntt_forward", no_transform)
+    t = theta_series(g, r)
+    (h11, h12), (_, h22) = ([int(2 * e) for e in row] for row in g)  # 2G
+    b = math.isqrt(2 * r) + 1  # the least eigenvalue of each form is >= 1/2
+    x, y = (c.ravel() for c in np.meshgrid(np.arange(-b, b + 1), np.arange(-b, b + 1)))
+    twice = h11 * x * x + 2 * h12 * x * y + h22 * y * y
+    want = np.bincount(twice[twice <= 2 * r] // 2, minlength=r + 1)
+    assert t.dtype == np.int64 and t.tolist() == want.tolist()
 
 
 @st.composite

@@ -1,0 +1,13 @@
+"""Source-level checks on the package."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orbitcount"
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements; every exactness check must raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.Assert)]
+    assert not found, found
