@@ -9,7 +9,7 @@ square roots and every accepted point passes an exact integer check.
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -97,11 +97,18 @@ def _scaled_integer_gram(gram):
 def _box(bounds):
     """All x in Z^k with |x_i| <= bounds[i] as a lexicographically sorted (#, k)
     int64 array; one empty row when k = 0."""
-    pts = np.zeros((1, 0), dtype=np.int64)
-    for b in bounds:
-        col = np.arange(-b, b + 1, dtype=np.int64)
-        pts = np.column_stack([np.repeat(pts, len(col), axis=0), np.tile(col, len(pts))])
-    return pts
+    return _product([np.arange(-b, b + 1, dtype=np.int64) for b in bounds])
+
+
+def _product(cols):
+    """The rows of the Cartesian product of the 1-D int64 arrays cols, the
+    first column slowest, as a (#, len(cols)) array."""
+    k = len(cols)
+    shape = [len(col) for col in cols]
+    pts = np.empty(shape + [k], dtype=np.int64)
+    for j, col in enumerate(cols):
+        pts[..., j] = col.reshape([-1 if i == j else 1 for i in range(k)])
+    return pts.reshape(math.prod(shape), k)
 
 
 def _bilinear_bound(m, bx, by=None):
@@ -250,9 +257,23 @@ def shifted_shell_2d(a11, a12, a22, b1, b2, c):
     return sorted(set(out))
 
 
-def _check_integer_grid(twice_levels):
-    if np.any(twice_levels % 2):
+def _half_histogram(twice, r):
+    """Histogram over 0..r of twice // 2 for the nonnegative even int64
+    values twice; the values past 2r are dropped."""
+    if np.any(twice & 1):
         raise AssertionError("mass off the integer grid")
+    return np.bincount(twice[twice <= 2 * r] >> 1, minlength=r + 1)
+
+
+def _linear_values(cols, coeffs, const=0):
+    """const + sum_j coeffs[j] * cols[j] for int64 columns and Python-int
+    coefficients, added term by term (a Python int when every coefficient is
+    0); the caller bounds every partial sum below 2^63."""
+    out = const
+    for c, col in zip(coeffs, cols):
+        if c:
+            out = c * col + out
+    return out
 
 
 def theta_series(gram, r):
@@ -268,10 +289,15 @@ def theta_series(gram, r):
 
     T is the sum over the classes c of the convolution of the inner histogram
     (a v-box, shifted by its minimum) with the outer histogram of the w in
-    class c, truncated to 0..r (truncated_product_sum).  Every value is an
-    int64 computed after a Python-int headroom bound.  In dim 2, w is empty:
-    the one outer histogram is the unit mass at 0, so T is the inner
-    histogram itself and no product is taken.
+    class c, truncated to 0..r (truncated_product_sum).  The class of w
+    depends on each w_j only modulo its period P_j = D / gcd(D, column j of
+    adj(A) X), so the w-box splits into the sub-boxes w = w0 + P m of fixed
+    residues, on each of which c is constant and q = q0 + S m is affine in m
+    with the integer slopes S = adj(A) X P / D: no division, sort or hash
+    runs per w.  Every value is an int64 computed after a Python-int
+    headroom bound.  In dim 2, w is empty: the one outer histogram is the
+    unit mass at 0, so T is the inner histogram itself and no product is
+    taken.
     """
     gram = mat(gram)
     _check_positive_definite(gram)
@@ -307,30 +333,38 @@ def theta_series(gram, r):
     vs = _box(bv)
     vav = _quadratic_values(vs, a)
     if n == 2:
-        _check_integer_grid(vav)
-        return np.bincount(vav[vav <= 2 * r] // 2, minlength=r + 1)
-    am = np.array(a, dtype=np.int64)
-    ws = _box(bw)
-    wcw = _quadratic_values(ws, cb)
-    q, cls = np.divmod(ws @ np.array(adj_x, dtype=np.int64).reshape(2, n - 2).T, det_a)
-    key = cls[:, 0] * det_a + cls[:, 1]
+        return _half_histogram(vav, r)
+    periods = [det_a // math.gcd(det_a, adj_x[0][j], adj_x[1][j]) for j in range(n - 2)]
+    slopes = [[row[j] * periods[j] // det_a for j in range(n - 2)] for row in adj_x]
+    classes = {}  # c -> (b_c, inner histogram, its shift lo, outer values of the sub-boxes)
+    for start in product(*(range(min(p, 2 * b + 1)) for p, b in zip(periods, bw))):
+        w0 = [s - b for s, b in zip(start, bw)]
+        m_ranges = [np.arange((b - x) // p + 1, dtype=np.int64) for x, b, p in zip(w0, bw, periods)]
+        ws = _product([x + p * m for x, p, m in zip(w0, periods, m_ranges)])
+        cq = [divmod(sum(e * x for e, x in zip(row, w0)), det_a) for row in adj_x]
+        c = tuple(t for _, t in cq)
+        if c not in classes:
+            ac = [row[0] * c[0] + row[1] * c[1] for row in a]
+            if any(t % det_a for t in ac):
+                raise AssertionError("A c not divisible by det A")
+            b = [t // det_a for t in ac]
+            inner = _linear_values(vs.T, [2 * t for t in b], vav)
+            lo = int(inner.min())
+            classes[c] = b, _half_histogram(inner - lo, r), lo, []
+        b, _, lo, outers = classes[c]
+        # q = q0 + S m for w = w0 + P m; each partial sum is q at a point of
+        # the box or the change of q between two of them, so below 2 bq
+        ms = _product(m_ranges).T
+        q = [_linear_values(ms, row, q0) for row, (q0, _) in zip(slopes, cq)]
+        # q^t (A q + 2 b) = q^t A q + 2 q^t b, bounded by outer_max term by term
+        qaq = sum(qi * (row[0] * q[0] + row[1] * q[1] + 2 * bi) for qi, row, bi in zip(q, a, b))
+        outers.append(_quadratic_values(ws, cb) - qaq + lo)
     pairs = []
-    for k in np.unique(key).tolist():
-        ac = am @ np.array(divmod(k, det_a), dtype=np.int64)
-        if np.any(ac % det_a):
-            raise AssertionError("A c not divisible by det A")
-        b = ac // det_a
-        inner = vav + 2 * (vs @ b)
-        lo = int(inner.min())
-        qk = q[key == k]
-        outer = wcw[key == k] - _quadratic_values(qk, a) - 2 * (qk @ b) + lo
+    for _, hin, _, outers in classes.values():
+        outer = np.concatenate(outers)
         if np.any(outer < 0):
             raise AssertionError("shifted outer value negative")
-        inner -= lo
-        _check_integer_grid(inner)
-        _check_integer_grid(outer)
-        pairs.append((np.bincount(inner[inner <= 2 * r] // 2, minlength=r + 1),
-                      np.bincount(outer[outer <= 2 * r] // 2, minlength=r + 1)))
+        pairs.append((hin, _half_histogram(outer, r)))
     return truncated_product_sum(pairs, r)
 
 
@@ -339,14 +373,15 @@ def theta_series(gram, r):
 # what two primes recover exactly, and the smaller e bounds the length.
 _NTT_PRIMES = (998244353, 469762049)
 _NTT_MAX_LENGTH = 2 ** 23
-# below this r one np.convolve per class is faster than the transforms
-_NTT_CROSSOVER = 3000
-# Relative costs that choose the transform length, measured on a 2-vCPU Intel
-# Xeon (numpy 2.4): one transform of length n costs about
-# (n + _STAGE_COST) * log2(n) units, one np.convolve of two length-m + 1
-# factors about (m + 1)^2 / _CONVOLVE_SPEED units.
-_STAGE_COST = 2000
-_CONVOLVE_SPEED = 8
+# Butterfly stages of half-width below this run on a transposed copy, so that
+# numpy's inner loop runs over the blocks rather than over the h-wide halves.
+_NARROW_WIDTH = 16
+# Relative costs that choose the route, measured on a 2-vCPU Intel Xeon
+# (numpy 2.4): one transform of length n costs about (n + _STAGE_COST) *
+# log2(n) units, one np.convolve of two length-m + 1 factors about
+# (m + 1)^2 / _CONVOLVE_SPEED units.
+_STAGE_COST = 4000
+_CONVOLVE_SPEED = 6
 
 
 @functools.cache
@@ -365,24 +400,60 @@ def _stage_twiddles(p, h, inverse):
     return t
 
 
+def _dif_butterfly(u, v, tw, p_):
+    """u, v <- u + v, (u - v) tw mod p in place.  A sum of two residues is
+    brought back below p by one conditional subtraction (in uint64 u - p
+    wraps past u when u < p, so min(u, u - p) is u mod p); the difference
+    u + p - v < 2p goes into the twiddle product, the one %."""
+    d = u + p_
+    d -= v
+    u += v
+    np.minimum(u, u - p_, out=u)
+    if tw is None:
+        np.minimum(d, d - p_, out=v)
+    else:
+        d *= tw
+        np.remainder(d, p_, out=v)
+
+
+def _dit_butterfly(u, v, tw, p_):
+    """u, v <- u + v tw, u - v tw mod p in place."""
+    t = v
+    if tw is not None:
+        t = v * tw
+        np.remainder(t, p_, out=t)
+    d = u + p_
+    d -= t
+    u += t
+    np.minimum(u, u - p_, out=u)
+    np.minimum(d, d - p_, out=v)
+
+
+def _narrow_stages(a, p, hs, butterfly, inverse):
+    """Run the stages of half-widths hs, all below _NARROW_WIDTH and within
+    blocks of width w = 2 max(hs), on the copy of a laid out as (w, n / w):
+    stage h sees it as (w / 2h, 2, h, n / w), with the twiddles as a column."""
+    p_ = np.uint64(p)
+    rows = a.reshape(-1, 2 * max(hs))
+    t = np.ascontiguousarray(rows.T)
+    for h in hs:
+        blocks = t.reshape(-1, 2, h, t.shape[1])
+        tw = _stage_twiddles(p, h, inverse)[:, None] if h > 1 else None
+        butterfly(blocks[:, 0], blocks[:, 1], tw, p_)
+    rows[:] = t.T
+
+
 def _ntt_forward(a, p):
     """In-place decimation-in-frequency NTT of the uint64 residues a (length
-    n a power of two): natural order in, bit-reversed order out.  A sum of
-    two residues is brought back below p by one conditional subtraction
-    (in uint64 u - p wraps past u when u < p, so min(u, u - p) is u mod p);
-    the difference u + p - v < 2p goes into the twiddle product, the one %."""
+    n a power of two): natural order in, bit-reversed order out."""
     p_ = np.uint64(p)
     h = len(a) // 2
-    while h:
+    while h >= _NARROW_WIDTH:
         blocks = a.reshape(-1, 2, h)
-        u, v = blocks[:, 0], blocks[:, 1]
-        d = u + p_
-        d -= v
-        d *= _stage_twiddles(p, h, False)
-        u += v
-        np.minimum(u, u - p_, out=u)
-        np.remainder(d, p_, out=v)
+        _dif_butterfly(blocks[:, 0], blocks[:, 1], _stage_twiddles(p, h, False), p_)
         h //= 2
+    if h:
+        _narrow_stages(a, p, [h >> k for k in range(h.bit_length())], _dif_butterfly, False)
     return a
 
 
@@ -391,77 +462,101 @@ def _ntt_inverse(a, p):
     bit-reversed order in, natural order out, scaled by 1/n mod p."""
     p_ = np.uint64(p)
     n = len(a)
-    h = 1
+    h = min(n, _NARROW_WIDTH)
+    if h > 1:
+        _narrow_stages(a, p, [1 << k for k in range(h.bit_length() - 1)], _dit_butterfly, True)
     while h < n:
         blocks = a.reshape(-1, 2, h)
-        u, v = blocks[:, 0], blocks[:, 1]
-        v *= _stage_twiddles(p, h, True)
-        v %= p_
-        d = u + p_
-        d -= v
-        u += v
-        np.minimum(u, u - p_, out=u)
-        np.minimum(d, d - p_, out=v)
+        _dit_butterfly(blocks[:, 0], blocks[:, 1], _stage_twiddles(p, h, True), p_)
         h *= 2
     a *= np.uint64(pow(n, -1, p))
     a %= p_
     return a
 
 
-def _transform_plan(r, k, primes):
-    """(estimated cost, length n) of the cheapest route for k products
-    truncated to 0..r under the given number of primes.  With n1 the least
-    power of two above r, a cyclic product of length n1 wraps only the
-    terms of levels n1..2r onto 0..2r - n1, so levels 2r - n1 < j <= r come
-    out exact and the prefix 0..2r - n1 is taken again; length 2 n1 wraps
-    nothing.  Lengths past _NTT_MAX_LENGTH are not candidates.  n = 0 stands
-    for direct convolution (r below _NTT_CROSSOVER)."""
-    if r < _NTT_CROSSOVER:
-        return k * (r + 1) ** 2 // _CONVOLVE_SPEED, 0
+def _transform_plan(r, products, factors, primes):
+    """(estimated cost, length n) of the cheapest route to the sum of
+    `products` products of `factors` distinct factors, truncated to 0..r,
+    under `primes` primes; n = 0 stands for one np.convolve per product.
+    A transform route takes `factors` forward and one inverse transform per
+    prime.  With n1 the least power of two above r, a cyclic product of
+    length n1 wraps only the terms of levels n1..2r onto 0..2r - n1, so
+    levels 2r - n1 < j <= r come out exact and the prefix 0..2r - n1 is
+    taken again, by its own cheapest route; length 2 n1 wraps nothing.
+    Lengths past _NTT_MAX_LENGTH are not candidates."""
+    plans = [(products * (r + 1) ** 2 // _CONVOLVE_SPEED, 0)]
 
     def transforms(n):
-        return primes * (2 * k + 1) * (n + _STAGE_COST) * (n.bit_length() - 1)
+        return primes * (factors + 1) * (n + _STAGE_COST) * (n.bit_length() - 1)
 
     n1 = 1 << r.bit_length()
-    plans = [(transforms(n1) + _transform_plan(2 * r - n1, k, primes)[0], n1)]
-    if 2 * n1 <= _NTT_MAX_LENGTH:
-        plans.append((transforms(2 * n1), 2 * n1))
+    for n in (n1, 2 * n1):
+        if n <= _NTT_MAX_LENGTH:
+            m = 2 * r - n
+            prefix = _transform_plan(m, products, factors, primes)[0] if m >= 0 else 0
+            plans.append((transforms(n) + prefix, n))
     return min(plans)
 
 
-def _convolve_sum(pairs, r):
-    out = np.zeros(r + 1, dtype=np.int64)
-    for a, b in pairs:
-        c = np.convolve(a, b)[: r + 1]
-        out[: len(c)] += c
-    return out
+def _distinct(arrays):
+    """(the distinct arrays by value, the index of each array in them)."""
+    distinct, index, seen = [], [], {}
+    for x in arrays:
+        same = seen.setdefault((len(x), hash(x.tobytes())), [])
+        i = next((i for i in same if np.array_equal(distinct[i], x)), None)
+        if i is None:
+            i = len(distinct)
+            distinct.append(x)
+            same.append(i)
+        index.append(i)
+    return distinct, index
 
 
-def _transform_sum(pairs, r, primes):
-    """Sum of the products of pairs truncated to 0..r, as residues mod each
-    prime of primes at the length _transform_plan picks."""
-    n = _transform_plan(r, len(pairs), len(primes))[1]
+def _product_sum(pairs, r, primes):
+    """Exact sum of the products of pairs truncated to 0..r, by the route
+    _transform_plan picks; every coefficient is below the product of primes."""
+    factors, index = _distinct([x for pair in pairs for x in pair])
+    n = _transform_plan(r, len(pairs), len(factors), len(primes))[1]
     if not n:
-        exact = _convolve_sum(pairs, r)
-        return [exact % p for p in primes]
+        out = np.zeros(r + 1, dtype=np.int64)
+        for a, b in pairs:
+            c = np.convolve(a, b)[: r + 1]
+            out[: len(c)] += c
+        return out
     residues = []
     for p in primes:
-        acc = np.zeros(n, dtype=np.uint64)
-        for a, b in pairs:
-            fa, fb = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
-            fa[: len(a)], fb[: len(b)] = a % p, b % p
-            _ntt_forward(fa, p)
-            _ntt_forward(fb, p)
-            fa *= fb
-            fa %= np.uint64(p)
-            acc += fa
-        acc %= np.uint64(p)
+        p_ = np.uint64(p)
+        # each distinct factor is transformed once and dropped after its last use
+        uses = {i: index.count(i) for i in set(index)}
+        spectra = {}
+        acc = None
+        for i, j in zip(index[::2], index[1::2]):
+            for k in (i, j):
+                if k not in spectra:
+                    f = spectra[k] = np.zeros(n, dtype=np.uint64)
+                    f[: len(factors[k])] = factors[k] % p
+                    _ntt_forward(f, p)
+            prod = spectra[i] * spectra[j]
+            prod %= p_
+            if acc is None:
+                acc = prod
+            else:
+                acc += prod
+                np.minimum(acc, acc - p_, out=acc)
+            for k in (i, j):
+                uses[k] -= 1
+                if not uses[k]:
+                    del spectra[k]
         residues.append(_ntt_inverse(acc, p)[: r + 1].astype(np.int64))
+    out = residues[0]
+    if len(residues) == 2:
+        (p1, p2), (x1, x2) = primes, residues
+        # Garner: x = x1 + p1 t with t = (x2 - x1) / p1 mod p2; x < p1 p2 < 2^59
+        out = x1 + p1 * ((x2 - x1) % p2 * pow(p1, -1, p2) % p2)
     m = 2 * r - n
     if m >= 0:
-        for res, pre in zip(residues, _transform_sum([(a[: m + 1], b[: m + 1]) for a, b in pairs], m, primes)):
-            res[: m + 1] = pre
-    return residues
+        out[: m + 1] = _product_sum([(a[: m + 1], b[: m + 1]) for a, b in pairs], m, primes)
+    return out
 
 
 def truncated_product_sum(pairs, r):
@@ -469,32 +564,30 @@ def truncated_product_sum(pairs, r):
     polynomial product a * b; a, b are nonnegative int64 arrays of length at
     most r + 1, and anything else is refused with ValueError.
 
-    Below r = _NTT_CROSSOVER each product is one np.convolve.  From it on, the
-    products are taken by number-theoretic transforms, summed in the transform
-    domain, with one inverse transform per prime.  The length n is the least
-    power of two above r, with the wrapped prefix 0..2r - n taken again by the
-    same function, or twice that, with no wrap; _transform_plan picks the
-    cheaper.  Every output coefficient is at most B = sum over pairs of
-    sum(a) * max(b), bounded in Python ints first: one prime suffices when
+    Every output coefficient is at most B = sum over pairs of sum(a) * max(b),
+    bounded in Python ints first, on every route: one prime suffices when
     B < p1, two primes combined by Garner's step when B < p1 p2, and a larger
-    B, or r >= _NTT_MAX_LENGTH, is refused before any transform.
+    B, or r >= _NTT_MAX_LENGTH, is refused before any product is taken.
+    _transform_plan then prices one np.convolve per pair against
+    number-theoretic transforms at the least power of two n above r (with
+    the wrapped prefix 0..2r - n taken again by the same choice) or at 2n,
+    with no wrap.  The transforms take each distinct factor once per prime,
+    sum the products in the transform domain and take one inverse
+    transform per prime.
     """
     for a, b in pairs:
+        for x in (a, b):
+            dtype = getattr(x, "dtype", type(x).__name__)
+            if dtype != np.int64:
+                raise ValueError(f"a factor has dtype {dtype}, not int64")
         if max(len(a), len(b)) > r + 1:
             raise ValueError(f"a factor of length {max(len(a), len(b))} is longer than r + 1 = {r + 1}")
         if a.min(initial=0) < 0 or b.min(initial=0) < 0:
             raise ValueError("a factor has a negative entry")
-    if r < _NTT_CROSSOVER:
-        return _convolve_sum(pairs, r)
     if r >= _NTT_MAX_LENGTH:
         raise ValueError(f"transform length {1 << r.bit_length()} exceeds the NTT primes' limit {_NTT_MAX_LENGTH}")
     bound = sum(sum(a.tolist()) * int(b.max(initial=0)) for a, b in pairs)
     p1, p2 = _NTT_PRIMES
     if bound >= p1 * p2:
         raise ValueError(f"a coefficient could reach {bound} >= {p1 * p2}, past two NTT primes")
-    residues = _transform_sum(pairs, r, _NTT_PRIMES[: 1 if bound < p1 else 2])
-    if len(residues) == 1:
-        return residues[0]
-    x1, x2 = residues
-    # Garner: x = x1 + p1 t with t = (x2 - x1) / p1 mod p2; x < p1 p2 < 2^59
-    return x1 + p1 * ((x2 - x1) % p2 * pow(p1, -1, p2) % p2)
+    return _product_sum(pairs, r, _NTT_PRIMES[: 1 if bound < p1 else 2])

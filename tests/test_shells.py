@@ -20,6 +20,7 @@ from orbitcount.shells import (
     theta_series,
     truncated_product_sum,
 )
+from orbitcount.shells import _NTT_PRIMES, _ntt_forward, _ntt_inverse, _transform_plan
 
 I2 = [[1, 0], [0, 1]]
 I4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -277,31 +278,58 @@ def test_shifted_shell_2d_just_under_int64_matches_python_scan():
     assert shifted_shell_2d(1, 0, d, b1, b2, c) == sorted(want) == [(-57690, 1), (33000, 1)]
 
 
-# a coefficient of at most 2^21 * 2^21 * 12390 * 4 < 998244353 * 469762049 keeps
+def _route(r, products, factors, primes):
+    """The lengths _transform_plan picks for r and then for each retaken
+    prefix 0..2r - n, ending in 0 when a prefix is convolved directly."""
+    lengths = []
+    while r >= 0:
+        lengths.append(_transform_plan(r, products, factors, primes)[1])
+        if not lengths[-1]:
+            break
+        r = 2 * r - lengths[-1]
+    return lengths
+
+
+def _route_edges(products, factors, primes, top):
+    """Every r <= top where the route changes, and the r before it."""
+    routes = [_route(r, products, factors, primes) for r in range(top + 1)]
+    return {x for r in range(1, top + 1) if routes[r] != routes[r - 1] for x in (r - 1, r)}
+
+
+# the route edges for one prime and one class, with two distinct factors or
+# one repeated factor
+ROUTE_EDGES = sorted(_route_edges(1, 2, 1, 13000) | _route_edges(1, 1, 1, 13000))
+
+
+# a coefficient of at most 2^21 * 2^21 * 13001 * 4 < 998244353 * 469762049 keeps
 # the int64 np.convolve reference exact and the kernel below its refusal bound.
-# Past 4096 the sampled r include the switch points of the transform length
-# for one prime and one class (4962, 9451, 9692, 12389) and r whose prefix
-# 2r - 16384 is taken again (10000 and up: the prefix passes _NTT_CROSSOVER)
+# The sampled r include every r <= 13000 where the route for one prime and
+# one class changes (direct or transforms, the length, and each retaken
+# prefix's), and the r before it.  `shared` makes every pair (a, a), with the
+# same array or an equal copy, so that each distinct factor is transformed once.
 @settings(max_examples=40, deadline=None)
 @given(
-    r=st.sampled_from([0, 1, 2999, 3000, 3001, 4095, 4096, 8191, 8192,
-                       4961, 4962, 5461, 5462, 9450, 9451, 9691, 9692, 10000,
-                       10922, 10923, 12388, 12389]) | st.integers(0, 8192),
+    r=st.sampled_from([0, 1] + ROUTE_EDGES) | st.integers(0, 8192),
     classes=st.integers(1, 4),
     bits=st.tuples(st.integers(0, 21), st.integers(0, 21)),
     sparse=st.booleans(),
+    shared=st.sampled_from([None, "same", "copy"]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-@example(r=10000, classes=1, bits=(21, 21), sparse=False, seed=1).via("two primes, prefix by transforms")
-@example(r=10923, classes=4, bits=(3, 5), sparse=True, seed=2).via("one prime, prefix by transforms")
-@example(r=4500, classes=3, bits=(10, 12), sparse=False, seed=3).via("prefix by np.convolve")
-def test_truncated_product_sum_matches_convolve(r, classes, bits, sparse, seed):
+@example(r=10000, classes=1, bits=(21, 21), sparse=False, shared=None, seed=1).via("two primes, prefix by transforms")
+@example(r=10000, classes=4, bits=(3, 5), sparse=True, shared=None, seed=2).via("one prime, prefix by transforms")
+@example(r=4500, classes=3, bits=(10, 12), sparse=False, shared=None, seed=3).via("prefix by np.convolve")
+@example(r=8000, classes=1, bits=(7, 7), sparse=False, shared="same", seed=4).via("one factor, squared")
+@example(r=4000, classes=2, bits=(9, 9), sparse=True, shared="copy", seed=5).via("equal copies")
+def test_truncated_product_sum_matches_convolve(r, classes, bits, sparse, shared, seed):
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(classes):
         a, b = (rng.integers(0, 2 ** k, r + 1, endpoint=True) for k in bits)
         if sparse:
             a[rng.random(r + 1) < 0.9] = 0
+        if shared:
+            b = a if shared == "same" else a.copy()
         pairs.append((a, b))
     want = sum(np.convolve(a, b)[: r + 1] for a, b in pairs)
     got = truncated_product_sum(pairs, r)
@@ -311,14 +339,12 @@ def test_truncated_product_sum_matches_convolve(r, classes, bits, sparse, seed):
 def test_truncated_product_sum_two_primes():
     # coefficients near 2^54 exceed the first prime: only the CRT step recovers
     # them; both lengths wrap, so the prefix is taken again, by np.convolve at
-    # r = 5000 and by transforms at r = 10000
-    from orbitcount.shells import _transform_plan
-
+    # r = 4500 and by transforms at r = 10000
     rng = np.random.default_rng(7)
-    for r in (5000, 10000):
+    for r, route in ((4500, [8192, 0]), (10000, [16384, 8192])):
         pairs = [(rng.integers(2 ** 20, 2 ** 21, r + 1), rng.integers(2 ** 20, 2 ** 21, r + 1))
                  for _ in range(2)]
-        assert _transform_plan(r, 2, 2)[1] <= 2 * r
+        assert _route(r, 2, 4, 2) == route
         want = sum(np.convolve(a, b)[: r + 1] for a, b in pairs)
         assert want.max() > 998244353
         assert truncated_product_sum(pairs, r).tolist() == want.tolist()
@@ -375,6 +401,68 @@ def test_truncated_product_sum_refuses_a_long_or_negative_factor(r, factors, why
         truncated_product_sum([(one, one), (a, b)], r)
 
 
+@pytest.mark.parametrize("r", [10, 5000])
+def test_truncated_product_sum_refuses_an_int64_wrap_on_every_route(r):
+    # B = 2^62 * 4 is past two primes and past int64: np.convolve (r = 10)
+    # would wrap to 0 as surely as the transforms (r = 5000) would lose it
+    a, b = np.array([2 ** 62, 0]), np.array([4, 0])
+    with pytest.raises(ValueError, match="past two NTT primes"):
+        truncated_product_sum([(a, b)], r)
+
+
+@pytest.mark.parametrize("r", [10, 5000])
+@pytest.mark.parametrize("x", [
+    np.array([1.5, 1.0]),
+    np.array([1, 1], dtype=np.uint64),
+    np.array([True, True]),
+    np.array([1, 1], dtype=object),
+    [1, 1],
+])
+def test_truncated_product_sum_refuses_a_factor_that_is_not_int64(r, x):
+    # a float would be truncated into the uint64 transform buffer
+    two = np.array([2, 1])
+    for pair in ((x, two), (two, x)):
+        with pytest.raises(ValueError, match="not int64"):
+            truncated_product_sum([pair], r)
+
+
+@pytest.mark.parametrize("p", _NTT_PRIMES)
+@pytest.mark.parametrize("k", range(16))
+def test_ntt_kernel_at_every_length(p, k):
+    # lengths below, at and above _NARROW_WIDTH, whose stages run on a transposed copy
+    n = 1 << k
+    rng = np.random.default_rng(k)
+    for x in (rng.integers(0, p, n).astype(np.uint64), np.full(n, p - 1, dtype=np.uint64)):
+        y = _ntt_forward(x.copy(), p)
+        if n <= 64:
+            # X_j = sum_i x_i w^(ij), w = 3^((p-1)/n), at position bitreverse(j)
+            w = pow(3, (p - 1) // n, p)
+            rev = [int(format(j, f"0{k}b")[::-1], 2) if k else 0 for j in range(n)]
+            assert y.tolist() == [sum(int(c) * pow(w, i * rev[j], p) for i, c in enumerate(x)) % p
+                                  for j in range(n)]
+        assert y.dtype == np.uint64 and int(y.max()) < p
+        assert _ntt_inverse(y, p).tolist() == x.tolist()
+
+
+def test_each_distinct_factor_is_transformed_once(monkeypatch):
+    # lipschitz has one class whose inner and outer histograms are both the
+    # r2 histogram; hurwitz has two classes over three distinct histograms
+    import orbitcount.shells as shells
+
+    calls = []
+    for name in ("_ntt_forward", "_ntt_inverse"):
+        def counted(a, p, f=getattr(shells, name), name=name):
+            calls.append((name, p))
+            return f(a, p)
+        monkeypatch.setattr(shells, name, counted)
+    t = theta_series(norm_gram(order_lipschitz()), 8000)
+    assert t[1:].tolist() == r4_series(8000)
+    assert sorted(calls) == [("_ntt_forward", P1), ("_ntt_inverse", P1)]
+    calls.clear()
+    theta_series(norm_gram(order_hurwitz()), 4000)
+    assert sorted(calls) == [("_ntt_forward", P1)] * 3 + [("_ntt_inverse", P1)]
+
+
 @pytest.mark.parametrize("g, r", [
     (I2, 4000),
     ([[2, 1], [1, 3]], 3500),
@@ -383,7 +471,7 @@ def test_truncated_product_sum_refuses_a_long_or_negative_factor(r, factors, why
 ])
 def test_theta_binary_form_is_one_bincount(g, r, monkeypatch):
     # w is empty in dim 2, so the series is the v-box histogram and no
-    # transform is taken, also past _NTT_CROSSOVER
+    # transform is taken, also at sizes where a product would take transforms
     import orbitcount.shells as shells
 
     def no_transform(*args):
