@@ -6,13 +6,15 @@ that basis.  Norms, inverses and conjugation are all computed exactly.
 """
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import det, frac, frac_str, inverse, mat, mat_mul, mat_vec, scalar, solve, vec, vec_mat
+from .exact import (
+    _eliminate, clear_denominators, det, frac, frac_str, inverse, mat, mat_mul, mat_vec, scalar,
+    solve, transpose, vec, vec_mat,
+)
 
 NUMBER_FIELD = "number-field"
 QUATERNION = "quaternion"
@@ -119,9 +121,7 @@ def _associator_triples(table):
     loop order: one einsum each side over the structure constants times the
     lcm L of their denominators, in int64 when n * max|L c|^2 < 2^63."""
     n = len(table)
-    consts = [c for row in table for cell in row for c in cell]
-    den = math.lcm(*(c.denominator for c in consts))
-    scaled = [int(c * den) for c in consts]
+    scaled, _ = clear_denominators([c for row in table for cell in row for c in cell])
     big = n * max(map(abs, scaled), default=0) ** 2 >= 2 ** 63
     c = np.array(scaled, dtype=object if big else np.int64).reshape(n, n, n)
     lhs = np.einsum("ijm,mkl->ijkl", c, c)
@@ -160,9 +160,8 @@ def alg_mul(a, b, spec):
 
 def left_mul_matrix(a, spec):
     """Matrix of x -> a*x in the distinguished basis (columns are a*e_j)."""
-    n = spec.dim
-    cols = [alg_mul(a, spec.basis_element(j), spec).coords for j in range(n)]
-    return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
+    cols = [alg_mul(a, spec.basis_element(j), spec).coords for j in range(spec.dim)]
+    return transpose(cols)
 
 
 def alg_conj(a, spec):
@@ -196,51 +195,16 @@ def alg_inverse(a, spec):
 
 def minimal_polynomial(a, spec):
     """Monic minimal polynomial of a over Q, as a list of Fractions
-    [c_0, ..., c_{d-1}, 1] with sum c_k a^k = 0."""
-    n = spec.dim
-    powers = [spec.one().coords]
-    cur = spec.one()
-    for _ in range(n):
-        cur = alg_mul(cur, a, spec)
-        powers.append(cur.coords)
-    for d in range(1, n + 1):
-        # is a^d a combination of 1, a, ..., a^{d-1}?
-        cols = powers[:d]
-        target = powers[d]
-        sol = _solve_rectangular(cols, target)
-        if sol is not None:
-            coeffs = [scalar(-c) for c in sol] + [1]
-            return coeffs
-    raise AssertionError("minimal polynomial not found below algebra dimension")
+    [c_0, ..., c_{d-1}, 1] with sum c_k a^k = 0.
 
-
-def _solve_rectangular(cols, target):
-    # least-structure exact solve: find x with sum x_i cols[i] = target, or None
-    n = len(target)
-    d = len(cols)
-    m = [[Fraction(cols[j][i]) for j in range(d)] + [Fraction(target[i])] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(d):
-        piv = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        p = m[row][col]
-        for r in range(n):
-            if r != row and m[r][col]:
-                f = m[r][col] / p
-                for c in range(col, d + 1):
-                    m[r][c] -= f * m[row][c]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n):
-        if m[r][d] != 0:
-            return None
-    x = [Fraction(0)] * d
-    for r, c in pivots:
-        x[c] = m[r][d] / m[r][c]
-    return x
+    One reduction of the coordinate columns of 1, a, ..., a^n: the first
+    column d without a pivot holds a^d in terms of the lower powers."""
+    powers = [spec.one()]
+    for _ in range(spec.dim):
+        powers.append(alg_mul(powers[-1], a, spec))
+    red, pivots, p, _ = _eliminate(list(zip(*powers)), spec.dim + 1)
+    d = len(pivots)
+    return [scalar(Fraction(-row[d], p)) for row in red[:d]] + [1]
 
 
 def change_of_basis(spec, basis_rows, kind=None):
@@ -261,9 +225,7 @@ def change_of_basis(spec, basis_rows, kind=None):
     inv_mat = None
     if spec.involution is not None:
         # conj acts on new coordinate columns as (T^t)^-1 C T^t
-        tt = tuple(zip(*t))
-        ttinv = inverse(tt)
-        inv_mat = mat(mat_mul(ttinv, mat_mul(spec.involution, tt)))
+        inv_mat = mat(mat_mul(transpose(tinv), mat_mul(spec.involution, transpose(t))))
     return AlgebraSpec(
         dim=n, table=tuple(table), unity=unity_new, kind=kind or spec.kind, involution=inv_mat
     )

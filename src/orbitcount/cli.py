@@ -98,9 +98,11 @@ def scenario_from_config(doc):
                                     unit_rank=int(doc["unit_rank"]))
         except KeyError as e:
             raise ValueError(f"config has no {e.args[0]!r} key") from None
+    if not isinstance(doc["absolute_norm"], bool):
+        raise ValueError(f"config absolute_norm {doc['absolute_norm']!r} is not true or false")
     return ScenarioSpec(
         family=fam, payload=payload, k_max=int(doc["r_max"]),
-        use_absolute_norm=bool(doc["absolute_norm"]), label=label, invariants=inv,
+        use_absolute_norm=doc["absolute_norm"], label=label, invariants=inv,
     )
 
 

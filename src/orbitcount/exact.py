@@ -6,16 +6,19 @@ seed an integer guess that is then corrected by exact comparisons.
 """
 
 import math
+import numbers
 from fractions import Fraction
 
 
 def frac(x):
-    """Parse a rational from an int, Fraction or a 'p/q' string."""
-    if isinstance(x, (int, Fraction)):
+    """Parse a rational from an int, Fraction or a 'p/q' string; a float, a
+    zero denominator or anything else is a ValueError."""
+    if not isinstance(x, (numbers.Rational, str)):
+        raise ValueError(f"not a rational: {x!r}")
+    try:
         return scalar(Fraction(x))
-    if isinstance(x, str):
-        return scalar(Fraction(x.strip()))
-    raise TypeError(f"not a rational: {x!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {x!r}") from None
 
 
 def frac_str(x):
@@ -32,7 +35,7 @@ def scalar(x):
 
 
 def vec(xs):
-    return tuple(scalar(Fraction(x)) for x in xs)
+    return tuple(frac(x) for x in xs)
 
 
 def mat(rows):
@@ -63,64 +66,71 @@ def transpose(a):
     return tuple(zip(*a))
 
 
+def _eliminate(rows, width):
+    """Fraction-free Gauss-Jordan (Bareiss) on the first width columns of the
+    rational rows, each first scaled to integers: returns (a, pivots, d, den)
+    with a = d * (reduced row echelon form of the scaled rows) and d the last
+    pivot.  A pivot step divides by the previous pivot, exactly (Sylvester's
+    identity).  den is the product of the row scales, negated per row swap, so
+    d / den is the determinant of the leading block when every row pivots."""
+    a, den = [], 1
+    for row in rows:
+        ints, e = clear_denominators(row)
+        a.append(ints)
+        den *= e
+    pivots, prev = [], 1
+    for c in range(width):
+        k = len(pivots)
+        p = next((i for i in range(k, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            den = -den
+        rk, piv = a[k], a[k][c]
+        for i, ri in enumerate(a):
+            if i != k:
+                f = ri[c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(ri, rk)]
+        pivots.append(c)
+        prev = piv
+    return a, pivots, prev, den
+
+
 def det(m):
-    """Exact determinant by fraction-free style Gaussian elimination."""
-    n = len(m)
-    a = [list(map(Fraction, row)) for row in m]
-    sign = 1
-    acc = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        p = a[col][col]
-        acc *= p
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return scalar(sign * acc)
+    """Exact determinant of a square matrix."""
+    _, pivots, d, den = _eliminate(m, len(m))
+    return scalar(Fraction(d, den)) if len(pivots) == len(m) else 0
+
+
+def rank(m):
+    """Rank of a rational matrix."""
+    return len(_eliminate(m, len(m[0]) if m else 0)[1])
 
 
 def solve(a, b):
     """Solve a x = b exactly; returns None when a is singular."""
     n = len(a)
-    m = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col] / p
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return tuple(scalar(m[i][n] / m[i][i]) for i in range(n))
+    red, pivots, d, _ = _eliminate([list(row) + [b[i]] for i, row in enumerate(a)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(scalar(Fraction(row[n], d)) for row in red)
 
 
 def inverse(a):
+    """Exact inverse, one reduction of [a | I]; ZeroDivisionError when singular."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        x = solve(a, e)
-        if x is None:
-            raise ZeroDivisionError("singular matrix")
-        cols.append(x)
-    return tuple(zip(*cols))
+    red, pivots, d, _ = _eliminate([list(row) + list(e) for row, e in zip(a, identity(n))], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(scalar(Fraction(x, d)) for x in row[n:]) for row in red)
 
 
 def ldl(gram):
     """Decompose a symmetric matrix as U^T D U with U unit upper triangular.
 
-    Returns (d, u) with d the list of pivots.  Raises ValueError on a zero
-    pivot (the decomposition is used for definite forms only).
+    Returns (d, u) with d the list of pivots, the ratios of consecutive
+    leading principal minors.  Raises ValueError on a zero pivot.
     """
     n = len(gram)
     a = [list(map(Fraction, row)) for row in gram]
@@ -143,13 +153,16 @@ def ldl(gram):
 def definiteness(gram):
     """+1 / -1 when the symmetric matrix is positive / negative definite, else 0.
 
-    Decided exactly via leading principal minors.
+    Decided exactly by the signs of the LDL pivots, the ratios of consecutive
+    leading principal minors; a zero pivot means a zero minor.
     """
-    n = len(gram)
-    minors = [det([row[: k + 1] for row in gram[: k + 1]]) for k in range(n)]
-    if all(m > 0 for m in minors):
+    try:
+        d, _ = ldl(gram)
+    except ValueError:
+        return 0
+    if all(x > 0 for x in d):
         return 1
-    if all((m > 0 if k % 2 else m < 0) for k, m in enumerate(minors)):
+    if all(x < 0 for x in d):
         return -1
     return 0
 
@@ -214,19 +227,14 @@ def isqrt_frac_floor(f):
 
 
 def gcd_vector(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return g
+    return math.gcd(*v)
 
 
 def clear_denominators(xs):
     """Return (integer tuple, e) with e > 0 minimal such that e*xs is integral."""
-    fr = [Fraction(x) for x in xs]
-    e = 1
-    for f in fr:
-        e = e * f.denominator // math.gcd(e, f.denominator)
-    return tuple(int(f * e) for f in fr), e
+    fr = [x if isinstance(x, int) else Fraction(x) for x in xs]
+    e = math.lcm(1, *(f.denominator for f in fr))
+    return tuple(f.numerator * (e // f.denominator) for f in fr), e
 
 
 def primitive_integer_row(xs):
@@ -258,7 +266,7 @@ def unimodular_completion(row):
         a[0], a[i] = g, 0
     if a[0] < 0:  # a = (-g, 0, ..., 0) never reaches _xgcd
         ucols[0] = [-v for v in ucols[0]]
-    return tuple(tuple(ucols[j][i] for j in range(n)) for i in range(n))
+    return transpose(ucols)
 
 
 def _xgcd(a, b):

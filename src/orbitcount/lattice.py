@@ -10,17 +10,18 @@ used by the bulk series driver and cross-checked against the fiber route.
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .algebra import AlgebraElement, element
 from .exact import (
     clear_denominators,
-    det,
     gcd_vector,
     invariant_factors,
+    rank,
     scalar,
+    solve,
 )
 from .orders import fundamental_unit, unit_domain_points
 from .shells import _check_int64, definite_shell, shifted_shell_2d
@@ -64,8 +65,6 @@ def _shifted_shell_generic(a, b, c):
     # exact backtracking fallback for fibers of dimension != 2: complete the
     # square, (t + A^-1 b)^t A (t + A^-1 b) = b^t A^-1 b - c
     nb = len(a)
-    from .exact import solve
-
     shift = solve(a, b)
     m = scalar(
         sum(a[i][j] * shift[i] * shift[j] for i in range(nb) for j in range(nb)) - Fraction(c)
@@ -135,11 +134,7 @@ def conic_parametrization(section):
 
 
 def _independent(rows):
-    # full row rank: some maximal minor is nonzero
-    return any(
-        det([[row[j] for j in cols] for row in rows]) != 0
-        for cols in combinations(range(len(rows[0])), len(rows))
-    )
+    return rank(rows) == len(rows)
 
 
 def _binary_form_sign(f):

@@ -2,22 +2,24 @@
 rational linear form ell, a base point on the cone, and the level scaling.
 
 Supported sections have q restricted to ker(ell) definite over R (checked
-exactly via principal minors on a kernel basis); levels ell(x) for integral x
-lie in (1/e)Z with e read off the denominators of ell.
+exactly by the signs of the LDL pivots on a kernel basis); levels ell(x) for
+integral x lie in (1/e)Z with e read off the denominators of ell.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .exact import (
+    clear_denominators,
     definiteness,
     det,
     gcd_vector,
     mat,
     primitive_integer_row,
     scalar,
+    transpose,
     unimodular_completion,
     vec,
 )
@@ -55,8 +57,14 @@ class QuadricSectionSpec:
                     raise ValueError("gram matrix not symmetric")
         if det(g) == 0:
             raise ValueError("quadratic form is degenerate")
+        if len(self.ell) != n:
+            raise ValueError(f"linear form has {len(self.ell)} coefficients, not {n}")
         if all(c == 0 for c in self.ell):
             raise ValueError("linear form is zero")
+        if len(self.base_point) != n:
+            raise ValueError(f"base point has {len(self.base_point)} coordinates, not {n}")
+        if not all(isinstance(c, int) for c in self.base_point):
+            raise ValueError(f"base point {self.base_point} is not integral")
         if self.q_value(self.base_point) != 0:
             raise ValueError("base point is not on the cone")
         if self.ell_value(self.base_point) <= 0:
@@ -83,12 +91,9 @@ class QuadricSectionSpec:
     def fiber_frame(self):
         """FiberFrame of this section, built once."""
         ell_int, s = primitive_integer_row(self.ell)
-        u = unimodular_completion(ell_int)
-        n = self.dim
-        u0 = tuple(u[i][0] for i in range(n))
-        cols = [tuple(u[i][j] for i in range(n)) for j in range(1, n)]
+        u0, *cols = transpose(unimodular_completion(ell_int))
         return FiberFrame(
-            scale=s, u0=u0, basis=tuple(zip(*cols)),
+            scale=s, u0=u0, basis=transpose(cols),
             gram=tuple(tuple(self.bilinear(ci, cj) for cj in cols) for ci in cols),
             cross=tuple(self.bilinear(ci, u0) for ci in cols),
             q0=self.q_value(u0),
@@ -104,44 +109,24 @@ def quadric_section(gram_rows, ell_row, base_point=None, search_bound=6):
     g = mat(gram_rows)
     ell = vec(ell_row)
     n = len(g)
-    e = 1
-    for c in ell:
-        f = Fraction(c)
-        e = e * f.denominator // math.gcd(e, f.denominator)
+    _, e = clear_denominators(ell)
     if base_point is None:
         base_point = _search_base_point(g, ell, n, search_bound)
         if base_point is None:
             raise ValueError(f"no primitive cone point with positive level in box {search_bound}")
     spec = QuadricSectionSpec(gram=g, ell=ell, base_point=vec(base_point), scale_e=e)
-    w_gram = restricted_gram(spec)
-    if definiteness(w_gram) == 0:
+    if definiteness(spec.fiber_frame.gram) == 0:
         raise ValueError("q restricted to ker(ell) is not definite over R (unsupported)")
     return spec
 
 
 def _search_base_point(g, ell, n, bound):
-    def qv(x):
-        return sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-
-    def lv(x):
-        return sum(l * c for l, c in zip(ell, x))
-
-    best = None
-    from itertools import product
-
+    # the primitive cone points of positive level in the box; the least level
+    # wins, then the lexicographically least point
+    found = []
     for x in product(range(-bound, bound + 1), repeat=n):
-        if all(c == 0 for c in x) or gcd_vector(x) != 1:
-            continue
-        if qv(x) == 0 and lv(x) > 0:
-            if best is None or lv(x) < lv(best) or (lv(x) == lv(best) and x < best):
-                best = x
-    return best
-
-
-def restricted_gram(section):
-    """Gram matrix of q restricted to ker(ell), on the integral kernel basis."""
-    return section.fiber_frame.gram
-
-
-def restricted_definiteness(section):
-    return definiteness(restricted_gram(section))
+        level = sum(l * c for l, c in zip(ell, x))
+        if level > 0 and gcd_vector(x) == 1:
+            if sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) == 0:
+                found.append((level, x))
+    return min(found)[1] if found else None

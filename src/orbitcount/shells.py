@@ -13,19 +13,24 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .exact import definiteness, inverse, isqrt_frac_floor, ldl, mat, scalar
+from .exact import inverse, isqrt_frac_floor, ldl, mat, scalar
 
 
 def _check_positive_definite(gram):
     """Refuse a Gram matrix that is not square, not symmetric or not
-    positive definite."""
+    positive definite; returns its ldl(gram), whose pivots decide."""
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise ValueError("gram matrix has wrong shape")
     if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
         raise ValueError("gram matrix is not symmetric")
-    if definiteness(gram) != 1:
-        raise ValueError("form is not positive definite (exact minor check)")
+    try:
+        d, u = ldl(gram)
+    except ValueError:
+        d = [0]
+    if any(x <= 0 for x in d):
+        raise ValueError("form is not positive definite (exact LDL pivots)")
+    return d, u
 
 
 def is_integer_valued(gram):
@@ -39,13 +44,12 @@ def definite_shell(gram, m, shift=None):
     Exact recursive backtracking; G must be positive definite, m >= 0 rational.
     """
     gram = mat(gram)
-    _check_positive_definite(gram)
+    d, u = _check_positive_definite(gram)
     m = scalar(Fraction(m))
     if m < 0:
         raise ValueError("negative shell level")
     n = len(gram)
     s = tuple(scalar(Fraction(c)) for c in (shift or (0,) * n))
-    d, u = ldl(gram)
     out = []
     x = [0] * n
 
@@ -301,13 +305,13 @@ def theta_series(gram, r):
     """
     gram = mat(gram)
     _check_positive_definite(gram)
-    if not is_integer_valued(gram):
+    s, g2 = _scaled_integer_gram(gram)  # x^t g2 x = 2 s Q(x)
+    if s != 1:
         raise ValueError("theta_series requires an integer-valued form")
     n = len(gram)
     if n not in (2, 3, 4):
         raise ValueError("theta_series supports dim 2..4")
     r = int(r)
-    _, g2 = _scaled_integer_gram(gram)  # x^t g2 x = 2 Q(x)
     a = [row[:2] for row in g2[:2]]
     xb = [row[2:] for row in g2[:2]]
     cb = [row[2:] for row in g2[2:]]

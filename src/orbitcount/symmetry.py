@@ -11,9 +11,11 @@ is finite and is computed completely by column backtracking.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import det, mat_vec, scalar
+from .exact import (
+    definiteness, det, identity, inverse, mat_mul, mat_vec, scalar, transpose, vec_mat,
+)
 from .lattice import fiber_section_points
-from .sections import QuadricSectionSpec, restricted_definiteness
+from .sections import QuadricSectionSpec
 
 COLUMN_CANDIDATE_CAP = 10 ** 6
 
@@ -66,7 +68,7 @@ def integral_symmetries(section):
     all pairwise products of the quadratic form and of the linear form, then
     the determinant-one (identity component) filter.
     """
-    if restricted_definiteness(section) == 0:
+    if definiteness(section.fiber_frame.gram) == 0:
         raise ValueError("q|ker(ell) must be definite")
     n = section.dim
     cand = [_column_candidates(section, j) for j in range(n)]
@@ -101,21 +103,12 @@ def _check_group_axioms(group):
     if group.order == 0:
         raise AssertionError("symmetry backtracking found nothing, not even the identity")
     elems = set(group.elements)
-    n = len(group.elements[0])
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    if ident not in elems:
+    if identity(len(group.elements[0])) not in elems:
         raise AssertionError("identity missing from symmetry group")
     for a in group.elements:
         for b in group.elements:
-            if _mat_mul_int(a, b) not in elems:
+            if mat_mul(a, b) not in elems:
                 raise AssertionError("symmetry group not closed under product")
-
-
-def _mat_mul_int(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
 
 
 def apply_matrix(g, x):
@@ -159,8 +152,6 @@ def weighted_count(report):
 def transformed_section(section, u):
     """The section seen through the coordinate change x = U x': gram becomes
     U^t G U, the linear form ell U, the base point U^-1 v0."""
-    from .exact import inverse, mat_mul, transpose, vec_mat
-
     g = section.gram
     ut = transpose(u)
     new_gram = mat_mul(ut, mat_mul(g, u))

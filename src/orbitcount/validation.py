@@ -1,7 +1,7 @@
 """Scenario validation: the hypotheses that make exact counting meaningful.
 
-Checks are exact where possible (associativity, definiteness via minors,
-the unit rank by Dirichlet from a Sturm signature) and
+Checks are exact where possible (associativity, definiteness from the signs
+of the LDL pivots, the unit rank by Dirichlet from a Sturm signature) and
 probabilistic-but-deterministic where not (random division probes whose
 values come from the seeded bytes of random.Random(seed).randbytes, mod-p
 irreducibility with pass/undetermined/fail outcomes).
@@ -13,10 +13,9 @@ from fractions import Fraction
 
 from .algebra import element, minimal_polynomial
 from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, assert_division_order
-from .exact import det
+from .exact import definiteness, det
 from .numtheory import irreducible_mod_p, signature, small_primes
 from .orders import RANK_2_REFUSAL, norm_gram, real_quadratic_d
-from .sections import restricted_definiteness
 
 PASS, FAIL, UNDETERMINED = "pass", "fail", "undetermined"
 
@@ -52,6 +51,7 @@ def validate_scenario(scenario, seed=0xC0FFEE):
             checks.append(_check_unit_rank_support(payload, field_minpoly))
         else:
             checks.append(_check_division(payload, seed))
+            checks.append(_check_unit_rank_support(payload, None))
     else:
         checks.extend(_check_quadric(payload))
     return ValidationReport(checks=[c for c in checks if c is not None])
@@ -138,8 +138,8 @@ def _discriminant(coeffs):
 
 def _check_unit_rank_support(order, field_minpoly):
     """The configured unit rank must be Dirichlet's r1 + r2 - 1 of the field
-    field_minpoly defines (None when irreducibility failed), and the exact
-    counter must have unit machinery for it."""
+    field_minpoly defines (None when irreducibility failed or the algebra is
+    not a field), and the exact counter must have unit machinery for it."""
     name = "exact-mode support for the unit group"
     if field_minpoly is not None:
         r1, r2 = signature(field_minpoly)
@@ -147,8 +147,6 @@ def _check_unit_rank_support(order, field_minpoly):
             return Check(name, FAIL, f"config unit_rank {order.unit_rank} disagrees with "
                                      f"r1 + r2 - 1 = {r1 + r2 - 1} (signature ({r1}, {r2}))")
     if order.unit_rank == 0:
-        from .exact import definiteness
-
         if order.norm_degree == 2 and definiteness(norm_gram(order)) == 1:
             return Check(name, PASS, "definite norm form, finite unit group")
         return Check(name, FAIL, "unit rank 0 but norm form not definite")
@@ -179,7 +177,7 @@ def _check_quadric(section):
         Check("base point on the cone with positive level", PASS if ok else FAIL,
               f"q(v0) = {q0}, ell(v0) = {l0}")
     )
-    sgn = restricted_definiteness(section)
+    sgn = definiteness(section.fiber_frame.gram)
     checks.append(
         Check(
             "q restricted to ker(ell) definite over R (exact minors)",

@@ -24,6 +24,7 @@ from orbitcount.cli import (
     series_from_csv,
     series_to_csv,
 )
+from orbitcount.algebra import quaternion_algebra
 from orbitcount.counting import FAMILY_QUADRIC, CountSeries, ScenarioSpec, run_scenario
 from orbitcount.lattice import cone_section_points
 from orbitcount.sections import quadric_section
@@ -202,10 +203,37 @@ def test_config_mode_is_exact_or_refused(tmp_path, capsys):
     assert read(out1 / "zsqrt2-counts.csv") == read(out2 / "zsqrt2-counts.csv")
 
 
+def _model_quadric_doc(**keys):
+    """A config of the model quadric xz - y^2, ell = x + z, with keys replaced."""
+    return {"family": "quadric", "gram": [[0, 0, "1/2"], [0, -1, 0], ["1/2", 0, 0]],
+            "ell": [1, 0, 1], "base_point": [0, 0, 1], **keys}
+
+
+def _quaternion_doc(a, b, changes=None):
+    """An algebra-norm config of the order Z<1, i, j, ij> in (a, b / Q), with
+    the structure constants at the given (i, j, k) replaced."""
+    doc = json.loads(quaternion_algebra(a, b).to_json())
+    for (i, j, k), c in (changes or {}).items():
+        doc["structure_constants"][i][j][k] = c
+    return {"family": "algebra-norm", "algebra": doc, "norm_degree": 2, "unit_rank": 0}
+
+
 @pytest.mark.parametrize("doc, message", [
     pytest.param([1, 2], "is not a JSON object", id="list"),
     pytest.param({"family": "normform"}, "config has no 'algebra' key", id="no-algebra"),
     pytest.param({"family": "quadric", "gram": [[1, 0], [0, -1]]}, "config has no 'ell' key", id="no-ell"),
+    pytest.param(_model_quadric_doc(gram=[[0, 0, "1/0"], [0, -1, 0], ["1/2", 0, 0]]),
+                 "zero denominator: '1/0'", id="zero-denominator"),
+    pytest.param(_model_quadric_doc(gram=[[0, 0, 0.5], [0, -1, 0], [0.5, 0, 0]]),
+                 "not a rational: 0.5", id="float-in-gram"),
+    pytest.param(_model_quadric_doc(ell=[1, 0, 1.0]), "not a rational: 1.0", id="float-in-ell"),
+    pytest.param(_quaternion_doc(-1, -1, {(1, 1, 0): 0.5}), "not a rational: 0.5", id="float-in-table"),
+    pytest.param(_model_quadric_doc(base_point=[0, 0]), "base point has 2 coordinates", id="short-base-point"),
+    pytest.param(_model_quadric_doc(ell=[1, 0, 1, 5]), "linear form has 4 coefficients", id="long-ell"),
+    pytest.param(_model_quadric_doc(base_point=[0, 0, 0.5]), "not a rational: 0.5", id="float-base-point"),
+    pytest.param(_model_quadric_doc(base_point=[0, "0", "1/2"]), "is not integral", id="rational-base-point"),
+    pytest.param({"preset": "zsqrt2", "absolute_norm": "false"}, "absolute_norm 'false' is not true or false",
+                 id="string-absolute-norm"),
 ])
 def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
@@ -213,6 +241,19 @@ def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, doc, mes
     assert run(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_validate_refuses_an_indefinite_quaternion_order(tmp_path, capsys):
+    # (-1, 3) is a division algebra, but its norm form is indefinite: the
+    # count would refuse it, so validation fails on the unit group support
+    cfg = tmp_path / "indefinite.json"
+    cfg.write_text(json.dumps(_quaternion_doc(-1, 3)))
+    assert run(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "PASS         payload is a division order" in out
+    assert ("FAIL         exact-mode support for the unit group -- "
+            "unit rank 0 but norm form not definite\n") in out
+    assert run(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
 def test_fit_report_fields(tmp_path, capsys):
