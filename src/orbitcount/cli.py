@@ -29,7 +29,7 @@ from .counting import (
 from .exact import frac
 from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_correction
 from .numtheory import pell, signature
-from .oracles import hurwitz_shell_series, ideal_count_series, r4_series, two_squares_primitive_series
+from .oracles import hurwitz_sigma_series, ideal_count_series, r4_series, two_squares_primitive_series
 from .orders import OrderSpec, finite_units, real_quadratic_d, trace_form_discriminant
 from .presets import PRESET_NAMES, preset_parts
 from .sections import quadric_section
@@ -94,16 +94,25 @@ def scenario_from_config(doc):
                 payload = quadric_section(gram, ell, base_point=tuple(base) if base else None)
             else:
                 spec = AlgebraSpec.from_json(json.dumps(doc["algebra"]))
-                payload = OrderSpec(algebra=spec, norm_degree=int(doc["norm_degree"]),
-                                    unit_rank=int(doc["unit_rank"]))
+                payload = OrderSpec(algebra=spec, norm_degree=_config_int(doc, "norm_degree"),
+                                    unit_rank=_config_int(doc, "unit_rank"))
         except KeyError as e:
             raise ValueError(f"config has no {e.args[0]!r} key") from None
     if not isinstance(doc["absolute_norm"], bool):
         raise ValueError(f"config absolute_norm {doc['absolute_norm']!r} is not true or false")
     return ScenarioSpec(
-        family=fam, payload=payload, k_max=int(doc["r_max"]),
+        family=fam, payload=payload, k_max=_config_int(doc, "r_max"),
         use_absolute_norm=doc["absolute_norm"], label=label, invariants=inv,
     )
+
+
+def _config_int(doc, key):
+    """doc[key], refused unless it is a JSON integer (not a float, a string
+    or a boolean)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config {key} {value!r} is not an integer")
+    return value
 
 
 CSV_CHUNK = 4096  # rows per writer chunk; bounds the ASCII kernel's temporaries
@@ -219,11 +228,10 @@ def _load(args):
 
 
 def cmd_validate(args):
-    return _print_validation(_load(args)[1])
+    return _print_validation(validate_scenario(_load(args)[1]))
 
 
-def _print_validation(scenario):
-    report = validate_scenario(scenario)
+def _print_validation(report):
     for line in report.lines():
         print(line)
     if not report.ok():
@@ -240,13 +248,14 @@ def cmd_count(args):
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    _count_validated(args, doc, scenario)
+    _count_validated(args, doc, scenario, report.form)
     return EXIT_OK
 
 
-def _count_validated(args, doc, scenario):
-    """The counted series; writes counts.csv."""
-    series = run_scenario(scenario)
+def _count_validated(args, doc, scenario, form):
+    """The counted series, on the norm form's set-up that validation derived
+    (report.form); writes counts.csv."""
+    series = run_scenario(scenario, form)
     chash = config_hash(doc)
     out_path = _out_path(args, doc, "counts.csv")
     with open(out_path, "w") as fh:
@@ -260,18 +269,19 @@ def cmd_fit(args):
     return _fit(args, doc, scenario, _read_series(args.series, scenario))
 
 
-def _fit(args, doc, scenario, series):
+def _fit(args, doc, scenario, series, form=None):
     lam_expected = expected_lambda(scenario)
     column = "weighted" if scenario.family == FAMILY_QUADRIC else "all"
     free = fit_power(series, which=column)
-    fixed = fit_power(series, fixed_lambda=float(lam_expected), which=column)
+    # the fixed fit reads the free fit's sample radii and cumulative counts
+    fixed = fit_power(series, fixed_lambda=float(lam_expected), sampled=free.sampled)
     report = fixed if args.fixed_lambda else free
     report.expected_lambda = lam_expected
     report.extras["lambda_hat_free"] = free.lambda_hat
     report.extras["c_hat_fixed_lambda"] = fixed.c_hat
     report.extras["config_hash"] = series.meta["config_hash"]
     report.extras["fitted_column"] = column
-    _attach_predictions(report, scenario, args)
+    _attach_predictions(report, scenario, args, form)
     text = report.to_json()
     out_path = _out_path(args, doc, "fit.json")
     with open(out_path, "w") as fh:
@@ -280,7 +290,9 @@ def _fit(args, doc, scenario, series):
     return EXIT_OK
 
 
-def _attach_predictions(report, scenario, args):
+def _attach_predictions(report, scenario, args, form=None):
+    """Attach the predicted constant and the zeta factor; form is the norm
+    form's PositiveForm when the command's validation derived it."""
     minpoly = scenario.invariants.get("minpoly")
     if (scenario.family == FAMILY_NORMFORM and scenario.invariants.get("class_number") == 1
             and minpoly):
@@ -296,7 +308,7 @@ def _attach_predictions(report, scenario, args):
             reg = math.log(x + y * math.sqrt(d))
         else:
             reg = 1.0
-        omega = 2 if order.unit_rank == 1 else len(finite_units(order).torsion)
+        omega = 2 if order.unit_rank == 1 else len(finite_units(order, gram=form).torsion)
         report.predicted_c = predicted_constant_ideal(
             r1, r2, reg, scenario.invariants["class_number"], omega, int(disc),
             degree=order.algebra.dim,
@@ -362,7 +374,7 @@ def _oracle_columns(scenario, series, r, group_order=None):
         return eight_s, r4_series(r), "8 * orbit counts vs Jacobi r4"
     if kind == "hurwitz-shell":
         tw = _at_levels(series, series.n_all, r, 24)
-        return tw, hurwitz_shell_series(r), "24 * orbit counts vs direct half-integer shell enumeration"
+        return tw, hurwitz_sigma_series(r), "24 * orbit counts vs Hurwitz 24 * sigma_odd"
     return None, None, ""
 
 
@@ -384,12 +396,13 @@ def _at_levels(series, column, r, factor=1, den=1):
 
 def cmd_report(args):
     doc, scenario = _load(args)
-    rc = _print_validation(scenario)
+    validated = validate_scenario(scenario)
+    rc = _print_validation(validated)
     if rc != EXIT_OK:
         return rc
-    counted = _count_validated(args, doc, scenario)
+    counted = _count_validated(args, doc, scenario, validated.form)
     series = _read_series(_out_path(args, doc, "counts.csv"), scenario)
-    rc = _fit(args, doc, scenario, series)
+    rc = _fit(args, doc, scenario, series, validated.form)
     if rc != EXIT_OK:
         return rc
     return _oracle_compare(scenario, series, counted.meta.get("group_order"))

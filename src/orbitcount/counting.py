@@ -37,9 +37,9 @@ from .sections import QuadricSectionSpec
 from .shells import (
     _bilinear_bound,
     _check_int64,
-    _scaled_integer_gram,
     ball_points,
     definite_shell,
+    positive_form,
     theta_series,
 )
 from .symmetry import integral_symmetries, orbit_partition, weighted_count
@@ -179,13 +179,14 @@ def _common_denominator(nums, dens):
 def cumulative_at(series, radii, which="all"):
     """[S(r) for r in radii], r in original (unscaled) units and ascending, from
     prefix sums of the chosen column ("all", "prim" or "weighted", the last
-    over weight_den); errors beyond the computed range."""
+    over weight_den); errors beyond the computed range.  An integer radius
+    is scaled in integers, any other rational as a Fraction."""
     column = {"prim": series.n_prim, "weighted": series.weighted}.get(which, series.n_all)
     den = series.weight_den if which == "weighted" else 1
     top = int(series.levels[-1]) if len(series.levels) else 0
     floors, prev = [], None
     for r in radii:
-        r_scaled = Fraction(r) * series.scale_e
+        r_scaled = int(r) * series.scale_e if isinstance(r, numbers.Integral) else Fraction(r) * series.scale_e
         if r_scaled > top:
             raise ValueError(f"r = {r} beyond computed range")
         if prev is not None and r_scaled < prev:
@@ -325,12 +326,12 @@ def count_normform_level(order, k):
     raise ValueError(RANK_2_REFUSAL)
 
 
-def normform_series(order, r_max, use_absolute_norm=False):
+def normform_series(order, r_max, use_absolute_norm=False, form=None):
     """Per-level orbit counts for levels 1..r_max (norm = k, or |norm| = k when
-    use_absolute_norm)."""
+    use_absolute_norm); form as for _definite_series."""
     r_max = int(r_max)
     if order.unit_rank == 0:
-        return _definite_series(order, r_max, FAMILY_NORMFORM)
+        return _definite_series(order, r_max, FAMILY_NORMFORM, form)
     if order.unit_rank == 1:
         return _real_quadratic_series(order, r_max, use_absolute_norm)
     raise ValueError(RANK_2_REFUSAL)
@@ -427,10 +428,11 @@ def probe_values(rng, count):
     return vals[:count]
 
 
-def assert_division_order(order, rng=None, trials=200, shell_bound=6, gram=None):
+def assert_division_order(order, rng=None, trials=200, shell_bound=6, definite=None):
     """Probe for zero divisors: random integral products and small norm-zero
-    shells.  Raises ValueError on evidence of a matrix-algebra payload.  gram
-    is norm_gram(order) when the caller has it."""
+    shells.  Raises ValueError on evidence of a matrix-algebra payload.
+    definite says whether the norm form is positive definite, when the
+    caller has decided it."""
     import random
 
     rng = rng or random.Random(0x5EED)
@@ -441,10 +443,11 @@ def assert_division_order(order, rng=None, trials=200, shell_bound=6, gram=None)
     if np.any(a.any(axis=1) & b.any(axis=1) & ~_batched_products(spec, a, b).any(axis=1)):
         raise ValueError("zero divisors detected: payload is not a division algebra")
     if order.norm_degree == 2:
-        g = norm_gram(order) if gram is None else gram
-        from .exact import definiteness
+        if definite is None:
+            from .exact import definiteness
 
-        if definiteness(g) == 1:
+            definite = definiteness(norm_gram(order)) == 1
+        if definite:
             return  # definite norm: x != 0 implies norm > 0, nothing else to probe
     from itertools import product as iproduct
 
@@ -479,27 +482,29 @@ def count_algebra_shell(order, m):
     return len(shell) // nu
 
 
-def algebra_series(order, r_max):
+def algebra_series(order, r_max, form=None):
     """Per-level unit-orbit counts for reduced norms 1..r_max on a definite
     division order (_definite_series)."""
-    return _definite_series(order, r_max, FAMILY_ALGEBRA)
+    return _definite_series(order, r_max, FAMILY_ALGEBRA, form)
 
 
-def _definite_series(order, r_max, family):
+def _definite_series(order, r_max, family, form=None):
     """Per-level unit-orbit counts for norms 1..r_max on a definite order: its
     units act freely on the nonzero elements of a domain, so every orbit has
     |units| members and the count is the exact theta series over |units|; the
-    primitive part by Moebius inversion over x -> p x, N(p x) = p^d N(x)."""
+    primitive part by Moebius inversion over x -> p x, N(p x) = p^d N(x).
+    form is the PositiveForm of norm_gram(order) when the caller has it; it
+    is derived here otherwise, and refused unless positive definite."""
     r_max = int(r_max)
-    gram = norm_gram(order)
-    assert_division_order(order, gram=gram)
+    form = positive_form(norm_gram(order)) if form is None else form
+    assert_division_order(order, definite=True)
     # the norm <= 3 ball of the free-action check holds the norm-1 unit shell
-    ball = ball_points(gram, 3)
+    ball = ball_points(form, 3)
     pts, twice_q, s = ball
     units = finite_units(order, shell=pts[twice_q == 2 * s])
     nu = len(units.torsion)
-    theta = theta_series(gram, r_max)[1:]
-    _assert_free_action(order, units, gram, ball)
+    theta = theta_series(form, r_max)[1:]
+    _assert_free_action(order, units, form, ball)
     if np.any(theta % nu):
         raise ValueError("unit action not free on some shell: not a division order")
     n_all = theta // nu
@@ -523,14 +528,14 @@ def _primitive_shell_sizes(all_sizes, d):
 
 
 def _assert_free_action(order, units, gram, ball):
-    """Check on the points of norm at most 3 (gram is norm_gram(order), ball
-    its ball_points(gram, 3)) that each unit maps a point to one of the same
-    norm and that a point's |units| images are
+    """Check on the points of norm at most 3 (gram is norm_gram(order) or its
+    PositiveForm, ball its ball_points(gram, 3)) that each unit maps a point
+    to one of the same norm and that a point's |units| images are
     distinct (a sort of each point's image codes), in one int64 einsum over
     the units' integer left-multiplication matrices."""
     mats = _torsion_matrices(order, units)
     pts, twice_q, _ = ball
-    _, gi = _scaled_integer_gram(gram)
+    gi = positive_form(gram).integer_gram
     img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))
     _check_int64(img_max, _bilinear_bound(gi, [img_max] * len(gi)))
     imgs = np.einsum("uij,pj->pui", np.array(mats, dtype=np.int64), pts)
@@ -560,13 +565,14 @@ def primitive_algebra_shell_direct(order, m):
 # entry point used by the CLI
 
 
-def run_scenario(scenario):
-    """Compute the CountSeries for a validated scenario."""
+def run_scenario(scenario, form=None):
+    """Compute the CountSeries for a validated scenario; form is the
+    PositiveForm of a definite order's norm form when validation derived it."""
     fam = scenario.family
     if fam == FAMILY_NORMFORM:
-        return normform_series(scenario.payload, scenario.k_max, scenario.use_absolute_norm)
+        return normform_series(scenario.payload, scenario.k_max, scenario.use_absolute_norm, form)
     if fam == FAMILY_QUADRIC:
         return quadric_series(scenario.payload, scenario.k_max)
     if fam == FAMILY_ALGEBRA:
-        return algebra_series(scenario.payload, scenario.k_max)
+        return algebra_series(scenario.payload, scenario.k_max, form)
     raise ValueError(f"unknown family {fam!r}")

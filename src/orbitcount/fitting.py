@@ -31,6 +31,8 @@ class FitReport:
     delta_note: str = "empirical residual slope, not an effective error exponent"
     samples: int = 0
     extras: dict = field(default_factory=dict)
+    # the sample_cumulative the fit read, for another fit of the same series
+    sampled: tuple = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         doc = {
@@ -70,19 +72,30 @@ def geometric_radii(r_min, r_max, samples=16):
     return [int(r) for r in rs]
 
 
-def fit_power(series, window=None, fixed_lambda=None, samples=16, which="all"):
+def sample_cumulative(series, window=None, samples=16, which="all"):
+    """(window, [(r, S(r) as a float)]) over the radii r of the geometric
+    grid inside the window, (r_top / 10, r_top) by default, where S(r) > 0:
+    one cumulative_at call, so several fits of one series can share it."""
+    r_top = (int(series.levels[-1]) if len(series.levels) else 0) / series.scale_e
+    if window is None:
+        window = (r_top / 10, r_top)
+    # an empty series has no window; fit_power refuses it as too sparse
+    radii = geometric_radii(window[0], window[1], samples) if window[1] > 0 else []
+    values = [float(v) for v in cumulative_at(series, radii, which=which)]
+    return window, [(r, v) for r, v in zip(radii, values) if v > 0]
+
+
+def fit_power(series, window=None, fixed_lambda=None, samples=16, which="all", sampled=None):
     """Fit S(r) ~ c r^lambda on a geometric grid inside the window.
 
     Free fit: least squares on (log r, log S(r)).  With fixed_lambda, c_hat is
     the mean of S(r) / r^lambda.  Requires at least 8 usable sample radii.
+    sampled is sample_cumulative(series, window, samples, which) when the
+    caller has it, such as the report of another fit of the series.
     """
-    r_top = (int(series.levels[-1]) if len(series.levels) else 0) / series.scale_e
-    if window is None:
-        window = (r_top / 10, r_top)
-    # an empty series has no window; it is refused below as too sparse
-    radii = geometric_radii(window[0], window[1], samples) if window[1] > 0 else []
-    values = [float(v) for v in cumulative_at(series, radii, which=which)]
-    pairs = [(r, v) for r, v in zip(radii, values) if v > 0]
+    if sampled is None:
+        sampled = sample_cumulative(series, window, samples, which)
+    window, pairs = sampled
     if len(pairs) < 8:
         raise ValueError("fewer than 8 positive sample radii in window (series too sparse or zero)")
     rs = np.array([p[0] for p in pairs], dtype=float)
@@ -103,6 +116,7 @@ def fit_power(series, window=None, fixed_lambda=None, samples=16, which="all"):
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
         window=(float(window[0]), float(window[1])),
         samples=len(pairs),
+        sampled=sampled,
     )
     _attach_delta(report, rs, vs, c, lam)
     return report

@@ -1,6 +1,11 @@
-"""Independent validation oracles: classical closed forms and quadratic-time
-scans, deliberately implemented with different algorithms than the main
-counting pipeline so the two routes have independent failure modes.
+"""Independent validation oracles: classical closed forms, divisor sums and
+small direct scans, deliberately implemented with different algorithms than
+the main counting pipeline so the two routes have independent failure modes.
+
+The columns `report` reads are divisor sums taken by one kernel,
+divisor_sums; no oracle column it reads runs a quadratic-time scan.  The
+direct enumerations (hurwitz_shell_series, pairwise_orbits) stay as test
+references.
 """
 
 import math
@@ -52,11 +57,40 @@ def ideal_a(disc, m):
     return out
 
 
+def divisor_sums(f, s):
+    """[sum over d | m of f[d] for m = 1..s] as an int64 array, for an int64
+    array f of length at least s + 1 (f[0] is not read).
+
+    Each pair (d, k) with d k <= s is taken once, in O(sqrt(s)) slices: with
+    q = isqrt(s), one out[d::d] += f[d] for each d <= q, then for each
+    cofactor k <= s / (q + 1) one out[k (q + 1)::k] += f[q + 1 : s // k + 1],
+    which adds f[d] at m = k d for every d > q.  A cell and each partial sum
+    of it is a sum of at most tau(m) <= 2 isqrt(m) values of f, so every
+    cell is bounded against int64 before any slice runs."""
+    f = np.asarray(f)
+    if f.dtype != np.int64:
+        raise ValueError(f"f has dtype {f.dtype}, not int64")
+    if len(f) < s + 1:
+        raise ValueError(f"f has length {len(f)}, below s + 1 = {s + 1}")
+    out = np.zeros(max(s, 0) + 1, dtype=np.int64)
+    if s < 1:
+        return out[1:]
+    q = math.isqrt(s)
+    top = max(int(f[1 : s + 1].max()), -int(f[1 : s + 1].min()))
+    if top * 2 * q >= 2 ** 63:
+        raise ValueError(f"a divisor sum could reach {top} * {2 * q} >= 2^63")
+    for d in (np.flatnonzero(f[1 : q + 1]) + 1).tolist():
+        out[d::d] += f[d]
+    for k in range(1, s // (q + 1) + 1):
+        out[k * (q + 1) :: k] += f[q + 1 : s // k + 1]
+    return out[1:]
+
+
 def ideal_count_series(disc, s):
-    """[a(1), ..., a(s)] by divisor sieve: a(m) = sum_{d | m} chi(d) with
-    chi(d) = kronecker(disc, d), one slice out[d::d] += chi(d) per d.  chi is
-    completely multiplicative in d for every disc, so this equals ideal_a at
-    every level, fundamental disc or not.
+    """[a(1), ..., a(s)]: a(m) = sum_{d | m} chi(d) with chi(d) =
+    kronecker(disc, d), one divisor_sums call.  chi is completely
+    multiplicative in d for every disc, so this equals ideal_a at every
+    level, fundamental disc or not.
 
     For disc != 0, chi has period 4|disc| on the odd d, so one period is
     computed and repeated.  On even d that period fails when disc = 3 mod 4
@@ -70,10 +104,7 @@ def ideal_count_series(disc, s):
     for v in range(1, s.bit_length()):
         part = chi[2 ** v - 1:: 2 ** (v + 1)]  # d = 2^v o for o = 1, 3, 5, ...
         part[:] = chi2 ** v * odd[: len(part)]
-    out = np.zeros(s + 1, dtype=np.int64)
-    for i in np.flatnonzero(chi).tolist():
-        out[i + 1:: i + 1] += chi[i]
-    return out[1:].tolist()
+    return divisor_sums(np.concatenate([[0], chi]), s).tolist()
 
 
 def two_squares_primitive_series(r):
@@ -107,27 +138,31 @@ def r4(m):
 
 
 def r4_series(r):
-    """[r4(1), ..., r4(r)] by divisor sieve."""
-    out = np.zeros(r + 1, dtype=np.int64)
-    for d in range(1, r + 1):
-        if d % 4 == 0:
-            continue
-        out[d::d] += d
-    return (8 * out[1:]).tolist()
+    """[r4(1), ..., r4(r)]: 8 times the divisor sums of d [4 does not divide d]."""
+    d = np.arange(max(r, 0) + 1, dtype=np.int64)
+    return divisor_sums(8 * d * (d % 4 != 0), r).tolist()
+
+
+def hurwitz_sigma_series(r):
+    """[#{x in Hurwitz order : nrd(x) = m} for m = 1..r] by Jacobi's formula
+    for the Hurwitz order, 24 sigma_odd(m): 24 times the divisor sums of
+    d [d odd].  hurwitz_shell_series is its reference by enumeration."""
+    d = np.arange(max(r, 0) + 1, dtype=np.int64)
+    return divisor_sums(24 * d * (d % 2), r).tolist()
 
 
 def jacobi_r4_cumulative(r, lattice="lipschitz"):
     """Cumulative count of lattice quaternions with reduced norm <= r.
 
-    lipschitz: Jacobi's closed form.  hurwitz: the direct half-integer shell
-    series (hurwitz_shell_series).
+    lipschitz: Jacobi's closed form.  hurwitz: its analogue for the Hurwitz
+    order, 24 sigma_odd (hurwitz_sigma_series).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if lattice == "lipschitz":
         return sum(r4_series(r))
     if lattice == "hurwitz":
-        return sum(hurwitz_shell_series(r))
+        return sum(hurwitz_sigma_series(r))
     raise ValueError(f"unknown lattice {lattice!r}")
 
 

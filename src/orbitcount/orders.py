@@ -159,7 +159,7 @@ def integer_dets(mats):
     return out
 
 
-def finite_units(order, shell=None):
+def finite_units(order, shell=None, gram=None):
     """Complete unit list for an order whose norm form is positive definite
     (imaginary quadratic or definite quaternion): the norm-1 shell of
     ball_points in lexicographic order, certified in one batch.  With
@@ -167,9 +167,11 @@ def finite_units(order, shell=None):
     det(L_x) = +-1 (L_x L_{x^-1} = L_1 = I, and the adjugate of a
     determinant +-1 matrix is integral); with a non-integral unity, no
     integral x has an integral inverse.  shell is the int64 array of the
-    norm-1 points in any order, when the caller has enumerated them."""
+    norm-1 points in any order, when the caller has enumerated them; else
+    they are enumerated on gram, the norm Gram matrix or its PositiveForm
+    when the caller has it (norm_gram(order) otherwise)."""
     if shell is None:
-        pts, twice_q, s = ball_points(norm_gram(order), 1)
+        pts, twice_q, s = ball_points(norm_gram(order) if gram is None else gram, 1)
         shell = pts[twice_q == 2 * s]
     shell = shell[np.lexsort(shell.T[::-1])]
     dets = integer_dets(left_mul_matrices(order.algebra, shell))

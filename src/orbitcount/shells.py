@@ -8,6 +8,7 @@ square roots and every accepted point passes an exact integer check.
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -16,9 +17,30 @@ import numpy as np
 from .exact import inverse, isqrt_frac_floor, ldl, mat, scalar
 
 
-def _check_positive_definite(gram):
-    """Refuse a Gram matrix that is not square, not symmetric or not
-    positive definite; returns its ldl(gram), whose pivots decide."""
+@dataclass(frozen=True)
+class PositiveForm:
+    """A positive definite Gram matrix with the exact data the enumerators
+    read from it: gram (rows of ints and Fractions), its LDL pivots and unit
+    upper factor (ldl), its inverse, and the least s making s Q
+    integer-valued with the integer matrix 2sG (x^t integer_gram x =
+    2 s Q(x)).  Built once by positive_form and handed down, so one command
+    takes one elimination per form."""
+
+    gram: tuple
+    pivots: tuple
+    u: tuple
+    inverse: tuple
+    scale: int
+    integer_gram: tuple
+
+
+def positive_form(gram):
+    """gram as a PositiveForm, returned as it is when it is one.  Refuses a
+    Gram matrix that is not square, not symmetric or not positive definite
+    (decided by the signs of the ldl pivots)."""
+    if isinstance(gram, PositiveForm):
+        return gram
+    gram = mat(gram)
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise ValueError("gram matrix has wrong shape")
@@ -30,7 +52,7 @@ def _check_positive_definite(gram):
         d = [0]
     if any(x <= 0 for x in d):
         raise ValueError("form is not positive definite (exact LDL pivots)")
-    return d, u
+    return PositiveForm(gram, tuple(d), u, inverse(gram), *_scaled_integer_gram(gram))
 
 
 def is_integer_valued(gram):
@@ -41,14 +63,15 @@ def is_integer_valued(gram):
 def definite_shell(gram, m, shift=None):
     """Complete set {x in Z^n : (x+shift)^t G (x+shift) = m}, lexicographically sorted.
 
-    Exact recursive backtracking; G must be positive definite, m >= 0 rational.
+    Exact recursive backtracking; G (a matrix or a PositiveForm) must be
+    positive definite, m >= 0 rational.
     """
-    gram = mat(gram)
-    d, u = _check_positive_definite(gram)
+    form = positive_form(gram)
+    d, u = form.pivots, form.u
     m = scalar(Fraction(m))
     if m < 0:
         raise ValueError("negative shell level")
-    n = len(gram)
+    n = len(d)
     s = tuple(scalar(Fraction(c)) for c in (shift or (0,) * n))
     out = []
     x = [0] * n
@@ -86,8 +109,8 @@ def definite_shell(gram, m, shift=None):
 
 def _coordinate_bounds(gram, r):
     # |x_i| <= sqrt(r * (G^-1)_ii) for x^t G x <= r
-    ginv = inverse(gram)
-    return [isqrt_frac_floor(Fraction(r) * Fraction(ginv[i][i])) for i in range(len(gram))]
+    ginv = positive_form(gram).inverse
+    return [isqrt_frac_floor(Fraction(r) * Fraction(ginv[i][i])) for i in range(len(ginv))]
 
 
 def _scaled_integer_gram(gram):
@@ -95,7 +118,7 @@ def _scaled_integer_gram(gram):
     n = len(gram)
     dens = (Fraction(gram[i][j] * (1 if i == j else 2)).denominator for i in range(n) for j in range(i, n))
     s = math.lcm(*dens)
-    return s, [[int(2 * s * Fraction(e)) for e in row] for row in gram]  # x^t gi x = 2 s Q(x)
+    return s, tuple(tuple(int(2 * s * Fraction(e)) for e in row) for row in gram)  # x^t gi x = 2 s Q(x)
 
 
 def _box(bounds):
@@ -152,15 +175,15 @@ def ball_points(gram, r):
     """All x in Z^n with 0 < Q(x) <= r, as (points array, 2s*values array, scale s).
 
     Vectorised over the last coordinate slabs; exact because all arithmetic is
-    int64 on scaled integer data, with the headroom checked first.  dim <= 4.
+    int64 on scaled integer data, with the headroom checked first.  dim <= 4;
+    gram is a matrix or a PositiveForm.
     """
-    gram = mat(gram)
-    _check_positive_definite(gram)
-    n = len(gram)
+    form = positive_form(gram)
+    n = len(form.gram)
     if n > 4:
         raise ValueError("ball_points supports dim <= 4")
-    s, gi = _scaled_integer_gram(gram)
-    bounds = _coordinate_bounds(gram, r)
+    s, gi = form.scale, form.integer_gram
+    bounds = _coordinate_bounds(form, r)
     target = 2 * s * r
     _check_int64(_bilinear_bound(gi, bounds), target, max(abs(e) for row in gi for e in row))
     flat = _box(bounds[:-1])  # (#, n-1)
@@ -188,13 +211,12 @@ def definite_ball(gram, r):
     Shells are complete and lexicographically sorted; levels with no points are
     skipped.
     """
-    gram = mat(gram)
-    _check_positive_definite(gram)
+    form = positive_form(gram)
     if r < 1:
         return
-    if not is_integer_valued(gram):
+    if form.scale != 1:
         raise ValueError("definite_ball requires an integer-valued form (scale levels first)")
-    pts, twos_vals, s = ball_points(gram, int(r))
+    pts, twos_vals, s = ball_points(form, int(r))
     if len(twos_vals) and np.any(twos_vals % (2 * s)):
         raise AssertionError("non-integer level in integer-valued form")
     vals = twos_vals // (2 * s)
@@ -303,12 +325,11 @@ def theta_series(gram, r):
     unit mass at 0, so T is the inner histogram itself and no product is
     taken.
     """
-    gram = mat(gram)
-    _check_positive_definite(gram)
-    s, g2 = _scaled_integer_gram(gram)  # x^t g2 x = 2 s Q(x)
-    if s != 1:
+    form = positive_form(gram)
+    if form.scale != 1:
         raise ValueError("theta_series requires an integer-valued form")
-    n = len(gram)
+    g2 = form.integer_gram  # x^t g2 x = 2 Q(x)
+    n = len(g2)
     if n not in (2, 3, 4):
         raise ValueError("theta_series supports dim 2..4")
     r = int(r)
@@ -321,18 +342,19 @@ def theta_series(gram, r):
         [a[0][0] * xb[1][j] - a[1][0] * xb[0][j] for j in range(n - 2)],
     ]
     # w ranges over the coordinate box of the Q-ball; inner_c(v) <= 2r puts
-    # y = v + c/D in the ball Q(y, 0) <= r + Q(c/D, 0) <= r + sum |G_ij| (i, j < 2),
-    # whose integer box widened by one holds v = y - c/D
-    ga = [row[:2] for row in gram[:2]]
-    bw = _coordinate_bounds(gram, r)[2:]
-    bv = [b + 1 for b in _coordinate_bounds(ga, r + sum(abs(e) for row in ga for e in row))]
+    # y = v + c/D in the ball y^t A y <= 2r + (c/D)^t A (c/D) <= 2r + sum |A_ij|,
+    # whose integer box widened by one holds v = y - c/D; with A^-1 = adj(A) / D
+    # that box is |y_i| <= sqrt((2r + sum |A_ij|) A_jj / D) for j != i
+    bw = _coordinate_bounds(form, r)[2:]
+    span = 2 * r + sum(abs(e) for row in a for e in row)
+    bv = [math.isqrt(span * a[1][1] // det_a) + 1, math.isqrt(span * a[0][0] // det_a) + 1]
     pw = [_bilinear_bound([row], [1], bw) for row in adj_x]
     bq = [t // det_a + 1 for t in pw]
     bb = [abs(row[0]) + abs(row[1]) for row in a]  # |(A c / D)_i| < sum_j |A_ij|
     inner_max = _bilinear_bound(a, bv) + 2 * _bilinear_bound([bb], [1], bv)
     outer_max = _bilinear_bound(cb, bw) + _bilinear_bound(a, bq) + 2 * _bilinear_bound([bb], [1], bq)
     _check_int64(2 * inner_max, 2 * outer_max, max(pw), det_a * max(bb), det_a ** 2,
-                 max(abs(e) for row in g2 + adj_x for e in row))
+                 max(abs(e) for row in (*g2, *adj_x) for e in row))
 
     vs = _box(bv)
     vav = _quadratic_values(vs, a)

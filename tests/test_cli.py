@@ -243,14 +243,31 @@ def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, doc, mes
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("key", ["r_max", "norm_degree", "unit_rank"])
+def test_config_integer_key_refuses_a_value_that_is_not_a_json_integer(key, tmp_path, capsys):
+    # a float was truncated by int(): "r_max": 20.9 counted levels 1..20
+    cfg = tmp_path / "gauss.json"
+    _order_config(cfg, [[1, 0], [0, 1], [-1, 0]], 0)
+    for value in (20.9, 2.0, "2", True):
+        doc = dict(json.loads(cfg.read_text()), **{key: value})
+        cfg.write_text(json.dumps(doc))
+        assert run(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config {key} {value!r} is not an integer\n"
+        assert captured.out == ""
+    assert not (tmp_path / "scenario-counts.csv").exists()
+
+
 def test_validate_refuses_an_indefinite_quaternion_order(tmp_path, capsys):
     # (-1, 3) is a division algebra, but its norm form is indefinite: the
-    # count would refuse it, so validation fails on the unit group support
+    # count would refuse it, so validation does not probe it for zero
+    # divisors and fails on the unit group support
     cfg = tmp_path / "indefinite.json"
     cfg.write_text(json.dumps(_quaternion_doc(-1, 3)))
     assert run(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
     out = capsys.readouterr().out
-    assert "PASS         payload is a division order" in out
+    assert ("UNDETERMINED payload is a division order (no zero divisors) -- "
+            "not probed: norm form not definite\n") in out
     assert ("FAIL         exact-mode support for the unit group -- "
             "unit rank 0 but norm form not definite\n") in out
     assert run(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
@@ -609,6 +626,30 @@ def test_report_builds_the_quadric_group_once(tmp_path, monkeypatch, capsys):
                 "--series", str(tmp_path / "model-quadric-counts.csv")]) == EXIT_OK
     assert len(built) == 2
     assert "zero diffs over 40 levels" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", ["lipschitz", "hurwitz", "gauss"])
+def test_report_derives_the_norm_form_once(preset, tmp_path, monkeypatch, capsys):
+    # validation derives the norm Gram matrix and its LDL once; the count and
+    # the predicted constant of the fit (gauss) read them from there
+    from orbitcount import counting, exact, orders, shells, validation
+
+    grams, ldls = [], []
+
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    norm_gram, ldl = counted(grams, orders.norm_gram), counted(ldls, exact.ldl)
+    for module in (orders, counting, validation):
+        monkeypatch.setattr(module, "norm_gram", norm_gram)
+    for module in (exact, shells):
+        monkeypatch.setattr(module, "ldl", ldl)
+    assert run(["report", "--config", preset, "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
+    assert (len(grams), len(ldls)) == (1, 1)
+    assert "zero diffs over 60 levels" in capsys.readouterr().out
 
 
 def test_fit_refuses_a_unit_rank_against_dirichlet(tmp_path, capsys):

@@ -9,6 +9,7 @@ from orbitcount.fitting import (
     fit_rlogr,
     geometric_radii,
     predicted_constant_ideal,
+    sample_cumulative,
     zeta_correction,
 )
 from orbitcount.presets import preset_scenario
@@ -81,6 +82,21 @@ def test_fit_power_rescale_invariance_of_exponent():
     b = fit_power(scaled, window=(400, 4000))
     assert abs(a.lambda_hat - b.lambda_hat) < 1e-9
     assert abs(b.c_hat - a.c_hat * 3 ** 2) < 1e-7
+
+
+@pytest.mark.parametrize("scale_e, window", [(1, None), (1, (300, 3000)), (3, None), (3, (250.5, 999.5))])
+def test_fits_sharing_one_sample_equal_their_own(scale_e, window):
+    # the free and the fixed fit of one series read one sample_cumulative;
+    # integer radii are scaled in integers, and a float window alike
+    base = series_with_cumulative(lambda r: 2 * r ** 2 + 7 * r, 3000)
+    series = CountSeries(family=FAMILY_NORMFORM, levels=base.levels, n_prim=base.n_prim,
+                         n_all=base.n_all, weighted=base.weighted, scale_e=scale_e)
+    sampled = sample_cumulative(series, window)
+    assert len(sampled[1]) == 16
+    for lam in (None, 2):
+        own = fit_power(series, window, lam)
+        assert own.sampled == sampled
+        assert fit_power(series, fixed_lambda=lam, sampled=sampled).to_json() == own.to_json()
 
 
 def test_fit_power_zero_series_errors():

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcount.algebra import element
 from orbitcount.oracles import (
+    divisor_sums,
     hurwitz_shell_count,
     hurwitz_shell_series,
+    hurwitz_sigma_series,
     ideal_a,
     ideal_count_quadratic,
     ideal_count_series,
@@ -101,8 +104,6 @@ def test_jacobi_examples():
 def test_jacobi_matches_ball_counts_on_i4():
     i4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     pts, vals, s = ball_points(i4, 1000)
-    import numpy as np
-
     counts = np.zeros(1001, dtype=np.int64)
     np.add.at(counts, vals // 2, 1)
     assert counts[1:].tolist() == r4_series(1000)
@@ -172,3 +173,62 @@ def test_two_squares_series_matches_the_direct_scan():
     assert two_squares_primitive_series(400) == [scan(k) for k in range(1, 401)]
     assert two_squares_primitive_series(0) == []
     assert two_squares_primitive(400) == two_squares_primitive_series(400)[-1]
+
+
+def _divisor_sum(f, m):
+    # per m, by trial division up to sqrt(m)
+    total = 0
+    for d in range(1, math.isqrt(m) + 1):
+        if m % d == 0:
+            total += f[d] + (f[m // d] if d * d != m else 0)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2 ** 32 - 1))
+@example(1, 0).via("s < 4: no cofactor slice past q = 1")
+@example(2, 1)
+@example(3, 2)
+@example(2500, 3).via("s = q^2")
+@example(2550, 4).via("s = q^2 + q")
+@example(2499, 5).via("s = q^2 - 1")
+@example(3000, 6)
+def test_divisor_sums_matches_a_brute_force_sum(s, seed):
+    f = np.random.default_rng(seed).integers(-10 ** 9, 10 ** 9, s + 1)
+    f[np.random.default_rng(seed + 1).random(s + 1) < 0.3] = 0  # zeros are skipped
+    got = divisor_sums(f, s)
+    assert got.dtype == np.int64
+    values = f.tolist()
+    assert got.tolist() == [_divisor_sum(values, m) for m in range(1, s + 1)]
+
+
+def test_divisor_sums_refuses_an_int64_wrap():
+    # tau(m) <= 2 isqrt(m) = 6 at s = 9: 6 |f| must stay below 2^63
+    top = (2 ** 63 - 1) // 6
+    assert divisor_sums(np.full(10, top, dtype=np.int64), 9)[-1] == 3 * top  # 1, 3, 9
+    for value in (top + 1, -(top + 1), -(2 ** 63)):
+        with pytest.raises(ValueError, match="could reach"):
+            divisor_sums(np.full(10, value, dtype=np.int64), 9)
+    # f[0] is not read, and values past s are not bounded
+    f = np.zeros(20, dtype=np.int64)
+    f[0] = f[10:] = 2 ** 62
+    assert divisor_sums(f, 9).tolist() == [0] * 9
+
+
+def test_divisor_sums_refuses_a_short_or_non_int64_f():
+    with pytest.raises(ValueError, match="below s \\+ 1"):
+        divisor_sums(np.ones(5, dtype=np.int64), 5)
+    for f in (np.ones(6), np.ones(6, dtype=np.uint64), np.ones(6, dtype=object)):
+        with pytest.raises(ValueError, match="not int64"):
+            divisor_sums(f, 5)
+    assert divisor_sums(np.zeros(1, dtype=np.int64), 0).tolist() == []
+
+
+def test_r4_series_is_r4_per_level():
+    assert r4_series(1000) == [r4(m) for m in range(1, 1001)]
+    assert r4_series(0) == []
+
+
+def test_hurwitz_sigma_series_is_the_shell_enumeration():
+    assert hurwitz_sigma_series(2000) == hurwitz_shell_series(2000)
+    assert hurwitz_sigma_series(1) == [24]
