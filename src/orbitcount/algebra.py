@@ -57,6 +57,10 @@ class AlgebraSpec:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         if self.kind == QUATERNION and self.involution is None:
             raise ValueError("quaternion algebra requires an involution")
+        if self.involution is not None and (
+            len(self.involution) != self.dim or any(len(row) != self.dim for row in self.involution)
+        ):
+            raise ValueError("involution matrix has wrong shape")
 
     def one(self):
         return AlgebraElement(self.unity)
@@ -66,26 +70,25 @@ class AlgebraSpec:
 
     def check_axioms(self):
         """Verify associativity and unitality on all basis triples, and that the
-        involution (when present) is an order-2 anti-automorphism.  Raises on failure."""
+        involution (when present) is an order-2 anti-automorphism, as identities
+        of the integer tensors of _integer_tensors.  Raises on failure."""
         n = self.dim
-        basis = [self.basis_element(i) for i in range(n)]
-        one = self.one()
-        for i in range(n):
-            if alg_mul(one, basis[i], self) != basis[i] or alg_mul(basis[i], one, self) != basis[i]:
-                raise ValueError("unity is not a two-sided identity")
-        bad = _associator_triples(self.table)
+        (c, den_c), (u, den_u), inv = _integer_tensors(self)
+        one = den_c * den_u * np.eye(n, dtype=c.dtype)
+        if (np.einsum("a,aik->ik", u, c) != one).any() or (np.einsum("a,iak->ik", u, c) != one).any():
+            raise ValueError("unity is not a two-sided identity")
+        bad = _associator_triples(c)
         if len(bad):
             raise ValueError(f"associativity fails on basis triple {tuple(bad[0].tolist())}")
-        if self.involution is not None:
-            for i in range(n):
-                if alg_conj(alg_conj(basis[i], self), self) != basis[i]:
-                    raise ValueError("involution is not of order 2")
-            for i in range(n):
-                for j in range(n):
-                    lhs = alg_conj(alg_mul(basis[i], basis[j], self), self)
-                    rhs = alg_mul(alg_conj(basis[j], self), alg_conj(basis[i], self), self)
-                    if lhs != rhs:
-                        raise ValueError("involution is not an anti-automorphism")
+        if inv is not None:
+            # conj(e_i) is column i of the involution matrix
+            m, den_m = inv
+            if (m @ m != den_m * den_m * np.eye(n, dtype=c.dtype)).any():
+                raise ValueError("involution is not of order 2")
+            lhs = den_m * np.einsum("km,ijm->ijk", m, c)   # conj(e_i e_j)
+            rhs = np.einsum("aj,bi,abk->ijk", m, m, c)      # conj(e_j) conj(e_i)
+            if (lhs != rhs).any():
+                raise ValueError("involution is not an anti-automorphism")
 
     def to_json(self):
         doc = {
@@ -116,14 +119,27 @@ class AlgebraSpec:
         )
 
 
-def _associator_triples(table):
+def _integer_tensors(spec):
+    """(c, L), (u, M) and (C, K) or None: the structure constants c[i, j, k],
+    the unity and the involution matrix, each times the lcm of its
+    denominators.  int64 when n^2 h^3 < 2^63 for h the largest entry or lcm,
+    which bounds every sum the axiom identities take; object dtype past it."""
+    n = spec.dim
+    parts = [clear_denominators([x for row in spec.table for cell in row for x in cell]),
+             clear_denominators(spec.unity)]
+    if spec.involution is not None:
+        parts.append(clear_denominators([x for row in spec.involution for x in row]))
+    h = max(abs(x) for ints, den in parts for x in (*ints, den))
+    dtype = object if n * n * h ** 3 >= 2 ** 63 else np.int64
+    shapes = ((n, n, n), (n,), (n, n))
+    arrays = [(np.array(ints, dtype=dtype).reshape(shape), den) for (ints, den), shape in zip(parts, shapes)]
+    return arrays[0], arrays[1], arrays[2] if len(arrays) == 3 else None
+
+
+def _associator_triples(c):
     """The basis triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in
-    loop order: one einsum each side over the structure constants times the
-    lcm L of their denominators, in int64 when n * max|L c|^2 < 2^63."""
-    n = len(table)
-    scaled, _ = clear_denominators([c for row in table for cell in row for c in cell])
-    big = n * max(map(abs, scaled), default=0) ** 2 >= 2 ** 63
-    c = np.array(scaled, dtype=object if big else np.int64).reshape(n, n, n)
+    loop order: one einsum each side over the scaled structure constants c of
+    _integer_tensors."""
     lhs = np.einsum("ijm,mkl->ijkl", c, c)
     rhs = np.einsum("jkm,iml->ijkl", c, c)
     return np.argwhere((lhs != rhs).any(axis=3))

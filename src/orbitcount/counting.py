@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement
 from .exact import gcd_vector, scalar
 from .lattice import (
     cone_section_points,
@@ -416,56 +415,6 @@ def quadric_all_points_level(section, k, group=None):
 # division-algebra family
 
 
-def probe_values(rng, count):
-    """count values uniform on [-9, 9] from the seeded bytes of rng: the bytes
-    below 247 = 13 * 19, each mod 19 minus 9.  One randbytes call with a margin
-    for the rejected bytes (about 3.5 %); a short draw is topped up."""
-    vals = np.zeros(0, dtype=np.int64)
-    while len(vals) < count:
-        need = count - len(vals)
-        raw = np.frombuffer(rng.randbytes(need + need // 16 + 16), dtype=np.uint8)
-        vals = np.concatenate([vals, raw[raw < 247].astype(np.int64) % 19 - 9])
-    return vals[:count]
-
-
-def assert_division_order(order, rng=None, trials=200, shell_bound=6, definite=None):
-    """Probe for zero divisors: random integral products and small norm-zero
-    shells.  Raises ValueError on evidence of a matrix-algebra payload.
-    definite says whether the norm form is positive definite, when the
-    caller has decided it."""
-    import random
-
-    rng = rng or random.Random(0x5EED)
-    spec = order.algebra
-    n = spec.dim
-    # each trial draws a, then b; all trials are multiplied in one batch
-    a, b = probe_values(rng, 2 * n * trials).reshape(trials, 2, n).transpose(1, 0, 2)
-    if np.any(a.any(axis=1) & b.any(axis=1) & ~_batched_products(spec, a, b).any(axis=1)):
-        raise ValueError("zero divisors detected: payload is not a division algebra")
-    if order.norm_degree == 2:
-        if definite is None:
-            from .exact import definiteness
-
-            definite = definiteness(norm_gram(order)) == 1
-        if definite:
-            return  # definite norm: x != 0 implies norm > 0, nothing else to probe
-    from itertools import product as iproduct
-
-    for coords in iproduct(range(-shell_bound, shell_bound + 1), repeat=n):
-        if any(coords) and order.norm(AlgebraElement(coords)) == 0:
-            raise ValueError("nonzero element of norm 0: payload is not a division algebra")
-
-
-def _batched_products(spec, a, b):
-    """Row-wise products of the integer arrays a and b in one int64 einsum with
-    the structure constants of an order basis, which OrderSpec holds to be
-    integers; refused when a product could pass int64."""
-    n = spec.dim
-    table = np.array(spec.table, dtype=np.int64).reshape(n, n, n)
-    _check_int64(int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * int(np.abs(table).sum()))
-    return np.einsum("ti,tj,ijk->tk", a.astype(np.int64), b.astype(np.int64), table)
-
-
 def count_algebra_shell(order, m):
     """Number of left unit-orbits of integral elements of reduced norm m on a
     definite order: shell size / |units|, with the freeness of the action
@@ -494,10 +443,10 @@ def _definite_series(order, r_max, family, form=None):
     |units| members and the count is the exact theta series over |units|; the
     primitive part by Moebius inversion over x -> p x, N(p x) = p^d N(x).
     form is the PositiveForm of norm_gram(order) when the caller has it; it
-    is derived here otherwise, and refused unless positive definite."""
+    is derived here otherwise, and refused unless positive definite, which
+    is what makes the order a domain (validation._check_division)."""
     r_max = int(r_max)
     form = positive_form(norm_gram(order)) if form is None else form
-    assert_division_order(order, definite=True)
     # the norm <= 3 ball of the free-action check holds the norm-1 unit shell
     ball = ball_points(form, 3)
     pts, twice_q, s = ball

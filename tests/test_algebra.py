@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from orbitcount.algebra import (
     AlgebraSpec,
+    alg_conj,
     alg_inverse,
     alg_mul,
     alg_norm,
+    change_of_basis,
     element,
     minimal_polynomial,
     quadratic_field_order,
@@ -127,8 +129,8 @@ def test_rejects_broken_structure_constants():
 
 
 def _axiom_loop(spec):
-    """The unity and associativity checks as nested alg_mul calls over basis
-    triples: the first failure's message, or None."""
+    """The unity, associativity and involution checks as nested alg_mul and
+    alg_conj calls over basis elements: the first failure's message, or None."""
     n = spec.dim
     basis = [spec.basis_element(i) for i in range(n)]
     one = spec.one()
@@ -142,6 +144,16 @@ def _axiom_loop(spec):
                 rhs = alg_mul(basis[i], alg_mul(basis[j], basis[k], spec), spec)
                 if lhs != rhs:
                     return f"associativity fails on basis triple {(i, j, k)}"
+    if spec.involution is not None:
+        for i in range(n):
+            if alg_conj(alg_conj(basis[i], spec), spec) != basis[i]:
+                return "involution is not of order 2"
+        for i in range(n):
+            for j in range(n):
+                lhs = alg_conj(alg_mul(basis[i], basis[j], spec), spec)
+                rhs = alg_mul(alg_conj(basis[j], spec), alg_conj(basis[i], spec), spec)
+                if lhs != rhs:
+                    return "involution is not an anti-automorphism"
     return None
 
 
@@ -165,3 +177,56 @@ def test_associativity_check_matches_the_basis_loop(spec, data):
         with pytest.raises(ValueError) as err:
             moved.check_axioms()
         assert str(err.value) == expected
+
+
+QUATERNION_SPECS = [spec for spec in ALL_SPECS if spec.involution is not None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QUATERNION_SPECS), st.data())
+def test_involution_checks_match_the_basis_loop(spec, data):
+    # perturb one entry of the involution matrix by an integer, a Fraction or
+    # a value past int64
+    n = spec.dim
+    i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    delta = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=5),
+                                st.just(2 ** 70)))
+    inv = [list(row) for row in spec.involution]
+    inv[i][j] += delta
+    moved = AlgebraSpec(dim=n, table=spec.table, unity=spec.unity, kind=spec.kind,
+                        involution=tuple(map(tuple, inv)))
+    expected = _axiom_loop(moved)
+    if expected is None:
+        moved.check_axioms()
+    else:
+        with pytest.raises(ValueError) as err:
+            moved.check_axioms()
+        assert str(err.value) == expected
+
+
+def test_involution_of_the_wrong_shape_is_refused():
+    spec = quaternion_algebra(-1, -1)
+    with pytest.raises(ValueError, match="involution matrix has wrong shape"):
+        AlgebraSpec(dim=4, table=spec.table, unity=spec.unity, kind=spec.kind,
+                    involution=spec.involution[:3])
+
+
+def test_axiom_checks_on_scaled_tensors_match_the_loop():
+    # in the basis 3, 1 + i, j, ij the unity, the structure constants and the
+    # involution all have denominators, and every identity still holds
+    lip = quaternion_algebra(-1, -1)
+    scaled = change_of_basis(lip, [(3, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    assert scaled.unity == (Fraction(1, 3), 0, 0, 0) and scaled.involution[0][1] == Fraction(2, 3)
+    assert _axiom_loop(scaled) is None
+    scaled.check_axioms()
+    # one entry changed breaks the order-2 identity (a diagonal entry) or
+    # only the anti-automorphism (an entry between 1 and i, where C^2 = I holds)
+    for (i, j), message in (((1, 1), "involution is not of order 2"),
+                            ((0, 1), "involution is not an anti-automorphism")):
+        inv = [list(row) for row in lip.involution]
+        inv[i][j] += 1
+        moved = AlgebraSpec(dim=4, table=lip.table, unity=lip.unity, kind=lip.kind,
+                            involution=tuple(map(tuple, inv)))
+        assert _axiom_loop(moved) == message
+        with pytest.raises(ValueError, match=message):
+            moved.check_axioms()

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -24,8 +25,9 @@ from orbitcount.cli import (
     series_from_csv,
     series_to_csv,
 )
-from orbitcount.algebra import quaternion_algebra
+from orbitcount.algebra import change_of_basis, quaternion_algebra
 from orbitcount.counting import FAMILY_QUADRIC, CountSeries, ScenarioSpec, run_scenario
+from orbitcount.exact import random_unimodular
 from orbitcount.lattice import cone_section_points
 from orbitcount.sections import quadric_section
 
@@ -136,7 +138,7 @@ def test_import_loads_neither_sympy_nor_mpmath(tmp_path):
 
 
 def test_report_does_not_load_numpy_random(tmp_path):
-    # the division probe draws seeded bytes; importing numpy.random would cost resident memory
+    # numpy.random is not needed by any command, and importing it would cost resident memory
     src = os.path.dirname(os.path.dirname(orbitcount.__file__))
     code = ("import sys, orbitcount.cli as cli\n"
             "for name in ('gauss', 'hurwitz', 'model-quadric'):\n"
@@ -271,6 +273,58 @@ def test_validate_refuses_an_indefinite_quaternion_order(tmp_path, capsys):
     assert ("FAIL         exact-mode support for the unit group -- "
             "unit rank 0 but norm form not definite\n") in out
     assert run(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_a_definite_norm_form_certifies_nothing_when_the_axioms_fail(tmp_path, capsys):
+    # ij = 2k and ji = -2k keep x conj(x) scalar and the norm form definite,
+    # but the product is not associative, so the inverse argument is void
+    cfg = tmp_path / "broken.json"
+    cfg.write_text(json.dumps(_quaternion_doc(-1, -1, {(1, 2, 3): "2", (2, 1, 3): "-2"})))
+    assert run(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL         structure constants associative and unital -- " in out
+    assert ("UNDETERMINED payload is a division order (no zero divisors) -- "
+            "not certified: the structure constants fail the axioms\n") in out
+
+
+def _run_quiet(args):
+    """(exit code, stdout) of one command, without a capture fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return run(args), out.getvalue()
+
+
+def _data_rows(path):
+    return [line for line in read(path).decode().splitlines() if not line.startswith("#")]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False),
+       st.integers(0, 12))
+def test_a_definite_norm_form_certifies_a_division_order(a, b, definite, rng, steps):
+    # (-a, -b) has a positive definite reduced norm, which certifies the
+    # order as a domain in any basis; (a, -b) has none and is refused
+    spec = quaternion_algebra(-a if definite else a, -b)
+    moved = change_of_basis(spec, random_unimodular(4, rng, steps=steps))
+    division = "payload is a division order (no zero divisors) -- "
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for label, algebra in (("plain", spec), ("moved", moved)):
+            paths.append(os.path.join(tmp, f"{label}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump({"family": "algebra-norm", "algebra": json.loads(algebra.to_json()),
+                           "norm_degree": 2, "unit_rank": 0, "label": label, "r_max": 40}, fh)
+        code, out = _run_quiet(["validate", "--config", paths[1]])
+        if not definite:
+            assert code == EXIT_VALIDATION
+            assert f"UNDETERMINED {division}not probed: norm form not definite\n" in out
+            return
+        assert code == EXIT_OK
+        assert f"PASS         {division}norm form positive definite: " in out
+        for path in paths:
+            assert _run_quiet(["count", "--config", path, "--out", tmp])[0] == EXIT_OK
+        # the counts do not depend on the basis
+        assert _data_rows(os.path.join(tmp, "moved-counts.csv")) == _data_rows(os.path.join(tmp, "plain-counts.csv"))
 
 
 def test_fit_report_fields(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from dataclasses import replace
@@ -19,7 +20,6 @@ from orbitcount.counting import (
     ScenarioSpec,
     aggregate_levels,
     algebra_series,
-    assert_division_order,
     count_algebra_shell,
     count_normform_level,
     count_quadric_level,
@@ -137,12 +137,21 @@ def test_algebra_series_primitive_matches_direct():
             assert series.n_prim[m - 1] == primitive_algebra_shell_direct(order, m), m
 
 
-def test_division_guard_rejects_split_norm_form():
+def test_division_guard_rejects_split_norm_form(tmp_path, capsys):
+    from orbitcount.cli import EXIT_VALIDATION, main
+
     split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
     with pytest.raises(ValueError):
-        assert_division_order(split)
-    with pytest.raises(ValueError):
         algebra_series(split, 10)
+    # Q x Q as an algebra-norm config: its norm form x1 * x2 certifies nothing
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({"family": "algebra-norm", "algebra": json.loads(split_algebra().to_json()),
+                               "norm_degree": 2, "unit_rank": 0, "r_max": 10}))
+    assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert ("UNDETERMINED payload is a division order (no zero divisors) -- "
+            "not probed: norm form not definite\n") in capsys.readouterr().out
+    assert main(["count", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert not list(tmp_path.glob("*-counts.csv"))
 
 
 @pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
@@ -462,84 +471,6 @@ def test_aggregate_levels_past_int64_is_refused():
 
 def _listed(columns):
     return tuple(col.tolist() for col in columns)
-
-
-def _scalar_division_probe(order, rng, trials):
-    """The per-pair alg_mul probe on the pairs the batched one draws: trial t
-    reads a, then b, from the same probe_values draw."""
-    from orbitcount.algebra import alg_mul, element
-    from orbitcount.counting import probe_values
-
-    spec, n = order.algebra, order.algebra.dim
-    vals = probe_values(rng, 2 * n * trials).tolist()
-    for t in range(trials):
-        a = element(vals[2 * n * t : 2 * n * t + n])
-        b = element(vals[2 * n * t + n : 2 * n * (t + 1)])
-        if not (a.is_zero() or b.is_zero()) and alg_mul(a, b, spec).is_zero():
-            return False
-    return True
-
-
-def test_probe_values_are_seeded_and_cover_the_range():
-    import random
-
-    from orbitcount.counting import probe_values
-
-    vals = probe_values(random.Random(5), 19 * 400)
-    assert vals.tolist() == probe_values(random.Random(5), 19 * 400).tolist()
-    assert np.bincount(vals + 9, minlength=19).min() > 300  # every value of [-9, 9], near 400 times
-    assert vals.min() == -9 and vals.max() == 9
-    # a draw short after the rejected bytes is topped up to the count asked for
-    class AllRejected(random.Random):
-        calls = 0
-
-        def randbytes(self, k):
-            self.calls += 1
-            return bytes([255] * k) if self.calls == 1 else super().randbytes(k)
-
-    rng = AllRejected(5)
-    assert len(probe_values(rng, 100)) == 100 and rng.calls == 2
-
-
-@pytest.mark.parametrize("spec", [order_lipschitz().algebra, order_hurwitz().algebra,
-                                  split_algebra(), quadratic_field_order(-7)])
-def test_batched_products_match_alg_mul(spec):
-    import random
-
-    from orbitcount.algebra import alg_mul, element
-    from orbitcount.counting import _batched_products
-
-    rng = random.Random(7)
-    n = spec.dim
-    a = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(300)] + [[1] + [0] * (n - 1)])
-    b = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(300)] + [[0] * n])
-    got = _batched_products(spec, a, b)
-    for x, y, prod in zip(a.tolist(), b.tolist(), got.tolist()):
-        assert prod == list(alg_mul(element(x), element(y), spec).coords)
-    # refused once a product could pass int64
-    big = np.array([[2 ** 40] * n])
-    with pytest.raises(ValueError, match="2\\^63"):
-        _batched_products(spec, big, big)
-
-
-def test_batched_division_probe_matches_scalar_probe():
-    # shell_bound = 0 leaves the random products as the only probe
-    import random
-
-    split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
-    verdicts = set()
-    for seed in range(30):
-        for order, trials in ((order_hurwitz(), 200), (order_lipschitz(), 60), (split, 40)):
-            expected = _scalar_division_probe(order, random.Random(seed), trials)
-            try:
-                assert_division_order(order, rng=random.Random(seed), trials=trials, shell_bound=0)
-            except ValueError as e:
-                assert str(e) == "zero divisors detected: payload is not a division algebra"
-                assert not expected
-            else:
-                assert expected
-            verdicts.add((order is split, expected))
-    assert {(True, True), (True, False), (False, True)} <= verdicts
 
 
 def test_quadric_series_weights_with_point_stabilizers():
