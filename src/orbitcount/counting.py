@@ -15,11 +15,12 @@ import numpy as np
 
 from .exact import gcd_vector, scalar
 from .lattice import (
+    code_radices,
     cone_section_points,
     conic_points_up_to,
     fiber_section_points,
     indefinite_quadratic_shell,
-    row_order,
+    sorted_row_key,
 )
 from .orders import (
     RANK_2_REFUSAL,
@@ -29,7 +30,6 @@ from .orders import (
     left_mul_matrices,
     norm_gram,
     real_quadratic_d,
-    reduce_orbits,
     unit_domain_points,
 )
 from .sections import QuadricSectionSpec
@@ -287,21 +287,39 @@ def _torsion_matrices(order, units):
     return [tuple(map(tuple, m)) for m in left_mul_matrices(order.algebra, coords).tolist()]
 
 
-def _orbit_classes(lvls, reps, stab, group_order):
-    """Index of one member of each (level, rep) class.  Asserts that every class
-    is a whole orbit: its member count times the stabilizer order is |G|."""
-    key = np.column_stack([lvls.astype(reps.dtype), reps])
-    # one stable sort by the key columns: a class's first sorted member is
-    # its first index, as np.unique(axis=0, return_index=True) returns it
-    order = row_order(list(key.T))
-    sk = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    first, counts = order[starts], np.diff(starts, append=len(key))
-    if np.any(counts * stab[first] != group_order):
-        raise AssertionError("orbit-stabilizer identity violated: an orbit is incomplete")
-    return first
+def orbit_counts(points, levels, mats, size):
+    """(n_orbits, n_points) per level 0..size-1 of the rows of points under
+    the finite integer matrix group mats (x -> g x), by Burnside's lemma: a
+    level's orbits are (1/|G|) sum over g of its points g fixes, in integers,
+    refused unless |G| divides the sum.  The lemma needs each level set closed
+    under G, checked exactly: the rows (level, x) are distinct and, for each
+    g != 1, the rows (level, g x) sort to the same rows.  Runs in int64 when
+    max_g max_row sum|g_ij| * max|x| < 2^63, in Python ints otherwise."""
+    gms = [np.array(g, dtype=object) for g in mats]
+    # numpy would turn Python ints of 2^63 and above into floats
+    pts = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    width = max(int(np.abs(g).sum(axis=1).max()) for g in gms)
+    xmax = max(abs(int(pts.min())), abs(int(pts.max()))) if pts.size else 0
+    pts = pts.astype(np.int64 if width * xmax < 2 ** 63 else object, copy=False)
+    cols = [np.asarray(levels, dtype=np.int64), *pts.T.copy()]
+    n_points = np.bincount(cols[0], minlength=size)
+    radices = code_radices(cols)
+    rows = sorted_row_key(cols, radices)
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        raise AssertionError("orbit-stabilizer identity violated: a point is repeated")
+    fixed = n_points.copy()
+    for g in gms:
+        if np.array_equal(g, np.eye(len(g), dtype=np.int64)):  # fixes every point
+            continue
+        img = [cols[0]] + [sum(c if a == 1 else a * c for a, c in zip(row, cols[1:]) if a) for row in g]
+        hit = np.logical_and.reduce([a == b for a, b in zip(img[1:], cols[1:])])
+        fixed += np.bincount(cols[0][hit], minlength=size)
+        if not np.array_equal(sorted_row_key(img, radices), rows):
+            raise AssertionError("orbit-stabilizer identity violated: an orbit is incomplete")
+    n_orbits, rest = np.divmod(fixed, len(gms))
+    if rest.any():
+        raise AssertionError("Burnside's lemma violated: |G| does not divide the fixed points of a level")
+    return n_orbits, n_points
 
 
 def count_normform_level(order, k):
@@ -315,8 +333,8 @@ def count_normform_level(order, k):
         shell = definite_shell(norm_gram(order), kf)
         if not shell:
             return 0
-        reps, _ = reduce_orbits(shell, _torsion_matrices(order, finite_units(order)))
-        return len(set(map(tuple, reps.tolist())))
+        mats = _torsion_matrices(order, finite_units(order))
+        return int(orbit_counts(shell, np.zeros(len(shell), dtype=np.int64), mats, 1)[0][0])
     if order.unit_rank == 1:
         kf = Fraction(k)
         if kf.denominator != 1:
@@ -385,17 +403,12 @@ def quadric_series(section, r_max, group=None):
         pts = np.array([p for level in per for p in level], dtype=object).reshape(-1, section.dim)
         lvls = np.repeat(np.arange(1, r_scaled + 1, dtype=np.int64), [len(level) for level in per])
         route = {"route": "per-level"}
-    reps, stab = reduce_orbits(pts, group.elements)
-    first = _orbit_classes(lvls, reps, stab, group.order)
-    lv, st = lvls[first], stab[first]
-    n_prim = np.bincount(lv, minlength=r_scaled + 1)[1:]
-    # the weight of a level is its orbit sizes |G| / |stab| summed, over |G|
-    sizes = sum((group.order // s * np.bincount(lv[st == s], minlength=r_scaled + 1)
-                 for s in np.unique(st).tolist()), np.zeros(r_scaled + 1, dtype=np.int64))
+    # a level's weight is its orbit sizes |G| / |stab| summed over |G|: its points over |G|
+    n_prim, n_points = (c[1:] for c in orbit_counts(pts, lvls, group.elements, r_scaled + 1))
     levels, n_all = aggregate_levels(np.arange(1, r_scaled + 1, dtype=np.int64), n_prim, 1, r_scaled)
     return CountSeries(
         family=FAMILY_QUADRIC, levels=levels, n_prim=n_prim, n_all=n_all,
-        weighted=sizes[1:], scale_e=section.scale_e, weight_den=group.order,
+        weighted=n_points, scale_e=section.scale_e, weight_den=group.order,
         meta={"group_order": group.order, **route,
               "weight_normalisation": "relative (one undetermined global constant)"},
     )

@@ -201,17 +201,65 @@ def conic_points_up_to(section, r_scaled):
     ss, ts, vals = ss[keep], ts[keep], vals[keep]
     co = np.gcd(ss, ts) == 1
     ss, ts, vals = ss[co], ts[co], vals[co]
-    xs = np.array(phi, dtype=np.int64) @ np.stack([ss * ss, ss * ts, ts * ts])  # (3, N)
-    content = np.gcd.reduce(np.abs(xs), axis=0)
-    if np.any(content <= 0):
-        raise AssertionError("a conic point has content 0")
+    s2, st, t2 = ss * ss, ss * ts, ts * ts
+    xs = [f0 * s2 + f1 * st + f2 * t2 for f0, f1, f2 in phi]
+    # the content divides n_bound: the gcd of n_bound and the residues mod n_bound
+    content = np.gcd(np.gcd(np.gcd(xs[0] % n_bound, xs[1] % n_bound), xs[2] % n_bound), n_bound)
     if np.any(vals % content):
         raise AssertionError("content must divide the level form")
     levels = vals // content
     keep = levels <= r_scaled
-    pts, lvls = (xs[:, keep] // content[keep]).T, levels[keep]
-    order = row_order([lvls, pts[:, 0], pts[:, 1], pts[:, 2]])
-    return pts[order], lvls[order]
+    lvls, *cols = sorted_rows([levels[keep]] + [x[keep] // content[keep] for x in xs])
+    return np.column_stack(cols), lvls
+
+
+def code_radices(columns):
+    """[(lo, span)] of the key columns, each its minimum and max - lo + 1,
+    when one int64 code holds a row: every column is int64 and the product
+    of the spans is below 2^63; None otherwise."""
+    if any(c.dtype != np.int64 for c in columns):
+        return None
+    radices = [(int(c.min()), int(c.max()) - int(c.min()) + 1) if len(c) else (0, 1) for c in columns]
+    return radices if math.prod(span for _, span in radices) < 2 ** 63 else None
+
+
+def _row_codes(columns, radices):
+    """The mixed-radix int64 code of each row, sum of (c_i - lo_i) times the
+    spans of the later columns, so the first column is most significant and
+    code order is row order; None when a cell lies outside its (lo, span)."""
+    if any(np.any((c < lo) | (c > lo + span - 1)) for c, (lo, span) in zip(columns, radices)):
+        return None
+    codes = columns[0] - radices[0][0]
+    for c, (lo, span) in zip(columns[1:], radices[1:]):
+        codes = codes * span + (c - lo)
+    return codes
+
+
+def sorted_rows(columns):
+    """The rows of the key columns, the first most significant, sorted as new
+    columns, in np.lexsort(columns[::-1]) order: np.sort of their int64 codes,
+    decoded by division, when one code holds a row (code_radices), and the
+    permutation of row_order otherwise."""
+    radices = code_radices(columns)
+    if radices is None:
+        order = row_order(columns)
+        return [c[order] for c in columns]
+    codes, out = np.sort(_row_codes(columns, radices)), []
+    for lo, span in radices[:0:-1]:
+        high = codes // span
+        out.append(codes - high * span + lo)
+        codes = high
+    return [codes + radices[0][0]] + out[::-1]
+
+
+def sorted_row_key(columns, radices):
+    """The sorted rows as one array for np.array_equal: (N, 1) sorted codes under
+    radices (code_radices of these or other columns), None when a cell lies
+    outside them; with radices None, the (N, n) array of sorted_rows."""
+    if radices is None:
+        return np.column_stack(sorted_rows(columns))
+    codes = _row_codes(columns, radices)
+    return None if codes is None else np.sort(codes)[:, None]
 
 
 def row_order(columns):

@@ -228,37 +228,34 @@ def _sturm_sequence(f):
     return seq
 
 
-def _sign_changes(seq, x):
-    values = []
-    for p in seq:
-        v = Fraction(0)
-        for c in reversed(p):
-            v = v * x + c
-        if v:
-            values.append(v > 0)
-    return sum(a != b for a, b in zip(values, values[1:]))
+def _sign_changes(values):
+    """Sign changes along the nonzero values."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_real_roots(coeffs, lo, hi):
     """Distinct real roots in (lo, hi] of the rational polynomial sum c_k x^k
     (coeffs low to high), by Sturm's theorem."""
     seq = _sturm_sequence(_trim([Fraction(c) for c in coeffs]))
-    return _sign_changes(seq, Fraction(lo)) - _sign_changes(seq, Fraction(hi))
+    at = [[sum(c * Fraction(x) ** k for k, c in enumerate(p)) for p in seq] for x in (lo, hi)]
+    return _sign_changes(at[0]) - _sign_changes(at[1])
 
 
 def signature(coeffs):
     """Signature (r1, r2) of the squarefree rational polynomial sum c_k x^k
-    (coeffs low to high): r1 real roots, counted by Sturm's theorem inside the
-    Cauchy bound 1 + max |c_k / c_n|, and r2 pairs of complex conjugate roots.
+    (coeffs low to high): r1 real roots, V(-inf) - V(+inf) by Sturm's theorem
+    (a member's sign at +-inf is its leading coefficient's times (+-1)^degree),
+    and r2 pairs of complex conjugate roots.
 
     Raises ValueError on a constant or non-squarefree polynomial."""
     f = _trim([Fraction(c) for c in coeffs])
     if len(f) < 2:
         raise ValueError("polynomial must be nonconstant")
-    if len(_sturm_sequence(f)[-1]) > 1:
+    seq = _sturm_sequence(f)
+    if len(seq[-1]) > 1:
         raise ValueError("polynomial is not squarefree")
-    bound = 1 + max(abs(c / f[-1]) for c in f[:-1])
-    r1 = count_real_roots(f, -bound, bound)
+    r1 = _sign_changes([p[-1] * (-1) ** (len(p) - 1) for p in seq]) - _sign_changes([p[-1] for p in seq])
     return r1, (len(f) - 1 - r1) // 2
 
 

@@ -1,6 +1,5 @@
 """Orders and their unit groups: unit predicates, the orbit-equivalence test,
-canonical representatives under the norm-one unit action, the one
-vectorised orbit reducer for finite integer matrix groups, and the one
+canonical representatives under the norm-one unit action, and the one
 enumerator of the rank-1 fundamental domain.
 
 The orbit group throughout is the group of units of norm +1 (torsion
@@ -223,43 +222,6 @@ def rep_key(v):
     coordinate is positive come first, then lexicographic order."""
     lead = next((c for c in v if c != 0), 0)
     return (lead <= 0, tuple(v))
-
-
-def reduce_orbits(points, mats):
-    """Orbit representatives and stabilizer orders of the integer rows of
-    `points` (an array or a nonempty list of tuples) under the finite integer
-    matrix group `mats` acting by x -> g x.
-
-    Returns (reps, stab): reps[i] is min(g x_i over g, key=rep_key), computed
-    as a leading 0/1 column followed by a lexicographic compare, and stab[i]
-    counts the g fixing x_i.  Runs in int64 when
-    max_g max_row sum|g_ij| * max|x| < 2^63 bounds every intermediate, and in
-    Python ints (object arrays) otherwise, so it is exact for any input.
-    """
-    gms = [np.array(g, dtype=object) for g in mats]
-    # numpy would turn Python ints of 2^63 and above into floats
-    pts = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
-    width = max(int(np.abs(g).sum(axis=1).max()) for g in gms)
-    xmax = max(abs(int(pts.min())), abs(int(pts.max()))) if pts.size else 0
-    dtype = np.int64 if width * xmax < 2 ** 63 else object
-    pts = pts.astype(dtype)
-    best = stab = None
-    for g in gms:
-        img = pts @ g.astype(dtype).T
-        lead = img[np.arange(len(img)), (img != 0).argmax(axis=1)]
-        key = np.column_stack([(lead <= 0).astype(dtype), img])
-        hit = np.all(img == pts, axis=1)
-        if best is None:
-            best, stab = key, hit.astype(np.int64)
-            continue
-        stab += hit
-        less = np.zeros(len(key), dtype=bool)
-        tie = np.ones(len(key), dtype=bool)
-        for c in range(key.shape[1]):
-            less |= tie & (key[:, c] < best[:, c])
-            tie &= key[:, c] == best[:, c]
-        best[less] = key[less]
-    return best[:, 1:], stab
 
 
 def _norm_one_generator(units):

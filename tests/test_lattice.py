@@ -297,12 +297,18 @@ def _conic_points_per_s(section, r_scaled):
     return sorted(out)
 
 
+# cones whose conic points have content 2 throughout (the model quadric),
+# 1 or 2 (x^2 + y^2 = z^2) and 1, 2, 3 or 6 (x^2 + 2 y^2 = 3 z^2, n_bound 12)
+CONES = (SEC, quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1)),
+         quadric_section([[1, 0, 0], [0, 2, 0], [0, 0, -3]], (0, 0, 1)))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(0, 12), st.integers(0, 400))
-def test_conic_points_match_per_s_windows(rng, steps, r):
+@given(st.randoms(use_true_random=False), st.integers(0, 12), st.integers(0, 400), st.sampled_from(CONES))
+def test_conic_points_match_per_s_windows(rng, steps, r, cone):
     from orbitcount.symmetry import transformed_section
 
-    sec = SEC if steps == 0 else transformed_section(SEC, random_unimodular(3, rng, steps=steps))
+    sec = cone if steps == 0 else transformed_section(cone, random_unimodular(3, rng, steps=steps))
     pts, lvls = conic_points_up_to(sec, r)
     assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
     got = [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())]
@@ -334,11 +340,8 @@ PACKED_KEYS = {(2 ** 31, 2 ** 32 - 1): 1, (2 ** 31, 2 ** 32): 2, (2 ** 64 - 1,):
                (2 ** 31, 2 ** 73, 2 ** 31): 3, (2 ** 73, 3, 2 ** 61): 2}
 
 
-@pytest.mark.parametrize("spans", list(PACKED_KEYS))
-def test_row_order_at_the_packed_code_edge(spans):
-    # the same stable permutation as np.lexsort of the columns, ties included
-    from orbitcount.lattice import row_order
-
+def _packed_edge_columns(spans):
+    """400-row key columns with exactly the given spans and repeated rows."""
     rng = np.random.default_rng(len(spans))
     columns = []
     for span in spans:
@@ -349,7 +352,51 @@ def test_row_order_at_the_packed_code_edge(spans):
         col[:2] = lo, lo + top - 1  # both ends, so the span is exact
         col[2:6] = col[6:10]  # repeated rows
         columns.append(np.array([v * 2 ** 9 for v in col.tolist()], dtype=object) if wide else col)
+    return columns
+
+
+@pytest.mark.parametrize("spans", list(PACKED_KEYS))
+def test_row_order_at_the_packed_code_edge(spans):
+    # the same stable permutation as np.lexsort of the columns, ties included
+    from orbitcount.lattice import row_order
+
+    columns = _packed_edge_columns(spans)
     with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
         got = row_order(columns)
     assert len(lexsort.call_args.args[0]) == PACKED_KEYS[spans]
     assert got.tolist() == np.lexsort(columns[::-1]).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_columns())
+def test_sorted_rows_match_lexsort(columns):
+    from orbitcount.lattice import sorted_rows
+
+    order = np.lexsort(columns[::-1])
+    got = sorted_rows(columns)
+    assert [c.tolist() for c in got] == [c[order].tolist() for c in columns]
+
+
+@pytest.mark.parametrize("spans", list(PACKED_KEYS))
+def test_sorted_rows_at_the_packed_code_edge(spans):
+    # one int64 code holds a row only while the span product stays below 2^63;
+    # past it the rows come from row_order, in the same order
+    from orbitcount.lattice import sorted_rows
+
+    columns = _packed_edge_columns(spans)
+    with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = sorted_rows(columns)
+    assert lexsort.called == (math.prod(spans) >= 2 ** 63)
+    order = np.lexsort(columns[::-1])
+    assert [c.tolist() for c in got] == [c[order].tolist() for c in columns]
+
+
+@pytest.mark.parametrize("r", [38501, 10 ** 5])
+def test_conic_points_keep_their_order_past_one_code(r):
+    # the model quadric's (level, x) spans pass 2^63 between these radii, so
+    # at 10^5 the rows are ordered by row_order, not by one int64 code
+    with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
+        pts, lvls = conic_points_up_to(SEC, r)
+    assert lexsort.called == (r == 10 ** 5)
+    assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
+    assert [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())] == _conic_points_per_s(SEC, r)

@@ -15,14 +15,14 @@ from orbitcount.orders import (
     fundamental_unit,
     is_unit,
     norm_gram,
-    reduce_orbits,
-    rep_key,
     trace_form_discriminant,
     unit_domain_points,
 )
 from orbitcount.presets import order_gauss, order_hurwitz, order_lipschitz, order_zsqrt2
 from orbitcount.shells import definite_shell
+from orbitcount.counting import orbit_counts
 from orbitcount.lattice import box_scan
+from orbitcount.symmetry import apply_matrix, orbit_partition
 
 
 def test_is_unit_examples():
@@ -299,93 +299,97 @@ def closed_point_sets(draw):
     return group, _closure(seeds, group)
 
 
-@settings(max_examples=60, deadline=None)
-@given(closed_point_sets())
-def test_reduce_orbits_matches_orbit_partition(case):
-    from orbitcount.symmetry import apply_matrix, orbit_partition
+def _orbit_levels(pts, group, rng):
+    """A level in 0..2 for each point, one per orbit, so every level set is closed."""
+    level_of = {}
+    for o in orbit_partition(pts, group).orbits:
+        k = rng.randrange(3)
+        level_of.update((apply_matrix(g, o.representative), k) for g in group.elements)
+    return [level_of[p] for p in pts]
 
-    group, pts = case
-    reps, stab = reduce_orbits(np.array(pts, dtype=np.int64), group.elements)
-    kernel = {}
-    for p, r in zip(pts, map(tuple, reps.tolist())):
-        kernel.setdefault(r, set()).add(p)
-    report = orbit_partition(pts, group)
-    reference = {
-        frozenset(apply_matrix(g, o.representative) for g in group.elements): o.stabilizer_order
-        for o in report.orbits
-    }
-    assert {frozenset(m) for m in kernel.values()} == set(reference)
-    stab_of = {p: s for members, s in reference.items() for p in members}
-    assert stab.tolist() == [stab_of[p] for p in pts]
+
+def _partition_counts(pts, levels, group):
+    """(orbits, points) per level 0..2 by symmetry.orbit_partition."""
+    orbits, points = [0] * 3, [0] * 3
+    for k in range(3):
+        report = orbit_partition([p for p, lv in zip(pts, levels) if lv == k], group)
+        orbits[k], points[k] = len(report.orbits), report.total_points()
+    return orbits, points
 
 
 @settings(max_examples=60, deadline=None)
-@given(closed_point_sets())
-def test_reduce_orbits_rep_rule_and_idempotence(case):
-    from orbitcount.symmetry import apply_matrix
-
+@given(closed_point_sets(), st.randoms(use_true_random=False))
+def test_orbit_counts_match_orbit_partition(case, rng):
     group, pts = case
-    reps, _ = reduce_orbits(np.array(pts, dtype=np.int64), group.elements)
-    for p, r in zip(pts, map(tuple, reps.tolist())):
-        assert r == min((apply_matrix(g, p) for g in group.elements), key=rep_key)
-    again, _ = reduce_orbits(reps, group.elements)
-    assert again.tolist() == reps.tolist()
+    rng.shuffle(pts)
+    levels = _orbit_levels(pts, group, rng)
+    n_orbits, n_points = orbit_counts(np.array(pts, dtype=np.int64), levels, group.elements, 3)
+    assert (n_orbits.tolist(), n_points.tolist()) == _partition_counts(pts, levels, group)
 
 
-def test_reduce_orbits_python_int_path_is_exact():
-    from orbitcount.symmetry import apply_matrix
+@settings(max_examples=60, deadline=None)
+@given(closed_point_sets(), st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_orbit_counts_trip_exactly_when_a_level_set_is_not_closed(case, rng, per_point, drop):
+    # levels drawn per point, or one member dropped, leave a level set that G
+    # does not map to itself unless by chance; the kernel must trip exactly then
+    group, pts = case
+    levels = [rng.randrange(3) for _ in pts] if per_point else _orbit_levels(pts, group, rng)
+    if drop:
+        i = rng.randrange(len(pts))
+        pts, levels = pts[:i] + pts[i + 1:], levels[:i] + levels[i + 1:]
+    rows = set(zip(levels, pts))
+    closed = all((lv, apply_matrix(g, p)) in rows for lv, p in rows for g in group.elements)
+    args = (np.array(pts, dtype=np.int64).reshape(-1, len(group.elements[0])), levels, group.elements, 3)
+    if closed:
+        n_orbits, n_points = orbit_counts(*args)
+        assert (n_orbits.tolist(), n_points.tolist()) == _partition_counts(pts, levels, group)
+    else:
+        with pytest.raises(AssertionError, match="orbit-stabilizer identity violated: an orbit is incomplete"):
+            orbit_counts(*args)
 
+
+def test_orbit_counts_python_int_path_is_exact():
     group = KERNEL_GROUPS["hurwitz"]  # row sums up to 5: 5 * 2^62 overflows int64
-    pts = [(2 ** 62, -3, 1, 7), (-(2 ** 62) - 9, 2 ** 62 + 1, 0, -5)]
-    reps, stab = reduce_orbits(pts, group.elements)
-    assert reps.dtype == object
-    for p, r in zip(pts, map(tuple, reps.tolist())):
-        assert r == min((apply_matrix(g, p) for g in group.elements), key=rep_key)
-    assert stab.tolist() == [1, 1]
+    pts = _closure([(2 ** 62, -3, 1, 7), (-(2 ** 62) - 9, 2 ** 62 + 1, 0, -5), (2 ** 62, 2 ** 62, 0, 0)], group)
+    levels = _orbit_levels(pts, group, random.Random(5))
+    n_orbits, n_points = orbit_counts(pts, levels, group.elements, 3)
+    assert (n_orbits.tolist(), n_points.tolist()) == _partition_counts(pts, levels, group)
+    assert sum(n_orbits) == 3
 
 
-@pytest.mark.parametrize("scale", [1, 2 ** 62])
+@pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 62])
 def test_dropping_an_orbit_member_trips_completeness_check(scale):
-    from orbitcount.counting import _orbit_classes
-
+    # 2^40: int64 points whose rows fill no one int64 code; 2^62: Python ints
     group = KERNEL_GROUPS["hurwitz"]
     pts = _closure([(scale, 2 * scale, 0, 0), (3 * scale, 0, 0, 0)], group)
     levels = np.zeros(len(pts), dtype=np.int64)
-    reps, stab = reduce_orbits(pts, group.elements)
-    assert len(_orbit_classes(levels, reps, stab, group.order)) == 2
-    reps, stab = reduce_orbits(pts[1:], group.elements)
-    with pytest.raises(AssertionError):
-        _orbit_classes(levels[1:], reps, stab, group.order)
+    n_orbits, n_points = orbit_counts(pts, levels, group.elements, 1)
+    assert n_orbits.tolist() == [2] and n_points.tolist() == [len(pts)]
+    with pytest.raises(AssertionError, match="an orbit is incomplete"):
+        orbit_counts(pts[1:], levels[1:], group.elements, 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(closed_point_sets(), st.randoms(use_true_random=False), st.booleans())
-def test_orbit_classes_match_unique_rows(case, rng, drop):
-    # the sorted-key grouping gives np.unique(axis=0)'s first indices, and it
-    # trips exactly when np.unique's counts break the orbit-stabiliser identity
-    from orbitcount.counting import _orbit_classes
-
-    group, pts = case
-    pts = np.array(pts, dtype=np.int64)
-    rng.shuffle(pts)
-    levels = np.array([rng.randrange(3) for _ in pts], dtype=np.int64)
-    if drop:  # an incomplete orbit: one member gone
-        keep = np.arange(len(pts)) != rng.randrange(len(pts))
-        pts, levels = pts[keep], levels[keep]
-    reps, stab = reduce_orbits(pts, group.elements)
-    key = np.column_stack([levels, reps])
-    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-    if np.all(counts * stab[first] == group.order):
-        assert _orbit_classes(levels, reps, stab, group.order).tolist() == first.tolist()
-    else:
-        with pytest.raises(AssertionError, match="orbit-stabilizer"):
-            _orbit_classes(levels, reps, stab, group.order)
+@pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 62])
+def test_a_repeated_point_trips_the_kernel(scale):
+    # the set is closed under G, but one point is listed twice
+    group = KERNEL_GROUPS["hurwitz"]
+    pts = _closure([(scale, 2 * scale, 0, 0)], group)
+    pts = pts + pts[:1]
+    with pytest.raises(AssertionError, match="a point is repeated"):
+        orbit_counts(pts, np.zeros(len(pts), dtype=np.int64), group.elements, 1)
 
 
-def test_orbit_classes_of_no_points():
-    from orbitcount.counting import _orbit_classes
+def test_an_image_outside_the_radices_is_not_read_as_a_point():
+    # {+-1} is closed under -1 but not under i; read as codes of the points'
+    # radices without their range check, i * (+-1) = +-i would alias them
+    group = KERNEL_GROUPS["gauss"]
+    with pytest.raises(AssertionError, match="an orbit is incomplete"):
+        orbit_counts([(-1, 0), (1, 0)], [0, 0], group.elements, 1)
+    assert [c.tolist() for c in orbit_counts(_closure([(1, 0)], group), [0] * 4, group.elements, 1)] == [[1], [4]]
 
+
+def test_orbit_counts_of_no_points():
     group = KERNEL_GROUPS["model-quadric"]
-    empty = np.zeros((0, 3), dtype=np.int64)
-    reps, stab = reduce_orbits(empty, group.elements)
-    assert _orbit_classes(np.zeros(0, dtype=np.int64), reps, stab, group.order).tolist() == []
+    n_orbits, n_points = orbit_counts(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                                      group.elements, 2)
+    assert n_orbits.tolist() == n_points.tolist() == [0, 0]
