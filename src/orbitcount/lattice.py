@@ -3,9 +3,10 @@ per-level orbit representatives of real quadratic orders.
 
 cone_section_points realises the level-set geometry directly: build the
 affine lattice fiber ell = k, restrict the cone equation to it, and solve the
-resulting definite inhomogeneous quadratic by exact shell enumeration.  The
-conic parametrisation below is an equivalent fast path for three variables,
-used by the bulk series driver and cross-checked against the fiber route.
+resulting definite inhomogeneous quadratic with shells.quadratic_points, in
+every dimension.  The conic parametrisation below, on a Gauss-reduced level
+form, is an equivalent fast path for three variables, used by the bulk
+series driver and cross-checked against the fiber route.
 """
 
 import math
@@ -20,11 +21,11 @@ from .exact import (
     gcd_vector,
     invariant_factors,
     rank,
-    scalar,
-    solve,
 )
 from .orders import fundamental_unit, unit_domain_points
-from .shells import _check_int64, definite_shell, shifted_shell_2d
+# definite_shell is no longer called here; it stays importable as
+# orbitcount.lattice.definite_shell, a name perfbench/tracer.py wraps
+from .shells import _check_int64, definite_shell, interval_points, quadratic_points
 
 
 def fiber_section_points(section, k, qtarget=0, primitive=True):
@@ -33,7 +34,8 @@ def fiber_section_points(section, k, qtarget=0, primitive=True):
     k and qtarget are rationals; requires q|ker(ell) definite.  Points are
     lexicographically sorted; primitive filters gcd = 1.  On the fiber
     x = t u0 + B y of section.fiber_frame, q(x) = qtarget reads
-    y^t gram y + 2 t cross . y + t^2 q0 - qtarget = 0.
+    y^t gram y + 2 t cross . y + t^2 q0 - qtarget = 0: one
+    shells.quadratic_points shell once cleared of denominators.
     """
     fr = section.fiber_frame
     t = Fraction(k) * fr.scale
@@ -47,31 +49,10 @@ def fiber_section_points(section, k, qtarget=0, primitive=True):
     if ints[0] < 0:
         ints = [-x for x in ints]
     a = [ints[i * nb : (i + 1) * nb] for i in range(nb)]
-    b, c = ints[nb * nb : -1], ints[-1]
-    if nb == 2:
-        sols = shifted_shell_2d(a[0][0], a[0][1], a[1][1], b[0], b[1], c)
-    else:
-        sols = _shifted_shell_generic(a, b, c)
-    out = []
-    for y in sols:
-        x = tuple(t * u + sum(bj * yj for bj, yj in zip(row, y)) for u, row in zip(fr.u0, fr.basis))
-        if primitive and gcd_vector(x) != 1:
-            continue
-        out.append(x)
-    return sorted(out)
-
-
-def _shifted_shell_generic(a, b, c):
-    # exact backtracking fallback for fibers of dimension != 2: complete the
-    # square, (t + A^-1 b)^t A (t + A^-1 b) = b^t A^-1 b - c
-    nb = len(a)
-    shift = solve(a, b)
-    m = scalar(
-        sum(a[i][j] * shift[i] * shift[j] for i in range(nb) for j in range(nb)) - Fraction(c)
-    )
-    if m < 0:
-        return []
-    return [tuple(t) for t in definite_shell(a, m, shift=shift)]
+    ys, _ = quadratic_points(a, ints[nb * nb : -1], ints[-1])
+    xs = [tuple(t * u + sum(bj * yj for bj, yj in zip(row, y)) for u, row in zip(fr.u0, fr.basis))
+          for y in ys.tolist()]
+    return sorted(x for x in xs if not primitive or gcd_vector(x) == 1)
 
 
 def cone_section_points(section, k):
@@ -88,8 +69,10 @@ def conic_parametrization(section):
     Returns (phi, psi, content_bound): phi is a 3x3 integer matrix of binary
     quadratic form coefficients (rows = coordinates, columns = coefficients of
     s^2, s t, t^2), psi the positive definite integer form with
-    psi(s, t) = scale_e * ell(phi(s, t)), and content_bound an integer N such
-    that gcd(phi(s, t)) divides N for coprime (s, t).
+    psi(s, t) = scale_e * ell(phi(s, t)), Gauss-reduced (|b| <= a <= c) so
+    that the (s, t) scan of conic_points_up_to does not grow with the basis
+    the section is written in, and content_bound an integer N such that
+    gcd(phi(s, t)) divides N for coprime (s, t).
     """
     if section.dim != 3:
         raise ValueError("conic parametrisation needs three variables")
@@ -129,8 +112,19 @@ def conic_parametrization(section):
     if sgn < 0:
         phi = tuple(tuple(-c for c in row) for row in phi)
         psi = tuple(-c for c in psi)
+    # Gauss-reduce psi = (a, b, c) to |b| <= a <= c by SL_2(Z) changes of (s, t),
+    # applied to phi too: (s, t) -> (s - k t, t), then (-t, s) while c < a
+    forms = [psi, *phi]
+    while True:
+        a, b, _ = forms[0]
+        k = -((a - b) // (2 * a))  # b - 2ak in (-a, a]
+        forms = [(f0, f1 - 2 * k * f0, f0 * k * k - f1 * k + f2) for f0, f1, f2 in forms]
+        if forms[0][0] <= forms[0][2]:
+            break
+        forms = [(f2, -f1, f0) for f0, f1, f2 in forms]
+    psi, *phi = forms
     n_bound = _content_bound(phi)
-    return phi, psi, n_bound
+    return tuple(phi), psi, n_bound
 
 
 def _independent(rows):
@@ -193,9 +187,7 @@ def conic_points_up_to(section, r_scaled):
             root = math.isqrt(dd)
             windows.append((s, (-b * s - root) // (2 * c) - 1, (-b * s + root) // (2 * c) + 2))
     s_w, lo_w, hi_w = np.array(windows, dtype=np.int64).reshape(-1, 3).T
-    sizes = hi_w - lo_w + 1
-    ss = np.repeat(s_w, sizes)
-    ts = np.arange(len(ss), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes - lo_w, sizes)
+    ts, ss = interval_points(lo_w, hi_w, s_w)
     vals = a * ss * ss + b * ss * ts + c * ts * ts
     keep = (vals > 0) & (vals <= bound) & ((ss > 0) | (ts > 0))
     ss, ts, vals = ss[keep], ts[keep], vals[keep]

@@ -29,11 +29,11 @@ from .exact import det, scalar
 from .numtheory import pell
 # definite_shell is no longer called here; it stays importable as
 # orbitcount.orders.definite_shell, a name perfbench/tracer.py wraps
-from .shells import ball_points, definite_shell, vec_isqrt_exact
+from .shells import DOMAIN_BLOCK, ball_points, definite_shell, interval_points, vec_isqrt_exact
 
 # every count of an order of unit rank >= 2 is refused with this reason
 RANK_2_REFUSAL = ("unit rank >= 2: no exact enumerator exists yet "
-                  "(planned: the Shintani-cone enumerator, ROADMAP.md item 4)")
+                  "(planned: the Shintani-cone enumerator in ROADMAP.md)")
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,6 @@ def canonical_rep(x, units, order):
     return element((a, b))
 
 
-# b-values per vectorised block of unit_domain_points: bounds peak memory
-# independently of the fundamental unit
-DOMAIN_BLOCK = 1 << 16
-
-
 def unit_domain_points(order, units, r_max):
     """Every x = a + b sqrt(d) of Z[sqrt(d)] with 1 <= |norm(x)| <= r_max in the
     fundamental domain of the norm-one units {+-eps1^j}.
@@ -301,11 +296,7 @@ def unit_domain_points(order, units, r_max):
         low = np.maximum(db2 - r_max, 0)
         lo = vec_isqrt_exact(low)
         lo += lo * lo < low
-        width = np.maximum(vec_isqrt_exact(db2 + r_max) - lo + 1, 0)
-        total = int(width.sum())
-        starts = np.cumsum(width) - width
-        b = np.repeat(bs, width)
-        a = np.arange(total, dtype=np.int64) - np.repeat(starts - lo, width)
+        a, b = interval_points(lo, vec_isqrt_exact(db2 + r_max), bs)
         u = a * x1 - d * b * y1
         v = b * x1 - a * y1
         n = a * a - d * b * b

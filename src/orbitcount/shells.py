@@ -1,9 +1,11 @@
 """Exact enumeration on positive definite quadratic forms.
 
-The reference enumerator is recursive backtracking with exact rational
-interval bounds from the form's LDL decomposition.  Vectorised integer paths
-(numpy int64) cover the hot cases; floats appear only as seeds for integer
-square roots and every accepted point passes an exact integer check.
+The hot paths are numpy int64 kernels, their headroom bounded in Python ints
+first: quadratic_points (every quadric fiber shell and every ball) and
+theta_series.  definite_shell, recursive backtracking with exact rational
+bounds from the form's LDL decomposition, is the reference enumerator beside
+them.  Floats appear only as seeds for integer square roots and every
+accepted point passes an exact integer check.
 """
 
 import functools
@@ -60,8 +62,8 @@ def is_integer_valued(gram):
     return _scaled_integer_gram(gram)[0] == 1
 
 
-def definite_shell(gram, m, shift=None):
-    """Complete set {x in Z^n : (x+shift)^t G (x+shift) = m}, lexicographically sorted.
+def definite_shell(gram, m):
+    """Complete set {x in Z^n : x^t G x = m}, lexicographically sorted.
 
     Exact recursive backtracking; G (a matrix or a PositiveForm) must be
     positive definite, m >= 0 rational.
@@ -72,13 +74,12 @@ def definite_shell(gram, m, shift=None):
     if m < 0:
         raise ValueError("negative shell level")
     n = len(d)
-    s = tuple(scalar(Fraction(c)) for c in (shift or (0,) * n))
     out = []
     x = [0] * n
 
     def walk(i, remaining):
-        # term i of the LDL expansion: d_i * (y_i + sum_{j>i} u_ij y_j)^2, y = x + s
-        c = s[i] + sum(u[i][j] * (x[j] + s[j]) for j in range(i + 1, n))
+        # term i of the LDL expansion: d_i * (x_i + sum_{j>i} u_ij x_j)^2
+        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
         budget = Fraction(remaining) / d[i]
         if i == 0:
             # exact equality: (x_0 + c)^2 == budget
@@ -174,35 +175,12 @@ def _check_int64(*bounds):
 def ball_points(gram, r):
     """All x in Z^n with 0 < Q(x) <= r, as (points array, 2s*values array, scale s).
 
-    Vectorised over the last coordinate slabs; exact because all arithmetic is
-    int64 on scaled integer data, with the headroom checked first.  dim <= 4;
-    gram is a matrix or a PositiveForm.
+    quadratic_points in ball mode, 0 < sQ(x) <= sr, so exact and int64 with
+    the headroom checked first; gram is a matrix or a PositiveForm.
     """
     form = positive_form(gram)
-    n = len(form.gram)
-    if n > 4:
-        raise ValueError("ball_points supports dim <= 4")
-    s, gi = form.scale, form.integer_gram
-    bounds = _coordinate_bounds(form, r)
-    target = 2 * s * r
-    _check_int64(_bilinear_bound(gi, bounds), target, max(abs(e) for row in gi for e in row))
-    flat = _box(bounds[:-1])  # (#, n-1)
-    pts_out, vals_out = [], []
-    part = _quadratic_values(flat, [row[: n - 1] for row in gi[: n - 1]])
-    gi = np.array(gi, dtype=np.int64)
-    cross = 2 * flat @ gi[: n - 1, n - 1]
-    last_diag = gi[n - 1, n - 1]
-    for v in range(-bounds[-1], bounds[-1] + 1):
-        vals = part + cross * v + last_diag * v * v
-        keep = (vals > 0) & (vals <= target)
-        if keep.any():
-            sel = flat[keep]
-            col = np.full((sel.shape[0], 1), v, dtype=np.int64)
-            pts_out.append(np.hstack([sel, col]))
-            vals_out.append(vals[keep])
-    if not pts_out:
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64), s
-    return np.vstack(pts_out), np.concatenate(vals_out), s
+    pts, vals = quadratic_points(form, [0] * len(form.gram), 0, math.floor(form.scale * r))
+    return pts, 2 * vals, form.scale
 
 
 def definite_ball(gram, r):
@@ -240,47 +218,82 @@ def vec_isqrt_exact(a):
     return r
 
 
-def shifted_shell_2d(a11, a12, a22, b1, b2, c):
-    """Integer solutions of t^t A t + 2 b^t t + c = 0 for positive definite
-    integer A; returns sorted (t1, t2) pairs.
+# rows per vectorised block of a box walk (quadratic_points,
+# orders.unit_domain_points): bounds peak memory independently of the box
+DOMAIN_BLOCK = 1 << 16
 
-    Reduction: with P = a11 t1 + a12 t2 + b1, R = D t2 + beta,
-    D = det A, beta = a11 b2 - a12 b1, solutions satisfy R^2 + D P^2 = C.
-    Raises ValueError when an int64 intermediate could reach 2^63.
-    """
-    dd = a11 * a22 - a12 * a12
-    if a11 <= 0 or dd <= 0:
-        raise ValueError("form must be positive definite")
-    beta = a11 * b2 - a12 * b1
-    cc = beta * beta - dd * (a11 * c - b1 * b1)
-    if cc < 0:
-        return []
-    pmax = math.isqrt(cc // dd)
-    while dd * (pmax + 1) * (pmax + 1) <= cc:
-        pmax += 1
-    # |R| <= isqrt(C), and vec_isqrt_exact squares at most isqrt(C) + 2
-    rmax = math.isqrt(cc)
-    t2max = (rmax + abs(beta)) // dd + 1
-    _check_int64(cc, abs(beta), dd, a11, abs(a12), abs(b1), dd * pmax * pmax, (rmax + 2) ** 2,
-                 rmax + abs(beta), pmax + abs(a12) * t2max + abs(b1))
-    p = np.arange(-pmax, pmax + 1, dtype=np.int64)
-    rem = cc - dd * p * p
-    ok = rem >= 0
-    p, rem = p[ok], rem[ok]
-    r = vec_isqrt_exact(rem)
-    sq = r * r == rem
-    p, r = p[sq], r[sq]
-    out = []
-    for rr in (r, -r):
-        t2_num = rr - beta
-        m2 = t2_num % dd == 0
-        t2 = t2_num[m2] // dd
-        pp = p[m2]
-        t1_num = pp - a12 * t2 - b1
-        m1 = t1_num % a11 == 0
-        t1 = t1_num[m1] // a11
-        out.extend(zip(t1.tolist(), t2[m1].tolist()))
-    return sorted(set(out))
+
+def interval_points(lo, hi, *cols):
+    """Every integer of the intervals [lo_i, hi_i] (int64 arrays; hi_i < lo_i
+    gives none), rows in order and each ascending, with the entry i of each
+    array of cols repeated beside it: (integers, *repeated cols)."""
+    width = np.maximum(hi - lo + 1, 0)
+    starts = np.repeat(np.cumsum(width) - width - lo, width)
+    return (np.arange(len(starts), dtype=np.int64) - starts, *(np.repeat(c, width) for c in cols))
+
+
+def quadratic_points(gram, b, c, h=None):
+    """The integer y with f(y) = s y^t G y + 2 b.y + c = 0 (h None) or with
+    0 < f(y) <= h, as (points (N, n) int64, values f (N,) int64) in no fixed
+    order; G is a positive definite Gram matrix or its PositiveForm, s its
+    scale (1 for an integer matrix), b, c and h are integers.  Vectorised
+    Fincke-Pohst: f <= h is the ellipsoid s (y - y0)^t G (y - y0) <= R with
+    y0 = -(sG)^-1 b, R = h - c - b.y0; every coordinate but the one j of the
+    largest (G^-1)_jj runs over its box |y_i - y0_i| <= sqrt(R (G^-1)_ii / s)
+    in blocks of DOMAIN_BLOCK rows, and y_j is solved on each row by one
+    vec_isqrt_exact.  Every int64 intermediate is bounded in Python ints
+    first; ValueError at 2^63."""
+    form = positive_form(gram)
+    n, s, g, inv = len(form.gram), form.scale, form.integer_gram, form.inverse
+    hh = 0 if h is None else h
+    y0 = [-Fraction(sum(x * bk for x, bk in zip(row, b) if bk), s) for row in inv]
+    radius = hh - c - sum(bi * yi for bi, yi in zip(b, y0) if bi)
+    j = max(range(n), key=lambda i: inv[i][i])
+    # the box of the other coordinates z, with z_j = 0 (R < 0: no row of the
+    # w = 0 box has a root); on it 2f = a y_j^2 + 2 p y_j + e with
+    # p = g_j . z + 2 b_j and e = z^t g z + 4 b . z + 2c, g = 2sG
+    half = [isqrt_frac_floor(max(radius, 0) * row[i] / s) for i, row in enumerate(inv)]
+    box = [(0, 0) if i == j else (math.floor(y) - w, math.ceil(y) + w)
+           for i, (y, w) in enumerate(zip(y0, half))]
+    spans = [hi - lo + 1 for lo, hi in box]
+    size = math.prod(spans)
+    zmax = [max(-lo, hi) for lo, hi in box]
+    a, gz = g[j][j], [[0 if j in (i, k) else x for k, x in enumerate(row)] for i, row in enumerate(g)]
+    pmax = _bilinear_bound([g[j]], [1], zmax) + 2 * abs(b[j])
+    emax = _bilinear_bound(gz, zmax) + 4 * _bilinear_bound([b], [1], zmax) + 2 * abs(c)
+    dmax = pmax * pmax + a * (emax + 2 * abs(hh))
+    smax = math.isqrt(dmax)
+    ymax = (pmax + smax) // a + 1
+    _check_int64(size, *zmax, pmax, emax + 2 * abs(hh), (smax + 2) ** 2, pmax + smax,
+                 a * ymax * ymax + 2 * pmax * ymax + emax,
+                 *(abs(x) for row in g for x in row), *(4 * abs(x) for x in b), 2 * abs(c), 2 * abs(hh))
+    pts, vals = [], []
+    for start in range(0, size, DOMAIN_BLOCK):
+        idx = np.arange(start, min(start + DOMAIN_BLOCK, size), dtype=np.int64)
+        z = np.array(np.unravel_index(idx, spans), dtype=np.int64).T + [lo for lo, _ in box]
+        p = _linear_values(z.T, g[j], np.full(len(idx), 2 * b[j], dtype=np.int64))
+        e = _linear_values(z.T, [4 * x for x in b], _quadratic_values(z, gz) + 2 * c)
+        disc = p * p - a * (e - 2 * hh)
+        rows = np.flatnonzero(disc >= 0)
+        p, e, root = p[rows], e[rows], vec_isqrt_exact(disc[rows])
+        if h is None:
+            exact = root * root == disc[rows]
+            # the roots (-p -+ root) / a, the second one only when it differs
+            num = np.concatenate([-p - root, (root - p)[root > 0]])
+            sel = np.concatenate([rows, rows[root > 0]])
+            hit = np.concatenate([exact, exact[root > 0]]) & (num % a == 0)
+            sel, y, f = sel[hit], num[hit] // a, np.zeros(int(hit.sum()), dtype=np.int64)
+        else:
+            # a y^2 + 2 p y + e <= 2h for (-p - root) / a <= y <= (root - p) / a
+            y, p, e, sel = interval_points(-((p + root) // a), (root - p) // a, p, e, rows)
+            f = ((a * y + 2 * p) * y + e) >> 1
+            keep = f > 0
+            sel, y, f = sel[keep], y[keep], f[keep]
+        z = z[sel]
+        z[:, j] = y
+        pts.append(z)
+        vals.append(f)
+    return np.concatenate(pts), np.concatenate(vals)
 
 
 def _half_histogram(twice, r):

@@ -111,7 +111,7 @@ ZETA7_PLUS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, -1], [-1, -1, 3]]  # a^3 =
     # the right rank, which no exact enumerator covers yet
     pytest.param(ZETA7_PLUS, 2,
                  "unit rank >= 2: no exact enumerator exists yet "
-                 "(planned: the Shintani-cone enumerator, ROADMAP.md item 4)", id="zeta7plus-rank2"),
+                 "(planned: the Shintani-cone enumerator in ROADMAP.md)", id="zeta7plus-rank2"),
 ])
 def test_validate_refuses_a_unit_rank_against_dirichlet(tmp_path, capsys, table, unit_rank, detail):
     cfg = _order_config(tmp_path / "order.json", table, unit_rank)

@@ -573,6 +573,50 @@ def test_quadric_series_with_stabilizers_matches_the_partition_reference():
     assert math.gcd(series.weight_den, *series.weighted.tolist()) == 1
 
 
+def _r3_of_square(k):
+    """r_3(k^2) = 6 prod over odd p^a || k of (sigma(p^a) - (-1/p) sigma(p^(a-1)))
+    (Hurwitz), by trial division, with no lattice enumeration."""
+    out, p = 6, 3
+    while k % 2 == 0:
+        k //= 2
+    while k > 1:
+        if p * p > k:
+            p = k
+        a = 0
+        while k % p == 0:
+            k, a = k // p, a + 1
+        if a:
+            legendre = 1 if p % 4 == 1 else -1  # (-1/p)
+            out *= (p ** (a + 1) - 1) // (p - 1) - legendre * (p ** a - 1) // (p - 1)
+        p += 2
+    return out
+
+
+def test_sphere_section_points_match_the_three_squares_oracle():
+    # the primitive (x, y, z, k) with x^2 + y^2 + z^2 = k^2 number
+    # sum over d | k of mu(d) r_3(k^2 / d^2), and level k holds them all
+    sec = sphere_section()
+    group = integral_symmetries(sec)
+    series = quadric_series(sec, 100, group)
+    points = [w * group.order // series.weight_den for w in series.weighted.tolist()]
+
+    def mobius(d):
+        sign, p = 1, 2
+        while p * p <= d:
+            if d % (p * p) == 0:
+                return 0
+            if d % p == 0:
+                d, sign = d // p, -sign
+            p += 1
+        return -sign if d > 1 else sign
+
+    assert points == [sum(mobius(d) * _r3_of_square(k // d) for d in range(1, k + 1) if k % d == 0)
+                      for k in range(1, 101)]
+    wide = quadric_series(sec, 150, group)
+    assert int(wide.n_prim.sum()) == 1538
+    assert Fraction(int(wide.weighted.sum()), wide.weight_den) == Fraction(6149, 4)
+
+
 def _columns(series):
     return series.n_prim.tolist(), series.n_all.tolist(), series.weighted.tolist()
 

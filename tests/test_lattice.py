@@ -198,8 +198,29 @@ def test_conic_parametrization_matches_sympy_route(sec):
             mock.patch.object(lattice, "invariant_factors", _sympy_invariant_factors):
         assert conic_parametrization(sec) == got
     for s, t in ((1, 0), (0, 1), (1, 1), (2, -1)):
-        assert sec.q_value([f[0] * s * s + f[1] * s * t + f[2] * t * t for f in phi]) == 0
+        x = [f[0] * s * s + f[1] * s * t + f[2] * t * t for f in phi]
+        assert sec.q_value(x) == 0
+        assert sec.scale_e * sec.ell_value(x) == psi[0] * s * s + psi[1] * s * t + psi[2] * t * t
     assert psi[0] > 0 and psi[1] ** 2 < 4 * psi[0] * psi[2] and n_bound > 0
+    assert abs(psi[1]) <= psi[0] <= psi[2]  # Gauss-reduced
+
+
+def test_conic_points_do_not_grow_with_a_skewed_basis():
+    # the model quadric moved by U: its unreduced psi is about (2, -4M, 2M^2),
+    # and an (s, t) scan on it runs s up to about M sqrt(r)
+    m = 2 ** 22
+    u = ((1, -m, m * m), (0, 1, -m), (0, 0, 1))
+    from orbitcount.symmetry import transformed_section
+
+    moved = transformed_section(SEC, u)
+    _, psi, _ = conic_parametrization(moved)
+    assert abs(psi[1]) <= psi[0] <= psi[2]
+    pts, lvls = conic_points_up_to(moved, 60)
+    base, base_lvls = conic_points_up_to(SEC, 60)
+    u_inv = inverse(u)
+    want = sorted((lv, *mat_vec(u_inv, p)) for lv, p in zip(base_lvls.tolist(), base.tolist()))
+    assert [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())] == want
+    assert len(want) == 56
 
 
 def test_conic_points_refuse_int64_overflow():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orbitcount.exact import definiteness
+from orbitcount.exact import definiteness, inverse, random_unimodular, solve
 from orbitcount.oracles import r4_series
 from orbitcount.orders import norm_gram
 from orbitcount.presets import order_hurwitz, order_lipschitz
@@ -16,7 +16,7 @@ from orbitcount.shells import (
     definite_ball,
     definite_shell,
     is_integer_valued,
-    shifted_shell_2d,
+    quadratic_points,
     theta_series,
     truncated_product_sum,
 )
@@ -161,14 +161,20 @@ def test_theta_dim2():
         assert t[m] == len(two_squares_all(m))
 
 
-def test_shifted_shell_2d_matches_brute_force():
+def _solutions(a, b, c, h=None):
+    """quadratic_points as a sorted list of point tuples."""
+    pts, _ = quadratic_points(a, b, c, h)
+    return sorted(map(tuple, pts.tolist()))
+
+
+def test_quadratic_points_2d_matches_brute_force():
     cases = [
         (1, 0, 1, 1, 0, -4),
         (2, 1, 3, 0, -2, -11),
         (5, -1, 2, 3, 1, -40),
     ]
     for a11, a12, a22, b1, b2, c in cases:
-        got = shifted_shell_2d(a11, a12, a22, b1, b2, c)
+        got = _solutions([[a11, a12], [a12, a22]], [b1, b2], c)
         want = sorted(
             (x, y)
             for x in range(-60, 61)
@@ -253,15 +259,24 @@ def test_ball_points_refuses_int64_overflow():
         ball_points([[2 ** 62, 0], [0, 1]], 4)
 
 
-def test_shifted_shell_2d_refuses_past_int64():
-    # C = 4 * 2^63: the int64 path would overflow, so the call is refused
+def test_quadratic_points_refuses_past_int64():
+    # 2 y0^2 + 2 y1^2 = 2^61 holds at (2^30, 0), and every input fits int64,
+    # but on the row y1 = 0 the discriminant of twice the quadratic in y0,
+    # 4 y0^2 - 2^62, is 0 - 4 (-2^62) = 2^64
+    assert len(_solutions([[2, 0], [0, 2]], [0, 0], -2 * 25)) == 12
     with pytest.raises(ValueError, match="2\\^63"):
-        shifted_shell_2d(4, 0, 2 ** 61, 0, 0, -1)
+        quadratic_points([[2, 0], [0, 2]], [0, 0], -2 ** 61)
+    # y^2 + 2^41 y = 0 at y = -2^41: the linear term alone puts the
+    # discriminant, about 2^82, past int64
+    assert _solutions([[1]], [2 ** 20], 0) == [(-(2 ** 21),), (0,)]
+    with pytest.raises(ValueError, match="2\\^63"):
+        quadratic_points([[1]], [2 ** 40], 0)
 
 
-def test_shifted_shell_2d_just_under_int64_matches_python_scan():
-    # t1^2 + D t2^2 + 2 b1 t1 + 2 b2 t2 + c = 0 through (33000, 1), with
-    # C = b2^2 - D (c - b1^2) just under 2^63
+def test_quadratic_points_just_under_int64_matches_python_scan():
+    # t1^2 + D t2^2 + 2 b1 t1 + 2 b2 t2 + c = 0 through (33000, 1); the
+    # constant C = b2^2 - D (c - b1^2) of a reduction by det A = D is just
+    # under 2^63, while the enumerator's own intermediates stay far below it
     d, b1, b2 = 2 ** 31 - 1, 12345, -6789
     c = -(33000 ** 2 + d + 2 * b1 * 33000 + 2 * b2)
     cc = b2 * b2 - d * (c - b1 * b1)
@@ -275,7 +290,64 @@ def test_shifted_shell_2d_just_under_int64_matches_python_scan():
             if rhs >= 0 and root * root == rhs:
                 want |= {(-b1 + root, y), (-b1 - root, y)}
         t2 += 1
-    assert shifted_shell_2d(1, 0, d, b1, b2, c) == sorted(want) == [(-57690, 1), (33000, 1)]
+    assert _solutions([[1, 0], [0, d]], [b1, b2], c) == sorted(want) == [(-57690, 1), (33000, 1)]
+
+
+@st.composite
+def inhomogeneous_quadratics(draw):
+    """(a, b, c) with a an integer positive definite matrix of dim 1..4, in
+    half the draws skewed to V^t a0 V by a random unimodular V, and random
+    integer b and c."""
+    n = draw(st.integers(1, 4))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(st.integers(1, 8))
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(st.integers(-3, 3))
+    assume(definiteness(a) == 1)
+    if n > 1 and draw(st.booleans()):
+        v = random_unimodular(n, draw(st.randoms(use_true_random=False)), steps=draw(st.integers(1, 8)))
+        a = [[sum(v[k][i] * a[k][l] * v[l][j] for k in range(n) for l in range(n)) for j in range(n)]
+             for i in range(n)]
+    b = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    return a, b, draw(st.integers(-40, 10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inhomogeneous_quadratics())
+def test_quadratic_points_shell_mode_matches_definite_shell(quadratic):
+    # homogenised: with K > b^t a^-1 b the form g = [[a, b], [b^t, K]] is
+    # positive definite and g[(y, 1)] = f(y) - c + K, so the solutions are
+    # the points of the shell g = K - c whose last coordinate is 1
+    a, b, c = quadratic
+    n = len(a)
+    k = math.floor(sum(bi * yi for bi, yi in zip(b, solve(a, b)))) + 1
+    g = [[*row, bi] for row, bi in zip(a, b)] + [[*b, k]]
+    want = [x[:-1] for x in definite_shell(g, k - c) if x[-1] == 1] if k - c >= 0 else []
+    got = _solutions(a, b, c)
+    assert got == want
+    for y in got:
+        assert sum(a[i][j] * y[i] * y[j] for i in range(n) for j in range(n)) + 2 * sum(
+            bi * yi for bi, yi in zip(b, y)) + c == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(inhomogeneous_quadratics(), st.integers(-5, 60))
+def test_quadratic_points_ball_mode_matches_box_scan(quadratic, h):
+    a, b, c = quadratic
+    n = len(a)
+    # the ellipsoid f <= h lies in |y_i - y0_i| <= sqrt(R (a^-1)_ii)
+    ainv, y0 = inverse(a), [-t for t in solve(a, b)]
+    radius = h - c + sum(bi * -yi for bi, yi in zip(b, y0))
+    half = [math.isqrt(max(math.ceil(radius * ainv[i][i]), 0)) + 1 for i in range(n)]
+    ax = [np.arange(math.floor(y) - w, math.ceil(y) + w + 1, dtype=np.int64) for y, w in zip(y0, half)]
+    assume(math.prod(map(len, ax)) <= 10 ** 5)
+    pts, vals = quadratic_points(a, b, c, h)
+    box = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, n)
+    f = np.einsum("ki,ij,kj->k", box, np.array(a, dtype=np.int64), box) + 2 * box @ np.array(b) + c
+    keep = (f > 0) & (f <= h)
+    want = sorted(zip(map(tuple, box[keep].tolist()), f[keep].tolist()))
+    assert sorted(zip(map(tuple, pts.tolist()), vals.tolist())) == want
 
 
 def _route(r, products, factors, primes):
