@@ -34,7 +34,7 @@ for k in range(1, 11):
           f"weighted count {w}  (two-squares oracle: {two_squares_primitive(k)})")
 
 print("\nbulk series to r = 20000 via the cone parametrisation:")
-series = quadric_series(sec, 20000, group)
+series = quadric_series(sec, 20000)
 rep = fit_power(series, window=(2000, 20000), which="weighted")
 print(f"  free power-law fit of the weighted cumulative: "
       f"lambda = {rep.lambda_hat:.4f} (dimension 3 predicts 3 - 2 = 1)")

@@ -24,16 +24,17 @@ from .counting import (
     CountSeries,
     ScenarioSpec,
     _common_denominator,
+    level_scaling_degree,
     run_scenario,
 )
 from .exact import frac
 from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_correction
-from .numtheory import pell, signature
+from .numtheory import signature
 from .oracles import hurwitz_sigma_series, ideal_count_series, r4_series, two_squares_primitive_series
-from .orders import OrderSpec, finite_units, real_quadratic_d, trace_form_discriminant
+# orders derive their units; finite_units stays importable for perfbench/tracer.py
+from .orders import OrderSpec, finite_units, real_quadratic_d
 from .presets import PRESET_NAMES, preset_parts
 from .sections import quadric_section
-from .symmetry import integral_symmetries
 from .validation import validate_scenario
 
 EXIT_OK = 0
@@ -248,20 +249,17 @@ def cmd_count(args):
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    _count_validated(args, doc, scenario, report.form)
+    _count_validated(args, doc, scenario)
     return EXIT_OK
 
 
-def _count_validated(args, doc, scenario, form):
-    """The counted series, on the norm form's set-up that validation derived
-    (report.form); writes counts.csv."""
-    series = run_scenario(scenario, form)
-    chash = config_hash(doc)
+def _count_validated(args, doc, scenario):
+    """Count on the set-up the payload keeps and write counts.csv."""
+    series = run_scenario(scenario)
     out_path = _out_path(args, doc, "counts.csv")
     with open(out_path, "w") as fh:
-        series_to_csv(series, fh, chash)
+        series_to_csv(series, fh, config_hash(doc))
     print(out_path)
-    return series
 
 
 def cmd_fit(args):
@@ -269,7 +267,7 @@ def cmd_fit(args):
     return _fit(args, doc, scenario, _read_series(args.series, scenario))
 
 
-def _fit(args, doc, scenario, series, form=None):
+def _fit(args, doc, scenario, series):
     lam_expected = expected_lambda(scenario)
     column = "weighted" if scenario.family == FAMILY_QUADRIC else "all"
     free = fit_power(series, which=column)
@@ -281,7 +279,7 @@ def _fit(args, doc, scenario, series, form=None):
     report.extras["c_hat_fixed_lambda"] = fixed.c_hat
     report.extras["config_hash"] = series.meta["config_hash"]
     report.extras["fitted_column"] = column
-    _attach_predictions(report, scenario, args, form)
+    _attach_predictions(report, scenario, args)
     text = report.to_json()
     out_path = _out_path(args, doc, "fit.json")
     with open(out_path, "w") as fh:
@@ -290,9 +288,9 @@ def _fit(args, doc, scenario, series, form=None):
     return EXIT_OK
 
 
-def _attach_predictions(report, scenario, args, form=None):
-    """Attach the predicted constant and the zeta factor; form is the norm
-    form's PositiveForm when the command's validation derived it."""
+def _attach_predictions(report, scenario, args):
+    """Attach the predicted constant, from the order's discriminant and unit
+    group, and the zeta factor."""
     minpoly = scenario.invariants.get("minpoly")
     if (scenario.family == FAMILY_NORMFORM and scenario.invariants.get("class_number") == 1
             and minpoly):
@@ -301,14 +299,11 @@ def _attach_predictions(report, scenario, args, form=None):
         if order.unit_rank != r1 + r2 - 1:
             raise ValueError(f"config unit_rank {order.unit_rank} disagrees with r1 + r2 - 1 = "
                              f"{r1 + r2 - 1} (signature ({r1}, {r2}) of minpoly {minpoly})")
-        disc = trace_form_discriminant(order)
+        disc, units, reg = order.discriminant, order.units, 1.0
         if order.unit_rank == 1:
-            d = real_quadratic_d(order)
-            x, y, _ = pell(d)
-            reg = math.log(x + y * math.sqrt(d))
-        else:
-            reg = 1.0
-        omega = 2 if order.unit_rank == 1 else len(finite_units(order, gram=form).torsion)
+            x, y = units.fundamental[0].coords
+            reg = math.log(x + y * math.sqrt(real_quadratic_d(order)))
+        omega = len(units.torsion)
         report.predicted_c = predicted_constant_ideal(
             r1, r2, reg, scenario.invariants["class_number"], omega, int(disc),
             degree=order.algebra.dim,
@@ -319,8 +314,6 @@ def _attach_predictions(report, scenario, args, form=None):
             f"omega={omega}, disc={int(disc)}"
         )
     if args.zeta:
-        from .counting import level_scaling_degree
-
         d = level_scaling_degree(scenario.family, scenario.payload)
         if d >= 2:
             report.zeta_factor = zeta_correction(d)
@@ -329,12 +322,12 @@ def _attach_predictions(report, scenario, args, form=None):
 def cmd_oracle_compare(args):
     scenario = _load(args)[1]
     series = _read_series(args.series, scenario) if args.series else run_scenario(scenario)
-    return _oracle_compare(scenario, series, series.meta.get("group_order"))
+    return _oracle_compare(scenario, series)
 
 
-def _oracle_compare(scenario, series, group_order=None):
+def _oracle_compare(scenario, series):
     label = scenario.label
-    pipeline, oracle, what = _oracle_columns(scenario, series, scenario.k_max, group_order)
+    pipeline, oracle, what = _oracle_columns(scenario, series, scenario.k_max)
     if pipeline is None:
         print(f"no oracle applicable to scenario {label!r}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -350,13 +343,12 @@ def _oracle_compare(scenario, series, group_order=None):
     return EXIT_ORACLE
 
 
-def _oracle_columns(scenario, series, r, group_order=None):
+def _oracle_columns(scenario, series, r):
     """Pipeline and oracle columns at levels 1..r for the oracle the scenario
     declares in invariants["oracle"]: ideal-count:D, two-squares-primitive,
     jacobi-r4 or hurwitz-shell.  Series rows are paired by level, and a level
-    without a row reads ABSENT in the pipeline column.  group_order is the
-    quadric's |G| when the caller counted the series (a counts CSV does not
-    carry it); without it the group is built here."""
+    without a row reads ABSENT in the pipeline column.  A quadric's |G| is
+    its section's symmetry group's, which a counts CSV does not carry."""
     kind = scenario.invariants.get("oracle", "")
     if kind.startswith("ideal-count:"):
         disc = int(kind.split(":", 1)[1])
@@ -364,8 +356,7 @@ def _oracle_columns(scenario, series, r, group_order=None):
                 f"per-level orbit counts vs ideal counts (D={disc})")
     if kind == "two-squares-primitive":
         # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
-        if group_order is None:
-            group_order = integral_symmetries(scenario.payload).order
+        group_order = scenario.payload.symmetry_group.order
         pts = _at_levels(series, series.weighted, r, group_order, series.weight_den)
         oracle = two_squares_primitive_series(r)
         return pts, oracle, "per-level primitive point counts vs two-squares scan"
@@ -400,12 +391,12 @@ def cmd_report(args):
     rc = _print_validation(validated)
     if rc != EXIT_OK:
         return rc
-    counted = _count_validated(args, doc, scenario, validated.form)
+    _count_validated(args, doc, scenario)
     series = _read_series(_out_path(args, doc, "counts.csv"), scenario)
-    rc = _fit(args, doc, scenario, series, validated.form)
+    rc = _fit(args, doc, scenario, series)
     if rc != EXIT_OK:
         return rc
-    return _oracle_compare(scenario, series, counted.meta.get("group_order"))
+    return _oracle_compare(scenario, series)
 
 
 def _out_path(args, doc, name):

@@ -22,25 +22,18 @@ from .lattice import (
     indefinite_quadratic_shell,
     sorted_row_key,
 )
+# payloads derive their units, balls and groups; the names stay for perfbench/tracer.py
 from .orders import (
     RANK_2_REFUSAL,
     OrderSpec,
     finite_units,
     fundamental_unit,
     left_mul_matrices,
-    norm_gram,
     real_quadratic_d,
     unit_domain_points,
 )
 from .sections import QuadricSectionSpec
-from .shells import (
-    _bilinear_bound,
-    _check_int64,
-    ball_points,
-    definite_shell,
-    positive_form,
-    theta_series,
-)
+from .shells import _bilinear_bound, _check_int64, ball_points, definite_shell, theta_series
 from .symmetry import integral_symmetries, orbit_partition, weighted_count
 
 FAMILY_NORMFORM = "normform"
@@ -330,10 +323,10 @@ def count_normform_level(order, k):
         kf = Fraction(k)
         if kf <= 0 or kf.denominator != 1:
             return 0
-        shell = definite_shell(norm_gram(order), kf)
+        shell = definite_shell(order.form, kf)
         if not shell:
             return 0
-        mats = _torsion_matrices(order, finite_units(order))
+        mats = _torsion_matrices(order, order.units)
         return int(orbit_counts(shell, np.zeros(len(shell), dtype=np.int64), mats, 1)[0][0])
     if order.unit_rank == 1:
         kf = Fraction(k)
@@ -343,12 +336,12 @@ def count_normform_level(order, k):
     raise ValueError(RANK_2_REFUSAL)
 
 
-def normform_series(order, r_max, use_absolute_norm=False, form=None):
+def normform_series(order, r_max, use_absolute_norm=False):
     """Per-level orbit counts for levels 1..r_max (norm = k, or |norm| = k when
-    use_absolute_norm); form as for _definite_series."""
+    use_absolute_norm)."""
     r_max = int(r_max)
     if order.unit_rank == 0:
-        return _definite_series(order, r_max, FAMILY_NORMFORM, form)
+        return _definite_series(order, r_max, FAMILY_NORMFORM)
     if order.unit_rank == 1:
         return _real_quadratic_series(order, r_max, use_absolute_norm)
     raise ValueError(RANK_2_REFUSAL)
@@ -356,7 +349,7 @@ def normform_series(order, r_max, use_absolute_norm=False, form=None):
 
 def _real_quadratic_series(order, r_max, use_absolute_norm):
     d = real_quadratic_d(order)
-    units = fundamental_unit(order)
+    units = order.units
     x0, y0 = units.fundamental[0].coords
     pell_sign = x0 * x0 - d * y0 * y0
     # one domain point per orbit; negative norms count only for absolute norms
@@ -379,21 +372,20 @@ def _real_quadratic_series(order, r_max, use_absolute_norm):
 # quadric family
 
 
-def count_quadric_level(section, k, group=None):
-    """(orbit count, weighted count) of the primitive level-k section points."""
-    if group is None:
-        group = integral_symmetries(section)
-    pts = cone_section_points(section, k)
-    report = orbit_partition(pts, group, level=k)
+def count_quadric_level(section, k, primitive=True):
+    """(orbit count, weighted count) of the primitive level-k section points,
+    or of all of them (not primitive), by orbit_partition; small levels only."""
+    pts = cone_section_points(section, k) if primitive else fiber_section_points(section, k, primitive=False)
+    report = orbit_partition(pts, section.symmetry_group, level=k)
     return len(report.orbits), weighted_count(report)
 
 
-def quadric_series(section, r_max, group=None):
+def quadric_series(section, r_max):
     """Primitive orbit counts and weights for scaled levels 1..e*r_max: the
     points of every level from the conic parametrisation in three variables
-    and from the per-level fiber route otherwise, reduced in one pass."""
-    if group is None:
-        group = integral_symmetries(section)
+    and from the per-level fiber route otherwise, reduced in one pass under
+    section.symmetry_group."""
+    group = section.symmetry_group
     r_scaled = int(Fraction(r_max) * section.scale_e)
     if section.dim == 3:
         pts, lvls = conic_points_up_to(section, r_scaled)
@@ -414,59 +406,41 @@ def quadric_series(section, r_max, group=None):
     )
 
 
-def quadric_all_points_level(section, k, group=None):
-    """Direct (non-primitive) analogue of count_quadric_level: all integral
-    points of the level-k section, orbit-partitioned.  Small levels only."""
-    if group is None:
-        group = integral_symmetries(section)
-    pts = fiber_section_points(section, k, qtarget=0, primitive=False)
-    report = orbit_partition(pts, group, level=k)
-    return len(report.orbits), weighted_count(report)
-
-
 # ---------------------------------------------------------------------------
 # division-algebra family
 
 
-def count_algebra_shell(order, m):
-    """Number of left unit-orbits of integral elements of reduced norm m on a
-    definite order: shell size / |units|, with the freeness of the action
-    asserted on the enumerated shell."""
+def count_algebra_shell(order, m, primitive=False):
+    """Number of left unit-orbits of integral elements of reduced norm m (the
+    primitive ones with primitive) on a definite order, by direct enumeration:
+    shell size / |units|, with the freeness of the action asserted on the
+    enumerated shell.  Independent of the theta and Moebius route; small m."""
     if m < 1:
         raise ValueError("shell level must be >= 1")
-    units = finite_units(order)
-    shell = definite_shell(norm_gram(order), m)
-    if not shell:
-        return 0
-    nu = len(units.torsion)
+    shell = [p for p in definite_shell(order.form, m) if not primitive or gcd_vector(p) == 1]
+    nu = len(order.units.torsion)
     if len(shell) % nu:
         raise ValueError("unit action not free on shell: payload is not a division order")
     return len(shell) // nu
 
 
-def algebra_series(order, r_max, form=None):
+def algebra_series(order, r_max):
     """Per-level unit-orbit counts for reduced norms 1..r_max on a definite
     division order (_definite_series)."""
-    return _definite_series(order, r_max, FAMILY_ALGEBRA, form)
+    return _definite_series(order, r_max, FAMILY_ALGEBRA)
 
 
-def _definite_series(order, r_max, family, form=None):
+def _definite_series(order, r_max, family):
     """Per-level unit-orbit counts for norms 1..r_max on a definite order: its
     units act freely on the nonzero elements of a domain, so every orbit has
     |units| members and the count is the exact theta series over |units|; the
     primitive part by Moebius inversion over x -> p x, N(p x) = p^d N(x).
-    form is the PositiveForm of norm_gram(order) when the caller has it; it
-    is derived here otherwise, and refused unless positive definite, which
-    is what makes the order a domain (validation._check_division)."""
+    order.form refuses a norm form that is not positive definite, which is
+    what makes the order a domain (validation._check_division)."""
     r_max = int(r_max)
-    form = positive_form(norm_gram(order)) if form is None else form
-    # the norm <= 3 ball of the free-action check holds the norm-1 unit shell
-    ball = ball_points(form, 3)
-    pts, twice_q, s = ball
-    units = finite_units(order, shell=pts[twice_q == 2 * s])
-    nu = len(units.torsion)
-    theta = theta_series(form, r_max)[1:]
-    _assert_free_action(order, units, form, ball)
+    nu = len(order.units.torsion)
+    theta = theta_series(order.form, r_max)[1:]
+    _assert_free_action(order, order.units)
     if np.any(theta % nu):
         raise ValueError("unit action not free on some shell: not a division order")
     n_all = theta // nu
@@ -489,15 +463,14 @@ def _primitive_shell_sizes(all_sizes, d):
     return _slice_sieve(src, d, k, _mobius_upto(k if d == 1 else math.isqrt(k)))[1:]
 
 
-def _assert_free_action(order, units, gram, ball):
-    """Check on the points of norm at most 3 (gram is norm_gram(order) or its
-    PositiveForm, ball its ball_points(gram, 3)) that each unit maps a point
-    to one of the same norm and that a point's |units| images are
-    distinct (a sort of each point's image codes), in one int64 einsum over
-    the units' integer left-multiplication matrices."""
+def _assert_free_action(order, units):
+    """Check on the points of norm at most 3 (order.ball) that each of units
+    maps a point to one of the same norm and that a point's |units| images
+    are distinct (a sort of each point's image codes), in one int64 einsum
+    over the units' integer left-multiplication matrices."""
     mats = _torsion_matrices(order, units)
-    pts, twice_q, _ = ball
-    gi = positive_form(gram).integer_gram
+    pts, twice_q, _ = order.ball
+    gi = order.form.integer_gram
     img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))
     _check_int64(img_max, _bilinear_bound(gi, [img_max] * len(gi)))
     imgs = np.einsum("uij,pj->pui", np.array(mats, dtype=np.int64), pts)
@@ -512,29 +485,18 @@ def _assert_free_action(order, units, gram, ball):
         raise AssertionError("unit action does not preserve the shell")
 
 
-def primitive_algebra_shell_direct(order, m):
-    """Primitive shell orbit count by direct enumeration + gcd filter
-    (independent of the Moebius route; small m)."""
-    units = finite_units(order)
-    shell = [p for p in definite_shell(norm_gram(order), m) if gcd_vector(p) == 1]
-    nu = len(units.torsion)
-    if len(shell) % nu:
-        raise ValueError("unit action not free on primitive shell")
-    return len(shell) // nu
-
-
 # ---------------------------------------------------------------------------
 # entry point used by the CLI
 
 
-def run_scenario(scenario, form=None):
-    """Compute the CountSeries for a validated scenario; form is the
-    PositiveForm of a definite order's norm form when validation derived it."""
+def run_scenario(scenario):
+    """Compute the CountSeries for a validated scenario, on the exact set-up
+    its payload keeps (derived by validation when that ran first on it)."""
     fam = scenario.family
     if fam == FAMILY_NORMFORM:
-        return normform_series(scenario.payload, scenario.k_max, scenario.use_absolute_norm, form)
+        return normform_series(scenario.payload, scenario.k_max, scenario.use_absolute_norm)
     if fam == FAMILY_QUADRIC:
         return quadric_series(scenario.payload, scenario.k_max)
     if fam == FAMILY_ALGEBRA:
-        return algebra_series(scenario.payload, scenario.k_max, form)
+        return algebra_series(scenario.payload, scenario.k_max)
     raise ValueError(f"unknown family {fam!r}")

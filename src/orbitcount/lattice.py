@@ -18,7 +18,6 @@ import numpy as np
 from .algebra import AlgebraElement, element
 from .exact import (
     clear_denominators,
-    gcd_vector,
     invariant_factors,
     rank,
 )
@@ -34,25 +33,27 @@ def fiber_section_points(section, k, qtarget=0, primitive=True):
     k and qtarget are rationals; requires q|ker(ell) definite.  Points are
     lexicographically sorted; primitive filters gcd = 1.  On the fiber
     x = t u0 + B y of section.fiber_frame, q(x) = qtarget reads
-    y^t gram y + 2 t cross . y + t^2 q0 - qtarget = 0: one
-    shells.quadratic_points shell once cleared of denominators.
+    y^t gram y + 2 t cross . y + t^2 q0 - qtarget = 0, times the frame's
+    mult one shells.quadratic_points shell of its form, mapped in int64.
     """
     fr = section.fiber_frame
     t = Fraction(k) * fr.scale
     if t.denominator != 1:
         return []
-    t = t.numerator
-    nb = section.dim - 1
-    flat = [x for row in fr.gram for x in row] + [t * x for x in fr.cross]
-    ints, _ = clear_denominators(flat + [t * t * fr.q0 - Fraction(qtarget)])
-    # q|W definite: normalise to positive definite
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    a = [ints[i * nb : (i + 1) * nb] for i in range(nb)]
-    ys, _ = quadratic_points(a, ints[nb * nb : -1], ints[-1])
-    xs = [tuple(t * u + sum(bj * yj for bj, yj in zip(row, y)) for u, row in zip(fr.u0, fr.basis))
-          for y in ys.tolist()]
-    return sorted(x for x in xs if not primitive or gcd_vector(x) == 1)
+    t, m = t.numerator, fr.mult
+    c = m * (t * t * fr.q0 - Fraction(qtarget))
+    if c.denominator != 1:  # y^t (m gram) y + 2 m t cross . y is an integer
+        return []
+    ys, _ = quadratic_points(fr.form, [int(m * t * x) for x in fr.cross], int(c))
+    if not len(ys):
+        return []
+    ymax = int(np.abs(ys).max())
+    _check_int64(*(abs(t * u) + ymax * sum(map(abs, row)) for u, row in zip(fr.u0, fr.basis)),
+                 *(abs(b) for row in fr.basis for b in row))
+    xs = ys @ np.array(fr.basis, dtype=np.int64).T + np.array([t * u for u in fr.u0], dtype=np.int64)
+    if primitive:
+        xs = xs[np.gcd.reduce(xs, axis=1) == 1]
+    return list(map(tuple, xs[np.lexsort(xs.T[::-1])].tolist()))
 
 
 def cone_section_points(section, k):
@@ -191,7 +192,13 @@ def conic_points_up_to(section, r_scaled):
     vals = a * ss * ss + b * ss * ts + c * ts * ts
     keep = (vals > 0) & (vals <= bound) & ((ss > 0) | (ts > 0))
     ss, ts, vals = ss[keep], ts[keep], vals[keep]
-    co = np.gcd(ss, ts) == 1
+    # gcd(s, |t|) = 1 by lookup in a table sieved by each prime p, which is
+    # prime when no smaller prime has cleared its cell (p, 0) or (0, p)
+    coprime = np.ones((smax + 1, tmax + 1), dtype=bool)
+    for p in range(2, max(smax, tmax) + 1):
+        if coprime[p, 0] if p <= smax else coprime[0, p]:
+            coprime[::p, ::p] = False
+    co = coprime[ss, np.abs(ts)]
     ss, ts, vals = ss[co], ts[co], vals[co]
     s2, st, t2 = ss * ss, ss * ts, ts * ts
     xs = [f0 * s2 + f1 * st + f2 * t2 for f0, f1, f2 in phi]

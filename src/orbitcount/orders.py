@@ -12,6 +12,7 @@ the level sets norm = k and norm = -k and are excluded from the orbit group.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -29,7 +30,9 @@ from .exact import det, scalar
 from .numtheory import pell
 # definite_shell is no longer called here; it stays importable as
 # orbitcount.orders.definite_shell, a name perfbench/tracer.py wraps
-from .shells import DOMAIN_BLOCK, ball_points, definite_shell, interval_points, vec_isqrt_exact
+from .shells import (
+    DOMAIN_BLOCK, ball_points, definite_shell, interval_points, positive_form, vec_isqrt_exact,
+)
 
 # every count of an order of unit rank >= 2 is refused with this reason
 RANK_2_REFUSAL = ("unit rank >= 2: no exact enumerator exists yet "
@@ -38,6 +41,12 @@ RANK_2_REFUSAL = ("unit rank >= 2: no exact enumerator exists yet "
 
 @dataclass(frozen=True)
 class OrderSpec:
+    """An order by its algebra's structure constants, with its exact set-up
+    derived on first use and kept for every command on this object: form,
+    the PositiveForm of norm_gram (ValueError unless positive definite); ball,
+    ball_points(form, 3), holding the unit shell and the free-action check;
+    units, the Pell unit at rank 1 and finite_units otherwise; discriminant."""
+
     algebra: object
     norm_degree: int
     unit_rank: int
@@ -56,6 +65,22 @@ class OrderSpec:
 
     def dim(self):
         return self.algebra.dim
+
+    @cached_property
+    def form(self):
+        return positive_form(norm_gram(self))
+
+    @cached_property
+    def ball(self):
+        return ball_points(self.form, 3)
+
+    @cached_property
+    def units(self):
+        return fundamental_unit(self) if self.unit_rank == 1 else finite_units(self)
+
+    @cached_property
+    def discriminant(self):
+        return trace_form_discriminant(self)
 
 
 @dataclass(frozen=True)
@@ -158,20 +183,16 @@ def integer_dets(mats):
     return out
 
 
-def finite_units(order, shell=None, gram=None):
+def finite_units(order):
     """Complete unit list for an order whose norm form is positive definite
     (imaginary quadratic or definite quaternion): the norm-1 shell of
-    ball_points in lexicographic order, certified in one batch.  With
+    order.ball in lexicographic order, certified in one batch.  With
     integral structure constants and an integral unity, x is a unit iff
     det(L_x) = +-1 (L_x L_{x^-1} = L_1 = I, and the adjugate of a
     determinant +-1 matrix is integral); with a non-integral unity, no
-    integral x has an integral inverse.  shell is the int64 array of the
-    norm-1 points in any order, when the caller has enumerated them; else
-    they are enumerated on gram, the norm Gram matrix or its PositiveForm
-    when the caller has it (norm_gram(order) otherwise)."""
-    if shell is None:
-        pts, twice_q, s = ball_points(norm_gram(order) if gram is None else gram, 1)
-        shell = pts[twice_q == 2 * s]
+    integral x has an integral inverse."""
+    pts, twice_q, s = order.ball
+    shell = pts[twice_q == 2 * s]
     shell = shell[np.lexsort(shell.T[::-1])]
     dets = integer_dets(left_mul_matrices(order.algebra, shell))
     shell = shell[((dets == 1) | (dets == -1)) & order.algebra.one().is_integral()]

@@ -6,6 +6,7 @@ exactly by the signs of the LDL pivots on a kernel basis); levels ell(x) for
 integral x lie in (1/e)Z with e read off the denominators of ell.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +24,8 @@ from .exact import (
     unimodular_completion,
     vec,
 )
+from .shells import _scaled_integer_gram, positive_form
+from .symmetry import integral_symmetries
 
 
 @dataclass(frozen=True)
@@ -30,7 +33,9 @@ class FiberFrame:
     """The level-independent data of the fibers ell(x) = k.  With s * ell
     primitive integral and U = unimodular_completion(s * ell) with columns
     u0, B_1..B_{n-1}, the fiber is t u0 + B Z^{n-1} for t = s k integral, and
-    q(t u0 + B y) = y^t gram y + 2 t cross . y + t^2 q0."""
+    q(t u0 + B y) = y^t gram y + 2 t cross . y + t^2 q0.  Times mult, the
+    least N > 0 making N gram integer-valued and N cross integral, signed like
+    gram[0][0], each fiber is a shell of form, the PositiveForm of mult * gram."""
     scale: Fraction    # s
     u0: tuple          # integer column with (s * ell) . u0 = 1
     basis: tuple       # integer columns B_j spanning ker(ell) cap Z^n, as rows
@@ -38,9 +43,23 @@ class FiberFrame:
     cross: tuple       # B(B_i, u0)
     q0: object         # q(u0)
 
+    @cached_property
+    def mult(self):
+        n = math.lcm(_scaled_integer_gram(self.gram)[0], *(Fraction(x).denominator for x in self.cross))
+        return -n if self.gram[0][0] < 0 else n
+
+    @cached_property
+    def form(self):
+        return positive_form([[self.mult * x for x in row] for row in self.gram])
+
 
 @dataclass(frozen=True)
 class QuadricSectionSpec:
+    """A section by its rational data.  Its level-independent set-up, the
+    fiber frame and the symmetry group, is derived on first use and kept on
+    the object, so every command on one section shares it (a section made by
+    dataclasses.replace derives its own)."""
+
     gram: tuple          # symmetric rational matrix of q
     ell: tuple           # rational row vector of the linear form
     base_point: tuple    # integer v0 with q(v0) = 0, ell(v0) > 0
@@ -98,6 +117,10 @@ class QuadricSectionSpec:
             cross=tuple(self.bilinear(ci, u0) for ci in cols),
             q0=self.q_value(u0),
         )
+
+    @cached_property
+    def symmetry_group(self):
+        return integral_symmetries(self)
 
 
 def quadric_section(gram_rows, ell_row, base_point=None, search_bound=6):

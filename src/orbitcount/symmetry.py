@@ -8,14 +8,13 @@ the determinant filter is exactly the identity-component condition; the group
 is finite and is computed completely by column backtracking.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exact import (
     definiteness, det, identity, inverse, mat_mul, mat_vec, scalar, transpose, vec_mat,
 )
 from .lattice import fiber_section_points
-from .sections import QuadricSectionSpec
 
 COLUMN_CANDIDATE_CAP = 10 ** 6
 
@@ -158,9 +157,9 @@ def transformed_section(section, u):
     new_ell = vec_mat(section.ell, u)
     uinv = inverse(u)
     new_base = mat_vec(uinv, section.base_point)
-    return QuadricSectionSpec(
+    return replace(
+        section,
         gram=tuple(tuple(scalar(x) for x in row) for row in new_gram),
         ell=tuple(scalar(x) for x in new_ell),
         base_point=tuple(int(x) for x in new_base),
-        scale_e=section.scale_e,
     )

@@ -14,8 +14,7 @@ from .algebra import element, minimal_polynomial
 from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM
 from .exact import definiteness, det
 from .numtheory import irreducible_mod_p, signature, small_primes
-from .orders import RANK_2_REFUSAL, norm_gram, real_quadratic_d
-from .shells import positive_form
+from .orders import RANK_2_REFUSAL, real_quadratic_d
 
 PASS, FAIL, UNDETERMINED = "pass", "fail", "undetermined"
 
@@ -29,12 +28,7 @@ class Check:
 
 @dataclass
 class ValidationReport:
-    """The checks, and the PositiveForm of the order's norm form when the
-    checks derived one that is positive definite (None otherwise), for the
-    count of the same command to reuse."""
-
     checks: list
-    form: object = None
 
     def ok(self):
         return all(c.status != FAIL for c in self.checks)
@@ -44,14 +38,11 @@ class ValidationReport:
 
 
 def validate_scenario(scenario):
-    """The report of every check.  The norm form of an order is derived once,
-    when a check reads it (unit rank 0, or the division check)."""
+    """The report of every check, each run anew on every call; the norm form
+    and fiber frame they read are the payload's cached set-up."""
     checks = []
     payload = scenario.payload
-    form = None
     if scenario.family in (FAMILY_NORMFORM, FAMILY_ALGEBRA):
-        if payload.unit_rank == 0 or scenario.family == FAMILY_ALGEBRA:
-            form = _definite_norm_form(payload)
         axioms = _check_axioms(payload)
         checks.append(axioms)
         checks.append(_check_integral_basis(payload))
@@ -59,22 +50,21 @@ def validate_scenario(scenario):
             mp = _generator_minpoly(payload)
             checks.append(_check_irreducible_norm_form(payload, mp))
             field_minpoly = mp if checks[-1].status != FAIL else None
-            checks.append(_check_unit_rank_support(payload, field_minpoly, form))
+            checks.append(_check_unit_rank_support(payload, field_minpoly,
+                                                   scenario.invariants.get("minpoly")))
         else:
-            checks.append(_check_division(form, axioms.status == PASS))
-            checks.append(_check_unit_rank_support(payload, None, form))
+            checks.append(_check_division(payload, axioms.status == PASS))
+            checks.append(_check_unit_rank_support(payload, None))
     else:
         checks.extend(_check_quadric(payload))
-    return ValidationReport(checks=[c for c in checks if c is not None], form=form)
+    return ValidationReport(checks=[c for c in checks if c is not None])
 
 
 def _definite_norm_form(order):
-    """The PositiveForm of the order's norm form; None when the norm form is
-    not quadratic or not positive definite."""
-    if order.norm_degree != 2:
-        return None
+    """order.form, the PositiveForm of the norm form; None when the norm form
+    is not quadratic or not positive definite."""
     try:
-        return positive_form(norm_gram(order))
+        return order.form
     except ValueError:
         return None
 
@@ -158,19 +148,24 @@ def _discriminant(coeffs):
     return Fraction(sign * det(rows)) / f[0]
 
 
-def _check_unit_rank_support(order, field_minpoly, form):
+def _check_unit_rank_support(order, field_minpoly, asserted_minpoly=None):
     """The configured unit rank must be Dirichlet's r1 + r2 - 1 of the field
     field_minpoly defines (None when irreducibility failed or the algebra is
-    not a field), and the exact counter must have unit machinery for it;
-    form is _definite_norm_form(order), derived when the unit rank is 0."""
+    not a field), and the exact counter must have unit machinery for it.  An
+    asserted minimal polynomial (invariants "minpoly", read by the fit's
+    predicted constant) must have field_minpoly's signature."""
     name = "exact-mode support for the unit group"
     if field_minpoly is not None:
         r1, r2 = signature(field_minpoly)
         if order.unit_rank != r1 + r2 - 1:
             return Check(name, FAIL, f"config unit_rank {order.unit_rank} disagrees with "
                                      f"r1 + r2 - 1 = {r1 + r2 - 1} (signature ({r1}, {r2}))")
+        asserted = signature(asserted_minpoly) if asserted_minpoly else (r1, r2)
+        if asserted != (r1, r2):
+            return Check(name, FAIL, f"invariants minpoly {asserted_minpoly} has signature "
+                                     f"{asserted}, the order's generator ({r1}, {r2})")
     if order.unit_rank == 0:
-        if form is not None:
+        if _definite_norm_form(order) is not None:
             return Check(name, PASS, "definite norm form, finite unit group")
         return Check(name, FAIL, "unit rank 0 but norm form not definite")
     if order.unit_rank == 1:
@@ -180,10 +175,10 @@ def _check_unit_rank_support(order, field_minpoly, form):
     return Check(name, FAIL, RANK_2_REFUSAL)
 
 
-def _check_division(form, axioms_hold):
-    """No zero divisors, certified by form = _definite_norm_form(order) and
-    the axioms check; undetermined (the counter refuses the order) without
-    a definite form.  Why a definite form certifies a division order:
+def _check_division(order, axioms_hold):
+    """No zero divisors, certified by a definite norm form and the axioms
+    check; undetermined (the counter refuses the order) without one.  Why a
+    definite form certifies a division order:
     - quaternion kind: norm_gram polarises alg_norm at e_i and e_i + e_j,
       and alg_norm refuses unless x conj(x) is a scalar.  x -> x conj(x) is
       quadratic, so its values there fix it: x conj(x) = N(x) 1 for every x;
@@ -193,7 +188,7 @@ def _check_division(form, axioms_hold):
     - number-field kind: N(x) = det(L_x) != 0 makes L_x invertible for every
       x != 0, so x y = L_x y = 0 and y x = L_y x = 0 force y = 0."""
     name = "payload is a division order (no zero divisors)"
-    if form is None:
+    if _definite_norm_form(order) is None:
         return Check(name, UNDETERMINED, "not probed: norm form not definite")
     if not axioms_hold:
         return Check(name, UNDETERMINED, "not certified: the structure constants fail the axioms")

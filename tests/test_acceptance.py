@@ -15,10 +15,10 @@ from orbitcount.algebra import alg_norm, element
 from orbitcount.counting import (
     aggregate_levels,
     algebra_series,
+    count_quadric_level,
     cumulative,
     imprimitive_from_primitive,
     normform_series,
-    quadric_all_points_level,
     quadric_series,
 )
 from orbitcount.exact import random_unimodular
@@ -64,7 +64,7 @@ def quadric_big():
     sec = model_quadric_section()
     group = integral_symmetries(sec)
     t0 = time.time()
-    series = quadric_series(sec, R_BIG, group)
+    series = quadric_series(sec, R_BIG)
     return sec, group, series, time.time() - t0
 
 
@@ -199,9 +199,9 @@ def test_criterion_7_identity_suite():
 
     sec = model_quadric_section()
     group = integral_symmetries(sec)
-    qseries = quadric_series(sec, k_id, group)
+    qseries = quadric_series(sec, k_id)
     for k in range(1, k_id + 1):
-        direct, _ = quadric_all_points_level(sec, k, group)
+        direct, _ = count_quadric_level(sec, k, primitive=False)
         assert qseries.n_all[k - 1] == direct, k
 
     for order, nu in ((order_lipschitz(), 8), (order_hurwitz(), 24)):

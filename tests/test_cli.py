@@ -29,6 +29,7 @@ from orbitcount.algebra import change_of_basis, quaternion_algebra
 from orbitcount.counting import FAMILY_QUADRIC, CountSeries, ScenarioSpec, run_scenario
 from orbitcount.exact import random_unimodular
 from orbitcount.lattice import cone_section_points
+from orbitcount.presets import PRESET_NAMES
 from orbitcount.sections import quadric_section
 
 
@@ -484,14 +485,14 @@ def test_section_with_stabilizers_round_trips_in_lowest_terms(tmp_path):
     assert run(["count", "--config", str(cfg), "--rmax", "30", "--out", str(tmp_path)]) == EXIT_OK
     sec = quadric_section(gram, (0, 0, 0, 1))
     group = integral_symmetries(sec)
-    counted = quadric_series(sec, 30, group)
+    counted = quadric_series(sec, 30)
     assert group.order == 24 and counted.weight_den > 1
     assert math.gcd(counted.weight_den, *counted.weighted.tolist()) == 1
     back = series_from_csv(str(tmp_path / "sphere-counts.csv"))
     assert back == counted
     weights = [Fraction(w, back.weight_den) for w in back.weighted.tolist()]
     assert weights[0] == Fraction(1, 4)
-    assert weights == [count_quadric_level(sec, k, group)[1] for k in range(1, 31)]
+    assert weights == [count_quadric_level(sec, k)[1] for k in range(1, 31)]
 
 
 def test_series_round_trip(tmp_path):
@@ -657,11 +658,22 @@ def test_report_builds_its_scenario_once(tmp_path, monkeypatch, capsys):
     assert "zero diffs over 40 levels" in capsys.readouterr().out
 
 
-def test_report_builds_the_quadric_group_once(tmp_path, monkeypatch, capsys):
-    # report takes |G| from the series it counted; only oracle-compare on a
-    # counts CSV, which does not carry |G|, builds the group itself
-    import orbitcount.cli as cli
-    import orbitcount.counting as counting
+@pytest.fixture
+def fresh_presets():
+    """Preset payloads built anew, so that what a test counts of their
+    derivations does not depend on the tests that ran before it."""
+    from orbitcount import presets
+
+    presets._payload.cache_clear()
+    yield
+    presets._payload.cache_clear()
+
+
+def test_report_builds_the_quadric_group_once(tmp_path, monkeypatch, capsys, fresh_presets):
+    # the group is a cached property of the section: the first command on a
+    # fresh payload builds it, and later commands on the same payload (here
+    # oracle-compare on a counts CSV, which does not carry |G|) build nothing
+    from orbitcount import sections
     from orbitcount.symmetry import integral_symmetries
 
     built = []
@@ -670,23 +682,23 @@ def test_report_builds_the_quadric_group_once(tmp_path, monkeypatch, capsys):
         built.append(section)
         return integral_symmetries(section)
 
-    monkeypatch.setattr(cli, "integral_symmetries", counting_group)
-    monkeypatch.setattr(counting, "integral_symmetries", counting_group)
+    monkeypatch.setattr(sections, "integral_symmetries", counting_group)
     assert run(["report", "--config", "model-quadric", "--rmax", "40",
                 "--out", str(tmp_path)]) == EXIT_OK
     assert len(built) == 1
     assert "zero diffs over 40 levels" in capsys.readouterr().out
     assert run(["oracle-compare", "--config", "model-quadric", "--rmax", "40",
                 "--series", str(tmp_path / "model-quadric-counts.csv")]) == EXIT_OK
-    assert len(built) == 2
+    assert len(built) == 1
     assert "zero diffs over 40 levels" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("preset", ["lipschitz", "hurwitz", "gauss"])
-def test_report_derives_the_norm_form_once(preset, tmp_path, monkeypatch, capsys):
-    # validation derives the norm Gram matrix and its LDL once; the count and
-    # the predicted constant of the fit (gauss) read them from there
-    from orbitcount import counting, exact, orders, shells, validation
+def test_report_derives_the_norm_form_once(preset, tmp_path, monkeypatch, capsys, fresh_presets):
+    # the norm Gram matrix and its LDL are cached properties of the order:
+    # the first report on a fresh payload derives each once (validation, the
+    # count and the fit's predicted constant share them), a second none
+    from orbitcount import exact, orders, shells
 
     grams, ldls = [], []
 
@@ -696,14 +708,72 @@ def test_report_derives_the_norm_form_once(preset, tmp_path, monkeypatch, capsys
             return fn(*args)
         return wrapper
 
-    norm_gram, ldl = counted(grams, orders.norm_gram), counted(ldls, exact.ldl)
-    for module in (orders, counting, validation):
-        monkeypatch.setattr(module, "norm_gram", norm_gram)
+    monkeypatch.setattr(orders, "norm_gram", counted(grams, orders.norm_gram))
+    ldl = counted(ldls, exact.ldl)
     for module in (exact, shells):
         monkeypatch.setattr(module, "ldl", ldl)
-    assert run(["report", "--config", preset, "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
-    assert (len(grams), len(ldls)) == (1, 1)
-    assert "zero diffs over 60 levels" in capsys.readouterr().out
+    for _ in range(2):
+        assert run(["report", "--config", preset, "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
+        assert (len(grams), len(ldls)) == (1, 1)
+        assert "zero diffs over 60 levels" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_report_repeats_byte_for_byte_in_one_process(preset, tmp_path, capsys, fresh_presets):
+    # the second report reads the set-up the first derived; both match a
+    # fresh interpreter's report
+    outputs = []
+    for _ in range(2):
+        assert run(["report", "--config", preset, "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, read(tmp_path / f"{preset}-counts.csv"),
+                        read(tmp_path / f"{preset}-fit.json")))
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    proc = subprocess.run([sys.executable, "-m", "orbitcount.cli", "report", "--config", preset,
+                           "--rmax", "60", "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    outputs.append((proc.stdout, read(tmp_path / f"{preset}-counts.csv"),
+                    read(tmp_path / f"{preset}-fit.json")))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_each_report_checks_the_free_action(tmp_path, monkeypatch, capsys, fresh_presets):
+    # only derived data is reused: every report runs every check again
+    from orbitcount import counting
+
+    checked = []
+    original = counting._assert_free_action
+
+    def counting_check(order, units):
+        checked.append(order)
+        return original(order, units)
+
+    monkeypatch.setattr(counting, "_assert_free_action", counting_check)
+    outs = []
+    for _ in range(2):
+        assert run(["report", "--config", "hurwitz", "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert len(checked) == 2 and checked[0] is checked[1]
+    lines = [out[: out.index("validation ok")] for out in outs]
+    assert lines[0] == lines[1] and lines[0].count("PASS") == 4
+
+
+def test_validation_refuses_a_minpoly_of_another_signature(tmp_path, capsys):
+    # Z[i] asserting x^2 - 2: the fit would read signature (2, 0); validation
+    # compares it with the generator's (0, 1) and refuses every command
+    cfg = _quadratic_config(tmp_path / "zi.json", -1, "zi", {"class_number": 1, "minpoly": [-2, 0, 1]})
+    out = tmp_path / "out"
+    for command in ("validate", "count", "report"):
+        extra = [] if command == "validate" else ["--out", str(out)]
+        assert run([command, "--config", cfg, "--rmax", "60", *extra]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert ("FAIL         exact-mode support for the unit group -- invariants minpoly "
+                "[-2, 0, 1] has signature (2, 0), the order's generator (0, 1)") in captured.out + captured.err
+    assert not out.exists() or not list(out.glob("*-counts.csv"))
+    # x^2 + 2 has the generator's signature, and the prediction reads only (r1, r2)
+    cfg = _quadratic_config(tmp_path / "zi2.json", -1, "zi", {"class_number": 1, "minpoly": [2, 0, 1]})
+    assert run(["validate", "--config", cfg]) == EXIT_OK
+    assert "PASS         exact-mode support for the unit group" in capsys.readouterr().out
 
 
 def test_fit_refuses_a_unit_rank_against_dirichlet(tmp_path, capsys):

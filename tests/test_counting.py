@@ -27,8 +27,6 @@ from orbitcount.counting import (
     cumulative_at,
     imprimitive_from_primitive,
     normform_series,
-    primitive_algebra_shell_direct,
-    quadric_all_points_level,
     quadric_series,
     run_scenario,
 )
@@ -98,18 +96,16 @@ def test_normform_absolute_norm_variant():
 
 def test_quadric_level_examples():
     sec = model_quadric_section()
-    group = integral_symmetries(sec)
-    assert count_quadric_level(sec, 5, group) == (2, Fraction(2))
-    assert count_quadric_level(sec, 2, group) == (1, Fraction(1))
-    assert count_quadric_level(sec, 3, group) == (0, Fraction(0))
+    assert count_quadric_level(sec, 5) == (2, Fraction(2))
+    assert count_quadric_level(sec, 2) == (1, Fraction(1))
+    assert count_quadric_level(sec, 3) == (0, Fraction(0))
 
 
 def test_quadric_series_matches_levels_and_oracle():
     sec = model_quadric_section()
-    group = integral_symmetries(sec)
-    series = quadric_series(sec, 200, group)
+    series = quadric_series(sec, 200)
     for k in (1, 2, 3, 4, 5, 10, 50, 125, 200):
-        c, w = count_quadric_level(sec, k, group)
+        c, w = count_quadric_level(sec, k)
         assert series.n_prim[k - 1] == c
         assert series.weighted[k - 1] == w
     # orbit sizes sum to the point count: 2 * weighted = two-squares oracle here
@@ -134,7 +130,7 @@ def test_algebra_series_primitive_matches_direct():
     for order in (order_lipschitz(), order_hurwitz()):
         series = algebra_series(order, 60)
         for m in range(1, 61):
-            assert series.n_prim[m - 1] == primitive_algebra_shell_direct(order, m), m
+            assert series.n_prim[m - 1] == count_algebra_shell(order, m, primitive=True), m
 
 
 def test_division_guard_rejects_split_norm_form(tmp_path, capsys):
@@ -156,26 +152,24 @@ def test_division_guard_rejects_split_norm_form(tmp_path, capsys):
 
 @pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
 def test_free_action_check(order):
-    units, gram = finite_units(order), norm_gram(order)
-    ball = ball_points(gram, 3)
-    _assert_free_action(order, units, gram, ball)
+    units = finite_units(order)
+    _assert_free_action(order, units)
     with pytest.raises(ValueError, match="unit action not free"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1]), gram, ball)
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1]))
     two = element(tuple(2 * c for c in order.algebra.unity))
     with pytest.raises(AssertionError, match="does not preserve the shell"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + (two,)), gram, ball)
+        _assert_free_action(order, replace(units, torsion=units.torsion + (two,)))
 
 
 @pytest.mark.parametrize("order", [order_lipschitz(), order_hurwitz()])
 def test_free_action_check_with_image_codes_past_int64(order):
     # a unit matrix of entries 10^5 makes the image codes (2 * 10^5 + 1)^4 > 2^63
-    units, gram = finite_units(order), norm_gram(order)
-    ball = ball_points(gram, 3)
+    units = finite_units(order)
     big = element(tuple(10 ** 5 * c for c in order.algebra.unity))
     with pytest.raises(ValueError, match="unit action not free"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1] + (big,)), gram, ball)
+        _assert_free_action(order, replace(units, torsion=units.torsion + units.torsion[:1] + (big,)))
     with pytest.raises(AssertionError, match="does not preserve the shell"):
-        _assert_free_action(order, replace(units, torsion=units.torsion + (big,)), gram, ball)
+        _assert_free_action(order, replace(units, torsion=units.torsion + (big,)))
 
 
 def _primitive_reference(all_sizes, d):
@@ -211,7 +205,7 @@ def test_free_action_check_rejects_split_norm_form():
     split = OrderSpec(split_algebra(), norm_degree=2, unit_rank=0)
     units = UnitGroupData(torsion=(element((1, 1)), element((-1, -1))), fundamental=())
     with pytest.raises(ValueError, match="not positive definite"):
-        _assert_free_action(split, units, norm_gram(split), ball_points(norm_gram(split), 3))
+        _assert_free_action(split, units)
 
 
 def test_cumulative():
@@ -265,10 +259,9 @@ def test_imprimitive_identity_on_series():
 
 def test_quadric_identity_direct_vs_aggregated():
     sec = model_quadric_section()
-    group = integral_symmetries(sec)
-    series = quadric_series(sec, 120, group)
+    series = quadric_series(sec, 120)
     for k in range(1, 121):
-        c, w = quadric_all_points_level(sec, k, group)
+        c, w = count_quadric_level(sec, k, primitive=False)
         assert series.n_all[k - 1] == c, k
 
 
@@ -327,7 +320,6 @@ def four_variable_section():
 
 def test_four_variable_quadric_section():
     sec = four_variable_section()
-    group = integral_symmetries(sec)
     # brute oracle for the level sets: x1 x4 = x2^2 + x3^2, x1 + x4 = k
     def brute(k):
         out = []
@@ -350,7 +342,7 @@ def test_four_variable_quadric_section():
     for k in range(1, 40):
         assert cone_section_points(sec, k) == brute(k), k
 
-    series = quadric_series(sec, 40, group)
+    series = quadric_series(sec, 40)
     assert series.meta["route"] == "per-level"
     # growth exponent target for four variables is 2
     from orbitcount.fitting import expected_lambda
@@ -360,7 +352,7 @@ def test_four_variable_quadric_section():
     assert expected_lambda(sc) == 2
     # aggregation identity, both routes exact
     for k in range(1, 41):
-        direct, _ = quadric_all_points_level(sec, k, group)
+        direct, _ = count_quadric_level(sec, k, primitive=False)
         assert series.n_all[k - 1] == direct, k
 
 
@@ -481,8 +473,11 @@ def test_quadric_series_weights_with_point_stabilizers():
     sec = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1))
     refl = SymmetryGroup(elements=(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, -1, 0), (0, 0, 1))),
                          order=2)
-    series = quadric_series(sec, 60, refl)
-    assert series.weighted.tolist() == [count_quadric_level(sec, k, refl)[1] for k in range(1, 61)]
+    # the subgroup stands in for the section's group (a cached property, so
+    # an entry of the instance's dict overrides it)
+    vars(sec)["symmetry_group"] = refl
+    series = quadric_series(sec, 60)
+    assert series.weighted.tolist() == [count_quadric_level(sec, k)[1] for k in range(1, 61)]
     assert (series.n_prim[0], series.weighted[0]) == (3, 2)
 
 
@@ -561,9 +556,9 @@ def test_quadric_series_with_stabilizers_matches_the_partition_reference():
     sec = sphere_section()
     group = integral_symmetries(sec)
     assert group.order == 24
-    series = quadric_series(sec, 30, group)
+    series = quadric_series(sec, 30)
     assert series.meta["route"] == "per-level"
-    ref = [count_quadric_level(sec, k, group) for k in range(1, 31)]
+    ref = [count_quadric_level(sec, k) for k in range(1, 31)]
     assert series.n_prim.tolist() == [n for n, _ in ref]
     assert [Fraction(w, series.weight_den) for w in series.weighted.tolist()] == [w for _, w in ref]
     # some stabilizer is nontrivial: the level-1 weight is 1/4
@@ -597,7 +592,7 @@ def test_sphere_section_points_match_the_three_squares_oracle():
     # sum over d | k of mu(d) r_3(k^2 / d^2), and level k holds them all
     sec = sphere_section()
     group = integral_symmetries(sec)
-    series = quadric_series(sec, 100, group)
+    series = quadric_series(sec, 100)
     points = [w * group.order // series.weight_den for w in series.weighted.tolist()]
 
     def mobius(d):
@@ -612,7 +607,7 @@ def test_sphere_section_points_match_the_three_squares_oracle():
 
     assert points == [sum(mobius(d) * _r3_of_square(k // d) for d in range(1, k + 1) if k % d == 0)
                       for k in range(1, 101)]
-    wide = quadric_series(sec, 150, group)
+    wide = quadric_series(sec, 150)
     assert int(wide.n_prim.sum()) == 1538
     assert Fraction(int(wide.weighted.sum()), wide.weight_den) == Fraction(6149, 4)
 
@@ -703,6 +698,8 @@ def test_numerators_int64_route_edge():
 
 
 def test_definite_series_builds_the_norm_gram_once(monkeypatch):
+    # once per payload object: the first series on a fresh order builds the
+    # Gram matrix, a second series on the same order builds none
     from orbitcount import counting, orders
 
     calls = []
@@ -712,12 +709,13 @@ def test_definite_series_builds_the_norm_gram_once(monkeypatch):
         calls.append(order)
         return original(order)
 
-    monkeypatch.setattr(counting, "norm_gram", counting_gram)
     monkeypatch.setattr(orders, "norm_gram", counting_gram)
     for order in (order_gauss(), order_lipschitz(), order_hurwitz()):
         calls.clear()
         series = counting._definite_series(order, 50, counting.FAMILY_ALGEBRA)
         assert len(calls) == 1 and sum(series.n_all) > 0
+        assert counting._definite_series(order, 50, counting.FAMILY_ALGEBRA) == series
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("route", ["int64", "object"])
@@ -824,15 +822,17 @@ def test_definite_series_enumerates_one_ball(monkeypatch):
     from orbitcount import counting, orders
 
     calls = []
-    original = counting.ball_points
+    original = orders.ball_points
 
     def counting_ball(gram, r):
         calls.append(r)
         return original(gram, r)
 
-    monkeypatch.setattr(counting, "ball_points", counting_ball)
     monkeypatch.setattr(orders, "ball_points", counting_ball)
     for order in (order_gauss(), order_lipschitz(), order_hurwitz()):
+        # once per payload object: a second series on the same order enumerates none
         calls.clear()
         series = counting._definite_series(order, 40, counting.FAMILY_ALGEBRA)
         assert calls == [3] and series.meta["units"] == len(finite_units(order).torsion)
+        assert counting._definite_series(order, 40, counting.FAMILY_ALGEBRA) == series
+        assert calls == [3]

@@ -113,15 +113,30 @@ def _box_section_points(section, k, qtarget, primitive, bound):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([SEC, HYP, NEG]), st.integers(-8, 8), st.sampled_from([1, 2, 3]),
-       st.integers(-12, 12), st.booleans())
-def test_fiber_section_points_match_box_scan(section, kn, kd, qtarget, primitive):
+       st.integers(-24, 24), st.sampled_from([1, 1, 2]), st.booleans())
+def test_fiber_section_points_match_box_scan(section, kn, kd, qn, qd, primitive):
     # on these sections every solution has |x_i| <= 2|k| + sqrt|qtarget|: for the
     # model quadric x(k - x) - y^2 = qtarget with z = k - x, for HYP z = 2k and
-    # x^2 + y^2 = qtarget + z^2, for NEG x = -k and y^2 + z^2 = qtarget + x^2
-    k = Fraction(kn, kd)
-    bound = 2 * abs(kn) + math.isqrt(abs(qtarget)) + 1
+    # x^2 + y^2 = qtarget + z^2, for NEG x = -k and y^2 + z^2 = qtarget + x^2;
+    # q is integral on Z^3 here, so a qtarget in Z + 1/2 has no point
+    k, qtarget = Fraction(kn, kd), Fraction(qn, qd)
+    bound = 2 * abs(kn) + math.isqrt(math.floor(abs(qtarget))) + 1
     got = fiber_section_points(section, k, qtarget=qtarget, primitive=primitive)
     assert got == _box_section_points(section, k, qtarget, primitive, bound)
+
+
+def test_fiber_points_refuse_an_int64_map():
+    # x = t u0 + B y is bounded in Python ints before the int64 product: the
+    # frame's basis scaled by 2^62 maps the fiber solutions y = (+-1, +-2)
+    # and (+-2, +-1) past int64
+    from dataclasses import replace
+
+    sec = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1))
+    assert len(fiber_section_points(sec, 1, qtarget=4)) == 8
+    frame = sec.fiber_frame
+    vars(sec)["fiber_frame"] = replace(frame, basis=tuple(tuple(2 ** 62 * b for b in row) for row in frame.basis))
+    with pytest.raises(ValueError, match="2\\^63"):
+        fiber_section_points(sec, 1, qtarget=4)
 
 
 def test_fiber_of_negative_first_coordinate_form():
@@ -421,3 +436,11 @@ def test_conic_points_keep_their_order_past_one_code(r):
     assert lexsort.called == (r == 10 ** 5)
     assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
     assert [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())] == _conic_points_per_s(SEC, r)
+
+
+@pytest.mark.parametrize("r", [1, 7, 60, 400, 5000])
+def test_conic_coprimality_table_matches_gcd(r):
+    # the coprime (s, t) come from one sieved lookup table over the (s, |t|) box
+    for cone in CONES:
+        pts, lvls = conic_points_up_to(cone, r)
+        assert [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())] == _conic_points_per_s(cone, r)
