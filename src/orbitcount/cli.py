@@ -242,24 +242,34 @@ def _print_validation(report):
     return EXIT_OK
 
 
-def cmd_count(args):
-    doc, scenario = _load(args)
+def _refuse_unvalidated(scenario):
+    """EXIT_OK when the scenario passes validation; else EXIT_VALIDATION, with
+    its check lines on stderr."""
     report = validate_scenario(scenario)
     if not report.ok():
         for line in report.lines():
             print(line, file=sys.stderr)
-        return EXIT_VALIDATION
-    _count_validated(args, doc, scenario)
-    return EXIT_OK
+    return EXIT_OK if report.ok() else EXIT_VALIDATION
+
+
+def cmd_count(args):
+    doc, scenario = _load(args)
+    rc = _refuse_unvalidated(scenario)
+    if rc == EXIT_OK:
+        _count_validated(args, doc, scenario)
+    return rc
 
 
 def _count_validated(args, doc, scenario):
-    """Count on the set-up the payload keeps and write counts.csv."""
+    """Count on the set-up the payload keeps, write counts.csv and return the
+    series, its meta["config_hash"] the hash written in the CSV header."""
     series = run_scenario(scenario)
+    series.meta["config_hash"] = config_hash(doc)
     out_path = _out_path(args, doc, "counts.csv")
     with open(out_path, "w") as fh:
-        series_to_csv(series, fh, config_hash(doc))
+        series_to_csv(series, fh, series.meta["config_hash"])
     print(out_path)
+    return series
 
 
 def cmd_fit(args):
@@ -321,8 +331,10 @@ def _attach_predictions(report, scenario, args):
 
 def cmd_oracle_compare(args):
     scenario = _load(args)[1]
-    series = _read_series(args.series, scenario) if args.series else run_scenario(scenario)
-    return _oracle_compare(scenario, series)
+    if args.series:
+        return _oracle_compare(scenario, _read_series(args.series, scenario))
+    rc = _refuse_unvalidated(scenario)
+    return rc if rc != EXIT_OK else _oracle_compare(scenario, run_scenario(scenario))
 
 
 def _oracle_compare(scenario, series):
@@ -386,16 +398,15 @@ def _at_levels(series, column, r, factor=1, den=1):
 
 
 def cmd_report(args):
+    """validate, count and write counts.csv, then fit and oracle-compare the
+    series just counted, in memory: the output of count, fit --series and
+    oracle-compare --series, since the CSV holds the series exactly."""
     doc, scenario = _load(args)
-    validated = validate_scenario(scenario)
-    rc = _print_validation(validated)
+    rc = _print_validation(validate_scenario(scenario))
     if rc != EXIT_OK:
         return rc
-    _count_validated(args, doc, scenario)
-    series = _read_series(_out_path(args, doc, "counts.csv"), scenario)
-    rc = _fit(args, doc, scenario, series)
-    if rc != EXIT_OK:
-        return rc
+    series = _count_validated(args, doc, scenario)
+    _fit(args, doc, scenario, series)  # returns EXIT_OK or raises
     return _oracle_compare(scenario, series)
 
 

@@ -163,7 +163,9 @@ def conic_points_up_to(section, r_scaled):
     """All primitive x in Z^n, q(x) = 0, with scaled level 1 <= e*ell(x) <= r_scaled.
 
     Returns (points array (N, 3) int64, levels array int64), each primitive
-    point exactly once.  Fast path for the three-variable series driver.
+    point exactly once, in the order of the (s, t) scan: the rows are not
+    sorted, since their one consumer, counting.orbit_counts, sorts them.
+    Fast path for the three-variable series driver.
     """
     phi, psi, n_bound = conic_parametrization(section)
     a, b, c = psi
@@ -208,8 +210,7 @@ def conic_points_up_to(section, r_scaled):
         raise AssertionError("content must divide the level form")
     levels = vals // content
     keep = levels <= r_scaled
-    lvls, *cols = sorted_rows([levels[keep]] + [x[keep] // content[keep] for x in xs])
-    return np.column_stack(cols), lvls
+    return np.column_stack([x[keep] // content[keep] for x in xs]), levels[keep]
 
 
 def code_radices(columns):
@@ -234,29 +235,13 @@ def _row_codes(columns, radices):
     return codes
 
 
-def sorted_rows(columns):
-    """The rows of the key columns, the first most significant, sorted as new
-    columns, in np.lexsort(columns[::-1]) order: np.sort of their int64 codes,
-    decoded by division, when one code holds a row (code_radices), and the
-    permutation of row_order otherwise."""
-    radices = code_radices(columns)
-    if radices is None:
-        order = row_order(columns)
-        return [c[order] for c in columns]
-    codes, out = np.sort(_row_codes(columns, radices)), []
-    for lo, span in radices[:0:-1]:
-        high = codes // span
-        out.append(codes - high * span + lo)
-        codes = high
-    return [codes + radices[0][0]] + out[::-1]
-
-
 def sorted_row_key(columns, radices):
     """The sorted rows as one array for np.array_equal: (N, 1) sorted codes under
     radices (code_radices of these or other columns), None when a cell lies
-    outside them; with radices None, the (N, n) array of sorted_rows."""
+    outside them; with radices None, the (N, n) stack of the columns, its rows
+    in row_order order."""
     if radices is None:
-        return np.column_stack(sorted_rows(columns))
+        return np.column_stack(columns)[row_order(columns)]
     codes = _row_codes(columns, radices)
     return None if codes is None else np.sort(codes)[:, None]
 

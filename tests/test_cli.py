@@ -627,7 +627,8 @@ def test_oracle_compare_pairs_rows_by_level(tmp_path, capsys):
     assert "first divergence at level 3: pipeline=absent oracle=0 (1 differing levels)" in capsys.readouterr().out
 
 
-def test_report_reads_its_counts_once(tmp_path, monkeypatch, capsys):
+def test_report_reads_no_csv(tmp_path, monkeypatch, capsys):
+    # report fits and compares the series it counted, not its counts.csv
     import orbitcount.cli as cli
 
     reads = []
@@ -638,8 +639,95 @@ def test_report_reads_its_counts_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "series_from_csv", counting_reader)
     assert run(["report", "--config", "gauss", "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
-    assert reads == [os.path.join(str(tmp_path), "gauss-counts.csv")]
+    assert reads == []
     assert "zero diffs over 60 levels" in capsys.readouterr().out
+    assert (tmp_path / "gauss-counts.csv").exists()
+
+
+def _benchmark_zsqrt31_config(path):
+    """The Z[sqrt(31)] config of the benchmark's orbits workload, as a file."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path.write_text(json.dumps(workloads.ZSQRT31_CONFIG))
+    return str(path)
+
+
+def _captured(capsys, argv):
+    rc = run(argv)
+    cap = capsys.readouterr()
+    return rc, cap.out, cap.err
+
+
+@pytest.mark.parametrize("r", ["verify", 0])
+@pytest.mark.parametrize("case", [("gauss", 1500), ("zsqrt2", 1500), ("lipschitz", 1500), ("model-quadric", 1500),
+                                  ("hurwitz", 500), ("zsqrt31", 40), ("halfz", 200)], ids=lambda case: case[0])
+def test_report_is_count_fit_and_oracle_compare(case, r, tmp_path, capsys):
+    # report's stdout, stderr, exit code, counts.csv and fit.json are those of
+    # validate, count, fit --series and oracle-compare --series on the CSV, in
+    # turn (at r = 0 both routes stop at the fit's refusal)
+    stem, size = case
+    config = stem
+    if stem == "zsqrt31":
+        config = _benchmark_zsqrt31_config(tmp_path / "zsqrt31.json")
+    elif stem == "halfz":  # x^2 + y^2 - z^2 sliced by ell = z / 2: scale_e 2, no oracle
+        config = str(tmp_path / "halfz.json")
+        (tmp_path / "halfz.json").write_text(json.dumps({
+            "family": "quadric", "label": "halfz", "gram": [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+            "ell": [0, 0, "1/2"]}))
+    out = str(tmp_path / "out")
+    argv = ["--config", config, "--rmax", str(size if r == "verify" else r)]
+    csv_path, fit_path = (os.path.join(out, f"{stem}-{name}") for name in ("counts.csv", "fit.json"))
+    parts = [_captured(capsys, ["validate", *argv]), _captured(capsys, ["count", *argv, "--out", out]),
+             _captured(capsys, ["fit", *argv, "--series", csv_path, "--out", out])]
+    if parts[-1][0] == EXIT_OK:
+        parts.append(_captured(capsys, ["oracle-compare", *argv, "--series", csv_path]))
+    assert [rc for rc, _, _ in parts[:2]] == [EXIT_OK, EXIT_OK]
+    if r == 0:
+        assert parts[-1] == (EXIT_VALIDATION, "", "error: fewer than 8 positive sample radii in window "
+                                                 "(series too sparse or zero)\n")
+    elif stem in ("zsqrt31", "halfz"):
+        assert parts[-1][2] == f"no oracle applicable to scenario {stem!r}\n"
+    else:
+        assert "zero diffs" in parts[-1][1]
+    files = [read(path) if os.path.exists(path) else None for path in (csv_path, fit_path)]
+    assert files[0] is not None and (files[1] is None) == (r == 0)
+    for path in (csv_path, fit_path)[: 2 - files.count(None)]:
+        os.remove(path)
+    rc, stdout, stderr = _captured(capsys, ["report", *argv, "--out", out])
+    assert rc == parts[-1][0]
+    assert stdout == "".join(p[1] for p in parts) and stderr == "".join(p[2] for p in parts)
+    assert [read(path) if os.path.exists(path) else None for path in (csv_path, fit_path)] == files
+
+
+def test_oracle_compare_counts_only_a_validated_scenario(tmp_path, monkeypatch, capsys):
+    # Z[i] asserting minpoly x^2 - 2 fails validation: oracle-compare without
+    # --series refuses it as count does, and never counts
+    import orbitcount.cli as cli
+
+    counted = []
+
+    def counting_run(scenario):
+        counted.append(scenario)
+        return run_scenario(scenario)
+
+    monkeypatch.setattr(cli, "run_scenario", counting_run)
+    inv = {"class_number": 1, "oracle": "ideal-count:-4"}
+    cfg = _quadratic_config(tmp_path / "zi.json", -1, "zi", {**inv, "minpoly": [-2, 0, 1]})
+    assert run(["oracle-compare", "--config", cfg, "--rmax", "60"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and counted == []
+    assert ("FAIL         exact-mode support for the unit group -- invariants minpoly "
+            "[-2, 0, 1] has signature (2, 0), the order's generator (0, 1)\n") in captured.err
+    cfg = _quadratic_config(tmp_path / "zi.json", -1, "zi", {**inv, "minpoly": [1, 0, 1]})
+    assert run(["oracle-compare", "--config", cfg, "--rmax", "60"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == ("oracle-compare zi: per-level orbit counts vs ideal counts (D=-4): "
+                            "zero diffs over 60 levels\n") and captured.err == ""
+    assert len(counted) == 1
 
 
 def test_report_builds_its_scenario_once(tmp_path, monkeypatch, capsys):

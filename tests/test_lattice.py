@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from orbitcount import lattice
+from orbitcount.counting import _torsion_matrices, orbit_counts, quadric_series
 from orbitcount.exact import (
     clear_denominators,
     inverse,
@@ -30,7 +31,7 @@ from orbitcount.lattice import (
     indefinite_quadratic_shell,
 )
 from orbitcount.oracles import pairwise_orbits, two_squares_primitive
-from orbitcount.presets import model_quadric_section, order_zsqrt2
+from orbitcount.presets import model_quadric_section, order_hurwitz, order_zsqrt2
 from orbitcount.sections import quadric_section
 
 H = Fraction(1, 2)
@@ -234,7 +235,7 @@ def test_conic_points_do_not_grow_with_a_skewed_basis():
     base, base_lvls = conic_points_up_to(SEC, 60)
     u_inv = inverse(u)
     want = sorted((lv, *mat_vec(u_inv, p)) for lv, p in zip(base_lvls.tolist(), base.tolist()))
-    assert [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())] == want
+    assert _sorted_rows(pts, lvls) == want
     assert len(want) == 56
 
 
@@ -310,6 +311,12 @@ def test_indefinite_shell_saturation_under_bound_doubling():
         assert len(small) == len(big) == len(indefinite_quadratic_shell(zs2, k))
 
 
+def _sorted_rows(pts, lvls):
+    """The (level, x) rows of conic_points_up_to, sorted: they come in scan
+    order, and a missing or repeated row still shows."""
+    return sorted((lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist()))
+
+
 def _conic_points_per_s(section, r_scaled):
     """conic_points_up_to as one t window per s: the points in any order."""
     phi, (a, b, c), n_bound = conic_parametrization(section)
@@ -347,8 +354,7 @@ def test_conic_points_match_per_s_windows(rng, steps, r, cone):
     sec = cone if steps == 0 else transformed_section(cone, random_unimodular(3, rng, steps=steps))
     pts, lvls = conic_points_up_to(sec, r)
     assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
-    got = [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())]
-    assert got == _conic_points_per_s(sec, r)  # in (level, x) order, each point once
+    assert _sorted_rows(pts, lvls) == _conic_points_per_s(sec, r)  # each point once
 
 
 @st.composite
@@ -403,39 +409,20 @@ def test_row_order_at_the_packed_code_edge(spans):
     assert got.tolist() == np.lexsort(columns[::-1]).tolist()
 
 
-@settings(max_examples=150, deadline=None)
-@given(key_columns())
-def test_sorted_rows_match_lexsort(columns):
-    from orbitcount.lattice import sorted_rows
-
-    order = np.lexsort(columns[::-1])
-    got = sorted_rows(columns)
-    assert [c.tolist() for c in got] == [c[order].tolist() for c in columns]
-
-
-@pytest.mark.parametrize("spans", list(PACKED_KEYS))
-def test_sorted_rows_at_the_packed_code_edge(spans):
-    # one int64 code holds a row only while the span product stays below 2^63;
-    # past it the rows come from row_order, in the same order
-    from orbitcount.lattice import sorted_rows
-
-    columns = _packed_edge_columns(spans)
-    with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
-        got = sorted_rows(columns)
-    assert lexsort.called == (math.prod(spans) >= 2 ** 63)
-    order = np.lexsort(columns[::-1])
-    assert [c.tolist() for c in got] == [c[order].tolist() for c in columns]
-
-
 @pytest.mark.parametrize("r", [38501, 10 ** 5])
 def test_conic_points_keep_their_order_past_one_code(r):
     # the model quadric's (level, x) spans pass 2^63 between these radii, so
-    # at 10^5 the rows are ordered by row_order, not by one int64 code
-    with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
-        pts, lvls = conic_points_up_to(SEC, r)
-    assert lexsort.called == (r == 10 ** 5)
+    # at 10^5 orbit_counts, the one sort of the conic rows, orders them by
+    # row_order, not by one int64 code; the series totals stay the same
+    pts, lvls = conic_points_up_to(SEC, r)
     assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
-    assert [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())] == _conic_points_per_s(SEC, r)
+    assert _sorted_rows(pts, lvls) == _conic_points_per_s(SEC, r)
+    SEC.symmetry_group  # derived before the sorts below are watched
+    with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
+        series = quadric_series(SEC, r)
+    assert lexsort.called == (r == 10 ** 5)
+    totals = {38501: (18376, 222441), 10 ** 5: (47760, 623264)}
+    assert (int(series.n_prim.sum()), int(series.n_all.sum())) == totals[r]
 
 
 @pytest.mark.parametrize("r", [1, 7, 60, 400, 5000])
@@ -443,4 +430,29 @@ def test_conic_coprimality_table_matches_gcd(r):
     # the coprime (s, t) come from one sieved lookup table over the (s, |t|) box
     for cone in CONES:
         pts, lvls = conic_points_up_to(cone, r)
-        assert [(lv, *p) for lv, p in zip(lvls.tolist(), pts.tolist())] == _conic_points_per_s(cone, r)
+        assert _sorted_rows(pts, lvls) == _conic_points_per_s(cone, r)
+
+
+def _hurwitz_ball_rows():
+    """The Hurwitz order's norm <= 3 ball, its norms as levels, and its units."""
+    order = order_hurwitz()
+    pts, twice_q, scale = order.ball
+    return pts, twice_q // (2 * scale), _torsion_matrices(order, order.units), 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(CONES)), st.integers(1, 400), st.randoms(use_true_random=False))
+def test_orbit_counts_do_not_depend_on_the_row_order(case, r, rng):
+    # the conic rows come in scan order and orbit_counts is their only sort:
+    # shuffled rows give the same counts, and one row dropped still trips it
+    if case < len(CONES):
+        pts, lvls = conic_points_up_to(CONES[case], r)
+        args = (CONES[case].symmetry_group.elements, r + 1)
+    else:
+        pts, lvls, *args = _hurwitz_ball_rows()
+    want = [c.tolist() for c in orbit_counts(pts, lvls, *args)]
+    perm = list(range(len(lvls)))
+    rng.shuffle(perm)
+    assert [c.tolist() for c in orbit_counts(pts[perm], lvls[perm], *args)] == want
+    with pytest.raises(AssertionError, match="an orbit is incomplete"):
+        orbit_counts(pts[perm[1:]], lvls[perm[1:]], *args)
