@@ -3,11 +3,13 @@
 Sturm signatures, bracketed zeta values, and definite-shell enumeration.
 """
 
+from collections import Counter
+
 from orbitcount.algebra import alg_inverse, alg_mul, alg_norm, element, quaternion_algebra
 from orbitcount.numtheory import factor, pell, signature, zeta_value
 from orbitcount.presets import order_hurwitz
 from orbitcount.orders import norm_gram
-from orbitcount.shells import definite_ball, definite_shell, theta_series
+from orbitcount.shells import ball_points, definite_shell, theta_series
 
 print("quaternions (1+i+j+k is a zero of x^2 - 2x + 4):")
 lip = quaternion_algebra(-1, -1)
@@ -35,7 +37,8 @@ print("\nfactorisation (trial division + rho):", factor(2 ** 4 * 10 ** 9 + 7 * 1
 print("\ndefinite shells (exact backtracking):")
 i2 = [[1, 0], [0, 1]]
 print("  x^2 + y^2 = 25:", definite_shell(i2, 25))
-print("  ball to 5:", [(m, len(s)) for m, s in definite_ball(i2, 5)])
+_, twice_s_q, scale = ball_points(i2, 5)
+print("  ball to 5:", sorted(Counter((twice_s_q // (2 * scale)).tolist()).items()))
 
 print("\ntheta series of the Hurwitz norm form (split-and-convolve, exact):")
 t = theta_series(norm_gram(order_hurwitz()), 10)

@@ -11,7 +11,7 @@ the r log r growth once imprimitive points are included.
 from orbitcount.counting import imprimitive_from_primitive, quadric_series
 from orbitcount.fitting import fit_power, fit_rlogr
 from orbitcount.lattice import cone_section_points
-from orbitcount.oracles import two_squares_primitive
+from orbitcount.oracles import two_squares_primitive_series
 from orbitcount.presets import model_quadric_section
 from orbitcount.symmetry import integral_symmetries, orbit_partition, weighted_count
 
@@ -26,12 +26,13 @@ print("(the nontrivial element is (x, y, z) -> (z, -y, x); -identity is excluded
 print(" because it negates ell)")
 
 print("\nsmall levels:")
+oracle = two_squares_primitive_series(10)
 for k in range(1, 11):
     pts = cone_section_points(sec, k)
     report = orbit_partition(pts, group, level=k)
     w = weighted_count(report)
     print(f"  k = {k:2d}: {len(pts):2d} primitive points, {len(report.orbits)} orbits, "
-          f"weighted count {w}  (two-squares oracle: {two_squares_primitive(k)})")
+          f"weighted count {w}  (two-squares oracle: {oracle[k - 1]})")
 
 print("\nbulk series to r = 20000 via the cone parametrisation:")
 series = quadric_series(sec, 20000)

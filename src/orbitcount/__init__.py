@@ -31,7 +31,6 @@ from .counting import (
     count_algebra_shell,
     count_normform_level,
     count_quadric_level,
-    cumulative,
     imprimitive_from_primitive,
     normform_series,
     quadric_series,
@@ -39,9 +38,9 @@ from .counting import (
 )
 from .fitting import (
     FitReport,
-    expected_lambda,
     fit_power,
     fit_rlogr,
+    growth_law,
     predicted_constant_ideal,
     zeta_correction,
 )
@@ -51,12 +50,7 @@ from .lattice import (
     indefinite_quadratic_shell,
 )
 from .numtheory import factor, pell, signature, zeta_value
-from .oracles import (
-    ideal_count_quadratic,
-    jacobi_r4_cumulative,
-    pairwise_orbits,
-    two_squares_primitive,
-)
+from .oracles import pairwise_orbits
 from .orders import (
     OrderSpec,
     UnitGroupData,
@@ -68,7 +62,7 @@ from .orders import (
 )
 from .presets import preset_scenario
 from .sections import QuadricSectionSpec, quadric_section
-from .shells import definite_ball, definite_shell, theta_series
+from .shells import definite_shell, theta_series
 from .symmetry import (
     OrbitReport,
     SymmetryGroup,

@@ -24,11 +24,10 @@ from .counting import (
     CountSeries,
     ScenarioSpec,
     _common_denominator,
-    level_scaling_degree,
     run_scenario,
 )
 from .exact import frac
-from .fitting import expected_lambda, fit_power, predicted_constant_ideal, zeta_correction
+from .fitting import fit_power, growth_law, predicted_constant_ideal, zeta_correction
 from .numtheory import signature
 from .oracles import hurwitz_sigma_series, ideal_count_series, r4_series, two_squares_primitive_series
 # orders derive their units; finite_units stays importable for perfbench/tracer.py
@@ -278,7 +277,7 @@ def cmd_fit(args):
 
 
 def _fit(args, doc, scenario, series):
-    lam_expected = expected_lambda(scenario)
+    lam_expected, zeta_s = growth_law(scenario)
     column = "weighted" if scenario.family == FAMILY_QUADRIC else "all"
     free = fit_power(series, which=column)
     # the fixed fit reads the free fit's sample radii and cumulative counts
@@ -289,7 +288,9 @@ def _fit(args, doc, scenario, series):
     report.extras["c_hat_fixed_lambda"] = fixed.c_hat
     report.extras["config_hash"] = series.meta["config_hash"]
     report.extras["fitted_column"] = column
-    _attach_predictions(report, scenario, args)
+    _attach_predictions(report, scenario)
+    if args.zeta and zeta_s >= 2:
+        report.zeta_factor = zeta_correction(zeta_s)
     text = report.to_json()
     out_path = _out_path(args, doc, "fit.json")
     with open(out_path, "w") as fh:
@@ -298,9 +299,9 @@ def _fit(args, doc, scenario, series):
     return EXIT_OK
 
 
-def _attach_predictions(report, scenario, args):
+def _attach_predictions(report, scenario):
     """Attach the predicted constant, from the order's discriminant and unit
-    group, and the zeta factor."""
+    group."""
     minpoly = scenario.invariants.get("minpoly")
     if (scenario.family == FAMILY_NORMFORM and scenario.invariants.get("class_number") == 1
             and minpoly):
@@ -323,18 +324,15 @@ def _attach_predictions(report, scenario, args):
             f"R={reg:.6f}, h={scenario.invariants['class_number']} (preset-asserted), "
             f"omega={omega}, disc={int(disc)}"
         )
-    if args.zeta:
-        d = level_scaling_degree(scenario.family, scenario.payload)
-        if d >= 2:
-            report.zeta_factor = zeta_correction(d)
 
 
 def cmd_oracle_compare(args):
     scenario = _load(args)[1]
-    if args.series:
-        return _oracle_compare(scenario, _read_series(args.series, scenario))
     rc = _refuse_unvalidated(scenario)
-    return rc if rc != EXIT_OK else _oracle_compare(scenario, run_scenario(scenario))
+    if rc != EXIT_OK:
+        return rc
+    series = _read_series(args.series, scenario) if args.series else run_scenario(scenario)
+    return _oracle_compare(scenario, series)
 
 
 def _oracle_compare(scenario, series):
@@ -451,7 +449,7 @@ def build_parser():
             sp.add_argument("--fixed-lambda", action="store_true",
                             help="report the fixed-exponent constant fit as the main result")
             sp.add_argument("--zeta", action="store_true",
-                            help="attach the zeta aggregation factor for the family")
+                            help="attach the zeta(d lambda) aggregation factor of the payload")
         sp.set_defaults(fn=fn, fixed_lambda=False, zeta=False)
     return p
 

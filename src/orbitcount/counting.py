@@ -40,16 +40,6 @@ FAMILY_NORMFORM = "normform"
 FAMILY_QUADRIC = "quadric"
 FAMILY_ALGEBRA = "algebra-norm"
 
-# level-scaling degree: exponent of the level under x -> p x
-def level_scaling_degree(family, payload):
-    if family == FAMILY_NORMFORM:
-        return payload.norm_degree
-    if family == FAMILY_QUADRIC:
-        return 1
-    if family == FAMILY_ALGEBRA:
-        return payload.norm_degree
-    raise ValueError(f"unknown family {family!r}")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -191,11 +181,6 @@ def cumulative_at(series, radii, which="all"):
         raise ValueError("a cumulative sum of the series passes int64")
     at = sums[np.searchsorted(series.levels, floors, side="right")].tolist()
     return at if den == 1 else [scalar(Fraction(s, den)) for s in at]
-
-
-def cumulative(series, r, which="all"):
-    """S(r) for r in original (unscaled) units; errors beyond the computed range."""
-    return cumulative_at(series, [r], which)[0]
 
 
 def aggregate_levels(prim_levels, prim_counts, d, k_max):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM, FAMILY_QUADRIC, cumulative_at
+from .counting import FAMILY_QUADRIC, cumulative_at
 from .exact import frac_str
 from .numtheory import zeta_midpoint
 
@@ -52,17 +52,16 @@ class FitReport:
         return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def expected_lambda(scenario):
-    """Growth exponent of the cumulative count for the scenario's family:
-    1 for norm forms, n-2 for quadric sections in n variables, and the degree
-    of the reduced norm for division-order shells."""
-    if scenario.family == FAMILY_NORMFORM:
-        return Fraction(1)
+def growth_law(scenario):
+    """(lambda, s) from the scenario's payload: the cumulative count grows like
+    c r^lambda, and the full over the primitive cumulative count tends to
+    zeta(s), s = d lambda with d the degree of the level under x -> p x.  An
+    order of dimension n whose norm has degree d: lambda = n / d and s = n.  A
+    quadric section in n variables: d = 1 and lambda = s = n - 2."""
+    payload = scenario.payload
     if scenario.family == FAMILY_QUADRIC:
-        return Fraction(scenario.payload.dim - 2)
-    if scenario.family == FAMILY_ALGEBRA:
-        return Fraction(scenario.payload.norm_degree)
-    raise ValueError(f"unknown family {scenario.family!r}")
+        return Fraction(payload.dim - 2), payload.dim - 2
+    return Fraction(payload.dim(), payload.norm_degree), payload.dim()
 
 
 def geometric_radii(r_min, r_max, samples=16):
@@ -165,9 +164,9 @@ def predicted_constant_ideal(r1, r2, regulator, class_number, roots_of_unity, di
     )
 
 
-def zeta_correction(d):
-    """zeta(d): the predicted ratio of the full to the primitive cumulative
-    series when the level-scaling degree is d >= 2."""
-    if d < 2:
-        raise ValueError("d < 2 is the divergent r log r regime; use fit_rlogr")
-    return zeta_midpoint(d)
+def zeta_correction(s):
+    """zeta(s): the predicted ratio of the full to the primitive cumulative
+    series, for s = d lambda >= 2 (growth_law)."""
+    if s < 2:
+        raise ValueError("s < 2 is the divergent r log r regime; use fit_rlogr")
+    return zeta_midpoint(s)

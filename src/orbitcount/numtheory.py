@@ -234,14 +234,6 @@ def _sign_changes(values):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def count_real_roots(coeffs, lo, hi):
-    """Distinct real roots in (lo, hi] of the rational polynomial sum c_k x^k
-    (coeffs low to high), by Sturm's theorem."""
-    seq = _sturm_sequence(_trim([Fraction(c) for c in coeffs]))
-    at = [[sum(c * Fraction(x) ** k for k, c in enumerate(p)) for p in seq] for x in (lo, hi)]
-    return _sign_changes(at[0]) - _sign_changes(at[1])
-
-
 def signature(coeffs):
     """Signature (r1, r2) of the squarefree rational polynomial sum c_k x^k
     (coeffs low to high): r1 real roots, V(-inf) - V(+inf) by Sturm's theorem

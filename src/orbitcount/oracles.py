@@ -2,10 +2,14 @@
 small direct scans, deliberately implemented with different algorithms than
 the main counting pipeline so the two routes have independent failure modes.
 
-The columns `report` reads are divisor sums taken by one kernel,
-divisor_sums; no oracle column it reads runs a quadratic-time scan.  The
-direct enumerations (hurwitz_shell_series, pairwise_orbits) stay as test
-references.
+Each quantity has one entry point, a series over the levels 1..r:
+ideal_count_series, two_squares_primitive_series, r4_series and
+hurwitz_sigma_series.  A cumulative count is the sum of a series and one
+level its last entry.  The columns `report` reads are divisor sums taken by
+one kernel, divisor_sums; no oracle column it reads runs a quadratic-time
+scan.  The per-level and direct references (ideal_a, r4,
+hurwitz_shell_series, hurwitz_shell_count, pairwise_orbits) stay for the
+tests and perfbench/selftest.py.
 """
 
 import math
@@ -14,33 +18,6 @@ import numpy as np
 
 from .numtheory import factor_counts, kronecker
 from .orders import associated
-
-
-def is_fundamental_discriminant(d):
-    if d == 0 or d == 1:
-        return False
-    if d % 4 == 1:
-        return _squarefree(abs(d))
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and _squarefree(abs(q))
-    return False
-
-
-def _squarefree(n):
-    return all(e == 1 for e in factor_counts(n).values())
-
-
-def ideal_count_quadratic(disc, s):
-    """Number of nonzero ideals of norm <= s in the quadratic order of
-    fundamental discriminant disc: sum_{m<=s} a(m), a(m) = sum_{d|m} chi(d)
-    with chi the Kronecker symbol.  Valid as an orbit-count comparator only
-    for class number one."""
-    if not is_fundamental_discriminant(disc):
-        raise ValueError(f"{disc} is not a fundamental discriminant")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return sum(ideal_a(disc, m) for m in range(1, s + 1))
 
 
 def ideal_a(disc, m):
@@ -116,13 +93,6 @@ def two_squares_primitive_series(r):
     return (np.bincount(sq[keep], minlength=r + 1)[1:] // 2).tolist()
 
 
-def two_squares_primitive(k):
-    """The last entry of two_squares_primitive_series(k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return two_squares_primitive_series(k)[-1]
-
-
 def r4(m):
     """Jacobi: number of integer quadruples with sum of squares m,
     8 * sum of divisors not divisible by 4."""
@@ -149,21 +119,6 @@ def hurwitz_sigma_series(r):
     d [d odd].  hurwitz_shell_series is its reference by enumeration."""
     d = np.arange(max(r, 0) + 1, dtype=np.int64)
     return divisor_sums(24 * d * (d % 2), r).tolist()
-
-
-def jacobi_r4_cumulative(r, lattice="lipschitz"):
-    """Cumulative count of lattice quaternions with reduced norm <= r.
-
-    lipschitz: Jacobi's closed form.  hurwitz: its analogue for the Hurwitz
-    order, 24 sigma_odd (hurwitz_sigma_series).
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if lattice == "lipschitz":
-        return sum(r4_series(r))
-    if lattice == "hurwitz":
-        return sum(hurwitz_sigma_series(r))
-    raise ValueError(f"unknown lattice {lattice!r}")
 
 
 def hurwitz_shell_series(r):

@@ -57,11 +57,6 @@ def positive_form(gram):
     return PositiveForm(gram, tuple(d), u, inverse(gram), *_scaled_integer_gram(gram))
 
 
-def is_integer_valued(gram):
-    """True when x^t G x is an integer for every integer x."""
-    return _scaled_integer_gram(gram)[0] == 1
-
-
 def definite_shell(gram, m):
     """Complete set {x in Z^n : x^t G x = m}, lexicographically sorted.
 
@@ -181,33 +176,6 @@ def ball_points(gram, r):
     form = positive_form(gram)
     pts, vals = quadratic_points(form, [0] * len(form.gram), 0, math.floor(form.scale * r))
     return pts, 2 * vals, form.scale
-
-
-def definite_ball(gram, r):
-    """Stream of (m, shell) for integer levels 1 <= m <= r; Q must be integer valued.
-
-    Shells are complete and lexicographically sorted; levels with no points are
-    skipped.
-    """
-    form = positive_form(gram)
-    if r < 1:
-        return
-    if form.scale != 1:
-        raise ValueError("definite_ball requires an integer-valued form (scale levels first)")
-    pts, twos_vals, s = ball_points(form, int(r))
-    if len(twos_vals) and np.any(twos_vals % (2 * s)):
-        raise AssertionError("non-integer level in integer-valued form")
-    vals = twos_vals // (2 * s)
-    order = np.argsort(vals, kind="stable")
-    pts, vals = pts[order], vals[order]
-    idx = 0
-    for m in range(1, int(r) + 1):
-        chunk = []
-        while idx < len(vals) and vals[idx] == m:
-            chunk.append(tuple(int(c) for c in pts[idx]))
-            idx += 1
-        if chunk:
-            yield m, sorted(chunk)
 
 
 def vec_isqrt_exact(a):

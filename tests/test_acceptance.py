@@ -16,7 +16,7 @@ from orbitcount.counting import (
     aggregate_levels,
     algebra_series,
     count_quadric_level,
-    cumulative,
+    cumulative_at,
     imprimitive_from_primitive,
     normform_series,
     quadric_series,
@@ -28,7 +28,7 @@ from orbitcount.oracles import (
     ideal_count_series,
     pairwise_orbits,
     r4_series,
-    two_squares_primitive,
+    two_squares_primitive_series,
 )
 from orbitcount.orders import canonical_rep, finite_units, fundamental_unit, norm_gram
 from orbitcount.presets import (
@@ -134,8 +134,9 @@ def test_criterion_4_quadric_exponent_and_oracle(quadric_big):
     rep = fit_power(series, window=(10 ** 3, R_BIG), which="weighted")
     assert 0.9 <= rep.lambda_hat <= 1.1
     # per-level dual route: fiber enumeration vs the two-squares scan
+    oracle = two_squares_primitive_series(R_SMALL)
     for k in range(1, R_SMALL + 1):
-        assert len(cone_section_points(sec, k)) == two_squares_primitive(k), k
+        assert len(cone_section_points(sec, k)) == oracle[k - 1], k
     elapsed = t_series + (time.time() - t0)
     assert elapsed < 300
     print(f"\n[criterion 4] PASS quadric free-fit lambda = {rep.lambda_hat:.4f} in [0.9, 1.1] "
@@ -172,10 +173,8 @@ def test_criterion_6_zeta_aggregation(lipschitz_small, quadric_big):
 
     _, _, qseries, t_q = quadric_big
     full = imprimitive_from_primitive(qseries, 1)
-    ratios = []
-    for r in (10 ** 3, 10 ** 4, 10 ** 5):
-        s = float(cumulative(full, r, "weighted"))
-        ratios.append(s / (r * math.log(r)))
+    radii = (10 ** 3, 10 ** 4, 10 ** 5)
+    ratios = [float(s) / (r * math.log(r)) for r, s in zip(radii, cumulative_at(full, radii, "weighted"))]
     spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
     assert spread < 0.15
     elapsed = t_series + t_q + (time.time() - t0)

@@ -25,7 +25,7 @@ from orbitcount.cli import (
     series_from_csv,
     series_to_csv,
 )
-from orbitcount.algebra import change_of_basis, quaternion_algebra
+from orbitcount.algebra import change_of_basis, quadratic_field_order, quaternion_algebra
 from orbitcount.counting import FAMILY_QUADRIC, CountSeries, ScenarioSpec, run_scenario
 from orbitcount.exact import random_unimodular
 from orbitcount.lattice import cone_section_points
@@ -342,6 +342,41 @@ def test_fit_report_fields(tmp_path, capsys):
     assert "empirical" in doc["delta_note"]
 
 
+SPHERE_SECTION = {"family": "quadric", "label": "sphere", "ell": [0, 0, 0, 1],
+                  "gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]}
+ZI_ALGEBRA_NORM = {"family": "algebra-norm", "label": "zi", "norm_degree": 2, "unit_rank": 0,
+                   "algebra": json.loads(quadratic_field_order(-1).to_json())}
+
+
+@pytest.mark.parametrize("config, rmax, lam, zeta", [
+    pytest.param("gauss", 300, "1", math.pi ** 2 / 6, id="gauss"),
+    pytest.param("lipschitz", 300, "2", math.pi ** 4 / 90, id="lipschitz"),
+    pytest.param("hurwitz", 300, "2", math.pi ** 4 / 90, id="hurwitz"),
+    pytest.param("model-quadric", 300, "1", None, id="model-quadric"),  # s = 1: the r log r regime
+    pytest.param(SPHERE_SECTION, 50, "2", math.pi ** 2 / 6, id="sphere-section"),
+    pytest.param(ZI_ALGEBRA_NORM, 300, "1", math.pi ** 2 / 6, id="zi-algebra-norm"),
+])
+def test_fit_reads_lambda_and_zeta_of_d_lambda_from_the_payload(config, rmax, lam, zeta, tmp_path, capsys):
+    # lambda = dim / norm_degree for an order and n - 2 for a section; the
+    # full over the primitive count tends to zeta(d lambda)
+    if isinstance(config, dict):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        config = str(tmp_path / "config.json")
+    out = tmp_path / "out"
+    assert run(["count", "--config", config, "--rmax", str(rmax), "--out", str(out)]) == EXIT_OK
+    [csv_path] = out.glob("*-counts.csv")
+    assert run(["fit", "--config", config, "--rmax", str(rmax), "--series", str(csv_path),
+                "--out", str(out), "--zeta"]) == EXIT_OK
+    [fit_path] = out.glob("*-fit.json")
+    doc = json.loads(read(fit_path))
+    assert doc["expected_lambda"] == lam
+    assert abs(doc["lambda_hat"] - int(lam)) < 0.25
+    if zeta is None:
+        assert doc["zeta_factor"] is None
+    else:
+        assert abs(doc["zeta_factor"] - zeta) < 1e-8
+
+
 def test_fit_synthetic_exact_power(tmp_path, capsys):
     # exact power law: residual identically zero
     rows = ["# config_hash=x", "# family=normform scale_e=1 mode=exact",
@@ -526,8 +561,6 @@ def test_algebra_series_primitive_column():
 
 
 def _quadratic_config(path, d, label, invariants=None):
-    from orbitcount.algebra import quadratic_field_order
-
     doc = {
         "family": "normform",
         "algebra": json.loads(quadratic_field_order(d).to_json()),
@@ -704,10 +737,12 @@ def test_report_is_count_fit_and_oracle_compare(case, r, tmp_path, capsys):
 
 
 def test_oracle_compare_counts_only_a_validated_scenario(tmp_path, monkeypatch, capsys):
-    # Z[i] asserting minpoly x^2 - 2 fails validation: oracle-compare without
-    # --series refuses it as count does, and never counts
+    # Z[i] asserting minpoly x^2 - 2 fails validation: oracle-compare refuses
+    # it as count does, with or without --series, and never counts
     import orbitcount.cli as cli
 
+    assert run(["count", "--config", "gauss", "--rmax", "60", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
     counted = []
 
     def counting_run(scenario):
@@ -716,18 +751,20 @@ def test_oracle_compare_counts_only_a_validated_scenario(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "run_scenario", counting_run)
     inv = {"class_number": 1, "oracle": "ideal-count:-4"}
-    cfg = _quadratic_config(tmp_path / "zi.json", -1, "zi", {**inv, "minpoly": [-2, 0, 1]})
-    assert run(["oracle-compare", "--config", cfg, "--rmax", "60"]) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == "" and counted == []
-    assert ("FAIL         exact-mode support for the unit group -- invariants minpoly "
-            "[-2, 0, 1] has signature (2, 0), the order's generator (0, 1)\n") in captured.err
-    cfg = _quadratic_config(tmp_path / "zi.json", -1, "zi", {**inv, "minpoly": [1, 0, 1]})
-    assert run(["oracle-compare", "--config", cfg, "--rmax", "60"]) == EXIT_OK
-    captured = capsys.readouterr()
-    assert captured.out == ("oracle-compare zi: per-level orbit counts vs ideal counts (D=-4): "
-                            "zero diffs over 60 levels\n") and captured.err == ""
-    assert len(counted) == 1
+    for series, recounts in (([], 1), (["--series", str(tmp_path / "gauss-counts.csv")], 0)):
+        counted.clear()
+        cfg = _quadratic_config(tmp_path / "zi.json", -1, "zi", {**inv, "minpoly": [-2, 0, 1]})
+        assert run(["oracle-compare", "--config", cfg, "--rmax", "60", *series]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and counted == []
+        assert ("FAIL         exact-mode support for the unit group -- invariants minpoly "
+                "[-2, 0, 1] has signature (2, 0), the order's generator (0, 1)\n") in captured.err
+        cfg = _quadratic_config(tmp_path / "zi.json", -1, "zi", {**inv, "minpoly": [1, 0, 1]})
+        assert run(["oracle-compare", "--config", cfg, "--rmax", "60", *series]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == ("oracle-compare zi: per-level orbit counts vs ideal counts (D=-4): "
+                                "zero diffs over 60 levels\n") and captured.err == ""
+        assert len(counted) == recounts
 
 
 def test_report_builds_its_scenario_once(tmp_path, monkeypatch, capsys):

@@ -23,14 +23,13 @@ from orbitcount.counting import (
     count_algebra_shell,
     count_normform_level,
     count_quadric_level,
-    cumulative,
     cumulative_at,
     imprimitive_from_primitive,
     normform_series,
     quadric_series,
     run_scenario,
 )
-from orbitcount.oracles import ideal_count_series, pairwise_orbits, r4_series, two_squares_primitive
+from orbitcount.oracles import ideal_count_series, pairwise_orbits, r4_series, two_squares_primitive_series
 from orbitcount.orders import OrderSpec, UnitGroupData, finite_units, norm_gram
 from orbitcount.presets import (
     model_quadric_section,
@@ -109,8 +108,7 @@ def test_quadric_series_matches_levels_and_oracle():
         assert series.n_prim[k - 1] == c
         assert series.weighted[k - 1] == w
     # orbit sizes sum to the point count: 2 * weighted = two-squares oracle here
-    for k in range(1, 201):
-        assert 2 * series.weighted[k - 1] == two_squares_primitive(k)
+    assert (2 * series.weighted).tolist() == two_squares_primitive_series(200)
 
 
 def test_algebra_shell_examples():
@@ -210,10 +208,9 @@ def test_free_action_check_rejects_split_norm_form():
 
 def test_cumulative():
     series = normform_series(order_gauss(), 50)
-    assert cumulative(series, 10) == 9  # D = -4 ideal count at 10
-    assert cumulative(series, 50) == sum(series.n_all)
+    assert cumulative_at(series, [10, 50]) == [9, sum(series.n_all)]  # D = -4 ideal count at 10
     with pytest.raises(ValueError):
-        cumulative(series, 51)
+        cumulative_at(series, [51])
     empty = normform_series(order_gauss(), 0)
     assert empty.levels.tolist() == []
 
@@ -226,7 +223,7 @@ def test_cumulative_at_matches_per_radius_sums():
         expected = [sum((c for lv, c in zip(series.levels, column) if lv <= r), Fraction(0))
                     for r in radii]
         assert cumulative_at(series, radii, which) == expected
-        assert [cumulative(series, r, which) for r in radii] == expected
+        assert [cumulative_at(series, [r], which)[0] for r in radii] == expected
     with pytest.raises(ValueError):
         cumulative_at(series, [5, 2])
     with pytest.raises(ValueError):
@@ -344,12 +341,11 @@ def test_four_variable_quadric_section():
 
     series = quadric_series(sec, 40)
     assert series.meta["route"] == "per-level"
-    # growth exponent target for four variables is 2
-    from orbitcount.fitting import expected_lambda
-    from orbitcount.presets import preset_scenario
+    # growth exponent target for four variables is 2, and the zeta factor zeta(2)
+    from orbitcount.fitting import growth_law
 
     sc = ScenarioSpec(family="quadric", payload=sec, k_max=40)
-    assert expected_lambda(sc) == 2
+    assert growth_law(sc) == (2, 2)
     # aggregation identity, both routes exact
     for k in range(1, 41):
         direct, _ = count_quadric_level(sec, k, primitive=False)

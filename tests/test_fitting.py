@@ -2,16 +2,18 @@ import math
 
 import pytest
 
-from orbitcount.counting import CountSeries, FAMILY_NORMFORM
+from orbitcount.algebra import quadratic_field_order
+from orbitcount.counting import CountSeries, FAMILY_ALGEBRA, FAMILY_NORMFORM, ScenarioSpec
 from orbitcount.fitting import (
-    expected_lambda,
     fit_power,
     fit_rlogr,
     geometric_radii,
+    growth_law,
     predicted_constant_ideal,
     sample_cumulative,
     zeta_correction,
 )
+from orbitcount.orders import OrderSpec
 from orbitcount.presets import preset_scenario
 
 
@@ -36,10 +38,13 @@ def series_with_cumulative(f, n):
 
 
 def test_expected_lambda_per_family():
-    assert expected_lambda(preset_scenario("zsqrt2", 10)) == 1
-    assert expected_lambda(preset_scenario("model-quadric", 10)) == 1  # n - 2 with n = 3
-    assert expected_lambda(preset_scenario("lipschitz", 10)) == 2
-    assert expected_lambda(preset_scenario("hurwitz", 10)) == 2
+    # (lambda, s): dim / norm_degree and dim for an order, n - 2 twice for a section
+    assert growth_law(preset_scenario("zsqrt2", 10)) == (1, 2)
+    assert growth_law(preset_scenario("model-quadric", 10)) == (1, 1)  # n = 3
+    assert growth_law(preset_scenario("lipschitz", 10)) == (2, 4)
+    assert growth_law(preset_scenario("hurwitz", 10)) == (2, 4)
+    zi = OrderSpec(quadratic_field_order(-1), norm_degree=2, unit_rank=0)
+    assert growth_law(ScenarioSpec(family=FAMILY_ALGEBRA, payload=zi, k_max=10)) == (1, 2)
 
 
 def test_fit_power_exact_law():

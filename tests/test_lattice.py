@@ -30,7 +30,7 @@ from orbitcount.lattice import (
     fiber_section_points,
     indefinite_quadratic_shell,
 )
-from orbitcount.oracles import pairwise_orbits, two_squares_primitive
+from orbitcount.oracles import pairwise_orbits, two_squares_primitive_series
 from orbitcount.presets import model_quadric_section, order_hurwitz, order_zsqrt2
 from orbitcount.sections import quadric_section
 
@@ -71,9 +71,10 @@ def test_cone_section_examples():
 
 
 def test_cone_section_invariants():
+    oracle = two_squares_primitive_series(119)
     for k in range(1, 120):
         pts = cone_section_points(SEC, k)
-        assert len(pts) == two_squares_primitive(k), k
+        assert len(pts) == oracle[k - 1], k
         for p in pts:
             assert SEC.q_value(p) == 0
             assert SEC.ell_value(p) == k

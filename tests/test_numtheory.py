@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcount.numtheory import (
-    count_real_roots,
     factor,
     irreducible_mod_p,
     is_prime,
@@ -159,13 +158,6 @@ def test_signature_matches_sympy_real_root_count(coeffs):
         return
     r1 = len(poly.real_roots())
     assert signature(coeffs) == (r1, (poly.degree() - r1) // 2)
-
-
-def test_sturm_count():
-    assert count_real_roots([-2, 0, 1], -10, 10) == 2
-    assert count_real_roots([1, 0, 1], -10, 10) == 0
-    assert count_real_roots([-2, 0, 0, 1], -10, 10) == 1
-    assert count_real_roots([-2, 0, 1], 0, 10) == 1
 
 
 def test_non_squarefree_rejected():

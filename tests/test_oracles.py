@@ -12,13 +12,10 @@ from orbitcount.oracles import (
     hurwitz_shell_series,
     hurwitz_sigma_series,
     ideal_a,
-    ideal_count_quadratic,
     ideal_count_series,
-    jacobi_r4_cumulative,
     pairwise_orbits,
     r4,
     r4_series,
-    two_squares_primitive,
     two_squares_primitive_series,
 )
 from orbitcount.presets import order_zsqrt2
@@ -28,14 +25,6 @@ from orbitcount.shells import ball_points
 def test_ideal_count_examples():
     # prime-splitting tabulation for D = -4, m = 1..10: 1,1,0,1,2,0,0,1,1,2
     assert [ideal_a(-4, m) for m in range(1, 11)] == [1, 1, 0, 1, 2, 0, 0, 1, 1, 2]
-    assert ideal_count_quadratic(-4, 10) == 9
-    assert ideal_count_quadratic(8, 3) == 2  # a(1)=1, a(2)=1, a(3)=0
-    for disc in (-4, -8, -3, 8, 5, 12, 13):
-        assert ideal_count_quadratic(disc, 1) == 1
-    with pytest.raises(ValueError):
-        ideal_count_quadratic(9, 5)  # not fundamental
-    with pytest.raises(ValueError):
-        ideal_count_quadratic(-4, 0)
 
 
 def test_ideal_a_multiplicative_on_coprime():
@@ -84,21 +73,14 @@ def test_ideal_count_series_chi_matches_kronecker_per_d(disc):
 
 
 def test_two_squares_examples():
-    assert two_squares_primitive(5) == 4
-    assert two_squares_primitive(2) == 2
-    assert two_squares_primitive(3) == 0
-    assert two_squares_primitive(1) == 2
-    with pytest.raises(ValueError):
-        two_squares_primitive(0)
+    assert two_squares_primitive_series(5) == [2, 2, 0, 0, 4]
 
 
 def test_jacobi_examples():
-    assert jacobi_r4_cumulative(1) == 8
-    assert jacobi_r4_cumulative(2) == 8 + 24
+    assert sum(r4_series(1)) == 8
+    assert sum(r4_series(2)) == 8 + 24
     assert r4(2) == 24
-    assert jacobi_r4_cumulative(1, "hurwitz") == 24
-    with pytest.raises(ValueError):
-        jacobi_r4_cumulative(5, "d4")
+    assert sum(hurwitz_sigma_series(1)) == 24
 
 
 def test_jacobi_matches_ball_counts_on_i4():
@@ -107,7 +89,6 @@ def test_jacobi_matches_ball_counts_on_i4():
     counts = np.zeros(1001, dtype=np.int64)
     np.add.at(counts, vals // 2, 1)
     assert counts[1:].tolist() == r4_series(1000)
-    assert int(counts[1:].sum()) == jacobi_r4_cumulative(1000)
 
 
 def test_hurwitz_direct_counts():
@@ -156,8 +137,7 @@ def test_hurwitz_shell_count_is_last_series_entry():
     assert [hurwitz_shell_count(m) for m in (1, 2, 3)] == [24, 24, 96]
     series = hurwitz_shell_series(300)
     assert [hurwitz_shell_count(m) for m in (1, 7, 64, 299, 300)] == [series[m - 1] for m in (1, 7, 64, 299, 300)]
-    for r in (1, 2, 5, 300):
-        assert jacobi_r4_cumulative(r, "hurwitz") == sum(series[:r])
+    assert hurwitz_sigma_series(300) == series
 
 
 def test_two_squares_series_matches_the_direct_scan():
@@ -172,7 +152,6 @@ def test_two_squares_series_matches_the_direct_scan():
 
     assert two_squares_primitive_series(400) == [scan(k) for k in range(1, 401)]
     assert two_squares_primitive_series(0) == []
-    assert two_squares_primitive(400) == two_squares_primitive_series(400)[-1]
 
 
 def _divisor_sum(f, m):

@@ -13,9 +13,8 @@ from orbitcount.orders import norm_gram
 from orbitcount.presets import order_hurwitz, order_lipschitz
 from orbitcount.shells import (
     ball_points,
-    definite_ball,
     definite_shell,
-    is_integer_valued,
+    positive_form,
     quadratic_points,
     theta_series,
     truncated_product_sum,
@@ -82,7 +81,7 @@ def test_shell_rejects_indefinite_or_negative():
 
 
 @pytest.mark.parametrize("enumerate_", [lambda g: definite_shell(g, 1), lambda g: ball_points(g, 1),
-                                        lambda g: theta_series(g, 1), lambda g: list(definite_ball(g, 1))])
+                                        lambda g: theta_series(g, 1)])
 @pytest.mark.parametrize("gram, why", [
     ([[1, 0, 0], [0, 1, 0]], "wrong shape"),  # its leading minors are all positive
     ([[1, 0], [0, 1], [0, 0]], "wrong shape"),
@@ -93,15 +92,25 @@ def test_enumerators_refuse_a_malformed_gram(enumerate_, gram, why):
         enumerate_(gram)
 
 
+def _ball_by_level(gram, r):
+    """{m: sorted points of level m} from ball_points, for an integer-valued form."""
+    pts, vals2, s = ball_points(gram, r)
+    assert s == 1
+    by_level = {}
+    for p, v in zip(pts.tolist(), (vals2 // 2).tolist()):
+        by_level.setdefault(v, []).append(tuple(p))
+    return {m: sorted(shell) for m, shell in by_level.items()}
+
+
 def test_ball_examples():
-    assert [(m, len(s)) for m, s in definite_ball(I4, 1)] == [(1, 8)]
-    assert [(m, len(s)) for m, s in definite_ball(I2, 2)] == [(1, 4), (2, 4)]
-    assert list(definite_ball(I2, 0)) == []
+    assert {m: len(s) for m, s in _ball_by_level(I4, 1).items()} == {1: 8}
+    assert {m: len(s) for m, s in _ball_by_level(I2, 2).items()} == {1: 4, 2: 4}
+    assert _ball_by_level(I2, 0) == {}
 
 
 def test_ball_matches_per_level_shells():
     g = [[2, 1], [1, 3]]
-    ball = dict(definite_ball(g, 40))
+    ball = _ball_by_level(g, 40)
     for m in range(1, 41):
         assert ball.get(m, []) == definite_shell(g, m)
 
@@ -127,7 +136,7 @@ def test_ball_points_dim1():
 
 def test_theta_lipschitz_matches_jacobi():
     lip = norm_gram(order_lipschitz())
-    assert is_integer_valued(lip)
+    assert positive_form(lip).scale == 1
     t = theta_series(lip, 1000)
     assert t[0] == 1
     assert t[1:].tolist() == r4_series(1000)
@@ -204,7 +213,7 @@ def test_theta_random_quaternary_matches_recursion():
 def test_theta_half_integer_offdiag():
     h = Fraction(1, 2)
     g = [[1, h, 0], [h, 2, h], [0, h, 1]]
-    assert is_integer_valued(g)
+    assert positive_form(g).scale == 1
     t = theta_series(g, 25)
     for m in range(1, 26):
         assert t[m] == len(definite_shell(g, m)), m
