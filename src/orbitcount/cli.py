@@ -86,32 +86,44 @@ def scenario_from_config(doc):
     else:
         try:
             fam, label = doc["family"], doc.get("label", "custom")
-            inv = dict(doc.get("invariants", {}))
+            inv = dict(_config_value(doc, "invariants", "a JSON object")) if "invariants" in doc else {}
+            if not isinstance(inv.get("oracle", ""), str):
+                raise ValueError(f"config invariants oracle {inv['oracle']!r} is not a string")
             if fam == FAMILY_QUADRIC:
-                gram = [[frac(c) for c in row] for row in doc["gram"]]
-                ell = [frac(c) for c in doc["ell"]]
-                base = doc.get("base_point")
-                payload = quadric_section(gram, ell, base_point=tuple(base) if base else None)
+                gram = [[frac(c) for c in row] for row in _config_value(doc, "gram", "a matrix")]
+                ell = [frac(c) for c in _config_value(doc, "ell", "a nonempty list")]
+                base = None if doc.get("base_point") is None else _config_value(doc, "base_point", "a nonempty list")
+                payload = quadric_section(gram, ell, base_point=base)
             else:
-                spec = AlgebraSpec.from_json(json.dumps(doc["algebra"]))
-                payload = OrderSpec(algebra=spec, norm_degree=_config_int(doc, "norm_degree"),
-                                    unit_rank=_config_int(doc, "unit_rank"))
+                algebra = _config_value(doc, "algebra", "a JSON object")
+                _config_value(algebra, "dim")
+                spec = AlgebraSpec.from_json(json.dumps(algebra))
+                payload = OrderSpec(algebra=spec, norm_degree=_config_value(doc, "norm_degree"),
+                                    unit_rank=_config_value(doc, "unit_rank"))
         except KeyError as e:
             raise ValueError(f"config has no {e.args[0]!r} key") from None
     if not isinstance(doc["absolute_norm"], bool):
         raise ValueError(f"config absolute_norm {doc['absolute_norm']!r} is not true or false")
     return ScenarioSpec(
-        family=fam, payload=payload, k_max=_config_int(doc, "r_max"),
+        family=fam, payload=payload, k_max=_config_value(doc, "r_max"),
         use_absolute_norm=doc["absolute_norm"], label=label, invariants=inv,
     )
 
 
-def _config_int(doc, key):
-    """doc[key], refused unless it is a JSON integer (not a float, a string
-    or a boolean)."""
+_CONFIG_SHAPES = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a JSON object": lambda v: isinstance(v, dict),
+    "a nonempty list": lambda v: isinstance(v, list) and len(v) > 0,
+    "a matrix": lambda v: isinstance(v, list) and all(isinstance(r, list) and len(r) > 0 for r in [v, *v]),
+}
+
+
+def _config_value(doc, key, shape="an integer"):
+    """doc[key], refused unless it has the named JSON shape (an integer is not
+    a float, a string or a boolean; a matrix is a nonempty list of nonempty lists)."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config {key} {value!r} is not an integer")
+    if not _CONFIG_SHAPES[shape](value):
+        raise ValueError(f"config {key} {value!r} is not {shape}")
     return value
 
 

@@ -22,6 +22,7 @@ from .lattice import (
     indefinite_quadratic_shell,
     sorted_row_key,
 )
+from .numtheory import dirichlet_sums, mobius_upto
 # payloads derive their units, balls and groups; the names stay for perfbench/tracer.py
 from .orders import (
     RANK_2_REFUSAL,
@@ -186,9 +187,9 @@ def cumulative_at(series, radii, which="all"):
 def aggregate_levels(prim_levels, prim_counts, d, k_max):
     """Aggregate a primitive per-level series: N_all(k) = sum over p >= 1 with
     p^d | k of N_prim(k / p^d); levels are dense integers 1..k_max, summed by
-    _slice_sieve with weight 1.  The counts are integers (weight numerators
-    over their common denominator aggregate alike), refused by _bounded_column
-    when a sum could pass int64."""
+    numtheory.dirichlet_sums with weight 1.  The counts are integers (weight
+    numerators over their common denominator aggregate alike), refused by
+    _bounded_column when a sum could pass int64."""
     if d < 1:
         raise ValueError("scaling degree must be >= 1")
     counts = _bounded_column(prim_counts)
@@ -196,41 +197,7 @@ def aggregate_levels(prim_levels, prim_counts, d, k_max):
     keep = (lv >= 1) & (lv <= k_max)
     src = np.zeros(k_max + 1, dtype=np.int64)
     src[lv[keep]] = counts[keep]
-    return np.arange(1, k_max + 1, dtype=np.int64), _slice_sieve(src, d, k_max)[1:]
-
-
-def _slice_sieve(src, d, k_max, mu=None):
-    """out[k] = sum over p >= 1 with p^d | k of w(p) src[k / p^d] for k <= k_max,
-    with w = 1, or w = mu (an array of weights indexed by p) for the inverse.
-    One slice per p^d; for d = 1 only p <= sqrt(k_max), with one slice per
-    cofactor j for the larger p.  Exact in int64 when the caller bounded
-    sum |src| below 2^63, as every partial sum then fits."""
-    out = np.zeros_like(src)
-    p = 1
-    while p ** max(d, 2) <= k_max:
-        q = p ** d
-        w = 1 if mu is None else mu[p]
-        if w == 1:
-            out[q::q] += src[1 : k_max // q + 1]
-        elif w == -1:
-            out[q::q] -= src[1 : k_max // q + 1]
-        p += 1
-    for j in range(1, k_max // p + 1 if d == 1 else 1):
-        out[j * p :: j] += src[j] if mu is None else src[j] * mu[p : k_max // j + 1]
-    return out
-
-
-def _mobius_upto(n):
-    """[mu(0) = 0, mu(1), ..., mu(n)] as int64 by a prime sieve."""
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    composite = np.zeros(n + 1, dtype=bool)
-    for p in range(2, n + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-    return mu
+    return np.arange(1, k_max + 1, dtype=np.int64), dirichlet_sums(src, k_max, d)
 
 
 def imprimitive_from_primitive(series, d):
@@ -440,12 +407,11 @@ def _definite_series(order, r_max, family):
 def _primitive_shell_sizes(all_sizes, d):
     """prim(1..k) from the integer array all(1..k), where all(m) is the sum
     over f with f^d | m of prim(m / f^d): Moebius inversion, prim(m) = sum of
-    mu(f) all(m / f^d), by the slice sieve of aggregate_levels, in int64:
+    mu(f) all(m / f^d), by numtheory.dirichlet_sums with w = mu, in int64:
     refused unless max|all| * k < 2^63 bounds every partial sum."""
     k = len(all_sizes)
-    src = np.zeros(k + 1, dtype=np.int64)
-    src[1:] = _bounded_column(all_sizes)
-    return _slice_sieve(src, d, k, _mobius_upto(k if d == 1 else math.isqrt(k)))[1:]
+    src = np.concatenate([np.zeros(1, dtype=np.int64), _bounded_column(all_sizes)])
+    return dirichlet_sums(src, k, d, mobius_upto(k if d == 1 else math.isqrt(k)))
 
 
 def _assert_free_action(order, units):

@@ -213,17 +213,11 @@ def invariant_factors(m):
 
 
 def isqrt_frac_floor(f):
-    """floor(sqrt(f)) for a nonnegative rational, exact."""
+    """floor(sqrt(f)) for a nonnegative rational, exact, as isqrt(floor(f))."""
     f = Fraction(f)
     if f < 0:
         raise ValueError("negative radicand")
-    p, q = f.numerator, f.denominator
-    g = math.isqrt(p * q) // q  # seed, then correct exactly
-    while (g + 1) * (g + 1) <= f:
-        g += 1
-    while g * g > f:
-        g -= 1
-    return g
+    return math.isqrt(f.numerator // f.denominator)
 
 
 def gcd_vector(v):

@@ -16,11 +16,8 @@ from itertools import product
 import numpy as np
 
 from .algebra import AlgebraElement, element
-from .exact import (
-    clear_denominators,
-    invariant_factors,
-    rank,
-)
+from .exact import clear_denominators, definiteness, invariant_factors, rank
+from .numtheory import primes_upto
 from .orders import fundamental_unit, unit_domain_points
 # definite_shell is no longer called here; it stays importable as
 # orbitcount.lattice.definite_shell, a name perfbench/tracer.py wraps
@@ -107,7 +104,7 @@ def conic_parametrization(section):
     psi = tuple(
         int(sum(Fraction(section.ell[i]) * e * phi[i][j] for i in range(3))) for j in range(3)
     )
-    sgn = _binary_form_sign(psi)
+    sgn = definiteness(((2 * psi[0], psi[1]), (psi[1], 2 * psi[2])))
     if sgn == 0:
         raise AssertionError("level form indefinite; section preconditions violated")
     if sgn < 0:
@@ -130,14 +127,6 @@ def conic_parametrization(section):
 
 def _independent(rows):
     return rank(rows) == len(rows)
-
-
-def _binary_form_sign(f):
-    a, b, c = f
-    disc = b * b - 4 * a * c
-    if disc >= 0:
-        return 0
-    return 1 if a > 0 else -1
 
 
 def _content_bound(phi):
@@ -194,12 +183,10 @@ def conic_points_up_to(section, r_scaled):
     vals = a * ss * ss + b * ss * ts + c * ts * ts
     keep = (vals > 0) & (vals <= bound) & ((ss > 0) | (ts > 0))
     ss, ts, vals = ss[keep], ts[keep], vals[keep]
-    # gcd(s, |t|) = 1 by lookup in a table sieved by each prime p, which is
-    # prime when no smaller prime has cleared its cell (p, 0) or (0, p)
+    # gcd(s, |t|) = 1 by lookup in a table sieved by each prime p
     coprime = np.ones((smax + 1, tmax + 1), dtype=bool)
-    for p in range(2, max(smax, tmax) + 1):
-        if coprime[p, 0] if p <= smax else coprime[0, p]:
-            coprime[::p, ::p] = False
+    for p in primes_upto(max(smax, tmax)):
+        coprime[::p, ::p] = False
     co = coprime[ss, np.abs(ts)]
     ss, ts, vals = ss[co], ts[co], vals[co]
     s2, st, t2 = ss * ss, ss * ts, ts * ts

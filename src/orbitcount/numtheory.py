@@ -1,5 +1,6 @@
 """Integer number theory: factorisation, Pell equations, Kronecker symbols,
-irreducibility mod p, Sturm real-root counts and bracketed zeta values.
+irreducibility mod p, Sturm real-root counts, bracketed zeta values, and the
+two sieves, primes_upto and dirichlet_sums (every sum over a b^d = m).
 
 All routines are exact; zeta_value returns a rational bracketing interval.
 """
@@ -8,20 +9,59 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 _SMALL_PRIME_LIMIT = 2 ** 16
 _FACTOR_INPUT_LIMIT = 10 ** 18
+
+
+def primes_upto(n):
+    """The primes p <= n, ascending, as a list of ints: a sieve of Eratosthenes."""
+    sieve = np.ones(max(n, 1) + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(max(n, 1)) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 @functools.cache
 def small_primes():
     """Primes below 2^16 as a tuple, sieved once."""
-    n = _SMALL_PRIME_LIMIT
-    sieve = bytearray([1]) * n
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, b in enumerate(sieve) if b)
+    return tuple(primes_upto(_SMALL_PRIME_LIMIT - 1))
+
+
+def mobius_upto(n):
+    """[mu(0) = 0, mu(1), ..., mu(n)] as int64, from the primes up to n."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in primes_upto(n):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
+
+
+def dirichlet_sums(f, s, d=1, w=None):
+    """[sum over a b^d = m of w[b] f[a] for m = 1..s] as int64, for int64 arrays
+    f (f[0] not read) and w (None: w = 1); d = 1 and w = 1 give divisor sums,
+    w = mu their inverse.  One slice per b with b^max(d, 2) <= s and w[b] != 0,
+    which is every pair for d >= 2; for d = 1 the pairs with b > isqrt(s) take
+    one slice per cofactor a < b with f[a] != 0.  Exact when the caller bounds
+    every partial sum of a cell below 2^63."""
+    s = max(s, 0)
+    out = np.zeros(s + 1, dtype=np.int64)
+    b = 1
+    while b ** max(d, 2) <= s:
+        wb = 1 if w is None else int(w[b])
+        if wb:
+            step = b ** d
+            part = f[1 : s // step + 1]
+            out[step::step] += part if wb == 1 else wb * part
+        b += 1
+    if d == 1:
+        for a in (np.flatnonzero(f[1 : s // b + 1]) + 1).tolist():
+            out[a * b :: a] += f[a] if w is None else f[a] * w[b : s // a + 1]
+    return out[1:]
 
 
 def is_prime(n):

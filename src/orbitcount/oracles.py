@@ -6,17 +6,18 @@ Each quantity has one entry point, a series over the levels 1..r:
 ideal_count_series, two_squares_primitive_series, r4_series and
 hurwitz_sigma_series.  A cumulative count is the sum of a series and one
 level its last entry.  The columns `report` reads are divisor sums taken by
-one kernel, divisor_sums; no oracle column it reads runs a quadratic-time
-scan.  The per-level and direct references (ideal_a, r4,
-hurwitz_shell_series, hurwitz_shell_count, pairwise_orbits) stay for the
-tests and perfbench/selftest.py.
+divisor_sums through numtheory.dirichlet_sums, the sieve that also
+aggregates the counted series; no column that sieve builds is compared with
+an oracle, so a fault in it shows as a mismatch.  The references ideal_a,
+r4, hurwitz_shell_series, hurwitz_shell_count and pairwise_orbits stay for
+the tests and perfbench/selftest.py.
 """
 
 import math
 
 import numpy as np
 
-from .numtheory import factor_counts, kronecker
+from .numtheory import dirichlet_sums, factor_counts, kronecker
 from .orders import associated
 
 
@@ -36,31 +37,20 @@ def ideal_a(disc, m):
 
 def divisor_sums(f, s):
     """[sum over d | m of f[d] for m = 1..s] as an int64 array, for an int64
-    array f of length at least s + 1 (f[0] is not read).
-
-    Each pair (d, k) with d k <= s is taken once, in O(sqrt(s)) slices: with
-    q = isqrt(s), one out[d::d] += f[d] for each d <= q, then for each
-    cofactor k <= s / (q + 1) one out[k (q + 1)::k] += f[q + 1 : s // k + 1],
-    which adds f[d] at m = k d for every d > q.  A cell and each partial sum
-    of it is a sum of at most tau(m) <= 2 isqrt(m) values of f, so every
-    cell is bounded against int64 before any slice runs."""
+    array f of length at least s + 1 (f[0] is not read): numtheory's
+    dirichlet_sums with d = 1 and w = 1.  A cell and each partial sum of it
+    is a sum of at most tau(m) <= 2 isqrt(m) values of f, so every cell is
+    bounded against int64 before the sieve runs."""
     f = np.asarray(f)
     if f.dtype != np.int64:
         raise ValueError(f"f has dtype {f.dtype}, not int64")
     if len(f) < s + 1:
         raise ValueError(f"f has length {len(f)}, below s + 1 = {s + 1}")
-    out = np.zeros(max(s, 0) + 1, dtype=np.int64)
-    if s < 1:
-        return out[1:]
-    q = math.isqrt(s)
-    top = max(int(f[1 : s + 1].max()), -int(f[1 : s + 1].min()))
+    q = math.isqrt(max(s, 0))
+    top = max(int(f[1 : s + 1].max(initial=0)), -int(f[1 : s + 1].min(initial=0)))
     if top * 2 * q >= 2 ** 63:
         raise ValueError(f"a divisor sum could reach {top} * {2 * q} >= 2^63")
-    for d in (np.flatnonzero(f[1 : q + 1]) + 1).tolist():
-        out[d::d] += f[d]
-    for k in range(1, s // (q + 1) + 1):
-        out[k * (q + 1) :: k] += f[q + 1 : s // k + 1]
-    return out[1:]
+    return dirichlet_sums(f, s)
 
 
 def ideal_count_series(disc, s):

@@ -24,7 +24,6 @@ from .algebra import (
     alg_mul,
     alg_norm,
     element,
-    left_mul_matrix,
 )
 from .exact import det, scalar
 from .numtheory import pell
@@ -109,19 +108,11 @@ def norm_gram(order):
 
 
 def trace_form_discriminant(order):
-    """det(Tr(e_i e_j)): the discriminant of the order (field discriminant for
-    the shipped maximal quadratic orders)."""
-    spec = order.algebra
-    n = spec.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = alg_mul(spec.basis_element(i), spec.basis_element(j), spec)
-            m = left_mul_matrix(prod, spec)
-            row.append(scalar(sum(m[k][k] for k in range(n))))
-        rows.append(tuple(row))
-    return det(rows)
+    """det(Tr(e_i e_j)), the discriminant of the order, from its integer structure
+    constants c_ijk: Tr(e_k) = sum_m c_kmm and Tr(e_i e_j) = sum_k c_ijk Tr(e_k)."""
+    table, n = order.algebra.table, order.algebra.dim
+    tr = [sum(table[k][m][m] for m in range(n)) for k in range(n)]
+    return det([[sum(c * t for c, t in zip(cell, tr)) for cell in row] for row in table])
 
 
 def is_unit(x, order):

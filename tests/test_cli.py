@@ -261,6 +261,60 @@ def test_config_integer_key_refuses_a_value_that_is_not_a_json_integer(key, tmp_
     assert not (tmp_path / "scenario-counts.csv").exists()
 
 
+_GAUSS_DOC = {"family": "normform", "norm_degree": 2, "unit_rank": 0,
+              "algebra": json.loads(quadratic_field_order(-1).to_json())}
+
+
+@pytest.mark.parametrize("command", ["validate", "count", "report", "oracle-compare"])
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_model_quadric_doc(base_point=True), "base_point True is not a nonempty list", id="base-point-true"),
+    pytest.param(_model_quadric_doc(base_point=[]), "base_point [] is not a nonempty list", id="base-point-empty"),
+    pytest.param(_model_quadric_doc(base_point=False), "base_point False is not a nonempty list",
+                 id="base-point-false"),
+    pytest.param(_model_quadric_doc(base_point=0), "base_point 0 is not a nonempty list", id="base-point-zero"),
+    pytest.param(_model_quadric_doc(gram=5), "gram 5 is not a matrix", id="gram-number"),
+    pytest.param(_model_quadric_doc(ell=5), "ell 5 is not a nonempty list", id="ell-number"),
+    pytest.param(dict(_GAUSS_DOC, invariants=[1, 2]), "invariants [1, 2] is not a JSON object", id="invariants-list"),
+    pytest.param(dict(_GAUSS_DOC, algebra=[1]), "algebra [1] is not a JSON object", id="algebra-list"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"oracle": 5}), "invariants oracle 5 is not a string",
+                 id="oracle-number"),
+])
+def test_a_config_value_of_the_wrong_json_shape_is_refused(command, doc, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path)] if command in ("count", "report") else []
+    assert run([command, "--config", str(cfg), "--rmax", "20", *out]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config {message}\n" and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_only_an_absent_or_null_base_point_is_searched(tmp_path, capsys):
+    rows = []
+    for name, doc in (("absent", _model_quadric_doc()), ("null", _model_quadric_doc(base_point=None)),
+                      ("given", _model_quadric_doc(base_point=[0, 0, 1]))):
+        if name == "absent":
+            del doc["base_point"]
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(doc, label=name)))
+        assert run(["count", "--config", str(tmp_path / f"{name}.json"), "--rmax", "50", "--out", str(tmp_path)]) == 0
+        rows.append(_data_rows(tmp_path / f"{name}-counts.csv"))
+    capsys.readouterr()
+    assert rows[0] == rows[1] == rows[2] and len(rows[0]) > 0
+
+
+@pytest.mark.parametrize("dim", [2.9, "2", 2], ids=["float", "string", "integer"])
+def test_algebra_dim_is_read_as_a_json_integer(dim, tmp_path, capsys):
+    # int() read "dim": 2.9 and "2" as dim 2
+    cfg = tmp_path / "gauss.json"
+    cfg.write_text(json.dumps(dict(_GAUSS_DOC, algebra=dict(_GAUSS_DOC["algebra"], dim=dim))))
+    rc = run(["validate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    if dim == 2:
+        assert rc == EXIT_OK and captured.out.endswith("validation ok\n") and captured.err == ""
+    else:
+        assert rc == EXIT_VALIDATION and captured.err == f"error: config dim {dim!r} is not an integer\n"
+
+
 def test_validate_refuses_an_indefinite_quaternion_order(tmp_path, capsys):
     # (-1, 3) is a division algebra, but its norm form is indefinite: the
     # count would refuse it, so validation does not probe it for zero

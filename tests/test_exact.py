@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcount.algebra import algebra_spec, element, left_mul_matrix, minimal_polynomial
-from orbitcount.exact import definiteness, det, inverse, rank, solve, vec
+from orbitcount.exact import definiteness, det, inverse, isqrt_frac_floor, rank, solve, vec
 from orbitcount.presets import order_gauss, order_hurwitz, order_lipschitz, order_zsqrt2
 
 X = sympy.symbols("x")
@@ -142,3 +142,19 @@ def test_frac_reads_ints_fractions_and_strings():
     # Fraction parses the spaces around "p/q" itself; floats are refused (test_cli)
     assert vec([3, Fraction(4, 2), " 1/2 ", "-6/4"]) == (3, 2, Fraction(1, 2), Fraction(-3, 2))
     assert [type(x) for x in vec(["4/2", Fraction(6, 3)])] == [int, int]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 200), st.integers(1, 2 ** 140), st.integers(0, 2 ** 70))
+def test_isqrt_frac_floor_brackets_the_root(p, q, a):
+    # numerators past 2^128, and perfect squares over squares, where g = a // q
+    for f in (Fraction(p, q), Fraction(a * a, q * q), Fraction(a * a + 1, q * q), Fraction(a * a - 1, q * q)):
+        if f < 0:
+            with pytest.raises(ValueError):
+                isqrt_frac_floor(f)
+            continue
+        g = isqrt_frac_floor(f)
+        assert g * g <= f < (g + 1) * (g + 1)
+    assert isqrt_frac_floor(Fraction(a * a, q * q)) == a // q
+    with pytest.raises(ValueError):
+        isqrt_frac_floor(Fraction(-p - 1, q))

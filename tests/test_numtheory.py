@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -166,3 +167,12 @@ def test_non_squarefree_rejected():
             signature(coeffs)
     with pytest.raises(ValueError, match="nonconstant"):
         signature([5, 0])
+
+
+def test_small_primes_are_the_trial_division_primes_below_2_16():
+    primes = []
+    for n in range(2, 2 ** 16):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes)):
+            primes.append(n)
+    assert small_primes() == tuple(primes)
+    assert len(primes) == 6542 and primes[-1] == 65521

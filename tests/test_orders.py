@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcount.algebra import AlgebraElement, alg_mul, alg_norm, element, quadratic_field_order, quaternion_algebra
+from orbitcount.algebra import (
+    AlgebraElement, alg_mul, alg_norm, change_of_basis, element, left_mul_matrix, quadratic_field_order,
+    quaternion_algebra,
+)
+from orbitcount.exact import det, random_unimodular
 from orbitcount.oracles import pairwise_orbits
 from orbitcount.orders import (
     OrderSpec,
@@ -114,6 +118,27 @@ def test_fundamental_unit():
 def test_discriminants():
     assert trace_form_discriminant(order_zsqrt2()) == 8
     assert trace_form_discriminant(order_gauss()) == -4
+
+
+def _trace_form_by_products(order):
+    """det(Tr(L(e_i e_j))), each product by alg_mul and each trace read off its
+    left-multiplication matrix."""
+    spec, n = order.algebra, order.algebra.dim
+    basis = [spec.basis_element(i) for i in range(n)]
+    return det([[sum(left_mul_matrix(alg_mul(x, y, spec), spec)[k][k] for k in range(n)) for y in basis]
+                for x in basis])
+
+
+@pytest.mark.parametrize("make", [order_zsqrt2, order_gauss, order_lipschitz, order_hurwitz])
+def test_trace_form_discriminant_is_the_trace_of_left_multiplication(make):
+    # a unimodular change of basis multiplies the trace form's det by det(U)^2 = 1
+    order, rng = make(), random.Random(11)
+    value = _trace_form_by_products(order)
+    assert trace_form_discriminant(order) == value
+    for _ in range(4):
+        u = random_unimodular(order.algebra.dim, rng)
+        moved = OrderSpec(change_of_basis(order.algebra, u), order.norm_degree, order.unit_rank)
+        assert trace_form_discriminant(moved) == _trace_form_by_products(moved) == value
 
 
 def test_canonical_rep_examples():
