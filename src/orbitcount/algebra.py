@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import (
-    _eliminate, clear_denominators, det, frac, frac_str, inverse, mat, mat_mul, mat_vec, scalar,
+    _eliminate, clear_denominators, det, frac_str, inverse, mat, mat_mul, mat_vec, scalar,
     solve, transpose, vec, vec_mat,
 )
 
@@ -47,19 +47,15 @@ class AlgebraSpec:
     involution: tuple = None  # optional matrix of the standard involution
 
     def __post_init__(self):
-        if len(self.table) != self.dim or any(
-            len(row) != self.dim or any(len(c) != self.dim for c in row) for row in self.table
-        ):
+        def square(m):
+            return len(m) == self.dim and all(len(row) == self.dim for row in m)
+        if not (square(self.table) and all(map(square, self.table))):
             raise ValueError("structure constant table has wrong shape")
         if len(self.unity) != self.dim:
             raise ValueError("unity has wrong length")
-        if self.kind not in (NUMBER_FIELD, QUATERNION):
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
         if self.kind == QUATERNION and self.involution is None:
             raise ValueError("quaternion algebra requires an involution")
-        if self.involution is not None and (
-            len(self.involution) != self.dim or any(len(row) != self.dim for row in self.involution)
-        ):
+        if self.involution is not None and not square(self.involution):
             raise ValueError("involution matrix has wrong shape")
 
     def one(self):
@@ -102,21 +98,6 @@ class AlgebraSpec:
         if self.involution is not None:
             doc["involution"] = [[int(c) for c in row] for row in self.involution]
         return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text):
-        doc = json.loads(text)
-        table = tuple(
-            tuple(vec(frac(c) for c in cell) for cell in row) for row in doc["structure_constants"]
-        )
-        inv = mat(doc["involution"]) if "involution" in doc else None
-        return AlgebraSpec(
-            dim=int(doc["dim"]),
-            table=table,
-            unity=vec(frac(c) for c in doc["unity"]),
-            kind=doc["kind"],
-            involution=inv,
-        )
 
 
 def _integer_tensors(spec):

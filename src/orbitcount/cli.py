@@ -1,8 +1,9 @@
 """Command-line interface: validate | count | fit | oracle-compare | report.
 
-Configs are JSON documents (rationals as "p/q" strings, matrices row-major);
-a bare preset name is accepted wherever a config path is expected.  Every
-count is exact, and all emitted CSV/JSON is byte-deterministic across runs.
+Configs are JSON documents (rationals as "p/q" strings, matrices row-major),
+read and typed against one table, CONFIG_KEYS; a bare preset name is accepted
+wherever a config path is expected.  Every count is exact, and all emitted
+CSV/JSON is byte-deterministic across runs.
 
 Exit codes: 0 success, 1 validation failure or refused input, 3 oracle mismatch.
 """
@@ -13,12 +14,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import NUMBER_FIELD, QUATERNION, AlgebraSpec
 from .counting import (
+    FAMILY_ALGEBRA,
     FAMILY_NORMFORM,
     FAMILY_QUADRIC,
     CountSeries,
@@ -26,13 +29,13 @@ from .counting import (
     _common_denominator,
     run_scenario,
 )
-from .exact import frac
+from .exact import mat, vec
 from .fitting import fit_power, growth_law, predicted_constant_ideal, zeta_correction
 from .numtheory import signature
 from .oracles import hurwitz_sigma_series, ideal_count_series, r4_series, two_squares_primitive_series
 # orders derive their units; finite_units stays importable for perfbench/tracer.py
 from .orders import OrderSpec, finite_units, real_quadratic_d
-from .presets import PRESET_NAMES, preset_parts
+from .presets import PRESET_NAMES, preset_scenario
 from .sections import quadric_section
 from .validation import validate_scenario
 
@@ -42,17 +45,86 @@ EXIT_ORACLE = 3
 ABSENT = -1  # a pipeline cell with no series row; counts and oracle values are >= 0
 
 
-# config keys that are refused, with the reason given for each
-RETIRED_KEYS = {
-    "primitive_only": "fit reads the weighted column for a quadric and n_all otherwise",
-    "fundamental_unit": "the unit group is computed from the order (Pell's equation)",
-    "jobs": "every count runs in one process",
-    "out": "the output directory is the --out option",
-}
+PRESET = "preset"  # the form {"preset": name, ...}, read beside the three families
+ORDERS, QUADRIC, NORMFORM = (FAMILY_NORMFORM, FAMILY_ALGEBRA), (FAMILY_QUADRIC,), (FAMILY_NORMFORM,)
+FAMILIES = (*ORDERS, FAMILY_QUADRIC)
+EVERY = (PRESET, *FAMILIES)
+REQUIRED, OPTIONAL, RETIRED = "required", "optional", "retired"
+
+
+def _list(v, cell=None):
+    return type(v) is list and v != [] and (cell is None or all(map(cell, v)))
+
+
+def _text(pattern, what=None, parse=str):
+    """The shape of a string that matches pattern, named by what or else by
+    the pattern's alternatives."""
+    def read(text):
+        if not re.fullmatch(pattern, text):
+            raise ValueError(f"{text!r} is not {what or 'one of ' + pattern.replace('|', ', ')}")
+        return parse(text)
+    return "a string", lambda v: type(v) is str, read
+
+
+def _oracle(text):
+    name, _, disc = text.partition(":")
+    return name, int(disc) if disc else None
+
+
+# A shape is (what a value must be, as messages name it; the test of its JSON
+# type; None or the parse of a value that passes, which may refuse it).  A
+# rational is a JSON integer or a "p/q" string: exact.frac refuses the rest.
+INTEGER = "an integer", lambda v: type(v) is int, None
+RATIONALS = "a nonempty list", _list, vec
+MATRIX = "a matrix", lambda v: _list(v, _list), mat
+OBJECT = "a JSON object", lambda v: type(v) is dict, None
+FAMILY = _text("|".join(FAMILIES))
+
+# The config format, one row per key: (path, shape, default, the forms that
+# read it).  A REQUIRED key must be present; an OPTIONAL one may be absent or
+# null, and is then left out of the values; a RETIRED key is refused with its
+# row's reason, and so is a key with no row for the form read.  Defaults are
+# written into the document, so the config hash reads them.
+CONFIG_KEYS = (
+    ("preset", _text("|".join(PRESET_NAMES)), REQUIRED, (PRESET,)),
+    ("family", FAMILY, REQUIRED, FAMILIES),
+    ("label", _text(r"(?!\.\.?\Z)[^/\\\0]+", "a file name: not empty, . or .., and no / or \\"), OPTIONAL, FAMILIES),
+    ("r_max", INTEGER, 100, EVERY),
+    ("mode", _text("exact", "supported: every count is exact"), "exact", EVERY),
+    ("absolute_norm", ("true or false", lambda v: type(v) is bool, None), False, EVERY),
+    # AlgebraSpec refuses a table, unity or involution that is not dim long
+    ("algebra", (*OBJECT[:2], lambda a: AlgebraSpec(a["dim"], a["structure_constants"], a["unity"], a["kind"],
+                                                    a.get("involution"))), REQUIRED, ORDERS),
+    ("algebra.dim", INTEGER, REQUIRED, ORDERS),
+    ("algebra.kind", _text(f"{NUMBER_FIELD}|{QUATERNION}"), REQUIRED, ORDERS),
+    ("algebra.structure_constants", ("a list of matrices", lambda v: _list(v, MATRIX[1]),
+                                     lambda v: tuple(map(mat, v))), REQUIRED, ORDERS),
+    ("algebra.unity", RATIONALS, REQUIRED, ORDERS),
+    ("algebra.involution", MATRIX, OPTIONAL, ORDERS),
+    ("norm_degree", INTEGER, REQUIRED, ORDERS),
+    ("unit_rank", INTEGER, REQUIRED, ORDERS),
+    ("gram", MATRIX, REQUIRED, QUADRIC),
+    ("ell", RATIONALS, REQUIRED, QUADRIC),
+    ("base_point", RATIONALS, OPTIONAL, QUADRIC),
+    ("invariants", OBJECT, OPTIONAL, FAMILIES),
+    ("invariants.class_number", ("a positive integer", lambda v: type(v) is int and v > 0, None), OPTIONAL, NORMFORM),
+    ("invariants.minpoly", ("a list of two or more integers, the last nonzero", lambda v: _list(v) and len(v) > 1
+                            and v[-1] != 0 and all(type(c) is int for c in v), None), OPTIONAL, NORMFORM),
+    ("invariants.oracle", _text(r"ideal-count:-?[1-9][0-9]*|jacobi-r4|hurwitz-shell",
+                                "one of ideal-count:D (D a nonzero integer), jacobi-r4, hurwitz-shell", _oracle),
+     OPTIONAL, ORDERS),
+    ("invariants.oracle", _text("two-squares-primitive", parse=_oracle), OPTIONAL, QUADRIC),
+    ("primitive_only", "fit reads the weighted column for a quadric and n_all otherwise", RETIRED, EVERY),
+    ("fundamental_unit", "the unit group is computed from the order (Pell's equation)", RETIRED, EVERY),
+    ("jobs", "every count runs in one process", RETIRED, EVERY),
+    ("out", "the output directory is the --out option", RETIRED, EVERY),
+)
+DEFAULTS = {key: default for key, _, default, _ in CONFIG_KEYS if default not in (REQUIRED, OPTIONAL, RETIRED)}
 
 
 def load_config(path_or_preset, overrides):
-    """A config is either a JSON file or a bare preset name."""
+    """A config is either a JSON file or a bare preset name: the document with
+    the overrides and the DEFAULTS written in."""
     if path_or_preset in PRESET_NAMES and not os.path.exists(path_or_preset):
         doc = {"preset": path_or_preset}
     else:
@@ -60,18 +132,7 @@ def load_config(path_or_preset, overrides):
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"config {path_or_preset} is not a JSON object")
-    for key, why in RETIRED_KEYS.items():
-        if key in doc:
-            raise ValueError(f"config key {key!r} is not supported: {why}")
-    doc = dict(doc)
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    doc.setdefault("r_max", 100)
-    # "mode" stays in the document so that config hashes keep their values
-    doc.setdefault("mode", "exact")
-    if doc["mode"] != "exact":
-        raise ValueError(f"config mode {doc['mode']!r} is not supported: every count is exact")
-    doc.setdefault("absolute_norm", False)
-    return doc
+    return {**DEFAULTS, **doc, **{k: v for k, v in overrides.items() if v is not None}}
 
 
 def config_hash(doc):
@@ -79,52 +140,56 @@ def config_hash(doc):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def read_config(doc, prefix="", form=None):
+    """The checked values of a config document, or of its object at prefix,
+    read by the CONFIG_KEYS rows of its form and nested as in the document.
+    The first key that does not fit is refused with one ValueError naming it."""
+    if form is None and PRESET not in doc and "family" not in doc:
+        raise ValueError("config has no 'family' key")
+    form = form or (PRESET if PRESET in doc else _value("family", doc["family"], FAMILY, None))
+    rows = {key.removeprefix(prefix): row for key, *row in CONFIG_KEYS
+            if form in row[2] and key.rpartition(".")[0] == prefix[:-1]}
+    where = " ".join(["config", *prefix.split(".")[:-1]])
+    for key in doc:
+        if key not in rows:
+            raise ValueError(f"{where} key {key!r} is not read by {'a' if form == PRESET else 'family'} {form}")
+        if rows[key][1] == RETIRED:
+            raise ValueError(f"{where} key {key!r} is not supported: {rows[key][0]}")
+    values = {}
+    for key, (shape, default, _) in rows.items():
+        if key not in doc and default == REQUIRED:
+            raise ValueError(f"{where} has no {key!r} key")
+        if doc.get(key) is not None or default not in (OPTIONAL, RETIRED):
+            values[key] = _value(prefix + key, doc.get(key, default), shape, form)
+    return values
+
+
+def _value(key, value, shape, form):
+    """A key's value read by its shape, a JSON object by its rows first.  A
+    key inside algebra is named alone, as AlgebraSpec names it."""
+    what, test, parse = shape
+    name = key.removeprefix("algebra.").replace(".", " ")
+    if not test(value):
+        raise ValueError(f"config {name} {value!r} is not {what}")
+    if type(value) is dict:
+        value = read_config(value, key + ".", form)
+    try:
+        return value if parse is None else parse(value)
+    except ValueError as e:
+        raise ValueError(f"config {name}: {e}") from None
+
+
 def scenario_from_config(doc):
-    if "preset" in doc:
-        fam, payload, inv = preset_parts(doc["preset"])
-        label = doc["preset"]
+    cfg = read_config(doc)
+    if PRESET in cfg:
+        return preset_scenario(cfg[PRESET], cfg["r_max"], cfg["absolute_norm"])
+    if cfg["family"] == FAMILY_QUADRIC:
+        payload = quadric_section(cfg["gram"], cfg["ell"], base_point=cfg.get("base_point"))
     else:
-        try:
-            fam, label = doc["family"], doc.get("label", "custom")
-            inv = dict(_config_value(doc, "invariants", "a JSON object")) if "invariants" in doc else {}
-            if not isinstance(inv.get("oracle", ""), str):
-                raise ValueError(f"config invariants oracle {inv['oracle']!r} is not a string")
-            if fam == FAMILY_QUADRIC:
-                gram = [[frac(c) for c in row] for row in _config_value(doc, "gram", "a matrix")]
-                ell = [frac(c) for c in _config_value(doc, "ell", "a nonempty list")]
-                base = None if doc.get("base_point") is None else _config_value(doc, "base_point", "a nonempty list")
-                payload = quadric_section(gram, ell, base_point=base)
-            else:
-                algebra = _config_value(doc, "algebra", "a JSON object")
-                _config_value(algebra, "dim")
-                spec = AlgebraSpec.from_json(json.dumps(algebra))
-                payload = OrderSpec(algebra=spec, norm_degree=_config_value(doc, "norm_degree"),
-                                    unit_rank=_config_value(doc, "unit_rank"))
-        except KeyError as e:
-            raise ValueError(f"config has no {e.args[0]!r} key") from None
-    if not isinstance(doc["absolute_norm"], bool):
-        raise ValueError(f"config absolute_norm {doc['absolute_norm']!r} is not true or false")
-    return ScenarioSpec(
-        family=fam, payload=payload, k_max=_config_value(doc, "r_max"),
-        use_absolute_norm=doc["absolute_norm"], label=label, invariants=inv,
-    )
-
-
-_CONFIG_SHAPES = {
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a JSON object": lambda v: isinstance(v, dict),
-    "a nonempty list": lambda v: isinstance(v, list) and len(v) > 0,
-    "a matrix": lambda v: isinstance(v, list) and all(isinstance(r, list) and len(r) > 0 for r in [v, *v]),
-}
-
-
-def _config_value(doc, key, shape="an integer"):
-    """doc[key], refused unless it has the named JSON shape (an integer is not
-    a float, a string or a boolean; a matrix is a nonempty list of nonempty lists)."""
-    value = doc[key]
-    if not _CONFIG_SHAPES[shape](value):
-        raise ValueError(f"config {key} {value!r} is not {shape}")
-    return value
+        payload = OrderSpec(algebra=cfg["algebra"], norm_degree=cfg["norm_degree"], unit_rank=cfg["unit_rank"])
+    return ScenarioSpec(family=cfg["family"], payload=payload, k_max=cfg["r_max"],
+                        use_absolute_norm=cfg["absolute_norm"], label=cfg.get("label", "custom"),
+                        invariants=cfg.get("invariants", {}))
 
 
 CSV_CHUNK = 4096  # rows per writer chunk; bounds the ASCII kernel's temporaries
@@ -183,12 +248,12 @@ def _ascii_rows(table):
     return buf.tobytes().decode("ascii")
 
 
-def series_from_csv(path):
+def series_from_csv(path, family=None):
     """Read a counts CSV with numpy's C parser: six columns, all int64 when
     scale_e is 1 (else the level is text, checked by hand); a cell past int64
     raises.  The weights come over the lcm of their denominators.  A series
-    whose header mode is not exact, or with a row not flagged exact, is
-    refused."""
+    whose header mode is not exact, or names another family than a given one
+    (or none), or with a row not flagged exact, is refused."""
     meta = {"config_hash": None, "family": "unknown", "scale_e": "1", "mode": "exact"}
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -199,6 +264,9 @@ def series_from_csv(path):
     meta.update((key, value) for key, _, value in tokens if key in meta)
     if meta["mode"] != "exact":
         raise ValueError(f"series {path} has mode={meta['mode']}: only exact counts are read")
+    if family not in (None, meta["family"]):
+        raise ValueError(f"series {path} was counted for family {meta['family']!r}, "
+                         f"but the scenario's family is {family!r}")
     scale_e = int(meta["scale_e"])
     dtype = np.dtype([("level", np.int64 if scale_e == 1 else object), ("cols", np.int64, (5,))])
     rows = np.loadtxt(lines[body:], delimiter=",", dtype=dtype, ndmin=1) if body < len(lines) else np.zeros(0, dtype)
@@ -224,48 +292,31 @@ def series_from_csv(path):
     )
 
 
-def _read_series(path, scenario):
-    """The counts CSV at `path`, refused when its header names another family
-    than the scenario's (or none)."""
-    series = series_from_csv(path)
-    if series.family != scenario.family:
-        raise ValueError(f"series {path} was counted for family {series.family!r}, "
-                         f"but the scenario's family is {scenario.family!r}")
-    return series
-
-
 def _load(args):
-    doc = load_config(args.config, _overrides(args))
+    doc = load_config(args.config, {"r_max": args.rmax})
     return doc, scenario_from_config(doc)
 
 
 def cmd_validate(args):
-    return _print_validation(validate_scenario(_load(args)[1]))
+    return _validated(_load(args)[1], verdict=True)
 
 
-def _print_validation(report):
-    for line in report.lines():
-        print(line)
-    if not report.ok():
-        print("validation FAILED")
-        return EXIT_VALIDATION
-    print("validation ok")
-    return EXIT_OK
-
-
-def _refuse_unvalidated(scenario):
-    """EXIT_OK when the scenario passes validation; else EXIT_VALIDATION, with
-    its check lines on stderr."""
+def _validated(scenario, verdict=False):
+    """EXIT_OK when the scenario passes validation, else EXIT_VALIDATION.
+    With the verdict, the check lines and the verdict go to stdout; without
+    it, only the check lines of a failure, to stderr."""
     report = validate_scenario(scenario)
-    if not report.ok():
+    if verdict or not report.ok():
         for line in report.lines():
-            print(line, file=sys.stderr)
+            print(line, file=sys.stdout if verdict else sys.stderr)
+    if verdict:
+        print("validation ok" if report.ok() else "validation FAILED")
     return EXIT_OK if report.ok() else EXIT_VALIDATION
 
 
 def cmd_count(args):
     doc, scenario = _load(args)
-    rc = _refuse_unvalidated(scenario)
+    rc = _validated(scenario)
     if rc == EXIT_OK:
         _count_validated(args, doc, scenario)
     return rc
@@ -285,7 +336,7 @@ def _count_validated(args, doc, scenario):
 
 def cmd_fit(args):
     doc, scenario = _load(args)
-    return _fit(args, doc, scenario, _read_series(args.series, scenario))
+    return _fit(args, doc, scenario, series_from_csv(args.series, scenario.family))
 
 
 def _fit(args, doc, scenario, series):
@@ -312,11 +363,9 @@ def _fit(args, doc, scenario, series):
 
 
 def _attach_predictions(report, scenario):
-    """Attach the predicted constant, from the order's discriminant and unit
-    group."""
-    minpoly = scenario.invariants.get("minpoly")
-    if (scenario.family == FAMILY_NORMFORM and scenario.invariants.get("class_number") == 1
-            and minpoly):
+    """Attach the predicted constant, from the order's discriminant and unit group."""
+    minpoly, h = scenario.invariants.get("minpoly"), scenario.invariants.get("class_number")
+    if scenario.family == FAMILY_NORMFORM and h == 1 and minpoly:
         order = scenario.payload
         r1, r2 = signature(minpoly)
         if order.unit_rank != r1 + r2 - 1:
@@ -327,23 +376,20 @@ def _attach_predictions(report, scenario):
             x, y = units.fundamental[0].coords
             reg = math.log(x + y * math.sqrt(real_quadratic_d(order)))
         omega = len(units.torsion)
-        report.predicted_c = predicted_constant_ideal(
-            r1, r2, reg, scenario.invariants["class_number"], omega, int(disc),
-            degree=order.algebra.dim,
-        )
+        report.predicted_c = predicted_constant_ideal(r1, r2, reg, h, omega, int(disc), degree=order.algebra.dim)
         report.predicted_c_provenance = (
             f"ideal-count leading coefficient: r1={r1}, r2={r2}, "
-            f"R={reg:.6f}, h={scenario.invariants['class_number']} (preset-asserted), "
+            f"R={reg:.6f}, h={h} (preset-asserted), "
             f"omega={omega}, disc={int(disc)}"
         )
 
 
 def cmd_oracle_compare(args):
     scenario = _load(args)[1]
-    rc = _refuse_unvalidated(scenario)
+    rc = _validated(scenario)
     if rc != EXIT_OK:
         return rc
-    series = _read_series(args.series, scenario) if args.series else run_scenario(scenario)
+    series = series_from_csv(args.series, scenario.family) if args.series else run_scenario(scenario)
     return _oracle_compare(scenario, series)
 
 
@@ -366,25 +412,22 @@ def _oracle_compare(scenario, series):
 
 
 def _oracle_columns(scenario, series, r):
-    """Pipeline and oracle columns at levels 1..r for the oracle the scenario
-    declares in invariants["oracle"]: ideal-count:D, two-squares-primitive,
-    jacobi-r4 or hurwitz-shell.  Series rows are paired by level, and a level
-    without a row reads ABSENT in the pipeline column.  A quadric's |G| is
-    its section's symmetry group's, which a counts CSV does not carry."""
-    kind = scenario.invariants.get("oracle", "")
-    if kind.startswith("ideal-count:"):
-        disc = int(kind.split(":", 1)[1])
+    """Pipeline and oracle columns at levels 1..r for the oracle (name, D) the
+    scenario declares in invariants["oracle"]: ideal-count with its D,
+    two-squares-primitive, jacobi-r4 or hurwitz-shell.  Series rows are
+    paired by level, and a level without a row reads ABSENT in the pipeline
+    column.  A quadric's |G| is its section's symmetry group's, which a
+    counts CSV does not carry."""
+    kind, disc = scenario.invariants.get("oracle", (None, None))
+    if kind == "ideal-count":
         return (_at_levels(series, series.n_all, r), ideal_count_series(disc, r),
                 f"per-level orbit counts vs ideal counts (D={disc})")
     if kind == "two-squares-primitive":
         # |G| * sum of 1/|stabilizer| over the orbits of level k = points of level k
-        group_order = scenario.payload.symmetry_group.order
-        pts = _at_levels(series, series.weighted, r, group_order, series.weight_den)
-        oracle = two_squares_primitive_series(r)
-        return pts, oracle, "per-level primitive point counts vs two-squares scan"
+        pts = _at_levels(series, series.weighted, r, scenario.payload.symmetry_group.order, series.weight_den)
+        return pts, two_squares_primitive_series(r), "per-level primitive point counts vs two-squares scan"
     if kind == "jacobi-r4":
-        eight_s = _at_levels(series, series.n_all, r, 8)
-        return eight_s, r4_series(r), "8 * orbit counts vs Jacobi r4"
+        return _at_levels(series, series.n_all, r, 8), r4_series(r), "8 * orbit counts vs Jacobi r4"
     if kind == "hurwitz-shell":
         tw = _at_levels(series, series.n_all, r, 24)
         return tw, hurwitz_sigma_series(r), "24 * orbit counts vs Hurwitz 24 * sigma_odd"
@@ -412,7 +455,7 @@ def cmd_report(args):
     series just counted, in memory: the output of count, fit --series and
     oracle-compare --series, since the CSV holds the series exactly."""
     doc, scenario = _load(args)
-    rc = _print_validation(validate_scenario(scenario))
+    rc = _validated(scenario, verdict=True)
     if rc != EXIT_OK:
         return rc
     series = _count_validated(args, doc, scenario)
@@ -423,12 +466,8 @@ def cmd_report(args):
 def _out_path(args, doc, name):
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    stem = doc.get("preset") or doc.get("label", "scenario")
+    stem = doc.get("preset") or doc.get("label") or "scenario"
     return os.path.join(out_dir, f"{stem}-{name}")
-
-
-def _overrides(args):
-    return {"r_max": args.rmax}
 
 
 @functools.cache  # built once per process; parse_args returns a fresh namespace

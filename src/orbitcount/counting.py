@@ -26,14 +26,12 @@ from .numtheory import dirichlet_sums, mobius_upto
 # payloads derive their units, balls and groups; the names stay for perfbench/tracer.py
 from .orders import (
     RANK_2_REFUSAL,
-    OrderSpec,
     finite_units,
     fundamental_unit,
     left_mul_matrices,
     real_quadratic_d,
     unit_domain_points,
 )
-from .sections import QuadricSectionSpec
 from .shells import _bilinear_bound, _check_int64, ball_points, definite_shell, theta_series
 from .symmetry import integral_symmetries, orbit_partition, weighted_count
 
@@ -49,16 +47,9 @@ class ScenarioSpec:
     k_max: int
     use_absolute_norm: bool = False
     label: str = ""
-    invariants: dict = field(default_factory=dict, compare=False, hash=False)
+    invariants: dict = field(default_factory=dict, compare=False, hash=False)  # as cli.read_config types them
 
     def __post_init__(self):
-        if self.family not in (FAMILY_NORMFORM, FAMILY_QUADRIC, FAMILY_ALGEBRA):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == FAMILY_QUADRIC:
-            if not isinstance(self.payload, QuadricSectionSpec):
-                raise ValueError("quadric family needs a QuadricSectionSpec payload")
-        elif not isinstance(self.payload, OrderSpec):
-            raise ValueError(f"{self.family} family needs an OrderSpec payload")
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 def frac(x):
     """Parse a rational from an int, Fraction or a 'p/q' string; a float, a
-    zero denominator or anything else is a ValueError."""
-    if not isinstance(x, (numbers.Rational, str)):
+    bool, a zero denominator or anything else is a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Rational, str)):
         raise ValueError(f"not a rational: {x!r}")
     try:
         return scalar(Fraction(x))

@@ -39,26 +39,18 @@ def model_quadric_section():
     return quadric_section([[0, 0, h], [0, -1, 0], [h, 0, 0]], (1, 0, 1), base_point=(0, 0, 1))
 
 
-# name -> (family, payload factory, invariants); preset_parts builds each payload
-# once (frozen dataclasses of tuples) and copies the invariants on every call
+# name -> (family, payload factory, invariants as cli.read_config reads them);
+# preset_scenario builds each payload once and copies the invariants on every call
 PRESETS = {
     "zsqrt2": (FAMILY_NORMFORM, order_zsqrt2,
-               {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": "ideal-count:8"}),
+               {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": ("ideal-count", 8)}),
     "gauss": (FAMILY_NORMFORM, order_gauss,
-              {"class_number": 1, "minpoly": [1, 0, 1], "oracle": "ideal-count:-4"}),
-    "model-quadric": (FAMILY_QUADRIC, model_quadric_section, {"oracle": "two-squares-primitive"}),
-    "lipschitz": (FAMILY_ALGEBRA, order_lipschitz, {"oracle": "jacobi-r4"}),
-    "hurwitz": (FAMILY_ALGEBRA, order_hurwitz, {"oracle": "hurwitz-shell"}),
+              {"class_number": 1, "minpoly": [1, 0, 1], "oracle": ("ideal-count", -4)}),
+    "model-quadric": (FAMILY_QUADRIC, model_quadric_section, {"oracle": ("two-squares-primitive", None)}),
+    "lipschitz": (FAMILY_ALGEBRA, order_lipschitz, {"oracle": ("jacobi-r4", None)}),
+    "hurwitz": (FAMILY_ALGEBRA, order_hurwitz, {"oracle": ("hurwitz-shell", None)}),
 }
 PRESET_NAMES = tuple(PRESETS)
-
-
-def preset_parts(name):
-    """(family, payload, invariants) of a preset, the invariants a fresh dict."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
-    family, _, invariants = PRESETS[name]
-    return family, _payload(name), dict(invariants)
 
 
 @functools.cache
@@ -67,6 +59,10 @@ def _payload(name):
 
 
 def preset_scenario(name, k_max, use_absolute_norm=False):
-    family, payload, invariants = preset_parts(name)
-    return ScenarioSpec(family=family, payload=payload, k_max=k_max,
-                        use_absolute_norm=use_absolute_norm, label=name, invariants=invariants)
+    """The scenario of a preset: its payload built once per process, its
+    invariants a fresh dict."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
+    family, _, invariants = PRESETS[name]
+    return ScenarioSpec(family=family, payload=_payload(name), k_max=k_max,
+                        use_absolute_norm=use_absolute_norm, label=name, invariants=dict(invariants))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from orbitcount.algebra import (
     quadratic_field_order,
     quaternion_algebra,
 )
+from orbitcount.cli import read_config
 from orbitcount.presets import order_gauss, order_hurwitz, order_lipschitz, order_zsqrt2
 
 ALL_SPECS = [
@@ -104,7 +106,8 @@ def test_minimal_polynomial():
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_serialization_round_trip(spec):
-    assert AlgebraSpec.from_json(spec.to_json()) == spec
+    doc = {"family": "algebra-norm", "algebra": json.loads(spec.to_json()), "norm_degree": 2, "unit_rank": 0}
+    assert read_config(doc)["algebra"] == spec
 
 
 def test_rejects_broken_structure_constants():

@@ -263,6 +263,8 @@ def test_config_integer_key_refuses_a_value_that_is_not_a_json_integer(key, tmp_
 
 _GAUSS_DOC = {"family": "normform", "norm_degree": 2, "unit_rank": 0,
               "algebra": json.loads(quadratic_field_order(-1).to_json())}
+_NOT_MINPOLY = "is not a list of two or more integers, the last nonzero"
+_NOT_ORDER_ORACLE = "is not one of ideal-count:D (D a nonzero integer), jacobi-r4, hurwitz-shell"
 
 
 @pytest.mark.parametrize("command", ["validate", "count", "report", "oracle-compare"])
@@ -278,6 +280,73 @@ _GAUSS_DOC = {"family": "normform", "norm_degree": 2, "unit_rank": 0,
     pytest.param(dict(_GAUSS_DOC, algebra=[1]), "algebra [1] is not a JSON object", id="algebra-list"),
     pytest.param(dict(_GAUSS_DOC, invariants={"oracle": 5}), "invariants oracle 5 is not a string",
                  id="oracle-number"),
+    pytest.param(dict(_GAUSS_DOC, algebra=dict(_GAUSS_DOC["algebra"], structure_constants=5)),
+                 "structure_constants 5 is not a list of matrices", id="structure-constants-number"),
+    pytest.param(dict(_GAUSS_DOC, algebra=dict(_GAUSS_DOC["algebra"], unity=5)), "unity 5 is not a nonempty list",
+                 id="unity-number"),
+    pytest.param(dict(_GAUSS_DOC, algebra=dict(_GAUSS_DOC["algebra"], involution=5)), "involution 5 is not a matrix",
+                 id="involution-number"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"minpoly": 5}),
+                 f"invariants minpoly 5 {_NOT_MINPOLY}", id="minpoly-number"),
+    # typed invariants: true was the class number 1, with provenance h=True;
+    # "1" dropped predicted_c; [1.5, 0, 1] drove the fit's signature
+    pytest.param(dict(_GAUSS_DOC, invariants={"class_number": True}),
+                 "invariants class_number True is not a positive integer", id="class-number-true"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"class_number": "1"}),
+                 "invariants class_number '1' is not a positive integer", id="class-number-string"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"class_number": 0}),
+                 "invariants class_number 0 is not a positive integer", id="class-number-zero"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"minpoly": [1.5, 0, 1]}),
+                 f"invariants minpoly [1.5, 0, 1] {_NOT_MINPOLY}", id="minpoly-float"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"minpoly": [1]}), f"invariants minpoly [1] {_NOT_MINPOLY}",
+                 id="minpoly-constant"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"minpoly": [1, 0, 0]}), f"invariants minpoly [1, 0, 0] {_NOT_MINPOLY}",
+                 id="minpoly-zero-leading"),
+    # "ideal-count:x" wrote counts.csv and fit.json before int() refused it
+    pytest.param(dict(_GAUSS_DOC, invariants={"oracle": "ideal-count:x"}),
+                 f"invariants oracle: 'ideal-count:x' {_NOT_ORDER_ORACLE}", id="oracle-bad-discriminant"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"oracle": "ideal-count:0"}),
+                 f"invariants oracle: 'ideal-count:0' {_NOT_ORDER_ORACLE}", id="oracle-zero-discriminant"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"oracle": "jacobi-r4:2"}),
+                 f"invariants oracle: 'jacobi-r4:2' {_NOT_ORDER_ORACLE}", id="oracle-with-argument"),
+    # the cone oracle reads a section's symmetry group, which an order has not
+    pytest.param(dict(_GAUSS_DOC, invariants={"oracle": "two-squares-primitive"}),
+                 f"invariants oracle: 'two-squares-primitive' {_NOT_ORDER_ORACLE}",
+                 id="oracle-of-a-section-on-an-order"),
+    pytest.param(_model_quadric_doc(invariants={"oracle": "ideal-count:-4"}),
+                 "invariants oracle: 'ideal-count:-4' is not one of two-squares-primitive", id="oracle-of-an-order"),
+    pytest.param(_model_quadric_doc(invariants={"class_number": 1}),
+                 "invariants key 'class_number' is not read by family quadric", id="class-number-of-a-section"),
+    # a JSON boolean is not a rational: true was read as 1, and this section counted a series
+    pytest.param(_model_quadric_doc(ell=[True, 0, 1], base_point=[0, 0, True]), "ell: not a rational: True",
+                 id="bool-in-ell"),
+    pytest.param(_model_quadric_doc(base_point=[0, 0, True]), "base_point: not a rational: True",
+                 id="bool-in-base-point"),
+    pytest.param(_model_quadric_doc(gram=[[0, 0, "1/2"], [0, False, 0], ["1/2", 0, 0]]),
+                 "gram: not a rational: False", id="bool-in-gram"),
+    pytest.param(_quaternion_doc(-1, -1, {(0, 0, 0): True}), "structure_constants: not a rational: True",
+                 id="bool-in-table"),
+    pytest.param(dict(_GAUSS_DOC, algebra=dict(_GAUSS_DOC["algebra"], unity=[True, 0])),
+                 "unity: not a rational: True", id="bool-in-unity"),
+    pytest.param(dict(_GAUSS_DOC, algebra=dict(_GAUSS_DOC["algebra"], involution=[[True, 0], [0, -1]])),
+                 "involution: not a rational: True", id="bool-in-involution"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"minpoly": [1, False, True]}),
+                 f"invariants minpoly [1, False, True] {_NOT_MINPOLY}", id="bool-in-minpoly"),
+    # a label is a file name in --out
+    *(pytest.param(_model_quadric_doc(label=label),
+                   f"label: {label!r} is not a file name: not empty, . or .., and no / or \\", id=f"label-{name}")
+      for name, label in [("parent", "../escaped"), ("slash", "a/b"), ("backslash", "a\\b"), ("dot", "."),
+                          ("dot-dot", ".."), ("empty", "")]),
+    # an unknown key: "r_maxx" was ignored, and the run counted to the default 100
+    pytest.param(_model_quadric_doc(r_maxx=5), "key 'r_maxx' is not read by family quadric", id="unknown-key"),
+    pytest.param({"preset": "gauss", "rmax": 5}, "key 'rmax' is not read by a preset", id="unknown-preset-key"),
+    pytest.param(dict(_GAUSS_DOC, algebra=dict(_GAUSS_DOC["algebra"], involutions=[[1, 0], [0, -1]])),
+                 "algebra key 'involutions' is not read by family normform", id="unknown-algebra-key"),
+    pytest.param(dict(_GAUSS_DOC, invariants={"oracles": "ideal-count:-4"}),
+                 "invariants key 'oracles' is not read by family normform", id="unknown-invariants-key"),
+    pytest.param(dict(_GAUSS_DOC, gram=[[1]]), "key 'gram' is not read by family normform",
+                 id="key-of-another-family"),
+    pytest.param({"preset": "gauss", "label": "g"}, "key 'label' is not read by a preset", id="label-of-a-preset"),
 ])
 def test_a_config_value_of_the_wrong_json_shape_is_refused(command, doc, message, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -286,7 +355,7 @@ def test_a_config_value_of_the_wrong_json_shape_is_refused(command, doc, message
     assert run([command, "--config", str(cfg), "--rmax", "20", *out]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.err == f"error: config {message}\n" and "Traceback" not in captured.err
-    assert captured.out == ""
+    assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_only_an_absent_or_null_base_point_is_searched(tmp_path, capsys):
@@ -313,6 +382,16 @@ def test_algebra_dim_is_read_as_a_json_integer(dim, tmp_path, capsys):
         assert rc == EXIT_OK and captured.out.endswith("validation ok\n") and captured.err == ""
     else:
         assert rc == EXIT_VALIDATION and captured.err == f"error: config dim {dim!r} is not an integer\n"
+
+
+def test_a_label_cannot_escape_the_output_directory(tmp_path, capsys):
+    # "../escaped" with --out o/deep wrote o/escaped-counts.csv
+    cfg = tmp_path / "label.json"
+    for label, rc in (("../escaped", EXIT_VALIDATION), ("escaped..ok", EXIT_OK)):
+        cfg.write_text(json.dumps(_model_quadric_doc(label=label)))
+        assert run(["count", "--config", str(cfg), "--rmax", "20", "--out", str(tmp_path / "o/deep")]) == rc
+    capsys.readouterr()
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv")) == ["o/deep/escaped..ok-counts.csv"]
 
 
 def test_validate_refuses_an_indefinite_quaternion_order(tmp_path, capsys):
@@ -665,7 +744,7 @@ def test_cone_oracle_column_counts_the_level_points():
     # here with |G| = 4 and levels in (1/5) Z: x^2 + y^2 = z^2 with z = 5k
     sec = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, Fraction(1, 5)))
     scenario = ScenarioSpec(family=FAMILY_QUADRIC, payload=sec, k_max=30,
-                            invariants={"oracle": "two-squares-primitive"})
+                            invariants={"oracle": ("two-squares-primitive", None)})
     series = run_scenario(scenario)
     assert series.scale_e == 5 and series.meta["group_order"] == 4
     pipeline, _, _ = _oracle_columns(scenario, series, 30)
@@ -1164,17 +1243,16 @@ def test_parser_is_built_once_and_fit_flags_do_not_leak(tmp_path, capsys):
 
 
 def test_preset_payload_built_once_with_fresh_invariants():
-    from orbitcount.presets import PRESET_NAMES, preset_parts
+    from orbitcount.presets import PRESET_NAMES, preset_scenario
 
     for name in PRESET_NAMES:
-        family, payload, invariants = preset_parts(name)
-        again = preset_parts(name)
-        assert again[0] == family and again[1] is payload
-        assert again[2] == invariants and again[2] is not invariants
-        invariants["class_number"] = 99
-        invariants.pop("oracle")
-        assert "oracle" in preset_parts(name)[2]
-        assert preset_parts(name)[2].get("class_number") != 99
+        first, again = preset_scenario(name, 10), preset_scenario(name, 10)
+        assert again.family == first.family and again.payload is first.payload
+        assert again.invariants == first.invariants and again.invariants is not first.invariants
+        first.invariants["class_number"] = 99
+        first.invariants.pop("oracle")
+        assert "oracle" in preset_scenario(name, 10).invariants
+        assert preset_scenario(name, 10).invariants.get("class_number") != 99
 
 
 @st.composite

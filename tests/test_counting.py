@@ -282,17 +282,17 @@ def test_preset_scenarios_written_out():
                         norm_degree=2, unit_rank=0)
     expected = {
         "zsqrt2": ("normform", OrderSpec(quadratic_field_order(2), norm_degree=2, unit_rank=1),
-                   {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": "ideal-count:8"}),
+                   {"class_number": 1, "minpoly": [-2, 0, 1], "oracle": ("ideal-count", 8)}),
         "gauss": ("normform", OrderSpec(quadratic_field_order(-1), norm_degree=2, unit_rank=0),
-                  {"class_number": 1, "minpoly": [1, 0, 1], "oracle": "ideal-count:-4"}),
+                  {"class_number": 1, "minpoly": [1, 0, 1], "oracle": ("ideal-count", -4)}),
         "model-quadric": ("quadric",
                           quadric_section([[0, 0, h], [0, -1, 0], [h, 0, 0]], (1, 0, 1),
                                           base_point=(0, 0, 1)),
-                          {"oracle": "two-squares-primitive"}),
+                          {"oracle": ("two-squares-primitive", None)}),
         "lipschitz": ("algebra-norm",
                       OrderSpec(quaternion_algebra(-1, -1), norm_degree=2, unit_rank=0),
-                      {"oracle": "jacobi-r4"}),
-        "hurwitz": ("algebra-norm", hurwitz, {"oracle": "hurwitz-shell"}),
+                      {"oracle": ("jacobi-r4", None)}),
+        "hurwitz": ("algebra-norm", hurwitz, {"oracle": ("hurwitz-shell", None)}),
     }
     assert PRESET_NAMES == tuple(expected)
     for name, (family, payload, invariants) in expected.items():
@@ -301,7 +301,7 @@ def test_preset_scenarios_written_out():
         assert (sc.k_max, sc.use_absolute_norm) == (30, False)
     # each call hands out its own invariants dict
     preset_scenario("gauss", 5).invariants["oracle"] = "changed"
-    assert preset_scenario("gauss", 5).invariants["oracle"] == "ideal-count:-4"
+    assert preset_scenario("gauss", 5).invariants["oracle"] == ("ideal-count", -4)
     with pytest.raises(ValueError, match="unknown preset 'nope'"):
         preset_scenario("nope", 5)
 

@@ -22,7 +22,7 @@ from orbitcount.orders import (
     norm_gram,
     trace_form_discriminant,
 )
-from orbitcount.presets import PRESET_NAMES, PRESETS, order_hurwitz, preset_parts, preset_scenario
+from orbitcount.presets import PRESET_NAMES, PRESETS, order_hurwitz, preset_scenario
 from orbitcount.sections import QuadricSectionSpec, quadric_section
 from orbitcount.shells import ball_points, positive_form
 from orbitcount.symmetry import integral_symmetries, transformed_section
@@ -61,7 +61,7 @@ def test_preset_setup_equals_a_fresh_derivation(name):
         _assert_order_setup(scenario.payload, fresh)
     else:
         _assert_section_setup(scenario.payload, fresh)
-    assert preset_parts(name)[1] is scenario.payload  # one payload per process
+    assert preset_scenario(name, 1).payload is scenario.payload  # one payload per process
 
 
 @st.composite

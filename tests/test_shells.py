@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orbitcount.exact import definiteness, inverse, random_unimodular, solve
+from orbitcount.exact import definiteness, inverse, ldl, random_unimodular, solve
 from orbitcount.oracles import r4_series
 from orbitcount.orders import norm_gram
 from orbitcount.presets import order_hurwitz, order_lipschitz
@@ -322,19 +323,55 @@ def inhomogeneous_quadratics(draw):
     return a, b, draw(st.integers(-40, 10))
 
 
+def _shell_points(a, b, c):
+    """The integer y with f(y) = y^t a y + 2 b.y + c = 0, sorted.  With
+    y0 = -a^-1 b and R = b.a^-1 b - c, f = (y - y0)^t a (y - y0) - R, so on the
+    LDL pivots d and unit factor u of a, a solution's y_i (last first) keeps
+    d_i (y_i - y0_i + sum_{j>i} u_ij (y_j - y0_j))^2 within what the later
+    terms leave of R.  That bounds y_{n-1}, ..., y_1 (y_1 with a margin);
+    then f is a00 y_0^2 + 2 beta y_0 + gamma in integers, and its integer
+    roots are the solutions.  The cost follows the points of the ellipsoid
+    f <= 0 projected to y_1..y_{n-1}, not the range of a homogenising
+    coordinate."""
+    n = len(a)
+    d, u = ldl(a)
+    y0 = [-t for t in solve(a, b)]
+    y, out = [0] * n, []
+
+    def solve_y0():
+        beta = b[0] + sum(a[0][j] * y[j] for j in range(1, n))
+        gamma = sum(a[k][l] * y[k] * y[l] for k in range(1, n) for l in range(1, n)) + 2 * sum(
+            b[k] * y[k] for k in range(1, n)) + c
+        disc = beta * beta - a[0][0] * gamma
+        root = math.isqrt(max(disc, 0))
+        if root * root == disc:
+            out.extend((x // a[0][0], *y[1:]) for x in {-beta + root, -beta - root} if x % a[0][0] == 0)
+
+    def walk(i, remaining):
+        shift = sum(u[i][j] * (y[j] - y0[j]) for j in range(i + 1, n)) - y0[i]
+        g = math.isqrt(math.floor(remaining / d[i])) + 1
+        for v in range(math.floor(-shift) - g, math.ceil(-shift) + g + 1):
+            y[i] = v
+            if i == 1:
+                solve_y0()  # a y_1 past the bound has no real y_0
+            elif (t := d[i] * (v + shift) ** 2) <= remaining:
+                walk(i - 1, remaining - t)
+
+    radius = -sum(map(mul, b, y0)) - c
+    if n == 1:
+        solve_y0()
+    elif radius >= 0:
+        walk(n - 1, radius)
+    return sorted(out)
+
+
 @settings(max_examples=80, deadline=None)
 @given(inhomogeneous_quadratics())
 def test_quadratic_points_shell_mode_matches_definite_shell(quadratic):
-    # homogenised: with K > b^t a^-1 b the form g = [[a, b], [b^t, K]] is
-    # positive definite and g[(y, 1)] = f(y) - c + K, so the solutions are
-    # the points of the shell g = K - c whose last coordinate is 1
     a, b, c = quadratic
     n = len(a)
-    k = math.floor(sum(bi * yi for bi, yi in zip(b, solve(a, b)))) + 1
-    g = [[*row, bi] for row, bi in zip(a, b)] + [[*b, k]]
-    want = [x[:-1] for x in definite_shell(g, k - c) if x[-1] == 1] if k - c >= 0 else []
     got = _solutions(a, b, c)
-    assert got == want
+    assert got == _shell_points(a, b, c)
     for y in got:
         assert sum(a[i][j] * y[i] * y[j] for i in range(n) for j in range(n)) + 2 * sum(
             bi * yi for bi, yi in zip(b, y)) + c == 0
