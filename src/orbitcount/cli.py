@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure or refused input, 3 oracle mismatch.
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -249,37 +250,45 @@ def _ascii_rows(table):
 
 
 def series_from_csv(path, family=None):
-    """Read a counts CSV with numpy's C parser: six columns, all int64 when
-    scale_e is 1 (else the level is text, checked by hand); a cell past int64
-    raises.  The weights come over the lcm of their denominators.  A series
-    whose header mode is not exact, or names another family than a given one
-    (or none), or with a row not flagged exact, is refused."""
+    """Read a counts CSV: its header lines, then the open file by one
+    np.loadtxt call, numpy's C parser, as a (rows, 6) int64 table; a cell
+    past int64 raises.  With scale_e > 1 a converter reads each level, in
+    original units, as an integer or p/q, refused unless scale_e times it is
+    an integer.  The weights come over the lcm of their denominators.  A
+    series whose header mode is not exact, or names another family than a
+    given one (or none), or with a row not flagged exact, is refused."""
     meta = {"config_hash": None, "family": "unknown", "scale_e": "1", "mode": "exact"}
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    body = next((i for i, line in enumerate(lines)
-                 if line.strip() and not line.lstrip().startswith(("#", "level,"))), len(lines))
-    tokens = (tok.partition("=") for line in lines[:body] if line.lstrip().startswith("#")
-              for tok in line.lstrip()[1:].split())
-    meta.update((key, value) for key, _, value in tokens if key in meta)
-    if meta["mode"] != "exact":
-        raise ValueError(f"series {path} has mode={meta['mode']}: only exact counts are read")
-    if family not in (None, meta["family"]):
-        raise ValueError(f"series {path} was counted for family {meta['family']!r}, "
-                         f"but the scenario's family is {family!r}")
-    scale_e = int(meta["scale_e"])
-    dtype = np.dtype([("level", np.int64 if scale_e == 1 else object), ("cols", np.int64, (5,))])
-    rows = np.loadtxt(lines[body:], delimiter=",", dtype=dtype, ndmin=1) if body < len(lines) else np.zeros(0, dtype)
-    levels = rows["level"]
-    if scale_e != 1:
-        levels = levels.tolist()
-        for i, cell in enumerate(levels):
+        line = next(fh, "")
+        while line.isspace() or line.lstrip().startswith(("#", "level,")):  # the header
+            if line.lstrip().startswith("#"):
+                tokens = (tok.partition("=") for tok in line.lstrip()[1:].split())
+                meta.update((key, value) for key, _, value in tokens if key in meta)
+            line = next(fh, "")
+        if meta["mode"] != "exact":
+            raise ValueError(f"series {path} has mode={meta['mode']}: only exact counts are read")
+        if family not in (None, meta["family"]):
+            raise ValueError(f"series {path} was counted for family {meta['family']!r}, "
+                             f"but the scenario's family is {family!r}")
+        scale_e = int(meta["scale_e"])
+
+        def level(cell):
             num, _, den = cell.partition("/")
             num, den = int(num) * scale_e, int(den or 1)
             if den <= 0 or num % den:
                 raise ValueError(f"level {cell.strip()} times scale_e={scale_e} is not an integer")
-            levels[i] = num // den
-    n_prim, n_all, w_num, w_den, exact = rows["cols"].T
+            return num // den
+
+        table = np.zeros((0, 6), dtype=np.int64)
+        try:  # loadtxt rewrites a converter's error and keeps it as the cause
+            if line:
+                table = np.loadtxt(itertools.chain([line], fh), delimiter=",", dtype=np.int64, ndmin=2,
+                                   converters=None if scale_e == 1 else {0: level})
+        except ValueError as e:
+            raise (e.__cause__ if isinstance(e.__cause__, ValueError) else e) from None
+    if table.shape[1] != 6:
+        raise ValueError(f"series {path} has {table.shape[1]} columns, not 6")
+    levels, n_prim, n_all, w_num, w_den, exact = table.T
     if np.any(exact != 1):
         raise ValueError(f"series {path} has a row not flagged exact")
     if np.any(w_den < 1):

@@ -3,7 +3,7 @@ three families (norm forms, quadric sections, division-order norm shells),
 with primitive/imprimitive aggregation.
 
 Levels are integers after scaling by the family's denominator lcm; the
-counting path is exact integer/rational arithmetic throughout.
+counting path is exact throughout, on int64 rows refused up front past int64.
 """
 
 import math
@@ -15,12 +15,13 @@ import numpy as np
 
 from .exact import gcd_vector, scalar
 from .lattice import (
-    code_radices,
     cone_section_points,
     conic_points_up_to,
     fiber_section_points,
     indefinite_quadratic_shell,
-    sorted_row_key,
+    row_keys,
+    row_radices,
+    sorted_keys,
 )
 from .numtheory import dirichlet_sums, mobius_upto
 # payloads derive their units, balls and groups; the names stay for perfbench/tracer.py
@@ -57,7 +58,7 @@ class ScenarioSpec:
 @dataclass
 class CountSeries:
     """Per-level counts as int64 numpy columns: levels (sorted integers after
-    scaling by scale_e), n_prim, n_all, and weighted, the numerators of the
+    scaling by scale_e > 0), n_prim, n_all, and weighted, the numerators of the
     weights over the one positive denominator weight_den (the weights equal
     n_all when all stabilizers are trivial).  The weights are kept in lowest
     terms: weight_den and the numerators have gcd 1.  Lists and other integer
@@ -76,9 +77,11 @@ class CountSeries:
     def __post_init__(self):
         self.levels, self.n_prim, self.n_all, self.weighted = (
             _column(c) for c in (self.levels, self.n_prim, self.n_all, self.weighted))
-        if not (isinstance(self.weight_den, numbers.Integral) and 1 <= self.weight_den < 2 ** 63):
-            raise ValueError(f"weight_den {self.weight_den!r} is not a positive int64 integer")
-        self.weight_den = int(self.weight_den)
+        for name in ("scale_e", "weight_den"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and 1 <= value < 2 ** 63):
+                raise ValueError(f"{name} {value!r} is not a positive int64 integer")
+            setattr(self, name, int(value))
         if not (len(self.n_prim) == len(self.n_all) == len(self.weighted) == len(self.levels)):
             raise ValueError("ragged series")
         if np.any(self.levels[1:] <= self.levels[:-1]):
@@ -229,19 +232,19 @@ def orbit_counts(points, levels, mats, size):
     level's orbits are (1/|G|) sum over g of its points g fixes, in integers,
     refused unless |G| divides the sum.  The lemma needs each level set closed
     under G, checked exactly: the rows (level, x) are distinct and, for each
-    g != 1, the rows (level, g x) sort to the same rows.  Runs in int64 when
-    max_g max_row sum|g_ij| * max|x| < 2^63, in Python ints otherwise."""
-    gms = [np.array(g, dtype=object) for g in mats]
-    # numpy would turn Python ints of 2^63 and above into floats
-    pts = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    g != 1, the rows (level, g x), packed by lattice.row_keys under the
+    radices of the rows (level, x), sort to the same keys; an image cell
+    outside those radices is an incomplete orbit.  Runs in int64, refused
+    unless max_g max_row sum|g_ij| * max|x| < 2^63 bounds every image cell."""
+    gms = [np.array(g, dtype=np.int64) for g in mats]
+    pts = np.asarray(points, dtype=np.int64)
     width = max(int(np.abs(g).sum(axis=1).max()) for g in gms)
-    xmax = max(abs(int(pts.min())), abs(int(pts.max()))) if pts.size else 0
-    pts = pts.astype(np.int64 if width * xmax < 2 ** 63 else object, copy=False)
+    _check_int64(width * max(-int(pts.min()), int(pts.max())) if pts.size else 0)
     cols = [np.asarray(levels, dtype=np.int64), *pts.T.copy()]
     n_points = np.bincount(cols[0], minlength=size)
-    radices = code_radices(cols)
-    rows = sorted_row_key(cols, radices)
-    if (rows[1:] == rows[:-1]).all(axis=1).any():
+    radices = row_radices(cols)
+    rows = sorted_keys(row_keys(cols, radices))
+    if (rows[:, 1:] == rows[:, :-1]).all(axis=0).any():
         raise AssertionError("orbit-stabilizer identity violated: a point is repeated")
     fixed = n_points.copy()
     for g in gms:
@@ -250,7 +253,8 @@ def orbit_counts(points, levels, mats, size):
         img = [cols[0]] + [sum(c if a == 1 else a * c for a, c in zip(row, cols[1:]) if a) for row in g]
         hit = np.logical_and.reduce([a == b for a, b in zip(img[1:], cols[1:])])
         fixed += np.bincount(cols[0][hit], minlength=size)
-        if not np.array_equal(sorted_row_key(img, radices), rows):
+        keys = row_keys(img, radices)
+        if keys is None or not np.array_equal(sorted_keys(keys), rows):
             raise AssertionError("orbit-stabilizer identity violated: an orbit is incomplete")
     n_orbits, rest = np.divmod(fixed, len(gms))
     if rest.any():
@@ -335,7 +339,7 @@ def quadric_series(section, r_max):
         route = {}
     else:
         per = [cone_section_points(section, Fraction(k, section.scale_e)) for k in range(1, r_scaled + 1)]
-        pts = np.array([p for level in per for p in level], dtype=object).reshape(-1, section.dim)
+        pts = np.array([p for level in per for p in level], dtype=np.int64).reshape(-1, section.dim)
         lvls = np.repeat(np.arange(1, r_scaled + 1, dtype=np.int64), [len(level) for level in per])
         route = {"route": "per-level"}
     # a level's weight is its orbit sizes |G| / |stab| summed over |G|: its points over |G|
@@ -408,20 +412,18 @@ def _primitive_shell_sizes(all_sizes, d):
 def _assert_free_action(order, units):
     """Check on the points of norm at most 3 (order.ball) that each of units
     maps a point to one of the same norm and that a point's |units| images
-    are distinct (a sort of each point's image codes), in one int64 einsum
-    over the units' integer left-multiplication matrices."""
+    are distinct (no repeat among the sorted lattice.row_keys of the rows
+    (point index, image)), in one int64 einsum over the units' integer
+    left-multiplication matrices."""
     mats = _torsion_matrices(order, units)
     pts, twice_q, _ = order.ball
     gi = order.form.integer_gram
     img_max = max(sum(map(abs, row)) for m in mats for row in m) * int(np.abs(pts).max(initial=0))
     _check_int64(img_max, _bilinear_bound(gi, [img_max] * len(gi)))
     imgs = np.einsum("uij,pj->pui", np.array(mats, dtype=np.int64), pts)
-    # one code per image, sum of (c_i + img_max) base^i, injective for base = 2 img_max + 1
-    base, n = 2 * img_max + 1, len(gi)
-    dtype = np.int64 if base ** n < 2 ** 63 else object
-    weights = np.array([base ** i for i in range(n)], dtype=dtype)
-    codes = np.sort((imgs + img_max).astype(dtype) @ weights, axis=1)
-    if np.any(codes[:, 1:] == codes[:, :-1]):
+    which = np.repeat(np.arange(len(pts), dtype=np.int64), len(mats))
+    rows = sorted_keys(row_keys([which, *imgs.reshape(-1, len(gi)).T]))
+    if (rows[:, 1:] == rows[:, :-1]).all(axis=0).any():
         raise ValueError("unit action not free: payload is not a division order")
     if np.any(np.einsum("pui,ij,puj->pu", imgs, np.array(gi, dtype=np.int64), imgs) != twice_q[:, None]):
         raise AssertionError("unit action does not preserve the shell")

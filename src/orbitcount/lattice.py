@@ -6,7 +6,8 @@ affine lattice fiber ell = k, restrict the cone equation to it, and solve the
 resulting definite inhomogeneous quadratic with shells.quadratic_points, in
 every dimension.  The conic parametrisation below, on a Gauss-reduced level
 form, is an equivalent fast path for three variables, used by the bulk
-series driver and cross-checked against the fiber route.
+series driver and cross-checked against the fiber route.  row_keys is the
+one row packer, for row_order and the orbit checks of counting.
 """
 
 import math
@@ -200,63 +201,50 @@ def conic_points_up_to(section, r_scaled):
     return np.column_stack([x[keep] // content[keep] for x in xs]), levels[keep]
 
 
-def code_radices(columns):
-    """[(lo, span)] of the key columns, each its minimum and max - lo + 1,
-    when one int64 code holds a row: every column is int64 and the product
-    of the spans is below 2^63; None otherwise."""
-    if any(c.dtype != np.int64 for c in columns):
-        return None
-    radices = [(int(c.min()), int(c.max()) - int(c.min()) + 1) if len(c) else (0, 1) for c in columns]
-    return radices if math.prod(span for _, span in radices) < 2 ** 63 else None
+def row_radices(columns):
+    """[(lo, span)] of the key columns, each its minimum and max - lo + 1 in
+    Python ints, (0, 1) for an empty column."""
+    return [(int(c.min()), int(c.max()) - int(c.min()) + 1) if len(c) else (0, 1) for c in columns]
 
 
-def _row_codes(columns, radices):
-    """The mixed-radix int64 code of each row, sum of (c_i - lo_i) times the
-    spans of the later columns, so the first column is most significant and
-    code order is row order; None when a cell lies outside its (lo, span)."""
-    if any(np.any((c < lo) | (c > lo + span - 1)) for c, (lo, span) in zip(columns, radices)):
-        return None
-    codes = columns[0] - radices[0][0]
-    for c, (lo, span) in zip(columns[1:], radices[1:]):
-        codes = codes * span + (c - lo)
-    return codes
-
-
-def sorted_row_key(columns, radices):
-    """The sorted rows as one array for np.array_equal: (N, 1) sorted codes under
-    radices (code_radices of these or other columns), None when a cell lies
-    outside them; with radices None, the (N, n) stack of the columns, its rows
-    in row_order order."""
+def row_keys(columns, radices=None):
+    """The rows as greedy mixed-radix int64 keys under radices (row_radices
+    of these columns by default, or of other rows), None when a cell lies
+    outside its (lo, span).  Each int64 column minus lo is one digit, its
+    span the radix, packed most significant first into one key while the
+    key's span product stays below 2^63.  A column whose span reaches 2^63,
+    or an object column (Python ints), is a key of its own.  Under one set
+    of radices equal rows have equal keys, and the keys sort as the rows."""
     if radices is None:
-        return np.column_stack(columns)[row_order(columns)]
-    codes = _row_codes(columns, radices)
-    return None if codes is None else np.sort(codes)[:, None]
-
-
-def row_order(columns):
-    """The stable permutation that sorts rows by the key columns, the first
-    most significant: np.lexsort(columns[::-1]).  The int64 columns are packed
-    greedily, most significant first, into mixed-radix int64 codes: each
-    column minus its minimum is one digit, its span the radix, while a code's
-    span product stays below 2^63.  A column whose own span reaches 2^63, or
-    an object column (Python ints), is a key of its own."""
-    if not len(columns[0]):
-        return np.zeros(0, dtype=np.intp)
+        radices = row_radices(columns)
+    elif any(np.any((c < lo) | (c > lo + span - 1)) for c, (lo, span) in zip(columns, radices)):
+        return None
     keys, size = [], 2 ** 63  # size: span product of keys[-1], 2^63 once it is closed
-    for c in columns:
-        span = 2 ** 63
-        if c.dtype == np.int64:
-            lo = int(c.min())
-            span = int(c.max()) - lo + 1
-        if span >= 2 ** 63:
+    for c, (lo, span) in zip(columns, radices):
+        if span >= 2 ** 63 or c.dtype != np.int64:
             keys.append(c)
+            span = 2 ** 63
         elif size * span < 2 ** 63:
             keys[-1] = keys[-1] * span + (c - lo)
         else:
             keys.append(c - lo)
             size = 1
         size *= span
-    return np.lexsort(keys[::-1])
+    return keys
+
+
+def sorted_keys(keys):
+    """The int64 row keys (row_keys) as one (len(keys), N) array with the rows
+    sorted: one key by np.sort, more by np.lexsort."""
+    if len(keys) == 1:
+        return np.sort(keys[0])[None]
+    return np.stack(keys)[:, np.lexsort(keys[::-1])]
+
+
+def row_order(columns):
+    """The stable permutation that sorts rows by the key columns, the first
+    most significant: np.lexsort(columns[::-1]), of their row_keys."""
+    return np.lexsort(row_keys(columns)[::-1])
 
 
 def box_scan(order, k, bound):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1149,6 +1150,56 @@ def test_series_csv_round_trip_property(series):
             series_to_csv(series, fh, "x")
         back = series_from_csv(path)
     assert back == series
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_series(), st.sampled_from(["replace", "insert", "delete"]), st.data())
+def test_series_csv_with_one_byte_changed_reads_or_is_refused(series, edit, data):
+    # any one-byte edit of a written CSV reads back as a series or is refused
+    # with ValueError, and fit ends it with exit 0 or 1, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w") as fh:
+            series_to_csv(series, fh, "x")
+        with open(path, "rb") as fh:
+            raw = bytearray(fh.read())
+        i = data.draw(st.integers(0, len(raw) - (edit != "insert")))
+        byte = data.draw(st.integers(0, 255))
+        if edit == "replace":
+            raw[i] = byte
+        elif edit == "insert":
+            raw.insert(i, byte)
+        else:
+            del raw[i]
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            assert isinstance(series_from_csv(path), CountSeries)
+        except ValueError:
+            pass
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["fit", "--config", "model-quadric", "--series", path, "--out", tmp]) in (
+                EXIT_OK, EXIT_VALIDATION)
+
+
+@pytest.mark.parametrize("scale_e", ["0", "-2"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_series_with_scale_e_below_one_is_refused(tmp_path, capsys, scale_e, rows):
+    # scale_e = 0 once ended fit in ZeroDivisionError and oracle-compare in a
+    # divide-by-zero warning and a false divergence
+    path = tmp_path / "scale.csv"
+    path.write_text(f"# family=normform scale_e={scale_e} mode=exact\n"
+                    "level,n_prim,n_all,weighted_num,weighted_den,exact\n"
+                    + "".join(f"{k},1,1,1,1,1\n" for k in range(1, rows + 1)))
+    with pytest.raises(ValueError, match=f"scale_e {scale_e} is not a positive int64 integer"):
+        series_from_csv(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["fit", "--out", str(tmp_path)], ["oracle-compare", "--rmax", "5"]):
+            assert run([*argv, "--config", "gauss", "--series", str(path)]) == EXIT_VALIDATION
+            out, err = capsys.readouterr()
+            assert err == f"error: scale_e {scale_e} is not a positive int64 integer\n" and out == ""
+    assert not (tmp_path / "gauss-fit.json").exists()
 
 
 def _format_rows(series):

@@ -29,6 +29,9 @@ from orbitcount.lattice import (
     conic_points_up_to,
     fiber_section_points,
     indefinite_quadratic_shell,
+    row_keys,
+    row_radices,
+    sorted_keys,
 )
 from orbitcount.oracles import pairwise_orbits, two_squares_primitive_series
 from orbitcount.presets import model_quadric_section, order_hurwitz, order_zsqrt2
@@ -374,6 +377,57 @@ def test_row_order_matches_lexsort(columns):
     from orbitcount.lattice import row_order
 
     assert row_order(columns).tolist() == np.lexsort(columns[::-1]).tolist()
+
+
+@st.composite
+def int64_key_columns(draw):
+    # up to four int64 key columns, spans below and past 2^63 and span
+    # products past it, with some rows repeated
+    rows = draw(st.integers(0, 40))
+    spans = st.sampled_from([1, 3, 2 ** 20, 2 ** 40, 2 ** 61, 2 ** 63])
+    widths = draw(st.lists(spans, min_size=1, max_size=4))
+    columns = [np.array([draw(st.integers(-w, w - 1)) for _ in range(rows)], dtype=np.int64) for w in widths]
+    again = draw(st.lists(st.integers(0, rows - 1), max_size=rows)) if rows else []
+    return [np.concatenate([c, c[again]]) for c in columns]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int64_key_columns())
+def test_sorted_keys_order_the_rows_as_lexsort(columns):
+    keys = row_keys(columns)
+    assert all(k.dtype == np.int64 for k in keys) and len(keys) <= len(columns)
+    rows = np.stack(columns)[:, np.lexsort(columns[::-1])]
+    got = sorted_keys(keys)
+    assert np.array_equal(got, np.stack(row_keys(list(rows))))
+    # equal keys exactly where the rows are equal
+    assert np.array_equal((got[:, 1:] == got[:, :-1]).all(axis=0), (rows[:, 1:] == rows[:, :-1]).all(axis=0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int64_key_columns(), st.data())
+def test_row_keys_under_other_radices(columns, data):
+    # rows drawn from the columns' rows, one cell maybe moved: packed under the
+    # columns' radices they give None exactly when a cell lies outside them,
+    # and otherwise the key of each row is the key that row has among the columns
+    radices = row_radices(columns)
+    n = len(columns[0])
+    pick = data.draw(st.lists(st.integers(0, n - 1), max_size=20)) if n else []
+    other = [c[pick] for c in columns]
+    if pick:
+        i, j = data.draw(st.integers(0, len(pick) - 1)), data.draw(st.integers(0, len(columns) - 1))
+        cell = int(other[j][i]) + data.draw(st.sampled_from([-1, 1, 2 ** 40]))
+        other[j][i] = min(max(cell, -(2 ** 63)), 2 ** 63 - 1)
+    outside = any(int(c.min()) < lo or int(c.max()) > lo + span - 1
+                  for c, (lo, span) in zip(other, radices) if len(c))
+    keys = row_keys(other, radices)
+    assert (keys is None) == outside
+    if keys is not None:
+        def tuples(arrays):
+            return list(map(tuple, np.stack(arrays).T.tolist()))
+
+        known = dict(zip(tuples(columns), tuples(row_keys(columns))))
+        for row, key in zip(tuples(other), tuples(keys)):
+            assert known.get(row, key) == key and (row in known) == (key in known.values())
 
 
 # spans -> number of keys: span products 2^63 - 2^31 (one int64 code), 2^63

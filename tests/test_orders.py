@@ -373,18 +373,24 @@ def test_orbit_counts_trip_exactly_when_a_level_set_is_not_closed(case, rng, per
             orbit_counts(*args)
 
 
-def test_orbit_counts_python_int_path_is_exact():
-    group = KERNEL_GROUPS["hurwitz"]  # row sums up to 5: 5 * 2^62 overflows int64
-    pts = _closure([(2 ** 62, -3, 1, 7), (-(2 ** 62) - 9, 2 ** 62 + 1, 0, -5), (2 ** 62, 2 ** 62, 0, 0)], group)
-    levels = _orbit_levels(pts, group, random.Random(5))
-    n_orbits, n_points = orbit_counts(pts, levels, group.elements, 3)
-    assert (n_orbits.tolist(), n_points.tolist()) == _partition_counts(pts, levels, group)
-    assert sum(n_orbits) == 3
+def test_orbit_counts_refuse_images_past_int64():
+    # Hurwitz row sums reach 5: the points times edge run in int64, since
+    # 5 * max|x| < 2^63 bounds every image cell; one step further is refused
+    group = KERNEL_GROUPS["hurwitz"]
+    width = max(sum(map(abs, row)) for g in group.elements for row in g)
+    pts = np.array(_closure([(1, 2, 0, 0), (3, 0, 0, 0)], group), dtype=np.int64)
+    levels = np.zeros(len(pts), dtype=np.int64)
+    edge = (2 ** 63 - 1) // (width * int(np.abs(pts).max()))
+    n_orbits, n_points = orbit_counts(pts * edge, levels, group.elements, 1)
+    assert n_orbits.tolist() == [2] and n_points.tolist() == [len(pts)]
+    with pytest.raises(ValueError, match=r"2\^63"):
+        orbit_counts(pts * (edge + 1), levels, group.elements, 1)
 
 
-@pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 62])
+@pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 58])
 def test_dropping_an_orbit_member_trips_completeness_check(scale):
-    # 2^40: int64 points whose rows fill no one int64 code; 2^62: Python ints
+    # 2^40: int64 points whose rows fill no one int64 code; 2^58: the largest
+    # power of two whose images stay in int64 (row sums 5, 5 * 6 * 2^58 < 2^63)
     group = KERNEL_GROUPS["hurwitz"]
     pts = _closure([(scale, 2 * scale, 0, 0), (3 * scale, 0, 0, 0)], group)
     levels = np.zeros(len(pts), dtype=np.int64)
@@ -394,7 +400,7 @@ def test_dropping_an_orbit_member_trips_completeness_check(scale):
         orbit_counts(pts[1:], levels[1:], group.elements, 1)
 
 
-@pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 62])
+@pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 58])
 def test_a_repeated_point_trips_the_kernel(scale):
     # the set is closed under G, but one point is listed twice
     group = KERNEL_GROUPS["hurwitz"]
