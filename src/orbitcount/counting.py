@@ -237,7 +237,10 @@ def orbit_counts(points, levels, mats, size):
     outside those radices is an incomplete orbit.  Runs in int64, refused
     unless max_g max_row sum|g_ij| * max|x| < 2^63 bounds every image cell."""
     gms = [np.array(g, dtype=np.int64) for g in mats]
-    pts = np.asarray(points, dtype=np.int64)
+    try:
+        pts = np.asarray(points, dtype=np.int64)
+    except OverflowError:  # a Python int with |x| >= 2^63, refused as every bound past int64
+        _check_int64(max(abs(int(x)) for row in points for x in row))
     width = max(int(np.abs(g).sum(axis=1).max()) for g in gms)
     _check_int64(width * max(-int(pts.min()), int(pts.max())) if pts.size else 0)
     cols = [np.asarray(levels, dtype=np.int64), *pts.T.copy()]

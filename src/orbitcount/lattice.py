@@ -7,7 +7,7 @@ resulting definite inhomogeneous quadratic with shells.quadratic_points, in
 every dimension.  The conic parametrisation below, on a Gauss-reduced level
 form, is an equivalent fast path for three variables, used by the bulk
 series driver and cross-checked against the fiber route.  row_keys is the
-one row packer, for row_order and the orbit checks of counting.
+one row packer, for the orbit checks of counting.
 """
 
 import math
@@ -22,7 +22,7 @@ from .numtheory import primes_upto
 from .orders import fundamental_unit, unit_domain_points
 # definite_shell is no longer called here; it stays importable as
 # orbitcount.lattice.definite_shell, a name perfbench/tracer.py wraps
-from .shells import _check_int64, definite_shell, interval_points, quadratic_points
+from .shells import _check_int64, definite_shell, gauss_reduce, interval_points, quadratic_points
 
 
 def fiber_section_points(section, k, qtarget=0, primitive=True):
@@ -111,19 +111,12 @@ def conic_parametrization(section):
     if sgn < 0:
         phi = tuple(tuple(-c for c in row) for row in phi)
         psi = tuple(-c for c in psi)
-    # Gauss-reduce psi = (a, b, c) to |b| <= a <= c by SL_2(Z) changes of (s, t),
-    # applied to phi too: (s, t) -> (s - k t, t), then (-t, s) while c < a
-    forms = [psi, *phi]
-    while True:
-        a, b, _ = forms[0]
-        k = -((a - b) // (2 * a))  # b - 2ak in (-a, a]
-        forms = [(f0, f1 - 2 * k * f0, f0 * k * k - f1 * k + f2) for f0, f1, f2 in forms]
-        if forms[0][0] <= forms[0][2]:
-            break
-        forms = [(f2, -f1, f0) for f0, f1, f2 in forms]
-    psi, *phi = forms
-    n_bound = _content_bound(phi)
-    return tuple(phi), psi, n_bound
+    # Gauss-reduce psi to |b| <= a <= c by the SL_2(Z) change (s, t) -> M (s, t),
+    # applied to phi too
+    ((p, q), (u, v)), psi = gauss_reduce(psi)
+    phi = tuple((f0 * p * p + f1 * p * u + f2 * u * u, 2 * f0 * p * q + f1 * (p * v + q * u) + 2 * f2 * u * v,
+                 f0 * q * q + f1 * q * v + f2 * v * v) for f0, f1, f2 in phi)
+    return phi, psi, _content_bound(phi)
 
 
 def _independent(rows):
@@ -212,16 +205,16 @@ def row_keys(columns, radices=None):
     of these columns by default, or of other rows), None when a cell lies
     outside its (lo, span).  Each int64 column minus lo is one digit, its
     span the radix, packed most significant first into one key while the
-    key's span product stays below 2^63.  A column whose span reaches 2^63,
-    or an object column (Python ints), is a key of its own.  Under one set
-    of radices equal rows have equal keys, and the keys sort as the rows."""
+    key's span product stays below 2^63.  A column whose span reaches 2^63
+    is a key of its own.  Under one set of radices equal rows have equal
+    keys, and the keys sort as the rows."""
     if radices is None:
         radices = row_radices(columns)
     elif any(np.any((c < lo) | (c > lo + span - 1)) for c, (lo, span) in zip(columns, radices)):
         return None
     keys, size = [], 2 ** 63  # size: span product of keys[-1], 2^63 once it is closed
     for c, (lo, span) in zip(columns, radices):
-        if span >= 2 ** 63 or c.dtype != np.int64:
+        if span >= 2 ** 63:
             keys.append(c)
             span = 2 ** 63
         elif size * span < 2 ** 63:
@@ -239,12 +232,6 @@ def sorted_keys(keys):
     if len(keys) == 1:
         return np.sort(keys[0])[None]
     return np.stack(keys)[:, np.lexsort(keys[::-1])]
-
-
-def row_order(columns):
-    """The stable permutation that sorts rows by the key columns, the first
-    most significant: np.lexsort(columns[::-1]), of their row_keys."""
-    return np.lexsort(row_keys(columns)[::-1])
 
 
 def box_scan(order, k, bound):

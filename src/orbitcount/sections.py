@@ -1,9 +1,9 @@
 """Quadric hyperplane-section data: a rational quadratic form q, a nonzero
 rational linear form ell, a base point on the cone, and the level scaling.
 
-Supported sections have q restricted to ker(ell) definite over R (checked
-exactly by the signs of the LDL pivots on a kernel basis); levels ell(x) for
-integral x lie in (1/e)Z with e read off the denominators of ell.
+Supported sections have q restricted to ker(ell) definite over R, certified
+once on construction by the exact LDL of the fiber frame's form; levels
+ell(x) for integral x lie in (1/e)Z with e read off the denominators of ell.
 """
 
 import math
@@ -14,7 +14,6 @@ from itertools import product
 
 from .exact import (
     clear_denominators,
-    definiteness,
     det,
     gcd_vector,
     mat,
@@ -55,10 +54,12 @@ class FiberFrame:
 
 @dataclass(frozen=True)
 class QuadricSectionSpec:
-    """A section by its rational data.  Its level-independent set-up, the
-    fiber frame and the symmetry group, is derived on first use and kept on
-    the object, so every command on one section shares it (a section made by
-    dataclasses.replace derives its own)."""
+    """A section by its rational data, certified on construction: the form
+    is nondegenerate, the base point lies on the cone at a positive level,
+    and the fiber form is definite (fiber_frame.form exists, mult carrying
+    the sign).  Its level-independent set-up, the fiber frame and the
+    symmetry group, is kept on the object, so every command on one section
+    shares it (a section made by dataclasses.replace derives its own)."""
 
     gram: tuple          # symmetric rational matrix of q
     ell: tuple           # rational row vector of the linear form
@@ -88,15 +89,17 @@ class QuadricSectionSpec:
             raise ValueError("base point is not on the cone")
         if self.ell_value(self.base_point) <= 0:
             raise ValueError("base point must have positive level")
+        try:
+            self.fiber_frame.form
+        except ValueError:
+            raise ValueError("q restricted to ker(ell) is not definite over R (unsupported)") from None
 
     @property
     def dim(self):
         return len(self.gram)
 
     def q_value(self, x):
-        g = self.gram
-        n = self.dim
-        return scalar(sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)))
+        return self.bilinear(x, x)
 
     def ell_value(self, x):
         return scalar(sum(l * c for l, c in zip(self.ell, x)))
@@ -124,7 +127,7 @@ class QuadricSectionSpec:
 
 
 def quadric_section(gram_rows, ell_row, base_point=None, search_bound=6):
-    """Build and validate a QuadricSectionSpec.
+    """Build a QuadricSectionSpec, which certifies itself.
 
     When base_point is None, a primitive integral cone point with positive
     level is searched in the box |x_i| <= search_bound.
@@ -137,10 +140,7 @@ def quadric_section(gram_rows, ell_row, base_point=None, search_bound=6):
         base_point = _search_base_point(g, ell, n, search_bound)
         if base_point is None:
             raise ValueError(f"no primitive cone point with positive level in box {search_bound}")
-    spec = QuadricSectionSpec(gram=g, ell=ell, base_point=vec(base_point), scale_e=e)
-    if definiteness(spec.fiber_frame.gram) == 0:
-        raise ValueError("q restricted to ker(ell) is not definite over R (unsupported)")
-    return spec
+    return QuadricSectionSpec(gram=g, ell=ell, base_point=vec(base_point), scale_e=e)
 
 
 def _search_base_point(g, ell, n, bound):

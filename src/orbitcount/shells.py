@@ -117,6 +117,22 @@ def _scaled_integer_gram(gram):
     return s, tuple(tuple(int(2 * s * Fraction(e)) for e in row) for row in gram)  # x^t gi x = 2 s Q(x)
 
 
+def gauss_reduce(form):
+    """(M, reduced) for the positive definite binary form f(s, t) = a s^2 +
+    b s t + c t^2, form = (a, b, c) in Python ints: the Gauss-reduced form
+    f(M (s, t)) = (a', b', c') with |b'| <= a' <= c' and its SL_2(Z) matrix M,
+    built from the shears (s, t) -> (s - k t, t) and the swaps (s, t) -> (-t, s)."""
+    (a, b, c), m = form, ((1, 0), (0, 1))
+    while True:
+        k = -((a - b) // (2 * a))  # b - 2ak in (-a, a]
+        b, c = b - 2 * k * a, a * k * k - b * k + c
+        m = tuple((m0, m1 - k * m0) for m0, m1 in m)
+        if a <= c:
+            return m, (a, b, c)
+        a, b, c = c, -b, a
+        m = tuple((m1, -m0) for m0, m1 in m)
+
+
 def _box(bounds):
     """All x in Z^k with |x_i| <= bounds[i] as a lexicographically sorted (#, k)
     int64 array; one empty row when k = 0."""
@@ -164,7 +180,7 @@ def _quadratic_values(pts, m):
 def _check_int64(*bounds):
     big = max(bounds)
     if big >= 2 ** 63:
-        raise ValueError(f"an int64 intermediate could reach {big} >= 2^63; form too large")
+        raise ValueError(f"an int64 intermediate could reach {big} >= 2^63")
 
 
 def ball_points(gram, r):
@@ -288,7 +304,8 @@ def theta_series(gram, r):
 
     Q must be integer-valued and positive definite, dim in {2, 3, 4}.  With u the
     first two coordinates and w the rest, 2Q = u^t A u + 2 u^t X w + w^t C w in
-    the integer blocks of 2G.  Complete the square with D = det A: split
+    the integer blocks of 2G, after the SL_2(Z) change of u that Gauss-reduces
+    A (gauss_reduce).  Complete the square with D = det A: split
     adj(A) X w = D q + c with 0 <= c < D, so that b_c = A c / D is integral and
 
         2Q(u, w) = inner_c(u + q) + outer(w),
@@ -314,8 +331,11 @@ def theta_series(gram, r):
     if n not in (2, 3, 4):
         raise ValueError("theta_series supports dim 2..4")
     r = int(r)
-    a = [row[:2] for row in g2[:2]]
-    xb = [row[2:] for row in g2[:2]]
+    # u = M u' with M Gauss-reducing A keeps T and bounds the v-box below by
+    # A's minima, not by the skew of the basis: A becomes M^t A M, X becomes M^t X
+    m, (a0, b0, c0) = gauss_reduce((g2[0][0], 2 * g2[0][1], g2[1][1]))
+    a = [[a0, b0 // 2], [b0 // 2, c0]]
+    xb = [[m[0][i] * g2[0][j] + m[1][i] * g2[1][j] for j in range(2, n)] for i in range(2)]
     cb = [row[2:] for row in g2[2:]]
     det_a = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     adj_x = [
@@ -335,7 +355,7 @@ def theta_series(gram, r):
     inner_max = _bilinear_bound(a, bv) + 2 * _bilinear_bound([bb], [1], bv)
     outer_max = _bilinear_bound(cb, bw) + _bilinear_bound(a, bq) + 2 * _bilinear_bound([bb], [1], bq)
     _check_int64(2 * inner_max, 2 * outer_max, max(pw), det_a * max(bb), det_a ** 2,
-                 max(abs(e) for row in (*g2, *adj_x) for e in row))
+                 max(abs(e) for row in (*a, *xb, *cb, *adj_x) for e in row))
 
     vs = _box(bv)
     vav = _quadratic_values(vs, a)

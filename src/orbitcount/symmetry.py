@@ -5,16 +5,18 @@ The symmetry group of a section (q, ell) is the set of integer matrices g
 with det g = 1, g^t G g = G and ell g = ell.  With q|ker(ell) definite the
 real symmetry group is compact and connected on its determinant-one part, so
 the determinant filter is exactly the identity-component condition; the group
-is finite and is computed completely by column backtracking.
+is finite and is computed completely, column by column.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact import (
-    definiteness, det, identity, inverse, mat_mul, mat_vec, scalar, transpose, vec_mat,
-)
+import numpy as np
+
+from .exact import inverse, mat_mul, mat_vec, scalar, transpose, vec_mat
 from .lattice import fiber_section_points
+from .orders import integer_dets
+from .shells import DOMAIN_BLOCK, _bilinear_bound, _check_int64, _scaled_integer_gram
 
 COLUMN_CANDIDATE_CAP = 10 ** 6
 
@@ -22,11 +24,10 @@ COLUMN_CANDIDATE_CAP = 10 ** 6
 @dataclass(frozen=True)
 class SymmetryGroup:
     elements: tuple   # integer matrices (tuples of rows)
-    order: int
 
-    def __post_init__(self):
-        if len(self.elements) != self.order:
-            raise ValueError("order does not match element count")
+    @property
+    def order(self):
+        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -47,67 +48,54 @@ class OrbitReport:
 
 
 def _column_candidates(section, j):
-    """All integer vectors v with q(v) = G_jj and ell(v) = ell_j: the possible
-    images of basis vector e_j under a symmetry."""
-    target_q = section.gram[j][j]
-    target_l = section.ell[j]
-    pts = fiber_section_points(section, target_l, qtarget=target_q, primitive=False)
+    """All integer vectors v with q(v) = G_jj and ell(v) = ell_j, the possible
+    images of basis vector e_j under a symmetry, as sorted int64 rows."""
+    pts = fiber_section_points(section, section.ell[j], qtarget=section.gram[j][j], primitive=False)
     if len(pts) > COLUMN_CANDIDATE_CAP:
         raise RuntimeError(
             f"candidate shell for column {j} exceeds {COLUMN_CANDIDATE_CAP}; "
             "section looks mis-specified"
         )
-    return pts
+    return np.array(pts, dtype=np.int64).reshape(-1, section.dim)
 
 
 def integral_symmetries(section):
-    """The complete finite symmetry group of the section.
+    """The complete finite symmetry group of the section, its elements sorted.
 
-    Backtracking over basis-vector images constrained by exact preservation of
-    all pairwise products of the quadratic form and of the linear form, then
-    the determinant-one (identity component) filter.
+    The images of e_0, e_1, ... are placed column by column (the isometry
+    search of Plesken and Souvignier, J. Symbolic Comput. 24 (1997)): each
+    step extends every partial column set by every candidate at once and
+    keeps those whose products c_i^t (2sG) c_j with the placed columns equal
+    2s G_ij.  The determinant-one (identity component) filter follows, and
+    an exact comparison of the products of all pairs with the elements.
+    Every int64 product is bounded first.
     """
-    if definiteness(section.fiber_frame.gram) == 0:
-        raise ValueError("q|ker(ell) must be definite")
     n = section.dim
     cand = [_column_candidates(section, j) for j in range(n)]
-    cols = [None] * n
-    found = []
-
-    def place(j):
-        if j == n:
-            g = tuple(tuple(cols[i][r] for i in range(n)) for r in range(n))  # column matrix
-            if det(g) == 1:
-                found.append(g)
-            return
-        for v in cand[j]:
-            ok = True
-            for i in range(j):
-                if section.bilinear(cols[i], v) != section.gram[i][j]:
-                    ok = False
-                    break
-            if ok:
-                cols[j] = v
-                place(j + 1)
-        cols[j] = None
-
-    place(0)
-    elements = sorted(found)
-    group = SymmetryGroup(elements=tuple(elements), order=len(elements))
-    _check_group_axioms(group)
-    return group
-
-
-def _check_group_axioms(group):
-    if group.order == 0:
-        raise AssertionError("symmetry backtracking found nothing, not even the identity")
-    elems = set(group.elements)
-    if identity(len(group.elements[0])) not in elems:
-        raise AssertionError("identity missing from symmetry group")
-    for a in group.elements:
-        for b in group.elements:
-            if mat_mul(a, b) not in elems:
-                raise AssertionError("symmetry group not closed under product")
+    _, gi = _scaled_integer_gram(section.gram)
+    xmax = max(int(np.abs(c).max(initial=1)) for c in cand)
+    _check_int64(_bilinear_bound(gi, [xmax] * n), n * xmax * xmax)
+    g = np.array(gi, dtype=np.int64)
+    cols = cand[0][:, None]  # (partial sets, placed columns, n)
+    for j in range(1, n):
+        fits = (cols @ g @ cand[j].T == np.array(gi[j][:j])[:, None]).all(axis=1)
+        p, c = np.nonzero(fits)
+        cols = np.concatenate([cols[p], cand[j][c, None]], axis=1)
+    mats = cols.transpose(0, 2, 1)
+    mats = mats[integer_dets(mats) == 1]
+    elements = tuple(sorted(tuple(map(tuple, m)) for m in mats.tolist()))
+    if not elements:
+        raise AssertionError("symmetry search found nothing, not even the identity")
+    # in a group each element is a b for exactly m pairs with a among any m
+    # left factors; conversely the set is closed, so, finite and invertible,
+    # it holds 1.  Blocks of left factors keep DOMAIN_BLOCK products at a time
+    flat = np.array(elements, dtype=np.int64).reshape(-1, n * n)
+    step = max(1, DOMAIN_BLOCK // len(flat))
+    for a in range(0, len(flat), step):
+        prods = (mats[a:a + step, None] @ mats).reshape(-1, n * n)
+        if not np.array_equal(prods[np.lexsort(prods.T[::-1])], np.repeat(flat, len(prods) // len(flat), axis=0)):
+            raise AssertionError("symmetry group not closed under product")
+    return SymmetryGroup(elements=elements)
 
 
 def apply_matrix(g, x):

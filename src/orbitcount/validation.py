@@ -4,7 +4,8 @@ Every check is exact or says that it could not decide: associativity,
 definiteness from the signs of the LDL pivots, the unit rank by Dirichlet
 from a Sturm signature, the absence of zero divisors from a positive definite
 norm form, and mod-p irreducibility with pass/undetermined/fail outcomes.
-Nothing is sampled.
+Nothing is sampled.  A quadric section's checks report the facts that
+QuadricSectionSpec certified when the section was built.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import element, minimal_polynomial
 from .counting import FAMILY_ALGEBRA, FAMILY_NORMFORM
-from .exact import definiteness, det
+from .exact import det
 from .numtheory import irreducible_mod_p, signature, small_primes
 from .orders import RANK_2_REFUSAL, real_quadratic_d
 
@@ -187,22 +188,12 @@ def _check_division(order, axioms_hold):
 
 
 def _check_quadric(section):
-    checks = []
-    d = det(section.gram)
-    checks.append(Check("quadratic form nondegenerate", PASS if d != 0 else FAIL, f"det = {d}"))
-    q0 = section.q_value(section.base_point)
-    l0 = section.ell_value(section.base_point)
-    ok = q0 == 0 and l0 > 0
-    checks.append(
-        Check("base point on the cone with positive level", PASS if ok else FAIL,
-              f"q(v0) = {q0}, ell(v0) = {l0}")
-    )
-    sgn = definiteness(section.fiber_frame.gram)
-    checks.append(
-        Check(
-            "q restricted to ker(ell) definite over R (exact minors)",
-            PASS if sgn != 0 else FAIL,
-            {1: "positive definite", -1: "negative definite", 0: "indefinite (unsupported)"}[sgn],
-        )
-    )
-    return checks
+    """The three facts QuadricSectionSpec certifies on construction, each
+    PASS with its values: a section that fails one is never built."""
+    ell0 = section.ell_value(section.base_point)
+    sign = "positive" if section.fiber_frame.mult > 0 else "negative"
+    return [
+        Check("quadratic form nondegenerate", PASS, f"det = {det(section.gram)}"),
+        Check("base point on the cone with positive level", PASS, f"q(v0) = 0, ell(v0) = {ell0}"),
+        Check("q restricted to ker(ell) definite over R (exact minors)", PASS, f"{sign} definite"),
+    ]

@@ -1351,3 +1351,44 @@ def test_empty_series_csv_round_trip():
         for name in ("levels", "n_prim", "n_all", "weighted"):
             assert getattr(back, name).dtype == np.int64 and len(getattr(back, name)) == 0
         assert (back.weight_den, back.scale_e) == (1, scale_e)
+
+
+# the counts.csv digests of the symmetry-group search this package had when
+# the search became one vectorised column extension; the five presets at
+# their default r, the Z[sqrt 31] config of perfbench/workloads.py, and the
+# sphere sections in four and five variables
+ZSQRT31_CONFIG = {
+    "family": "normform", "label": "zsqrt31", "norm_degree": 2, "unit_rank": 1, "absolute_norm": True,
+    "algebra": {"dim": 2, "kind": "number-field", "unity": ["1", "0"],
+                "structure_constants": [[["1", "0"], ["0", "1"]], [["0", "1"], ["31", "0"]]]},
+    "invariants": {"class_number": 1, "minpoly": [-31, 0, 1]},
+}
+SPHERE4_CONFIG = {"family": "quadric", "label": "sphere4", "ell": [0, 0, 0, 1],
+                  "gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]}
+SPHERE5_CONFIG = {"family": "quadric", "label": "sphere5", "ell": [0, 0, 0, 0, 1],
+                  "gram": [[1 if i == j < 4 else -1 if i == j else 0 for j in range(5)] for i in range(5)]}
+GOLDEN_COUNTS = [
+    ("gauss", None, "988fd5e873d7dc640bf944842b2272b1751a2a555d2aa003ee89af7d48712c10"),
+    ("zsqrt2", None, "a069f5aa65c22ad939b4d8a0a210a5f726dfd05dedab19450e3d5f6cb1a6a5a6"),
+    ("lipschitz", None, "95e48909289a5935d4a501a8d59687d8a543d4cfb8305a61a31d2521749b159f"),
+    ("hurwitz", None, "28dd60893d92c0220ca3b2a9e562ae660892e1853188a632fb00d67d94d103db"),
+    ("model-quadric", None, "fa0934ffc65734273c519e966db06152f98234dd8ad4902a61975f23cf5ac36f"),
+    (ZSQRT31_CONFIG, None, "c851dc9865e730f359d8831ecde2e67f056b092cfb3f7f56763b981a17a75346"),
+    (SPHERE4_CONFIG, 30, "e0bb23a738b8d4c01b989524efd9c53cfdb00dcc5ade324e2a8f07faa0470447"),
+    (SPHERE5_CONFIG, 20, "5447699762dd6717c076eacf8627d1ad511c627c35cef7b55e75816f4892e8ee"),
+]
+
+
+@pytest.mark.parametrize("config, rmax, digest", GOLDEN_COUNTS,
+                         ids=[c if isinstance(c, str) else c["label"] for c, _, _ in GOLDEN_COUNTS])
+def test_count_writes_the_golden_counts_csv(config, rmax, digest, tmp_path):
+    import hashlib
+
+    label = config if isinstance(config, str) else config["label"]
+    if isinstance(config, dict):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        config = str(tmp_path / "config.json")
+    args = ["count", "--config", config, "--out", str(tmp_path)] + (["--rmax", str(rmax)] if rmax else [])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(args) == EXIT_OK
+    assert hashlib.sha256(read(tmp_path / f"{label}-counts.csv")).hexdigest() == digest

@@ -467,8 +467,7 @@ def test_quadric_series_weights_with_point_stabilizers():
     from orbitcount.symmetry import SymmetryGroup
 
     sec = quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1))
-    refl = SymmetryGroup(elements=(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, -1, 0), (0, 0, 1))),
-                         order=2)
+    refl = SymmetryGroup(elements=(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, -1, 0), (0, 0, 1))))
     # the subgroup stands in for the section's group (a cached property, so
     # an entry of the instance's dict overrides it)
     vars(sec)["symmetry_group"] = refl

@@ -362,24 +362,6 @@ def test_conic_points_match_per_s_windows(rng, steps, r, cone):
 
 
 @st.composite
-def key_columns(draw):
-    # up to four key columns; wide ones push the span product past 2^63, and a
-    # column past int64 is an object array of Python ints
-    rows = draw(st.integers(0, 60))
-    widths = draw(st.lists(st.sampled_from([1, 3, 2 ** 20, 2 ** 40, 2 ** 62, 2 ** 70]), min_size=1, max_size=4))
-    return [np.array([draw(st.integers(-w, w)) for _ in range(rows)], dtype=object if w > 2 ** 63 else np.int64)
-            for w in widths]
-
-
-@settings(max_examples=150, deadline=None)
-@given(key_columns())
-def test_row_order_matches_lexsort(columns):
-    from orbitcount.lattice import row_order
-
-    assert row_order(columns).tolist() == np.lexsort(columns[::-1]).tolist()
-
-
-@st.composite
 def int64_key_columns(draw):
     # up to four int64 key columns, spans below and past 2^63 and span
     # products past it, with some rows repeated
@@ -431,44 +413,39 @@ def test_row_keys_under_other_radices(columns, data):
 
 
 # spans -> number of keys: span products 2^63 - 2^31 (one int64 code), 2^63
-# and 3 * 2^62 (two codes), a span of 2^64 - 1 (a key of its own); a span
-# past 2^64 is an object column of Python ints, a key of its own
-PACKED_KEYS = {(2 ** 31, 2 ** 32 - 1): 1, (2 ** 31, 2 ** 32): 2, (2 ** 64 - 1,): 1, (3, 2 ** 61, 2): 2,
-               (2 ** 31, 2 ** 73, 2 ** 31): 3, (2 ** 73, 3, 2 ** 61): 2}
+# and 3 * 2^62 (two codes), a span of 2^64 - 1 (a key of its own)
+PACKED_KEYS = {(2 ** 31, 2 ** 32 - 1): 1, (2 ** 31, 2 ** 32): 2, (2 ** 64 - 1,): 1, (3, 2 ** 61, 2): 2}
 
 
 def _packed_edge_columns(spans):
-    """400-row key columns with exactly the given spans and repeated rows."""
+    """400-row int64 key columns with exactly the given spans and repeated rows."""
     rng = np.random.default_rng(len(spans))
     columns = []
     for span in spans:
-        wide = span > 2 ** 64  # an int64 column times 2^9, as Python ints
         lo = -(2 ** 63) if span > 2 ** 63 else -(span // 2)
-        top = 2 ** 64 - 1 if wide else span
-        col = rng.integers(lo, lo + top, size=400, dtype=np.int64, endpoint=False)
-        col[:2] = lo, lo + top - 1  # both ends, so the span is exact
+        col = rng.integers(lo, lo + span, size=400, dtype=np.int64, endpoint=False)
+        col[:2] = lo, lo + span - 1  # both ends, so the span is exact
         col[2:6] = col[6:10]  # repeated rows
-        columns.append(np.array([v * 2 ** 9 for v in col.tolist()], dtype=object) if wide else col)
+        columns.append(col)
     return columns
 
 
 @pytest.mark.parametrize("spans", list(PACKED_KEYS))
 def test_row_order_at_the_packed_code_edge(spans):
-    # the same stable permutation as np.lexsort of the columns, ties included
-    from orbitcount.lattice import row_order
-
+    # sorted_keys puts the rows in np.lexsort order of the columns, ties
+    # included, from as many keys as the spans need
     columns = _packed_edge_columns(spans)
-    with mock.patch.object(lattice.np, "lexsort", wraps=np.lexsort) as lexsort:
-        got = row_order(columns)
-    assert len(lexsort.call_args.args[0]) == PACKED_KEYS[spans]
-    assert got.tolist() == np.lexsort(columns[::-1]).tolist()
+    keys = row_keys(columns)
+    assert len(keys) == PACKED_KEYS[spans]
+    rows = np.stack(columns)[:, np.lexsort(columns[::-1])]
+    assert np.array_equal(sorted_keys(keys), np.stack(row_keys(list(rows))))
 
 
 @pytest.mark.parametrize("r", [38501, 10 ** 5])
 def test_conic_points_keep_their_order_past_one_code(r):
     # the model quadric's (level, x) spans pass 2^63 between these radii, so
     # at 10^5 orbit_counts, the one sort of the conic rows, orders them by
-    # row_order, not by one int64 code; the series totals stay the same
+    # np.lexsort of two keys, not by one int64 code; the series totals stay the same
     pts, lvls = conic_points_up_to(SEC, r)
     assert pts.shape == (len(lvls), 3) and pts.dtype == lvls.dtype == np.int64
     assert _sorted_rows(pts, lvls) == _conic_points_per_s(SEC, r)

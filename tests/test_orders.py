@@ -290,7 +290,7 @@ def _torsion_group(order):
     from orbitcount.symmetry import SymmetryGroup
 
     mats = tuple(_torsion_matrices(order, finite_units(order)))
-    return SymmetryGroup(elements=mats, order=len(mats))
+    return SymmetryGroup(elements=mats)
 
 
 def _kernel_groups():
@@ -385,6 +385,15 @@ def test_orbit_counts_refuse_images_past_int64():
     assert n_orbits.tolist() == [2] and n_points.tolist() == [len(pts)]
     with pytest.raises(ValueError, match=r"2\^63"):
         orbit_counts(pts * (edge + 1), levels, group.elements, 1)
+
+
+@pytest.mark.parametrize("top", [2 ** 63, -(2 ** 63) - 1])
+def test_orbit_counts_refuse_python_int_points_past_int64(top):
+    # a point numpy cannot hold as int64 is the same ValueError refusal, not
+    # numpy's OverflowError
+    group = KERNEL_GROUPS["hurwitz"]
+    with pytest.raises(ValueError, match=r"an int64 intermediate could reach \d+ >= 2\^63$"):
+        orbit_counts([(top, 0, 0, 0)], [0], group.elements, 1)
 
 
 @pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 58])

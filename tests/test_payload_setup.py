@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitcount.algebra import change_of_basis, quadratic_field_order, quaternion_algebra
+from orbitcount.algebra import NUMBER_FIELD, algebra_spec, change_of_basis, quadratic_field_order, quaternion_algebra
 from orbitcount.counting import FAMILY_ALGEBRA, _definite_series, run_scenario
 from orbitcount.exact import random_unimodular
 from orbitcount.lattice import cone_section_points
@@ -76,8 +76,17 @@ def moved_orders(draw):
     return OrderSpec(change_of_basis(spec, u), norm_degree=2, unit_rank=0)
 
 
+# Z[sqrt(-10)] in a skewed basis, 2G = ((52412, 63716), (63716, 77458)):
+# theta_series' v-box of this basis in full would be 44651 x 36729 rows
+SKEWED_ZSQRT_M10 = OrderSpec(
+    algebra_spec((((-1624744, 1336506), (-1975179, 1624772)), ((-1975179, 1624772), (-2401198, 1975213))),
+                 (62, -51), NUMBER_FIELD),
+    norm_degree=2, unit_rank=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(moved_orders())
+@example(SKEWED_ZSQRT_M10)
 def test_moved_order_setup_equals_a_fresh_derivation(order):
     first = _definite_series(order, 30, FAMILY_ALGEBRA)
     _assert_order_setup(order, OrderSpec(order.algebra, order.norm_degree, order.unit_rank))
@@ -111,7 +120,8 @@ def test_a_replaced_payload_derives_its_own_setup():
     assert hurwitz.form.gram != lipschitz.form.gram
     section = SECTIONS[0]
     moved = replace(section, base_point=(1, 0, 0))
-    assert "symmetry_group" not in vars(moved) and "fiber_frame" not in vars(moved)
+    assert "symmetry_group" not in vars(moved)
+    assert moved.fiber_frame == section.fiber_frame and moved.fiber_frame is not section.fiber_frame
     assert moved.symmetry_group == section.symmetry_group
     assert moved.symmetry_group is not section.symmetry_group
 
@@ -120,7 +130,6 @@ def test_fiber_points_derive_no_form_per_level(monkeypatch):
     # the frame's form is derived once per section; each level scales b and c
     from orbitcount import exact, shells
 
-    section = quadric_section([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], (0, 0, 0, 1))
     ldls = []
 
     def counting_ldl(m):
@@ -128,5 +137,6 @@ def test_fiber_points_derive_no_form_per_level(monkeypatch):
         return exact.ldl(m)
 
     monkeypatch.setattr(shells, "ldl", counting_ldl)
+    section = quadric_section([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], (0, 0, 0, 1))
     sizes = [len(cone_section_points(section, k)) for k in range(1, 31)]
     assert len(ldls) == 1 and sizes[:5] == [6, 0, 24, 0, 24]

@@ -264,6 +264,46 @@ def test_theta_refuses_int64_overflow(g):
         theta_series(g, 4)
 
 
+def test_theta_v_box_does_not_grow_with_the_skew_of_the_basis(monkeypatch):
+    # x^2 + 10 y^2 in a skewed basis, 2G = ((52412, 63716), (63716, 77458)):
+    # its block A is Gauss-reduced to (2, 0, 20) first, so the v-box is 15 x 7
+    # rows; a request of _box past 10^6 rows is refused before it allocates
+    import orbitcount.shells as shells
+
+    boxes, real_box = [], shells._box
+
+    def bounded_box(bounds):
+        rows = math.prod(2 * b + 1 for b in bounds)
+        if rows > 10 ** 6:
+            raise AssertionError(f"_box asked for {rows} rows")
+        boxes.append(rows)
+        return real_box(bounds)
+
+    monkeypatch.setattr(shells, "_box", bounded_box)
+    t = theta_series([[26206, 31858], [31858, 38729]], 30)
+    want = np.zeros(31, dtype=np.int64)
+    for x in range(-5, 6):
+        for y in range(-1, 2):
+            if x * x + 10 * y * y <= 30:
+                want[x * x + 10 * y * y] += 1
+    assert boxes == [15 * 7] and t.tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(-(10 ** 6), 10 ** 6), st.integers(1, 10 ** 6))
+def test_gauss_reduce_returns_the_reduced_form_and_its_matrix(a, b, c):
+    from orbitcount.shells import gauss_reduce
+
+    assume(b * b < 4 * a * c)
+    ((p, q), (u, v)), (a2, b2, c2) = gauss_reduce((a, b, c))
+
+    def f(s, t):
+        return a * s * s + b * s * t + c * t * t
+
+    assert p * v - q * u == 1 and abs(b2) <= a2 <= c2
+    assert (f(p, u), f(p + q, u + v) - f(p, u) - f(q, v), f(q, v)) == (a2, b2, c2)
+
+
 def test_ball_points_refuses_int64_overflow():
     with pytest.raises(ValueError, match="2\\^63"):
         ball_points([[2 ** 62, 0], [0, 1]], 4)

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
-from orbitcount.exact import random_unimodular
+from orbitcount.exact import inverse, mat_mul, random_unimodular
 from orbitcount.lattice import cone_section_points
 from orbitcount.presets import model_quadric_section
 from orbitcount.sections import quadric_section
@@ -113,3 +115,55 @@ def test_gl3z_equivariance_random_transforms():
             assert len(p1) == len(p2)
             assert len(r1.orbits) == len(r2.orbits)
             assert weighted_count(r1) == weighted_count(r2)
+
+
+SPHERE4 = quadric_section([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], (0, 0, 0, 1))
+
+
+def test_five_variable_sphere_group_is_the_signed_permutations_of_det_one():
+    # x1^2 + ... + x4^2 - w^2 at w = k: P + 1 for the 4 x 4 signed permutation
+    # matrices P of det 1, built directly, with no search
+    sec = quadric_section([[1 if i == j < 4 else -1 if i == j else 0 for j in range(5)] for i in range(5)],
+                          (0, 0, 0, 0, 1))
+    want = set()
+    for perm in permutations(range(4)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        for signs in product((1, -1), repeat=4):
+            if math.prod(signs) * (-1) ** inversions == 1:
+                rows = [tuple(signs[i] if j == perm[i] else 0 for j in range(4)) + (0,) for i in range(4)]
+                want.add(tuple(rows) + ((0, 0, 0, 0, 1),))
+    group = integral_symmetries(sec)
+    assert len(want) == 192 and group.elements == tuple(sorted(want)) and group.order == 192
+
+
+@pytest.mark.parametrize("sec", [SEC, SPHERE4], ids=["model-quadric", "sphere4"])
+@pytest.mark.parametrize("seed", range(8))
+def test_group_of_a_moved_section_is_the_conjugate_group(sec, seed):
+    # x = U x' takes g to U^-1 g U, element for element
+    rng = random.Random(seed)
+    u = random_unimodular(sec.dim, rng, steps=rng.randint(0, 8))
+    uinv = inverse(u)
+    want = sorted(tuple(tuple(int(x) for x in row) for row in mat_mul(uinv, mat_mul(g, u)))
+                  for g in integral_symmetries(sec).elements)
+    assert integral_symmetries(transformed_section(sec, u)).elements == tuple(want)
+
+
+@pytest.mark.parametrize("block", [1 << 16, 50])
+def test_a_dropped_candidate_ends_in_the_closure_check(monkeypatch, block):
+    # -e_0 dropped from the one shell of candidates of e_0, e_1 and e_2: the
+    # search keeps diag(1, -1, -1, 1) and e_0 <-> e_1, e_2 -> -e_2, but not
+    # their product, which sends e_1 to -e_0; a block of 50 products checks
+    # the 24 left factors two at a time
+    import orbitcount.symmetry as symmetry
+
+    monkeypatch.setattr(symmetry, "DOMAIN_BLOCK", block)
+    assert integral_symmetries(SPHERE4).order == 24
+    real = symmetry.fiber_section_points
+
+    def dropping(section, k, qtarget=0, primitive=True):
+        pts = real(section, k, qtarget=qtarget, primitive=primitive)
+        return [p for p in pts if p != (-1, 0, 0, 0)]
+
+    monkeypatch.setattr(symmetry, "fiber_section_points", dropping)
+    with pytest.raises(AssertionError, match="not closed under product"):
+        integral_symmetries(SPHERE4)

@@ -1,12 +1,16 @@
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitcount.algebra import AlgebraSpec
+from orbitcount.counting import FAMILY_QUADRIC, ScenarioSpec
 from orbitcount.numtheory import small_primes
 from orbitcount.orders import OrderSpec
+from orbitcount.presets import model_quadric_section
+from orbitcount.sections import quadric_section
 from orbitcount.validation import (
     FAIL,
     PASS,
@@ -14,6 +18,7 @@ from orbitcount.validation import (
     _check_irreducible_norm_form,
     _discriminant,
     _generator_minpoly,
+    validate_scenario,
 )
 
 X = sympy.symbols("x")
@@ -74,3 +79,30 @@ def test_irreducibility_check_matches_sympy_route(a, b):
 def test_discriminant_matches_sympy(coeffs):
     expr = sum(sympy.Rational(c.numerator, c.denominator) * X ** k for k, c in enumerate(coeffs))
     assert _discriminant(coeffs) == Fraction(str(sympy.discriminant(expr, X)))
+
+
+@pytest.mark.parametrize("section, det, level, sign", [
+    (model_quadric_section(), "1/4", "1", "negative"),
+    (quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, Fraction(1, 2))), "-1", "1/2", "positive"),
+    (quadric_section([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], (0, 0, 0, 1)), "-1", "1", "positive"),
+])
+def test_a_quadric_validates_the_facts_its_section_certified(section, det, level, sign):
+    report = validate_scenario(ScenarioSpec(FAMILY_QUADRIC, section, 10))
+    assert report.ok() and report.lines() == [
+        f"PASS         quadratic form nondegenerate -- det = {det}",
+        f"PASS         base point on the cone with positive level -- q(v0) = 0, ell(v0) = {level}",
+        f"PASS         q restricted to ker(ell) definite over R (exact minors) -- {sign} definite",
+    ]
+
+
+@pytest.mark.parametrize("gram, ell, base, message", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], (0, 0, 1), (0, 0, 1), "quadratic form is degenerate"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1), (1, 0, 0), "base point is not on the cone"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1), (1, 0, -1), "base point must have positive level"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], (0, 0, 0, 1), (1, 0, 0, 1),
+     "q restricted to ker(ell) is not definite over R (unsupported)"),
+])
+def test_a_section_that_fails_a_fact_is_never_built(gram, ell, base, message):
+    with pytest.raises(ValueError) as refused:
+        quadric_section(gram, ell, base_point=base)
+    assert str(refused.value) == message
