@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import AlgebraElement, element
-from .exact import clear_denominators, definiteness, invariant_factors, rank
+from .exact import clear_denominators, gcd_vector, inverse, unimodular_completion
 from .numtheory import primes_upto
 from .orders import fundamental_unit, unit_domain_points
 # definite_shell is no longer called here; it stays importable as
@@ -63,83 +63,59 @@ def cone_section_points(section, k):
 
 def conic_parametrization(section):
     """For dim 3: integer quadratic parametrisation of the projective conic
-    q = 0 through the base point.
+    q = 0 through the base point, by the lines through it (Cassels, Rational
+    Quadratic Forms, 1978).
 
     Returns (phi, psi, content_bound): phi is a 3x3 integer matrix of binary
     quadratic form coefficients (rows = coordinates, columns = coefficients of
     s^2, s t, t^2), psi the positive definite integer form with
-    psi(s, t) = scale_e * ell(phi(s, t)), Gauss-reduced (|b| <= a <= c) so
-    that the (s, t) scan of conic_points_up_to does not grow with the basis
-    the section is written in, and content_bound an integer N such that
-    gcd(phi(s, t)) divides N for coprime (s, t).
+    psi(s, t) = scale_e * ell(phi(s, t)), Gauss-reduced (|b| <= a <= c), and
+    content_bound an integer N such that gcd(phi(s, t)) divides N for coprime
+    (s, t).  Neither the scan of conic_points_up_to nor N depends on the basis
+    the section is written in; another base point keeps the discriminant of
+    psi, though not always N.
+
+    With v0 the base point over its content, the rows v0, w1, w2 of
+    inverse(unimodular_completion(v0)) are a basis of Z^3.  For w = s w1 + t w2,
+    Q = c q(w) and L = 2 c B(v0, w), with c the sign of the fiber form times
+    the lcm of the denominators and the five coefficients then divided by
+    their gcd, phi = Q v0 - L w lies on the cone: q(phi) = L (L q(w) - 2 Q
+    B(v0, w)) = 0.  psi has no real zero: psi(s, t) = 0 puts phi in ker(ell),
+    where q is definite, so phi = 0, Q = L = 0, and v0, w would span an
+    isotropic plane of a nondegenerate ternary form.  The plane of w1, w2 meets
+    ker(ell) in some w != 0, where psi = e ell(v0) Q(w) has the sign of c q(w),
+    which is positive, so psi is positive definite.  Another complement of v0
+    changes w to M w + lambda v0, M in GL_2(Z), lambda linear in (s, t): Q
+    becomes Q + lambda L and phi only changes by (s, t) -> M (s, t).
+    In the basis v0, w1, w2, phi has coordinates (Q, -L s, -L t), so for coprime
+    (s, t) gcd(phi) = gcd(Q, L).  Write L = g (a s + b t) with gcd(a, b) = 1 and
+    change to coprime u = a s + b t, v with s = x u - b v, t = y u + a v, where
+    a x + b y = 1: then Q(s, t) = Q(-b, a) v^2 mod u.  If p^k exactly divides
+    gcd(Q, L) and p^i exactly divides g with k > i, then p^(k-i) divides u, so
+    p does not divide v, and p^(k-i) divides Q(-b, a).
+    Hence gcd(Q, L) divides N = g |Q(-b, a)|, and N > 0, since Q(-b, a) = 0
+    would make v0, -b w1 + a w2 an isotropic plane.
     """
     if section.dim != 3:
         raise ValueError("conic parametrisation needs three variables")
-    g_flat = [x for row in section.gram for x in row]
-    g_int_flat, _ = clear_denominators(g_flat)
-    gi = [g_int_flat[3 * i : 3 * i + 3] for i in range(3)]
-    v0 = section.base_point
-    # complete v0 to a rational basis with two standard vectors
-    std = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    pick = []
-    for w in std:
-        if _independent([v0] + pick + [w]):
-            pick.append(w)
-        if len(pick) == 2:
-            break
-    w1, w2 = pick
-
-    def bil(u, v):
-        return sum(gi[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
-
-    # phi(w) = q(w) v0 - 2 B(v0, w) w,  w = s w1 + t w2
-    rows = []
-    for i in range(3):
-        c_ss = bil(w1, w1) * v0[i] - 2 * bil(v0, w1) * w1[i]
-        c_st = 2 * bil(w1, w2) * v0[i] - 2 * (bil(v0, w1) * w2[i] + bil(v0, w2) * w1[i])
-        c_tt = bil(w2, w2) * v0[i] - 2 * bil(v0, w2) * w2[i]
-        rows.append((c_ss, c_st, c_tt))
-    phi = tuple(rows)
-    # psi = scale_e * ell o phi (integer binary form coefficients)
-    e = section.scale_e
-    psi = tuple(
-        int(sum(Fraction(section.ell[i]) * e * phi[i][j] for i in range(3))) for j in range(3)
-    )
-    sgn = definiteness(((2 * psi[0], psi[1]), (psi[1], 2 * psi[2])))
-    if sgn == 0:
-        raise AssertionError("level form indefinite; section preconditions violated")
-    if sgn < 0:
-        phi = tuple(tuple(-c for c in row) for row in phi)
-        psi = tuple(-c for c in psi)
+    v0 = tuple(x // gcd_vector(section.base_point) for x in section.base_point)
+    _, w1, w2 = inverse(unimodular_completion(v0))
+    bil = section.bilinear
+    ints, _ = clear_denominators((bil(w1, w1), 2 * bil(w1, w2), bil(w2, w2), 2 * bil(v0, w1), 2 * bil(v0, w2)))
+    d = gcd_vector(ints) * (1 if section.fiber_frame.mult > 0 else -1)
+    q0, q1, q2, l0, l1 = (x // d for x in ints)
+    # phi(w) = Q(w) v0 - L(w) w,  w = s w1 + t w2
+    phi = tuple((q0 * x0 - l0 * x1, q1 * x0 - l0 * x2 - l1 * x1, q2 * x0 - l1 * x2) for x0, x1, x2 in zip(v0, w1, w2))
+    g = math.gcd(l0, l1)
+    a, b = l0 // g, l1 // g
+    n_bound = g * abs(q0 * b * b - q1 * a * b + q2 * a * a)
+    psi = tuple(int(section.scale_e * section.ell_value(col)) for col in zip(*phi))
     # Gauss-reduce psi to |b| <= a <= c by the SL_2(Z) change (s, t) -> M (s, t),
     # applied to phi too
     ((p, q), (u, v)), psi = gauss_reduce(psi)
     phi = tuple((f0 * p * p + f1 * p * u + f2 * u * u, 2 * f0 * p * q + f1 * (p * v + q * u) + 2 * f2 * u * v,
                  f0 * q * q + f1 * q * v + f2 * v * v) for f0, f1, f2 in phi)
-    return phi, psi, _content_bound(phi)
-
-
-def _independent(rows):
-    return rank(rows) == len(rows)
-
-
-def _content_bound(phi):
-    """Exponent of the cokernel of (deg-2 forms)^3 -> deg-4 forms, (a_i) -> sum a_i phi_i.
-
-    For coprime (s, t), gcd over i of phi_i(s, t) divides this bound.
-    """
-    cols = []
-    for i in range(3):
-        f = phi[i]
-        for shift in range(3):  # multiply by s^2, s t, t^2
-            col = [0] * 5
-            for j in range(3):
-                col[j + shift] += f[j]
-            cols.append(col)
-    divisors = invariant_factors(list(zip(*cols)))  # of the 5 x 9 matrix
-    if len(divisors) < 5:
-        raise AssertionError("parametrisation forms share a root; conic degenerate")
-    return divisors[-1]
+    return phi, psi, n_bound
 
 
 def conic_points_up_to(section, r_scaled):

@@ -1,8 +1,8 @@
 """The rational elimination kernel of orbitcount.exact against sympy.
 
-det, rank, solve and inverse share one Gauss-Jordan pass, definiteness reads
-the LDL pivots and minimal_polynomial reduces the powers of an element once;
-sympy serves only as the reference here.
+det, solve and inverse share one Gauss-Jordan pass and minimal_polynomial
+reduces the powers of an element once; sympy serves only as the reference
+here.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcount.algebra import algebra_spec, element, left_mul_matrix, minimal_polynomial
-from orbitcount.exact import definiteness, det, inverse, isqrt_frac_floor, rank, solve, vec
+from orbitcount.exact import det, inverse, isqrt_frac_floor, solve, vec
 from orbitcount.presets import order_gauss, order_hurwitz, order_lipschitz, order_zsqrt2
 
 X = sympy.symbols("x")
@@ -32,18 +32,17 @@ def _values_ok(xs):
 
 
 @st.composite
-def matrices(draw, square=True):
-    """A rational matrix of dims 0..5: half the time with random entries,
-    otherwise the product of an n x k and a k x m matrix, of rank at most
-    k <= min(n, m), so that singular and rank-deficient ones come often."""
+def matrices(draw):
+    """A square rational matrix of dim 0..5: half the time with random
+    entries, otherwise the product of an n x k and a k x n matrix, of rank at
+    most k <= n, so that singular ones come often."""
     n = draw(st.integers(0, 5))
-    m = n if square else draw(st.integers(1, 5))
-    k = draw(st.integers(0, min(n, m)))
+    k = draw(st.integers(0, n))
     left = [[draw(ENTRIES) for _ in range(k)] for _ in range(n)]
-    right = [[draw(ENTRIES) for _ in range(m)] for _ in range(k)]
+    right = [[draw(ENTRIES) for _ in range(n)] for _ in range(k)]
     if draw(st.booleans()):
-        return [[draw(ENTRIES) for _ in range(m)] for _ in range(n)]
-    return [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+        return [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    return [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
             for i in range(n)]
 
 
@@ -64,31 +63,6 @@ def test_det_solve_inverse_match_sympy(a, data):
     assert list(x) == (list(ref.LUsolve(_sym([[c] for c in b], 1))) if n else []) and _values_ok(x)
     inv = inverse(a)
     assert _sym(inv, n) == (ref.inv() if n else ref) and _values_ok(sum(inv, ()))
-
-
-@settings(max_examples=300, deadline=None)
-@given(matrices(square=False))
-def test_rank_matches_sympy(a):
-    assert rank(a) == (_sym(a, len(a[0])).rank() if a else 0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(matrices(), st.lists(st.sampled_from([-1, 0, 1, 1, 1]), min_size=5, max_size=5))
-def test_definiteness_is_the_leading_minor_rule(b, signs):
-    # G = B^t D B: definite when B is invertible and D has one sign, and
-    # semidefinite, indefinite or singular otherwise
-    n = len(b)
-    g = _sym(b, n).T * sympy.diag(*signs[:n]) * _sym(b, n) if n else sympy.Matrix(0, 0, [])
-    gram = [[Fraction(int(g[i, j].p), int(g[i, j].q)) for j in range(n)] for i in range(n)]
-    minors = [g[:k, :k].det() for k in range(1, n + 1)]
-    if all(m > 0 for m in minors):
-        expected = 1
-    elif all((m > 0) if k % 2 else (m < 0) for k, m in enumerate(minors)):
-        expected = -1
-    else:
-        expected = 0
-    assert definiteness(gram) == expected
-    assert definiteness([[-x for x in row] for row in gram]) == (-expected if n else 1)
 
 
 def _power_basis(table):

@@ -14,7 +14,6 @@ from orbitcount.counting import _torsion_matrices, orbit_counts, quadric_series
 from orbitcount.exact import (
     clear_denominators,
     inverse,
-    invariant_factors,
     mat_mul,
     mat_vec,
     random_unimodular,
@@ -22,7 +21,6 @@ from orbitcount.exact import (
     vec_mat,
 )
 from orbitcount.lattice import (
-    _content_bound,
     box_scan,
     cone_section_points,
     conic_parametrization,
@@ -151,13 +149,6 @@ def test_fiber_of_negative_first_coordinate_form():
     assert cone_section_points(NEG, 5)[0] == (-5, -4, -3)
 
 
-def test_conic_matches_fiber_route():
-    pts, lvls = conic_points_up_to(SEC, 150)
-    for k in range(1, 151):
-        batch = sorted(tuple(int(c) for c in p) for p in pts[lvls == k])
-        assert batch == cone_section_points(SEC, k), k
-
-
 @st.composite
 def conic_sections(draw):
     """c (a x^2 + b y^2 - (a + b) z^2), zero (1, 1, 1), or c (a x z - b y^2),
@@ -177,64 +168,93 @@ def conic_sections(draw):
 
 
 def _content_matrix(phi):
-    # the 5 x 9 matrix _content_bound reduces: column (i, shift) holds phi_i
-    # times s^2, s t or t^2 as coefficients of s^4, ..., t^4
+    # the 5 x 9 matrix of (deg-2 forms)^3 -> deg-4 forms, (a_i) -> sum a_i phi_i:
+    # column (i, shift) holds phi_i times s^2, s t or t^2 as coefficients of
+    # s^4, ..., t^4; its Smith exponent bounds the content of phi
     return [[phi[i][r - sh] if 0 <= r - sh <= 2 else 0 for i in range(3) for sh in range(3)]
             for r in range(5)]
 
 
-def _sympy_independent(rows):
-    return sympy.Matrix(rows).rank() == len(rows)
-
-
-def _sympy_invariant_factors(m):
+def _sympy_smith_exponent(m):
     snf = smith_normal_form(sympy.Matrix(m))
-    return [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-12, 12), min_size=9, max_size=9))
-def test_invariant_factors_match_sympy_smith_form(flat):
-    phi = (tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:]))
-    m = _content_matrix(phi)
-    factors = invariant_factors(m)
-    assert factors == _sympy_invariant_factors(m)
-    assert len(factors) == sympy.Matrix(m).rank()
-    if len(factors) < 5:
-        with pytest.raises(AssertionError, match="share a root"):
-            _content_bound(phi)
-    else:
-        assert _content_bound(phi) == factors[-1]
+    factors = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
+    assert len(factors) == 5  # full rank: the phi_i share no root
+    return max(factors)
 
 
 @settings(max_examples=60, deadline=None)
-@given(conic_sections())
-def test_conic_parametrization_matches_sympy_route(sec):
-    # the same output with the basis completion and the content bound taken
-    # from sympy's rank and Smith normal form
-    phi, psi, n_bound = got = conic_parametrization(sec)
-    assert invariant_factors(_content_matrix(phi)) == _sympy_invariant_factors(_content_matrix(phi))
-    with mock.patch.object(lattice, "_independent", _sympy_independent), \
-            mock.patch.object(lattice, "invariant_factors", _sympy_invariant_factors):
-        assert conic_parametrization(sec) == got
-    for s, t in ((1, 0), (0, 1), (1, 1), (2, -1)):
-        x = [f[0] * s * s + f[1] * s * t + f[2] * t * t for f in phi]
+@given(conic_sections(), st.lists(st.tuples(st.integers(0, 30), st.integers(-30, 30)), min_size=1, max_size=8))
+def test_conic_parametrization_matches_sympy_route(sec, pairs):
+    # the closed-form content bound is the Smith exponent of the content
+    # matrix, sympy's, and the content of phi at coprime (s, t) divides it
+    phi, psi, n_bound = conic_parametrization(sec)
+    assert n_bound == _sympy_smith_exponent(_content_matrix(phi))
+    for s, t in pairs + [(1, 0), (0, 1), (1, 1), (2, -1)]:
+        if math.gcd(s, t) != 1:
+            continue
+        x = [f0 * s * s + f1 * s * t + f2 * t * t for f0, f1, f2 in phi]
+        assert n_bound % math.gcd(*x) == 0
         assert sec.q_value(x) == 0
         assert sec.scale_e * sec.ell_value(x) == psi[0] * s * s + psi[1] * s * t + psi[2] * t * t
     assert psi[0] > 0 and psi[1] ** 2 < 4 * psi[0] * psi[2] and n_bound > 0
     assert abs(psi[1]) <= psi[0] <= psi[2]  # Gauss-reduced
 
 
+def _another_base_point(sec):
+    """A primitive cone point of sec other than its base point, at the
+    highest level up to 12 that has one."""
+    v0 = sec.base_point
+    for k in range(12, 0, -1):
+        pts = [p for p in cone_section_points(sec, Fraction(k, sec.scale_e)) if p != v0]
+        if pts:
+            return pts[-1]
+    raise AssertionError("no second cone point up to level 12")
+
+
+@settings(max_examples=40, deadline=None)
+@given(conic_sections(), st.randoms(use_true_random=False), st.integers(1, 12))
+def test_conic_scan_does_not_depend_on_the_basis(sec, rng, steps):
+    # a unimodular move keeps the reduced level form (up to the sign of b)
+    # and the content bound
+    from orbitcount.symmetry import transformed_section
+
+    _, (a, b, c), n_bound = conic_parametrization(sec)
+    moved = transformed_section(sec, random_unimodular(3, rng, steps=steps))
+    _, (a2, b2, c2), n2 = conic_parametrization(moved)
+    assert (a2, abs(b2), c2, n2) == (a, abs(b), c, n_bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conic_sections())
+def test_another_base_point_keeps_the_level_form_discriminant(sec):
+    # though not always the content bound: test_conic_content_bound_examples
+    _, (a, b, c), _ = conic_parametrization(sec)
+    other = quadric_section(sec.gram, sec.ell, base_point=_another_base_point(sec))
+    _, (a2, b2, c2), _ = conic_parametrization(other)
+    assert b2 * b2 - 4 * a2 * c2 == b * b - 4 * a * c
+
+
+def test_conic_content_bound_examples():
+    # (level form, N): the model quadric's scan psi <= r N is the same (s, t)
+    # scan as (2, 0, 2) <= 2 r; on (xz - 8 y^2) / 2 a base point of level 12
+    # halves the N of (0, 0, 1) and keeps the discriminant -128
+    h = Fraction(1, 4)
+    gram = ((0, 0, h), (0, -4, 0), (h, 0, 0))
+    got = [conic_parametrization(sec)[1:] for sec in
+           (SEC, quadric_section(gram, (2, 0, 2), base_point=(0, 0, 1)),
+            quadric_section(gram, (2, 0, 2), base_point=(2, 1, 4)))]
+    assert got == [((1, 0, 1), 1), ((2, 0, 16), 8), ((4, 0, 8), 4)]
+
+
 def test_conic_points_do_not_grow_with_a_skewed_basis():
-    # the model quadric moved by U: its unreduced psi is about (2, -4M, 2M^2),
+    # the model quadric moved by U: its unreduced psi is (1, -2M, M^2 + 1),
     # and an (s, t) scan on it runs s up to about M sqrt(r)
     m = 2 ** 22
     u = ((1, -m, m * m), (0, 1, -m), (0, 0, 1))
     from orbitcount.symmetry import transformed_section
 
     moved = transformed_section(SEC, u)
-    _, psi, _ = conic_parametrization(moved)
-    assert abs(psi[1]) <= psi[0] <= psi[2]
+    assert conic_parametrization(moved)[1:] == conic_parametrization(SEC)[1:] == ((1, 0, 1), 1)
     pts, lvls = conic_points_up_to(moved, 60)
     base, base_lvls = conic_points_up_to(SEC, 60)
     u_inv = inverse(u)
@@ -244,16 +264,18 @@ def test_conic_points_do_not_grow_with_a_skewed_basis():
 
 
 def test_conic_points_refuse_int64_overflow():
-    # q = G (xz - y^2) has the model quadric's points, with phi = G * identity
+    # q = G (xz - y^2) has the model quadric's points and phi; the scan bound
+    # of r = 2^62 passes int64 before any scan
     def scaled(g):
         h = Fraction(g, 2)
         return quadric_section([[0, 0, h], [0, -g, 0], [h, 0, 0]], (1, 0, 1), base_point=(0, 0, 1))
 
     pts, lvls = conic_points_up_to(SEC, 50)
-    big_pts, big_lvls = conic_points_up_to(scaled(2 ** 52), 50)
-    assert np.array_equal(big_pts, pts) and np.array_equal(big_lvls, lvls)
+    for g in (2 ** 52, 2 ** 58):  # the common factor G never enters phi
+        big_pts, big_lvls = conic_points_up_to(scaled(g), 50)
+        assert np.array_equal(big_pts, pts) and np.array_equal(big_lvls, lvls)
     with pytest.raises(ValueError, match="2\\^63"):
-        conic_points_up_to(scaled(2 ** 58), 50)
+        conic_points_up_to(SEC, 2 ** 62)
 
 
 def test_box_scan_example():
@@ -344,10 +366,32 @@ def _conic_points_per_s(section, r_scaled):
     return sorted(out)
 
 
-# cones whose conic points have content 2 throughout (the model quadric),
-# 1 or 2 (x^2 + y^2 = z^2) and 1, 2, 3 or 6 (x^2 + 2 y^2 = 3 z^2, n_bound 12)
+# cones whose conic points have content 1 throughout (the model quadric,
+# n_bound 1), 1 or 2 (x^2 + y^2 = z^2) and 1, 2, 3 or 6 (x^2 + 2 y^2 = 3 z^2,
+# n_bound 12)
 CONES = (SEC, quadric_section([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 1)),
          quadric_section([[1, 0, 0], [0, 2, 0], [0, 0, -3]], (0, 0, 1)))
+
+
+def test_conic_matches_fiber_route():
+    # level by level against the fiber route, which does not read
+    # conic_parametrization: the three cones, and each moved with its base
+    # point replaced by a cone point of level > 1
+    from random import Random
+
+    from orbitcount.symmetry import transformed_section
+
+    cases = [(cone, 150) for cone in CONES]
+    for seed, cone in enumerate(CONES * 2):
+        moved = transformed_section(cone, random_unimodular(3, Random(seed), steps=8))
+        far = quadric_section(moved.gram, moved.ell, base_point=_another_base_point(moved))
+        assert far.ell_value(far.base_point) > 1
+        cases.append((far, 60))
+    for sec, r in cases:
+        pts, lvls = conic_points_up_to(sec, r)
+        for k in range(1, r + 1):
+            batch = sorted(tuple(int(c) for c in p) for p in pts[lvls == k])
+            assert batch == cone_section_points(sec, Fraction(k, sec.scale_e)), (sec, k)
 
 
 @settings(max_examples=25, deadline=None)
